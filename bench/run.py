@@ -11,11 +11,17 @@ fresh processes, then repeats rounds of the workload's commands (through
 API) for about S seconds after one warm-up round. Every output is checked;
 a nonzero exit or a failed check counts as a failed operation.
 
+Other tenants share the benchmark's core and slow it by up to 2x for
+stretches of many seconds, so a run's raw wall times follow them. A
+reference kernel timed right before and after every operation measures that
+load (see ``host.py``), and every end-to-end timing is the operation's time
+on a free core, the median over the run's rounds.
+
 With --trace 0 the last line of standard output is a JSON object with the
-end-to-end metrics (medians over rounds); with --trace 1 it holds the
-per-layer metrics of traced rounds, which alternate with untraced rounds so
-the tracing overhead can be reported. Lines before it are a human-readable
-report and the environment record.
+end-to-end metrics; with --trace 1 it holds the per-layer metrics of traced
+rounds, which alternate with untraced rounds so the tracing overhead can be
+reported. Lines before it are a human-readable report (raw medians
+included) and the environment record.
 """
 
 from __future__ import annotations
@@ -43,6 +49,7 @@ from pathlib import Path
 import numpy as np
 
 import workloads
+from host import Calibration
 from tracing import LAYER_METRICS, Tracer, layer_metrics
 
 BENCH = Path(__file__).resolve().parent
@@ -114,10 +121,15 @@ def measure_setup(config: Path) -> float:
 class Runner:
     """Runs rounds of one workload and tallies operations and failures."""
 
-    def __init__(self, wl, cli, explain):
+    # Explains are timed in batches of about this many seconds, each
+    # followed by a calibration window.
+    EXPLAIN_BATCH_S = 0.02
+
+    def __init__(self, wl, cli, explain, calibration):
         self.wl = wl
         self.cli = cli
         self.explain = explain
+        self.cal = calibration
         self.attempted = 0
         self.failed = 0
         self.explained = 0
@@ -130,9 +142,12 @@ class Runner:
     def round(self, tracer=None) -> dict:
         """One pass over every command and explain target.
 
-        Returns per-metric wall times, explain latencies, and with a tracer
-        the round's wall time and the part of it layer spans cover. Outputs
-        are checked after the timed pass, with tracing off.
+        Returns per-metric times in fastest-kernel units (wall time over
+        load; see ``host.py``), their raw wall times under ``raw <metric>``,
+        explain latencies, the pass's total in kernel units, and with a
+        tracer the round's wall time and the part of it layer spans cover;
+        calibration windows are left out of that wall time. Outputs are
+        checked after the timed pass, with tracing off.
         """
         wl = self.wl
         shutil.rmtree(wl.out, ignore_errors=True)
@@ -142,7 +157,8 @@ class Runner:
             tracer.install()
             close = tracer.root()
         by_command = {}
-        pass_start = time.perf_counter()
+        calibrate = self.cal.after
+        cal_before = self.cal.spent
         try:
             for cmd in wl.commands:
                 before = tracer.self_times() if tracer is not None else None
@@ -156,13 +172,16 @@ class Runner:
                             code = self.cli.main([*cmd.argv, str(out)])
                     except (Exception, SystemExit) as exc:  # a crash is a failed operation
                         code = f"raised {exc!r}"
-                    runs.append((cmd, out, time.perf_counter() - start, code,
+                    wall = time.perf_counter() - start
+                    load = calibrate(wall)
+                    runs.append((cmd, out, wall, load, code,
                                  stdout.getvalue(), stderr.getvalue()))
                 if tracer is not None:
                     after = tracer.self_times()
                     by_command[cmd.metric] = {k: v - before.get(k, 0.0) for k, v in after.items()}
             latencies, results = [], []
             order = wl.explain_order
+            batch, scaled = 0.0, 0.0
             for k in range(self.explained, self.explained + wl.explain_per_round):
                 t = order[k % len(order)]
                 start = time.perf_counter()
@@ -172,26 +191,36 @@ class Runner:
                     att = exc
                 latencies.append(time.perf_counter() - start)
                 results.append((t, att))
+                batch += latencies[-1]
+                if batch >= self.EXPLAIN_BATCH_S:
+                    scaled += batch / calibrate(batch)
+                    batch = 0.0
+            if batch:
+                scaled += batch / calibrate(batch)
         finally:
-            pass_s = time.perf_counter() - pass_start
             if tracer is not None:
                 wall, covered = close()
+                wall -= self.cal.spent - cal_before
                 tracer.uninstall()
         self.explained += wl.explain_per_round
-        out = {"latencies": latencies, "explain_ms": 1e3 * statistics.fmean(latencies),
-               "pass_s": pass_s}
+        out = {"latencies": latencies,
+               "pass_units": scaled + sum(r[2] / r[3] for r in runs),
+               "explain_ms": 1e3 * scaled / len(latencies),
+               "raw explain_ms": 1e3 * statistics.fmean(latencies)}
         if tracer is not None:
             out.update(wall=wall, covered=covered, layers=tracer.snapshot(),
                        by_command=by_command)
         self._check(runs, results, out)
+        self.cal.gap()  # the checks ran untimed
         return out
 
     def _check(self, runs, results, out) -> None:
         wl = self.wl
-        walls, to_tol = {}, []
-        for cmd, out_dir, wall, code, stdout, stderr in runs:
+        walls, scaled, to_tol = {}, {}, []
+        for cmd, out_dir, wall, load, code, stdout, stderr in runs:
             self.attempted += 1
             walls.setdefault(cmd.metric, []).append(wall)
+            scaled.setdefault(cmd.metric, []).append(wall / load)
             if code != 0:
                 self._fail(cmd.metric, [f"exit {code}: {stderr.strip()[-300:]}"])
                 continue
@@ -202,9 +231,10 @@ class Runner:
             if problems:
                 self._fail(cmd.metric, problems)
             elif cmd.metric == "mc_local_s":
-                to_tol.append(workloads.mc_time_to_tol(wl, out_dir, wall))
+                to_tol.append(workloads.mc_time_to_tol(wl, out_dir, wall / load))
         for metric, values in walls.items():
-            out[metric] = statistics.fmean(values)
+            out[metric] = statistics.fmean(scaled[metric])
+            out[f"raw {metric}"] = statistics.fmean(values)
         if to_tol:
             out["mc_time_to_tol_s"] = statistics.fmean(to_tol)
         for t, att in results:
@@ -257,19 +287,23 @@ def main(argv=None) -> int:
         wl = workloads.build(args.workload, args.seed, work, args.size == "toy",
                              explain_factory)
         env = environment(args.seed, cpu)
-        runner = Runner(wl, cli, explain_factory(wl))
+        calibration = Calibration()
+        runner = Runner(wl, cli, explain_factory(wl), calibration)
         tracer = Tracer() if args.trace else None
 
         # Warm-up: the first probe also compiles bytecode, and the first
         # pass in a process runs slower.
         measure_setup(wl.config)
         runner.round()
+        calibration.times.clear()
         rounds, traced = [], []
         started = time.perf_counter()
         while True:
             t0 = time.perf_counter()
             # one set-up probe per round spreads them over the run
-            rounds.append({"setup_s": measure_setup(wl.config), **runner.round()})
+            setup_s = measure_setup(wl.config)
+            rounds.append({"setup_s": setup_s / calibration.after(setup_s),
+                           "raw setup_s": setup_s, **runner.round()})
             if tracer is not None:
                 traced.append(runner.round(tracer))
             used = time.perf_counter() - started
@@ -285,15 +319,26 @@ def main(argv=None) -> int:
         values = [r[key] for r in source if key in r]
         return statistics.median(values) if values else 0.0
 
+    fastest = calibration.fastest()
+
+    def free_core(key):
+        """Time on a free core: the median over the run's rounds of a time
+        in fastest-kernel units, times the fastest kernel run. The median
+        keeps the few rounds that meet another load than most from pulling
+        metrics whose code slows less under load than the kernel does."""
+        values = [r[key] for r in rounds if key in r]
+        return fastest * statistics.median(values) if values else 0.0
+
     print(f"workload {wl.name}: n={wl.n} d={wl.d} engine={wl.engine}, "
-          f"{len(rounds)} measured rounds")
+          f"{len(rounds)} measured rounds; {len(calibration.times)} kernel runs, "
+          f"fastest {1e3 * fastest:.4f} ms, mean slowdown {calibration.slowdown():.4f}")
     latencies = [x for r in rounds for x in r["latencies"]]
     if tracer is None:
         metrics = {
-            "setup_s": (med("setup_s"), "s"),
-            **{m: (med(m), "s") for m in workloads.COMMANDS},
-            "mc_time_to_tol_s": (med("mc_time_to_tol_s"), "s"),
-            "explain_ms": (med("explain_ms"), "ms"),
+            "setup_s": (free_core("setup_s"), "s"),
+            **{m: (free_core(m), "s") for m in workloads.COMMANDS},
+            "mc_time_to_tol_s": (free_core("mc_time_to_tol_s"), "s"),
+            "explain_ms": (free_core("explain_ms"), "ms"),
             "peak_rss_mb": (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, "MB"),
         }
         print(f"explain samples {len(latencies)}; "
@@ -301,9 +346,10 @@ def main(argv=None) -> int:
     else:
         flat = [layer_metrics(r["layers"]) for r in traced]
         values = {name: statistics.median(f[name] for f in flat) for name in flat[0]}
-        values["trace.overhead_frac"] = med("pass_s", traced) / med("pass_s") - 1.0
+        values["trace.overhead_frac"] = med("pass_units", traced) / med("pass_units") - 1.0
         values["trace.unattributed_frac"] = statistics.median(
             1.0 - r["covered"] / r["wall"] for r in traced)
+        values["host.slowdown"] = calibration.slowdown()
         metrics = {name: (values[name], unit) for name, unit in LAYER_METRICS.items()}
         # Per-call percentiles jump between runs when neighbours on a shared
         # host load the core about half the time, so they carry no bound.
@@ -316,9 +362,12 @@ def main(argv=None) -> int:
             top = sorted(selfs.items(), key=lambda kv: -kv[1])[:3]
             print(f"  {metric:14s} " + ", ".join(f"{k} {v:.3f}s" for k, v in top))
     for name, (value, unit) in metrics.items():
-        samples = [r[name] for r in rounds if name in r] if tracer is None else []
+        raw = [r[f"raw {name}"] for r in rounds if f"raw {name}" in r] \
+            if tracer is None else []
+        samples = [fastest * r[name] for r in rounds if name in r] if raw else []
         print(f"  {name:42s} {value:14.6g} {unit:6s}"
-              + (" rounds " + " ".join(f"{v:.4g}" for v in samples) if samples else ""))
+              + (f" raw median {statistics.median(raw):.4g}; free-core rounds "
+                 + " ".join(f"{v:.4g}" for v in samples) if raw else ""))
     for problem in runner.problems[:20]:
         print(f"FAILED {problem}")
     print("env " + json.dumps(env))

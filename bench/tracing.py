@@ -325,14 +325,15 @@ LAYER_METRICS = {
     "emit.bytes": "bytes",
     "trace.overhead_frac": "ratio",
     "trace.unattributed_frac": "ratio",
+    "host.slowdown": "ratio",
 }
 
 
 def layer_metrics(flat: dict[str, float]) -> dict[str, float]:
     """Per-layer values of one traced round; the two trace.* checks on the
-    trace itself are filled in by the caller."""
+    trace itself and the host's slowdown are filled in by the caller."""
     out = {name: flat.get(name, 0.0) for name in LAYER_METRICS
-           if not name.startswith("trace.")}
+           if not name.startswith(("trace.", "host."))}
     requested = out["games.coalitions_requested"]
     evaluated = out["games.coalitions_evaluated"]
     out["games.memo_hit_ratio"] = 1.0 - evaluated / requested if requested else 0.0
