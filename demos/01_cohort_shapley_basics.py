@@ -15,8 +15,6 @@ from cohortshap import (
     Dataset,
     Identity,
     attach_predictions,
-    cohort_mask,
-    cohort_mean,
     make_cs2_game,
     make_cs_game,
     shapley_exact,
@@ -44,10 +42,10 @@ print(Z.dense.astype(int))
 # and the target never leaves it.
 print("\ncohort sizes and means while refining:")
 for u in ([], [0], [0, 1], [0, 1, 2]):
-    mask = cohort_mask(Z, u)
+    members = Z.cohort(u)
     print(
-        f"  refined on {u or '{}'}: {mask.count} subjects, "
-        f"mean prediction {cohort_mean(mask, ds.y):.3f}"
+        f"  refined on {u or '{}'}: {members.sum()} subjects, "
+        f"mean prediction {ds.y[members].mean():.3f}"
     )
 
 # The cohort game values the set u by how far the refined cohort mean has
@@ -57,6 +55,7 @@ att = shapley_exact(game)
 print(f"\ncohort Shapley: phi = {att.phi}, total = {att.total}")
 
 # The squared variant values movement regardless of sign; it is the
-# subject-level share of the variance decomposition (see demo 03).
+# subject-level share of the variance decomposition that
+# cohortshap.variance_shapley aggregates over all subjects.
 att2 = shapley_exact(make_cs2_game(ds, Z, target))
 print(f"squared cohort Shapley: phi = {att2.phi}, total = {att2.total}")

@@ -10,6 +10,7 @@ from .aggregate import (
     Panel,
     aggregate_squared_cs,
     export_panel,
+    local_attributions,
     variance_shapley,
     write_panel_csv,
 )
@@ -55,6 +56,7 @@ from .games import (
     make_bs_game,
     make_cs2_game,
     make_cs_game,
+    make_game,
     make_var_game,
 )
 from .models import (
@@ -70,20 +72,18 @@ from .models import (
 from .shapley import (
     EXACT_CAP,
     Attribution,
+    shapley_engine,
     shapley_exact,
     shapley_permutation,
     shapley_weight_table,
 )
 from .similarity import (
     AbsoluteThreshold,
-    CohortMask,
     Identity,
     RangeFraction,
     RelativeThreshold,
     SimilarityError,
     SimilarityMatrix,
-    cohort_mask,
-    cohort_mean,
     resolve_rules,
     scale_rules,
     similarity_row,

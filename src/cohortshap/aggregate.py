@@ -4,7 +4,9 @@ panel exports of per-subject attributions ordered by prediction.
 The all-targets cohort sweep is the hot path: per chunk of targets it builds
 match-pattern histograms against every subject, superset-sums them into
 cohort count/sum tables and contracts the value tables straight into Shapley
-vectors, so no subset is ever rescanned row by row.
+vectors, so no subset is ever rescanned row by row and no table outlives its
+chunk. :func:`local_attributions` is the one per-target builder: local runs
+and panels of every method and engine go through it.
 """
 
 from __future__ import annotations
@@ -15,18 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import Dataset, DatasetError
-from .games import (
-    TABLE_D_CAP,
-    make_abs2_game,
-    make_abs_game,
-    make_bs2_game,
-    make_bs_game,
-    make_var_game,
-)
-from .shapley import _phi_from_tables, shapley_exact, shapley_permutation
+from .games import COHORT_METHODS, TABLE_D_CAP, make_game, make_var_game
+from .shapley import Attribution, _phi_from_tables, shapley_engine
 from .similarity import cohort_table_chunks, resolve_rules
-
-TARGET_CHUNK = 256
 
 
 @dataclass(frozen=True)
@@ -51,27 +44,22 @@ class Panel:
     feature_names: tuple[str, ...]
 
 
-def cohort_value_sweep(ds: Dataset, rules, targets=None, squared: bool = False):
-    """Cohort value tables (targets x 2^d) for many targets at once."""
+def cs_attribution_sweep(ds: Dataset, rules, targets=None, squared: bool = False):
+    """Exact cohort-Shapley rows for many targets: (phi matrix, totals).
+
+    Each chunk of cohort tables is contracted as it is built, so memory
+    stays bounded by the chunk, not by targets x 2^d.
+    """
     if ds.d > TABLE_D_CAP:
         raise DatasetError(f"d={ds.d} too large for the dense cohort sweep")
     resolved = resolve_rules(rules, ds)
-    if targets is None:
-        targets = np.arange(ds.n)
-    targets = np.asarray(targets, dtype=np.intp)
-    out = np.empty((len(targets), 1 << ds.d))
-    for s, tables in cohort_table_chunks(
-        ds, resolved, targets, squared, chunk_size=TARGET_CHUNK
-    ):
-        out[s : s + len(tables)] = tables
-    return out
-
-
-def cs_attribution_sweep(ds: Dataset, rules, targets=None, squared: bool = False):
-    """Exact cohort-Shapley rows for many targets: (phi matrix, totals)."""
-    tables = cohort_value_sweep(ds, rules, targets, squared=squared)
-    phi = _phi_from_tables(tables, ds.d)
-    return phi, tables[:, -1].copy()
+    targets = np.arange(ds.n) if targets is None else np.asarray(targets, np.intp)
+    phi = np.empty((len(targets), ds.d))
+    totals = np.empty(len(targets))
+    for s, tables in cohort_table_chunks(ds, resolved, targets, squared):
+        phi[s : s + len(tables)] = _phi_from_tables(tables, ds.d)
+        totals[s : s + len(tables)] = tables[:, -1]
+    return phi, totals
 
 
 def variance_shapley(
@@ -82,13 +70,7 @@ def variance_shapley(
     seed: int = 0,
 ) -> GlobalAttribution:
     """Shapley split of the variance explained by refining on each feature."""
-    game = make_var_game(ds, rules)
-    if engine == "exact":
-        att = shapley_exact(game)
-    elif engine == "mc":
-        att = shapley_permutation(game, permutations, seed)
-    else:
-        raise ValueError(f"unknown engine {engine!r}")
+    att = shapley_engine(make_var_game(ds, rules), engine, permutations, seed)
     return GlobalAttribution(phi_var=att.phi, total_variance=att.total, method="var")
 
 
@@ -104,6 +86,61 @@ def aggregate_squared_cs(ds: Dataset, rules) -> GlobalAttribution:
     )
 
 
+def local_attributions(
+    ds: Dataset,
+    method: str,
+    targets=None,
+    rules=None,
+    model=None,
+    baseline="mean",
+    engine: str = "exact",
+    permutations: int = 1000,
+    seed: int = 0,
+) -> list[Attribution]:
+    """Attributions of one per-target method for every target (all subjects
+    when ``targets`` is None), in target order.
+
+    Exact cohort methods go through the chunked sweep; every other method
+    and engine evaluates one game per target.
+    """
+    targets = range(ds.n) if targets is None else [int(t) for t in targets]
+    for t in targets:
+        if not 0 <= t < ds.n:
+            raise DatasetError(f"target {t} outside 0..{ds.n - 1}")
+    if method in COHORT_METHODS and engine == "exact":
+        if rules is None:
+            raise DatasetError("cohort methods need similarity rules")
+        phi, totals = cs_attribution_sweep(ds, rules, targets, method == "cs2")
+        if not np.isfinite(totals).all():
+            raise ValueError("game total is not finite")
+        return [
+            Attribution(phi=row, total=float(total), method=method, target=t)
+            for t, row, total in zip(targets, phi, totals)
+        ]
+    return [
+        shapley_engine(
+            make_game(method, ds, t, rules, model, baseline), engine, permutations, seed
+        )
+        for t in targets
+    ]
+
+
+def make_panel(ds: Dataset, method: str, attributions) -> Panel:
+    """Order one attribution per subject (in subject order) by prediction.
+
+    The overlay is each subject's prediction minus the grand mean, the
+    quantity the cohort rows decompose when the full cohort is a singleton.
+    """
+    y = ds.y
+    return Panel(
+        ordering=np.argsort(y, kind="stable"),
+        bars=np.array([att.phi for att in attributions]),
+        overlay=y - y.mean(),
+        method=method,
+        feature_names=tuple(ds.names),
+    )
+
+
 def export_panel(
     ds: Dataset,
     rules=None,
@@ -114,46 +151,11 @@ def export_panel(
     permutations: int = 1000,
     seed: int = 0,
 ) -> Panel:
-    """Per-subject attributions for one method, ordered by prediction.
-
-    The overlay is each subject's prediction minus the grand mean, the
-    quantity the cohort rows decompose when the full cohort is a singleton.
-    """
-    if method in ("cs", "cs2"):
-        if rules is None:
-            raise DatasetError("cohort methods need similarity rules")
-        bars, _ = cs_attribution_sweep(ds, rules, squared=method == "cs2")
-    elif method in ("bs", "bs2", "abs", "abs2"):
-        if model is None:
-            raise DatasetError(f"method {method!r} needs a model")
-        maker = {
-            "bs": lambda t: make_bs_game(ds, t, baseline, model),
-            "bs2": lambda t: make_bs2_game(ds, t, baseline, model),
-            "abs": lambda t: make_abs_game(ds, t, model),
-            "abs2": lambda t: make_abs2_game(ds, t, model),
-        }[method]
-        rows = []
-        for t in range(ds.n):
-            game = maker(t)
-            att = (
-                shapley_exact(game)
-                if engine == "exact"
-                else shapley_permutation(game, permutations, seed)
-            )
-            rows.append(att.phi)
-        bars = np.array(rows)
-    else:
-        raise DatasetError(f"method {method!r} has no per-subject panel")
-    y = ds.y
-    overlay = y - y.mean()
-    ordering = np.argsort(y, kind="stable")
-    return Panel(
-        ordering=ordering,
-        bars=bars,
-        overlay=overlay,
-        method=method,
-        feature_names=tuple(ds.names),
+    """Per-subject attributions for one method, ordered by prediction."""
+    atts = local_attributions(
+        ds, method, None, rules, model, baseline, engine, permutations, seed
     )
+    return make_panel(ds, method, atts)
 
 
 def write_panel_csv(panel: Panel, path) -> None:

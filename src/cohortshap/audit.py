@@ -14,19 +14,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bits import subset_sizes
+from .bits import halves, subset_sizes
 from .dataset import Dataset, split_holdout
-from .games import make_abs2_game, make_abs_game, make_bs2_game, make_bs_game
+from .games import MODEL_METHODS, make_game
 from .models import predict
 from .shapley import EXACT_CAP, shapley_weight_table
 from .similarity import (
     AbsoluteThreshold,
     Identity,
     RelativeThreshold,
-    cohort_mask,
+    SimilarityError,
+    SimilarityMatrix,
+    _column_close,
     resolve_rules,
-    scale_rules,
-    similarity_for_point,
 )
 
 POINT_BLOCK = 2048
@@ -86,13 +86,17 @@ def sample_marginal_product(ds: Dataset, m: int, seed) -> np.ndarray:
 def is_realistic(point, ds: Dataset, rules) -> RealismVerdict:
     """Scan for a subject similar to the point on all d predictors."""
     point = np.asarray(point, dtype=float)
-    Z = similarity_for_point(rules, ds, point)
-    mask = cohort_mask(Z, range(ds.d))
-    if mask.count == 0:
+    if point.shape != (ds.d,):
+        raise SimilarityError(f"point has shape {point.shape}, want ({ds.d},)")
+    close = [
+        _column_close(rule, ds.X[:, j], point[j])
+        for j, rule in enumerate(resolve_rules(rules, ds))
+    ]
+    Z = SimilarityMatrix(-1, np.stack(close, axis=1))
+    members = np.flatnonzero(Z.cohort(range(ds.d)))
+    if len(members) == 0:
         return RealismVerdict(point=point, realistic=False, witness=None)
-    return RealismVerdict(
-        point=point, realistic=True, witness=int(mask.members()[0])
-    )
+    return RealismVerdict(point=point, realistic=True, witness=int(members[0]))
 
 
 def realism_flags(points: np.ndarray, ref_X: np.ndarray, resolved) -> np.ndarray:
@@ -104,16 +108,7 @@ def realism_flags(points: np.ndarray, ref_X: np.ndarray, resolved) -> np.ndarray
         blk = points[s : s + POINT_BLOCK]
         ok = np.ones((len(blk), ref_X.shape[0]), dtype=bool)
         for j, rule in enumerate(resolved):
-            col = ref_X[None, :, j]
-            center = blk[:, j][:, None]
-            if isinstance(rule, Identity):
-                ok &= col == center
-            elif isinstance(rule, AbsoluteThreshold):
-                ok &= np.abs(col - center) <= rule.delta
-            elif isinstance(rule, RelativeThreshold):
-                ok &= np.abs(col - center) <= rule.delta * np.abs(center)
-            else:
-                raise ValueError(f"unresolved rule {rule!r}")
+            ok &= _column_close(rule, ref_X[None, :, j], blk[:, j][:, None])
         flags[s : s + len(blk)] = ok.any(axis=1)
     return flags
 
@@ -251,57 +246,45 @@ def bs_realism_split(
     """
     if ds.d > EXACT_CAP:
         raise ValueError(f"d={ds.d} exceeds the exact cap {EXACT_CAP}")
-    makers = {
-        "bs": lambda: make_bs_game(ds, t, baseline, model),
-        "bs2": lambda: make_bs2_game(ds, t, baseline, model),
-        "abs": lambda: make_abs_game(ds, t, model),
-        "abs2": lambda: make_abs2_game(ds, t, model),
-    }
-    if method not in makers:
+    if method not in MODEL_METHODS:
         raise ValueError(f"realism split needs a baseline-style method, got {method!r}")
-    game = makers[method]()
+    game = make_game(method, ds, t, model=model, baseline=baseline)
     d = ds.d
     resolved = resolve_rules(rules, ds)
     masks = np.arange(1 << d, dtype=np.int64)
-    w = shapley_weight_table(d)
-    sizes = subset_sizes(d)
-    idx = np.arange(1 << d)
-    phi_r = np.zeros(d)
-    phi_u = np.zeros(d)
 
+    # per-baseline differences and realism of every hybrid, (baselines, 2^d):
+    # one baseline point for bs/bs2, every observed row for abs/abs2
     if method in ("bs", "bs2"):
-        hybrids = game.hybrid_points(masks)
-        flags = realism_flags(hybrids, ds.X, resolved)
-        vals = game.value_table()
-        for j in range(d):
-            lo = idx[(idx >> j) & 1 == 0]
-            hi = lo | (1 << j)
-            terms = w[sizes[lo]] * (vals[hi] - vals[lo])
-            pair_ok = flags[hi] & flags[lo]
-            phi_r[j] = terms[pair_ok].sum()
-            phi_u[j] = terms[~pair_ok].sum()
+        flags = realism_flags(game.hybrid_points(masks), ds.X, resolved)[None, :]
+        diffs = game.value_table()[None, :]
     else:
         n = ds.n
-        # per-baseline differences and realism of every hybrid (2^d, n)
-        flags = np.empty((1 << d, n), dtype=bool)
-        diffs = np.empty((1 << d, n))
-        y_base = game.y_base
+        flags = np.empty((n, 1 << d), dtype=bool)
+        diffs = np.empty((n, 1 << d))
         block = max(1, (1 << 18) // n)
         for s in range(0, 1 << d, block):
             blk = masks[s : s + block]
             pts = game.hybrid_points(blk).reshape(-1, d)
-            flags[s : s + len(blk)] = realism_flags(pts, ds.X, resolved).reshape(
-                len(blk), n
-            )
-            delta = predict(model, pts).reshape(len(blk), n) - y_base
-            diffs[s : s + len(blk)] = delta * delta if method == "abs2" else delta
-        for j in range(d):
-            lo = idx[(idx >> j) & 1 == 0]
-            hi = lo | (1 << j)
-            terms = w[sizes[lo], None] * (diffs[hi] - diffs[lo]) / n
-            pair_ok = flags[hi] & flags[lo]
-            phi_r[j] = terms[pair_ok].sum()
-            phi_u[j] = terms[~pair_ok].sum()
+            ok = realism_flags(pts, ds.X, resolved).reshape(len(blk), n)
+            delta = predict(model, pts).reshape(len(blk), n) - game.y_base
+            if method == "abs2":
+                delta = delta * delta
+            flags[:, s : s + len(blk)] = ok.T
+            diffs[:, s : s + len(blk)] = delta.T
+
+    w = shapley_weight_table(d)
+    sizes = subset_sizes(d)
+    k = len(diffs)
+    phi_r = np.zeros(d)
+    phi_u = np.zeros(d)
+    for j in range(d):
+        lo, hi = halves(diffs, d, j)
+        ok_lo, ok_hi = halves(flags, d, j)
+        terms = w[halves(sizes, d, j)[0]] * (hi - lo) / k
+        pair_ok = ok_hi & ok_lo
+        phi_r[j] = terms[pair_ok].sum()
+        phi_u[j] = terms[~pair_ok].sum()
 
     return SplitAttribution(
         phi_realistic=phi_r, phi_unrealistic=phi_u, method=method, target=t

@@ -1,48 +1,16 @@
-"""Packed-bit and subset-lattice kernels.
+"""Subset-lattice kernels.
 
-Subjects live in 64-bit word bitmasks (bit i of word w = subject 64*w + i);
-feature subsets live in plain integers (bit j = feature j). The lattice
-transforms operate in place on arrays whose last axis is indexed by the
-subset integer, giving the d * 2^(d-1) add schedule.
+Feature subsets live in plain integers (bit j = feature j). A lattice table
+holds one value per subset on its last axis, indexed by the subset integer.
+:func:`halves` splits such a table by feature j into the sets without j and
+the matching sets with j, as views; every with-or-without-j walk (the
+in-place transforms here, the Shapley contraction, the realism split and the
+cube decompositions) runs on those views, giving the d * 2^(d-1) schedule.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-WORD = 64
-
-
-def pack_bool(mask: np.ndarray) -> np.ndarray:
-    """Pack a boolean vector into little-endian uint64 words."""
-    mask = np.asarray(mask, dtype=bool)
-    packed = np.packbits(mask, bitorder="little")
-    pad = (-len(packed)) % 8
-    if pad:
-        packed = np.concatenate([packed, np.zeros(pad, dtype=np.uint8)])
-    return packed.view(np.uint64)
-
-
-def unpack_words(words: np.ndarray, n: int) -> np.ndarray:
-    """Inverse of :func:`pack_bool` for a vector of n subjects."""
-    bits = np.unpackbits(words.view(np.uint8), bitorder="little")
-    return bits[:n].astype(bool)
-
-
-def popcount_words(words: np.ndarray) -> int:
-    return int(np.bitwise_count(words).sum())
-
-
-def word_count(n: int) -> int:
-    return (n + WORD - 1) // WORD
-
-
-def all_ones_words(n: int) -> np.ndarray:
-    words = np.full(word_count(n), np.uint64(0xFFFFFFFFFFFFFFFF))
-    tail = n % WORD
-    if tail:
-        words[-1] = np.uint64((1 << tail) - 1)
-    return words
 
 
 def subset_sizes(d: int) -> np.ndarray:
@@ -50,7 +18,13 @@ def subset_sizes(d: int) -> np.ndarray:
     return np.bitwise_count(np.arange(1 << d, dtype=np.uint32)).astype(np.int64)
 
 
-def _views(table: np.ndarray, d: int, j: int):
+def halves(table: np.ndarray, d: int, j: int):
+    """Views (lo, hi) of a lattice table split by feature j.
+
+    ``lo`` holds the sets without j and ``hi`` the sets u | 2^j at the same
+    positions, each of shape (*lead, 2^(d-1-j), 2^j); both are in ascending
+    subset order when flattened.
+    """
     if not table.flags.c_contiguous:
         raise ValueError("lattice transforms need a C-contiguous table")
     lead = table.shape[:-1]
@@ -61,7 +35,7 @@ def _views(table: np.ndarray, d: int, j: int):
 def superset_sum_inplace(table: np.ndarray, d: int) -> np.ndarray:
     """table[u] <- sum over supersets w of u of table[w], along the last axis."""
     for j in range(d):
-        lo, hi = _views(table, d, j)
+        lo, hi = halves(table, d, j)
         lo += hi
     return table
 
@@ -69,7 +43,7 @@ def superset_sum_inplace(table: np.ndarray, d: int) -> np.ndarray:
 def subset_sum_inplace(table: np.ndarray, d: int) -> np.ndarray:
     """table[u] <- sum over subsets v of u of table[v] (zeta transform)."""
     for j in range(d):
-        lo, hi = _views(table, d, j)
+        lo, hi = halves(table, d, j)
         hi += lo
     return table
 
@@ -77,6 +51,6 @@ def subset_sum_inplace(table: np.ndarray, d: int) -> np.ndarray:
 def mobius_inplace(table: np.ndarray, d: int) -> np.ndarray:
     """Invert :func:`subset_sum_inplace`: signed inclusion-exclusion over subsets."""
     for j in range(d):
-        lo, hi = _views(table, d, j)
+        lo, hi = halves(table, d, j)
         hi -= lo
     return table

@@ -18,8 +18,9 @@ import time
 import numpy as np
 
 from .aggregate import (
-    Panel,
     aggregate_squared_cs,
+    local_attributions,
+    make_panel,
     variance_shapley,
     write_panel_csv,
 )
@@ -33,19 +34,10 @@ from .cube import (
     shapley_from_anchored,
 )
 from .dataset import DatasetError, attach_predictions, load_csv
-from .games import (
-    TABLE_D_CAP,
-    TableGame,
-    make_abs2_game,
-    make_abs_game,
-    make_bs2_game,
-    make_bs_game,
-    make_cs2_game,
-    make_cs_game,
-)
+from .games import TABLE_D_CAP, TableGame
 from .models import ModelError, predict
-from .shapley import Attribution, shapley_exact, shapley_permutation
-from .similarity import SimilarityError, similarity_row
+from .shapley import Attribution, shapley_exact
+from .similarity import SimilarityError
 
 
 @contextlib.contextmanager
@@ -102,26 +94,6 @@ def _load_dataset(cfg: RunConfig):
     return ds, model
 
 
-def _run_engine(cfg: RunConfig, game) -> Attribution:
-    if cfg.engine == "exact":
-        return shapley_exact(game)
-    return shapley_permutation(game, cfg.permutations, cfg.seed)
-
-
-def _make_game(cfg: RunConfig, ds, model, rules, t: int):
-    if cfg.method in ("cs", "cs2"):
-        Z = similarity_row(rules, ds, t)
-        maker = make_cs_game if cfg.method == "cs" else make_cs2_game
-        return maker(ds, Z, t)
-    if cfg.method == "bs":
-        return make_bs_game(ds, t, cfg.baseline, model)
-    if cfg.method == "bs2":
-        return make_bs2_game(ds, t, cfg.baseline, model)
-    if cfg.method == "abs":
-        return make_abs_game(ds, t, model)
-    return make_abs2_game(ds, t, model)
-
-
 def cmd_local(cfg: RunConfig) -> int:
     cfg.validate("local")
     if cfg.method == "var":
@@ -136,11 +108,18 @@ def cmd_local(cfg: RunConfig) -> int:
         if not 0 <= t < ds.n:
             raise ConfigError(f"target {t} outside 0..{ds.n - 1}")
 
-    attributions = []
     with _phase(f"attribution[{cfg.method}] x{len(target_list)}"):
-        for t in target_list:
-            att = _run_engine(cfg, _make_game(cfg, ds, model, rules, t))
-            attributions.append(att)
+        attributions = local_attributions(
+            ds,
+            cfg.method,
+            target_list,
+            rules,
+            model,
+            cfg.baseline,
+            cfg.engine,
+            cfg.permutations,
+            cfg.seed,
+        )
 
     with _phase("emit"):
         if everyone:
@@ -148,15 +127,7 @@ def cmd_local(cfg: RunConfig) -> int:
                 os.path.join(cfg.out, f"attributions_{cfg.method}.json"),
                 [_attribution_payload(a, ds.names) for a in attributions],
             )
-            bars = np.array([a.phi for a in attributions])
-            panel = Panel(
-                ordering=np.argsort(ds.y, kind="stable"),
-                bars=bars,
-                overlay=ds.y - ds.y.mean(),
-                method=cfg.method,
-                feature_names=tuple(ds.names),
-            )
-            os.makedirs(cfg.out, exist_ok=True)
+            panel = make_panel(ds, cfg.method, attributions)
             write_panel_csv(panel, os.path.join(cfg.out, f"panel_{cfg.method}.csv"))
         else:
             for att in attributions:
@@ -309,7 +280,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--engine", help="exact|mc")
         p.add_argument("--permutations", type=int, help="mc permutation count")
         p.add_argument("--seed", type=int, help="mc / audit seed")
-        p.add_argument("--threads", type=int, help="worker pool size")
         p.add_argument("--out", help="output directory")
         p.add_argument("--targets", help="'all' or comma-separated row indices")
     return parser
@@ -333,7 +303,6 @@ def main(argv=None) -> int:
             "engine",
             "permutations",
             "seed",
-            "threads",
             "out",
             "targets",
         )

@@ -11,6 +11,7 @@ import os
 from dataclasses import dataclass, field
 
 from .dataset import schema_from_json
+from .games import MODEL_METHODS
 from .models import ExternalCommand, LinearModel, LogisticModel
 from .shapley import EXACT_CAP
 from .similarity import (
@@ -21,29 +22,41 @@ from .similarity import (
 )
 
 METHODS = ("cs", "cs2", "bs", "bs2", "abs", "abs2", "var")
-MODEL_METHODS = ("bs", "bs2", "abs", "abs2")
+
+# Coalitions are int64 bitmasks, one bit per column.
+MAX_COLUMNS = 63
 
 
 class ConfigError(ValueError):
     """Invalid or inconsistent run configuration."""
 
 
+def _spec_error(what: str, obj, exc: Exception) -> ConfigError:
+    reason = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
+    return ConfigError(f"bad {what} spec {obj!r}: {reason}")
+
+
 def rule_from_json(obj):
     if obj is None:
         return Identity()
+    if not isinstance(obj, dict):
+        raise ConfigError(f"similarity spec {obj!r} is not an object")
     kind = obj.get("kind")
-    if kind == "identity":
-        return Identity()
-    if kind == "abs":
-        return AbsoluteThreshold(float(obj["delta"]))
-    if kind == "range_fraction":
-        return RangeFraction(
-            float(obj["frac"]),
-            float(obj.get("lo_q", 0.0)),
-            float(obj.get("hi_q", 1.0)),
-        )
-    if kind == "relative":
-        return RelativeThreshold(float(obj["delta"]))
+    try:
+        if kind == "identity":
+            return Identity()
+        if kind == "abs":
+            return AbsoluteThreshold(float(obj["delta"]))
+        if kind == "range_fraction":
+            return RangeFraction(
+                float(obj["frac"]),
+                float(obj.get("lo_q", 0.0)),
+                float(obj.get("hi_q", 1.0)),
+            )
+        if kind == "relative":
+            return RelativeThreshold(float(obj["delta"]))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise _spec_error("similarity", obj, exc) from None
     raise ConfigError(f"unknown similarity kind {kind!r}")
 
 
@@ -66,20 +79,26 @@ def rule_to_json(rule) -> dict:
 
 def model_from_json(obj):
     """Builtin model specs; returns None for the predictions-file spec."""
+    if not isinstance(obj, dict):
+        raise ConfigError(f"model spec {obj!r} is not an object")
     kind = obj.get("kind")
-    if kind == "linear":
-        return LinearModel(tuple(float(c) for c in obj["coefficients"]),
-                           float(obj.get("intercept", 0.0)))
-    if kind == "logistic":
-        return LogisticModel(tuple(float(c) for c in obj["coefficients"]),
-                             float(obj.get("intercept", 0.0)))
-    if kind == "external":
-        cmd = obj["command"]
-        if isinstance(cmd, str):
-            raise ConfigError("external command must be an argv list")
-        return ExternalCommand(tuple(str(a) for a in cmd))
     if kind == "predictions":
+        if not isinstance(obj.get("path"), str):
+            raise ConfigError("predictions model needs a file path")
         return None
+    if kind == "external" and isinstance(obj.get("command"), str):
+        raise ConfigError("external command must be an argv list")
+    try:
+        if kind == "linear":
+            return LinearModel(tuple(float(c) for c in obj["coefficients"]),
+                               float(obj.get("intercept", 0.0)))
+        if kind == "logistic":
+            return LogisticModel(tuple(float(c) for c in obj["coefficients"]),
+                                 float(obj.get("intercept", 0.0)))
+        if kind == "external":
+            return ExternalCommand(tuple(str(a) for a in obj["command"]))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise _spec_error("model", obj, exc) from None
     raise ConfigError(f"unknown model kind {kind!r}")
 
 
@@ -99,7 +118,6 @@ class RunConfig:
     audit: dict = field(default_factory=dict)
     cube_values: object = None
     out: str = "out"
-    threads: int | None = None
 
     @classmethod
     def load(cls, path: str | None, overrides: dict) -> "RunConfig":
@@ -134,17 +152,13 @@ class RunConfig:
         return [int(t) for t in self.targets]
 
     def rules_for(self, schema) -> list:
+        """One rule per column: its own spec, else "default", else identity."""
+        if not isinstance(self.similarity, dict):
+            raise ConfigError("similarity must be an object of per-column specs")
         default = self.similarity.get("default")
-        rules = []
-        for col in schema:
-            spec = self.similarity.get(col.name, default)
-            if spec is None and col.kind != "numeric":
-                rules.append(Identity())
-            elif spec is None:
-                rules.append(Identity())
-            else:
-                rules.append(rule_from_json(spec))
-        return rules
+        return [
+            rule_from_json(self.similarity.get(col.name, default)) for col in schema
+        ]
 
     def parsed_model(self):
         if self.model is None:
@@ -163,8 +177,6 @@ class RunConfig:
             raise ConfigError(f"unknown engine {self.engine!r}; exact or mc")
         if self.engine == "mc" and self.permutations < 2:
             raise ConfigError("mc engine needs at least 2 permutations")
-        if self.threads is not None and self.threads < 1:
-            raise ConfigError("threads must be >= 1")
         if command == "cube":
             if self.cube_values is None:
                 raise ConfigError("cube command needs cube_values")
@@ -173,17 +185,17 @@ class RunConfig:
             raise ConfigError("no data file configured")
         if self.schema is None:
             raise ConfigError("no schema configured")
-        d = len(self.parsed_schema())
+        schema = self.parsed_schema()
+        d = len(schema)
+        if d > MAX_COLUMNS:
+            raise ConfigError(f"at most {MAX_COLUMNS} columns supported, got d={d}")
         if self.engine == "exact" and d > EXACT_CAP:
             raise ConfigError(
                 f"exact engine capped at d={EXACT_CAP}, got d={d}; use engine=mc"
             )
-        needs_model = self.method in MODEL_METHODS or (
-            command == "audit" and self.model is not None
-        )
-        if self.method in MODEL_METHODS:
-            if self.model is None or self.model.get("kind") == "predictions":
-                raise ConfigError(f"method {self.method!r} needs a predicting model")
+        model = self.parsed_model()  # raises early on a malformed spec
+        if self.method in MODEL_METHODS and model is None:
+            raise ConfigError(f"method {self.method!r} needs a predicting model")
         has_predictions = (
             self.prediction_column is not None
             or self.model is not None
@@ -193,6 +205,5 @@ class RunConfig:
                 f"method {self.method!r} needs predictions: a prediction_column, "
                 "a predictions file, or a model to evaluate"
             )
-        if needs_model and self.model is not None and self.model.get("kind") != "predictions":
-            model_from_json(self.model)  # raise early on malformed spec
+        self.rules_for(schema)
         self.parsed_targets()

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bits import mobius_inplace, subset_sizes, subset_sum_inplace
+from .bits import halves, mobius_inplace, subset_sizes, subset_sum_inplace
 from .shapley import Attribution
 
 ANOVA_TOL = 1e-9
@@ -64,14 +64,16 @@ def reconstruct_cube(dec: CubeDecomposition) -> CubeFunction:
     return CubeFunction(values)
 
 
+def _even_split(components: np.ndarray, d: int) -> np.ndarray:
+    """phi_j = sum over nonempty sets u containing j of components[u] / |u|."""
+    shares = np.zeros(1 << d)
+    shares[1:] = components[1:] / subset_sizes(d)[1:]
+    return np.array([halves(shares, d, j)[1].sum() for j in range(d)])
+
+
 def shapley_from_anchored(dec: CubeDecomposition) -> Attribution:
     """Split every interaction component evenly among its members."""
-    d = dec.d
-    sizes = subset_sizes(d)
-    shares = np.zeros(1 << d)
-    shares[1:] = dec.components[1:] / sizes[1:]
-    idx = np.arange(1 << d)
-    phi = np.array([shares[(idx >> j) & 1 == 1].sum() for j in range(d)])
+    phi = _even_split(dec.components, dec.d)
     total = float(dec.components[1:].sum())
     return Attribution(phi=phi, total=total, method="anchored")
 
@@ -97,18 +99,15 @@ class AnovaDecomposition:
 def _corner_probs_to_marginals(weights: np.ndarray, d: int) -> np.ndarray:
     """Validate a 2^d corner distribution as a product measure; return the
     per-coordinate success probabilities."""
-    weights = np.asarray(weights, dtype=float)
+    weights = np.ascontiguousarray(weights, dtype=float)
     if weights.min() < 0 or not np.isclose(weights.sum(), 1.0, atol=1e-12):
         raise ValueError("corner weights must be a probability vector")
-    idx = np.arange(1 << d)
-    probs = np.array(
-        [weights[(idx >> j) & 1 == 1].sum() for j in range(d)]
-    )
+    probs = np.array([halves(weights, d, j)[1].sum() for j in range(d)])
     rebuilt = np.ones(1 << d)
     for j in range(d):
-        on = (idx >> j) & 1 == 1
-        rebuilt[on] *= probs[j]
-        rebuilt[~on] *= 1.0 - probs[j]
+        off, on = halves(rebuilt, d, j)
+        on *= probs[j]
+        off *= 1.0 - probs[j]
     if np.max(np.abs(rebuilt - weights)) > ANOVA_TOL:
         raise ValueError("corner weights do not factor as a product measure")
     return probs
@@ -120,11 +119,10 @@ def _tensor_coefficients(values: np.ndarray, probs: np.ndarray) -> np.ndarray:
     d = int(values.size).bit_length() - 1
     coeffs = values.copy()
     for j in range(d):
-        v = coeffs.reshape(1 << (d - 1 - j), 2, 1 << j)
-        lo = v[:, 0, :].copy()
-        hi = v[:, 1, :].copy()
-        v[:, 0, :] = (1.0 - probs[j]) * lo + probs[j] * hi
-        v[:, 1, :] = hi - lo
+        lo, hi = halves(coeffs, d, j)
+        mean = (1.0 - probs[j]) * lo + probs[j] * hi
+        hi -= lo
+        lo[...] = mean
     return coeffs
 
 
@@ -152,10 +150,9 @@ def anova_cube(g: CubeFunction, weights) -> AnovaDecomposition:
 
     coeffs = _tensor_coefficients(g.values, probs)
     var_factor = np.ones(1 << d)
-    idx = np.arange(1 << d)
     for j in range(d):
-        on = (idx >> j) & 1 == 1
-        var_factor[on] *= probs[j] * (1.0 - probs[j])
+        _, on = halves(var_factor, d, j)
+        on *= probs[j] * (1.0 - probs[j])
     sigma2 = coeffs * coeffs * var_factor
     sigma2[0] = 0.0
     return AnovaDecomposition(sigma2=sigma2, mean=float(coeffs[0]), probs=np.array(probs, dtype=float))
@@ -168,18 +165,13 @@ def anova_effect_tables(g: CubeFunction, weights) -> np.ndarray:
     the product measure.
     """
     dec = anova_cube(g, weights)
-    d = g.d
     coeffs = _tensor_coefficients(g.values, dec.probs)
-    idx = np.arange(1 << d)
-    corners_bits = (idx[:, None] >> np.arange(d)[None, :]) & 1  # (corner, j)
-    centered = corners_bits - dec.probs[None, :]
-    tables = np.empty((1 << d, 1 << d))
-    for u in range(1 << d):
-        basis = np.ones(1 << d)
-        for j in range(d):
-            if u >> j & 1:
-                basis = basis * centered[:, j]
-        tables[u] = coeffs[u] * basis
+    # basis[u, c] = product over j in u of (c_j - p_j): a Kronecker product
+    # with feature j as the outer factor of features below it
+    basis = np.ones((1, 1))
+    for p in dec.probs:
+        basis = np.kron(np.array([[1.0, 1.0], [-p, 1.0 - p]]), basis)
+    tables = coeffs[:, None] * basis
     tables[0] = dec.mean
     return tables
 
@@ -187,10 +179,5 @@ def anova_effect_tables(g: CubeFunction, weights) -> np.ndarray:
 def shapley_effects_independent(a: AnovaDecomposition) -> Attribution:
     """Shapley allocation of the total variance: each variance component is
     shared equally by the coordinates it involves."""
-    d = a.d
-    sizes = subset_sizes(d)
-    shares = np.zeros(1 << d)
-    shares[1:] = a.sigma2[1:] / sizes[1:]
-    idx = np.arange(1 << d)
-    phi = np.array([shares[(idx >> j) & 1 == 1].sum() for j in range(d)])
+    phi = _even_split(a.sigma2, a.d)
     return Attribution(phi=phi, total=a.total_variance, method="shapley-effects")

@@ -18,6 +18,7 @@ from .similarity import (
     SimilarityMatrix,
     cohort_means_table,
     cohort_table_chunks,
+    in_cohort,
     resolve_rules,
     similarity_row,
     subset_int,
@@ -29,6 +30,9 @@ TABLE_D_CAP = 20
 
 # Batched model evaluations are chunked to roughly this many points.
 POINT_CHUNK = 1 << 22
+
+COHORT_METHODS = ("cs", "cs2")
+MODEL_METHODS = ("bs", "bs2", "abs", "abs2")
 
 
 class Game:
@@ -112,8 +116,7 @@ class _CohortGame(Game):
     def _evaluate_many(self, masks: np.ndarray) -> np.ndarray:
         out = np.empty(len(masks))
         for k, m in enumerate(masks):
-            sel = (self._codes & m) == m
-            v = float(self._y[sel].mean()) - self._grand
+            v = float(self._y[in_cohort(self._codes, m)].mean()) - self._grand
             out[k] = v * v if self.squared else v
         return out
 
@@ -230,6 +233,29 @@ def make_abs2_game(ds: Dataset, t: int, model: ModelAdapter) -> Game:
     return _AllBaselineGame(ds, t, model, squared=True)
 
 
+def make_game(
+    method: str, ds: Dataset, t: int, rules=None, model=None, baseline="mean"
+) -> Game:
+    """The game of a per-target method for target t.
+
+    Cohort methods (cs, cs2) need similarity ``rules``; baseline-style
+    methods (bs, bs2, abs, abs2) need a ``model``, and bs/bs2 a ``baseline``.
+    """
+    if method in COHORT_METHODS:
+        if rules is None:
+            raise DatasetError("cohort methods need similarity rules")
+        maker = make_cs_game if method == "cs" else make_cs2_game
+        return maker(ds, similarity_row(rules, ds, t), t)
+    if method in MODEL_METHODS:
+        if model is None:
+            raise DatasetError(f"method {method!r} needs a model")
+        squared = method.endswith("2")
+        if method.startswith("abs"):
+            return _AllBaselineGame(ds, t, model, squared)
+        return _BaselineGame(ds, t, baseline, model, squared)
+    raise DatasetError(f"method {method!r} has no per-target game")
+
+
 def make_var_game(ds: Dataset, rules) -> Game:
     """Explained-variance values: the subject average of squared cohort values."""
     if ds.predictions is None:
@@ -259,9 +285,8 @@ class _LazyVarGame(Game):
         for k, m in enumerate(masks):
             acc = 0.0
             for t in range(self.ds.n):
-                Z = similarity_row(self.resolved, self.ds, t)
-                sel = (Z.patterns() & m) == m
-                dev = float(y[sel].mean()) - grand
+                codes = similarity_row(self.resolved, self.ds, t).patterns()
+                dev = float(y[in_cohort(codes, m)].mean()) - grand
                 acc += dev * dev
             out[k] = acc / self.ds.n
         return out

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bits import subset_sizes
+from .bits import halves, subset_sizes
 from .games import Game
 
 EXACT_CAP = 20
@@ -46,30 +46,24 @@ def shapley_weight_table(d: int) -> np.ndarray:
     return np.array([1.0 / (d * math.comb(d - 1, s)) for s in range(d)])
 
 
-def hockey_stick_holds(d: int, s: int) -> bool:
-    """Check sum_{r=s-1}^{d-1} C(r, s-1) == C(d, s) with exact integers."""
-    lhs = sum(math.comb(r, s - 1) for r in range(s - 1, d))
-    return lhs == math.comb(d, s)
-
-
 def _phi_from_tables(tables: np.ndarray, d: int) -> np.ndarray:
     """Exact Shapley from coalition-value tables.
 
     ``tables`` has subset-indexed values on the last axis (one row per game);
-    returns matching rows of d Shapley values.
+    returns matching rows of d Shapley values. Feature j's value contracts
+    the increments v(u + j) - v(u) against the weights of the sets u.
     """
-    tables = np.atleast_2d(tables)
+    tables = np.ascontiguousarray(np.atleast_2d(tables))
     if tables.shape[-1] != 1 << d:
         raise ValueError("value table length does not match d")
     w = shapley_weight_table(d)
     sizes = subset_sizes(d)
-    idx = np.arange(1 << d)
-    phi = np.empty(tables.shape[:-1] + (d,))
+    lead = tables.shape[:-1]
+    phi = np.empty(lead + (d,))
     for j in range(d):
-        without = idx[(idx >> j) & 1 == 0]
-        weights = w[sizes[without]]
-        diff = tables[..., without | (1 << j)] - tables[..., without]
-        phi[..., j] = diff @ weights
+        lo, hi = halves(tables, d, j)
+        weights = w[halves(sizes, d, j)[0]].reshape(-1)
+        phi[..., j] = (hi - lo).reshape(lead + (-1,)) @ weights
     return phi
 
 
@@ -125,3 +119,14 @@ def shapley_permutation(game: Game, m: int, seed: int) -> Attribution:
         stderr=stderr,
         permutations_used=m,
     )
+
+
+def shapley_engine(
+    game: Game, engine: str = "exact", permutations: int = 1000, seed: int = 0
+) -> Attribution:
+    """Shapley values of ``game`` by the named engine, "exact" or "mc"."""
+    if engine == "exact":
+        return shapley_exact(game)
+    if engine == "mc":
+        return shapley_permutation(game, permutations, seed)
+    raise ValueError(f"unknown engine {engine!r}")

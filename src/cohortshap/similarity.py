@@ -1,11 +1,11 @@
 """Per-feature similarity to a target subject and the cohorts it induces.
 
 A similarity matrix marks, for one target, which subjects count as close on
-each predictor. Cohorts for a feature subset are intersections of its
-columns, held as packed 64-bit masks so a full subset-lattice walk stays in
-word operations. The aggregated count/sum tables over all 2^d subsets are
-produced by a pattern histogram plus a superset-sum transform instead of
-re-scanning rows per subset.
+each predictor. Each subject's match pattern is the subset integer of the
+predictors it matches on, and the cohort of a feature subset u is the set of
+subjects whose pattern contains u. The aggregated count/sum tables over all
+2^d subsets are produced by a pattern histogram plus a superset-sum
+transform instead of re-scanning rows per subset.
 """
 
 from __future__ import annotations
@@ -15,7 +15,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bits
-from .dataset import Dataset, DatasetError, quantile
+from .dataset import Dataset, quantile
+
+
+# Cohort tables of many targets are built in chunks of at most this many
+# bytes of values and at most MAX_CHUNK_TARGETS targets.
+CHUNK_BYTES = 1 << 25
+MAX_CHUNK_TARGETS = 256
 
 
 class SimilarityError(ValueError):
@@ -123,39 +129,6 @@ def _column_close(rule: SimilarityRule, column: np.ndarray, center) -> np.ndarra
     raise SimilarityError(f"unresolved rule {rule!r}; call resolve_rules first")
 
 
-@dataclass(frozen=True)
-class CohortMask:
-    """Packed subject bitmask with its population count."""
-
-    words: np.ndarray
-    n: int
-    count: int
-
-    @classmethod
-    def from_bool(cls, mask: np.ndarray) -> "CohortMask":
-        mask = np.asarray(mask, dtype=bool)
-        return cls(bits.pack_bool(mask), len(mask), int(mask.sum()))
-
-    @classmethod
-    def all_ones(cls, n: int) -> "CohortMask":
-        return cls(bits.all_ones_words(n), n, n)
-
-    def refine(self, other: "CohortMask") -> "CohortMask":
-        words = self.words & other.words
-        return CohortMask(words, self.n, bits.popcount_words(words))
-
-    __and__ = refine
-
-    def dense(self) -> np.ndarray:
-        return bits.unpack_words(self.words, self.n)
-
-    def members(self) -> np.ndarray:
-        return np.flatnonzero(self.dense())
-
-    def contains(self, i: int) -> bool:
-        return bool(self.words[i // 64] >> np.uint64(i % 64) & np.uint64(1))
-
-
 class SimilarityMatrix:
     """n x d similarity indicators of every subject to one target."""
 
@@ -164,7 +137,6 @@ class SimilarityMatrix:
             raise SimilarityError("similarity matrix must be 2-D")
         self.target = target
         self.dense = np.ascontiguousarray(dense, dtype=bool)
-        self._columns: dict[int, CohortMask] = {}
 
     @property
     def n(self) -> int:
@@ -174,15 +146,15 @@ class SimilarityMatrix:
     def d(self) -> int:
         return self.dense.shape[1]
 
-    def column_mask(self, j: int) -> CohortMask:
-        if j not in self._columns:
-            self._columns[j] = CohortMask.from_bool(self.dense[:, j])
-        return self._columns[j]
-
     def patterns(self) -> np.ndarray:
         """Per-subject subset integer of the features it matches the target on."""
         weights = (1 << np.arange(self.d, dtype=np.int64))
         return self.dense @ weights
+
+    def cohort(self, u) -> np.ndarray:
+        """Boolean membership of the cohort C_{t,u}: subjects similar to the
+        target on every feature in u (everyone for the empty set)."""
+        return in_cohort(self.patterns(), subset_int(u, self.d))
 
 
 def similarity_row(rules, ds: Dataset, t: int) -> SimilarityMatrix:
@@ -199,16 +171,10 @@ def similarity_row(rules, ds: Dataset, t: int) -> SimilarityMatrix:
     return Z
 
 
-def similarity_for_point(rules, ds: Dataset, point: np.ndarray) -> SimilarityMatrix:
-    """Similarity of every subject to an arbitrary point used as target."""
-    point = np.asarray(point, dtype=float)
-    if point.shape != (ds.d,):
-        raise SimilarityError(f"point has shape {point.shape}, want ({ds.d},)")
-    rules = resolve_rules(rules, ds)
-    cols = [
-        _column_close(rule, ds.X[:, j], point[j]) for j, rule in enumerate(rules)
-    ]
-    return SimilarityMatrix(-1, np.stack(cols, axis=1))
+def in_cohort(codes: np.ndarray, u) -> np.ndarray:
+    """Subjects whose match pattern (see SimilarityMatrix.patterns) contains
+    the subset integer u, i.e. the members of cohort u."""
+    return (codes & u) == u
 
 
 def subset_int(u, d: int) -> int:
@@ -224,25 +190,6 @@ def subset_int(u, d: int) -> int:
             raise SimilarityError(f"feature index {j} outside 0..{d - 1}")
         mask |= 1 << j
     return mask
-
-
-def cohort_mask(Z: SimilarityMatrix, u) -> CohortMask:
-    """Subjects similar to the target on every feature in u (all subjects for empty u)."""
-    mask_int = subset_int(u, Z.d)
-    out = CohortMask.all_ones(Z.n)
-    j = 0
-    while mask_int:
-        if mask_int & 1:
-            out = out.refine(Z.column_mask(j))
-        mask_int >>= 1
-        j += 1
-    return out
-
-
-def cohort_mean(mask: CohortMask, y: np.ndarray) -> float:
-    if mask.count < 1:
-        raise SimilarityError("cohort is empty")
-    return float(y[mask.dense()].sum() / mask.count)
 
 
 def cohort_tables(Z: SimilarityMatrix, y: np.ndarray):
@@ -267,26 +214,23 @@ def cohort_means_table(Z: SimilarityMatrix, y: np.ndarray) -> np.ndarray:
     return sums / counts
 
 
-def cohort_table_chunks(
-    ds: Dataset,
-    resolved,
-    targets: np.ndarray,
-    squared: bool,
-    chunk_size: int = 256,
-):
+def cohort_table_chunks(ds: Dataset, resolved, targets: np.ndarray, squared: bool):
     """Cohort value tables for many targets, yielded a chunk at a time.
 
     Yields (chunk_offset, tables) with tables of shape (B, 2^d); row b holds
     the cohort values (grand-mean deviations, optionally squared) of target
     targets[chunk_offset + b]. One pattern histogram per target replaces the
     per-subset rescan; the superset sum turns it into all 2^d cohorts.
+    A chunk's table stays within CHUNK_BYTES (one target at least), so memory
+    is bounded for any number of targets.
     """
     y = ds.y
     d = ds.d
     size = 1 << d
+    step = min(MAX_CHUNK_TARGETS, max(1, CHUNK_BYTES // (8 * size)))
     targets = np.asarray(targets, dtype=np.intp)
-    for s in range(0, len(targets), chunk_size):
-        chunk = targets[s : s + chunk_size]
+    for s in range(0, len(targets), step):
+        chunk = targets[s : s + step]
         codes = np.zeros((len(chunk), ds.n), dtype=np.int64)
         for j, rule in enumerate(resolved):
             close = _column_close(rule, ds.X[None, :, j], ds.X[chunk, j][:, None])
@@ -295,14 +239,15 @@ def cohort_table_chunks(
         counts = np.bincount(flat, minlength=len(chunk) * size).reshape(
             len(chunk), size
         )
-        sums = np.bincount(
+        dev = np.bincount(
             flat,
             weights=np.broadcast_to(y, codes.shape).ravel(),
             minlength=len(chunk) * size,
         ).reshape(len(chunk), size)
         bits.superset_sum_inplace(counts, d)
-        bits.superset_sum_inplace(sums, d)
-        dev = sums / counts
+        bits.superset_sum_inplace(dev, d)
+        dev /= counts
+        del counts
         dev -= dev[:, :1].copy()
         if squared:
             dev *= dev

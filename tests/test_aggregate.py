@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -61,6 +63,22 @@ def test_sweep_matches_per_target_games():
         assert totals[t] == pytest.approx(att.total, abs=1e-12)
         att2 = shapley_exact(make_cs2_game(ds, Z, t))
         assert phi2[t] == pytest.approx(att2.phi, abs=1e-10)
+
+
+def test_sweep_memory_bounded_by_chunk():
+    # the sweep contracts each chunk as it is built, so its peak stays below
+    # a single targets x 2^d table of cohort values
+    ds = random_dataset(300, 16, seed=4)
+    rules = [AbsoluteThreshold(0.5)] * 16
+    full_table = ds.n * (1 << ds.d) * 8
+    tracemalloc.start()
+    try:
+        phi, totals = cs_attribution_sweep(ds, rules)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert phi.shape == (300, 16) and np.isfinite(totals).all()
+    assert peak < full_table
 
 
 def test_disaggregation_identity_random():

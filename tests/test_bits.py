@@ -8,22 +8,6 @@ from cohortshap import bits
 from .helpers import anchored_components_naive
 
 
-@given(st.lists(st.booleans(), min_size=1, max_size=300))
-def test_pack_unpack_roundtrip(flags):
-    mask = np.array(flags)
-    words = bits.pack_bool(mask)
-    assert len(words) == bits.word_count(len(mask))
-    assert np.array_equal(bits.unpack_words(words, len(mask)), mask)
-    assert bits.popcount_words(words) == mask.sum()
-
-
-@given(st.integers(min_value=1, max_value=200))
-def test_all_ones(n):
-    words = bits.all_ones_words(n)
-    assert bits.popcount_words(words) == n
-    assert bits.unpack_words(words, n).all()
-
-
 def test_subset_sizes():
     sizes = bits.subset_sizes(4)
     assert sizes[0] == 0

@@ -189,6 +189,50 @@ def test_config_errors_exit_2(workdir, capsys):
     assert run_cli(["local", "--config", cfg]) == 2
 
 
+def _wide_config(workdir, d=64):
+    names = [f"c{j}" for j in range(d)]
+    rows = [",".join(names + ["pred"])]
+    rows += [",".join(str(float(i + j)) for j in range(d + 1)) for i in range(4)]
+    (workdir / "wide.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
+    return t8_config(
+        workdir,
+        data="wide.csv",
+        schema={name: "numeric" for name in names},
+        engine="mc",
+        permutations=4,
+        targets=[0],
+    )
+
+
+@pytest.mark.parametrize(
+    "command,extra",
+    [
+        ("local", {"similarity": {"default": {"kind": "abs"}}}),
+        ("local", {"model": {"kind": "linear"}}),
+        ("local", {"similarity": []}),
+        ("local", {"similarity": {"default": {"kind": "abs", "delta": "x"}}}),
+        ("local", "d64"),
+        ("global", "d64"),
+    ],
+    ids=["abs-no-delta", "linear-no-coefficients", "similarity-list",
+         "delta-not-a-number", "local-d64-mc", "global-d64-mc"],
+)
+def test_config_holes_exit_2(workdir, capsys, command, extra):
+    cfg = _wide_config(workdir) if extra == "d64" else t8_config(workdir, **extra)
+    assert run_cli([command, "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err
+    assert "Traceback" not in err
+
+
+def test_threads_flag_removed(workdir, capsys):
+    cfg = t8_config(workdir, threads=2)
+    assert run_cli(["local", "--config", cfg]) == 2
+    assert "unknown config keys" in capsys.readouterr().err
+    with pytest.raises(SystemExit):
+        run_cli(["local", "--config", cfg, "--threads", "2"])
+
+
 def test_runtime_errors_exit_1(workdir, capsys):
     cfg = t8_config(workdir, data="absent.csv")
     assert run_cli(["local", "--config", cfg]) == 1
@@ -224,3 +268,9 @@ def test_byte_identical_outputs(workdir):
         p.name: p.read_bytes() for p in (workdir / "out").iterdir()
     }
     assert first == second
+
+
+@pytest.mark.parametrize("command", ["local", "global"])
+def test_d63_is_the_column_limit(workdir, command):
+    cfg = _wide_config(workdir, d=63)
+    assert run_cli([command, "--config", cfg]) == 0

@@ -15,7 +15,7 @@ from cohortshap import (
     similarity_row,
 )
 from cohortshap.games import TableGame
-from cohortshap.shapley import EXACT_CAP, hockey_stick_holds
+from cohortshap.shapley import EXACT_CAP
 
 from .conftest import t8_target
 from .helpers import shapley_all_permutations
@@ -43,6 +43,12 @@ def test_weight_table_normalization():
         w = shapley_weight_table(d)
         total = sum(w[s] * math.comb(d - 1, s) for s in range(d))
         assert total == pytest.approx(1.0, rel=1e-12)
+
+
+def hockey_stick_holds(d: int, s: int) -> bool:
+    """Check sum_{r=s-1}^{d-1} C(r, s-1) == C(d, s) with exact integers."""
+    lhs = sum(math.comb(r, s - 1) for r in range(s - 1, d))
+    return lhs == math.comb(d, s)
 
 
 def test_hockey_stick_identity():

@@ -12,8 +12,6 @@ from cohortshap import (
     RelativeThreshold,
     SimilarityError,
     attach_predictions,
-    cohort_mask,
-    cohort_mean,
     resolve_rules,
     scale_rules,
     similarity_row,
@@ -80,20 +78,19 @@ def test_target_row_all_ones():
 def test_t8_cohort_counts(t8):
     t = t8_target(t8)
     Z = similarity_row([Identity()] * 3, t8, t)
-    assert cohort_mask(Z, []).count == 8
-    assert cohort_mask(Z, [0]).count == 4
-    assert cohort_mask(Z, [0, 1]).count == 2
-    assert cohort_mask(Z, [0, 1, 2]).count == 1
-    assert cohort_mask(Z, 0b101).count == 2
+    assert Z.cohort([]).sum() == 8
+    assert Z.cohort([0]).sum() == 4
+    assert Z.cohort([0, 1]).sum() == 2
+    assert Z.cohort([0, 1, 2]).sum() == 1
+    assert Z.cohort(0b101).sum() == 2
 
 
 def test_t8_cohort_means(t8):
     t = t8_target(t8)
     Z = similarity_row([Identity()] * 3, t8, t)
-    assert cohort_mean(cohort_mask(Z, [0]), t8.y) == pytest.approx(2.5)
-    assert cohort_mean(cohort_mask(Z, []), t8.y) == pytest.approx(1.5)
-    singleton = cohort_mask(Z, [0, 1, 2])
-    assert cohort_mean(singleton, t8.y) == t8.y[t]
+    assert t8.y[Z.cohort([0])].mean() == pytest.approx(2.5)
+    assert t8.y[Z.cohort([])].mean() == pytest.approx(1.5)
+    assert t8.y[Z.cohort([0, 1, 2])].mean() == t8.y[t]
 
 
 def test_refinement_associativity():
@@ -101,10 +98,9 @@ def test_refinement_associativity():
     Z = similarity_row([AbsoluteThreshold(0.5)] * 4, ds, 7)
     for u in range(1 << 4):
         for j in range(4):
-            left = cohort_mask(Z, u).refine(Z.column_mask(j))
-            right = cohort_mask(Z, u | (1 << j))
-            assert np.array_equal(left.words, right.words)
-            assert left.count == right.count
+            left = Z.cohort(u) & Z.dense[:, j]
+            right = Z.cohort(u | (1 << j))
+            assert np.array_equal(left, right)
 
 
 @settings(max_examples=40, deadline=None)
@@ -114,10 +110,10 @@ def test_monotonicity_and_membership(seed, u, extra):
     t = seed % 35
     Z = similarity_row([AbsoluteThreshold(0.4)] * 4, ds, t)
     v = u | extra
-    mu, mv = cohort_mask(Z, u), cohort_mask(Z, v)
-    assert mv.count <= mu.count
-    assert np.array_equal(mv.words & mu.words, mv.words)  # v-cohort inside u-cohort
-    assert mu.contains(t) and mv.contains(t)
+    mu, mv = Z.cohort(u), Z.cohort(v)
+    assert mv.sum() <= mu.sum()
+    assert np.array_equal(mv & mu, mv)  # v-cohort inside u-cohort
+    assert mu[t] and mv[t]
 
 
 @settings(max_examples=25, deadline=None)
@@ -137,7 +133,7 @@ def test_bit_level_oracle_against_row_loop(seed):
     for u in range(8):
         feats = [j for j in range(3) if u >> j & 1]
         expected = naive_cohort_members(ds.X, ds.X[t], feats, fns)
-        assert cohort_mask(Z, u).members().tolist() == expected
+        assert np.flatnonzero(Z.cohort(u)).tolist() == expected
 
 
 def test_duplicated_columns_swap_invariance():
@@ -149,7 +145,7 @@ def test_duplicated_columns_swap_invariance():
     Z = similarity_row(rules, ds, 11)
     for u in range(8):
         swapped = (u & 0b100) | ((u & 1) << 1) | ((u >> 1) & 1)
-        assert cohort_mask(Z, u).count == cohort_mask(Z, swapped).count
+        assert Z.cohort(u).sum() == Z.cohort(swapped).sum()
 
 
 def test_cohort_tables_match_masks():
@@ -158,10 +154,10 @@ def test_cohort_tables_match_masks():
     counts, sums = cohort_tables(Z, ds.y)
     means = cohort_means_table(Z, ds.y)
     for u in range(1 << 4):
-        mask = cohort_mask(Z, u)
-        assert counts[u] == mask.count
-        assert sums[u] == pytest.approx(ds.y[mask.dense()].sum(), rel=1e-12)
-        assert means[u] == pytest.approx(cohort_mean(mask, ds.y), rel=1e-12)
+        members = Z.cohort(u)
+        assert counts[u] == members.sum()
+        assert sums[u] == pytest.approx(ds.y[members].sum(), rel=1e-12)
+        assert means[u] == pytest.approx(ds.y[members].mean(), rel=1e-12)
 
 
 def test_subset_int():
