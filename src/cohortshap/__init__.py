@@ -47,6 +47,7 @@ from .dataset import (
     write_csv,
 )
 from .games import (
+    EXACT_CAP,
     BaselinePoint,
     Game,
     TableGame,
@@ -70,7 +71,6 @@ from .models import (
     predict,
 )
 from .shapley import (
-    EXACT_CAP,
     Attribution,
     shapley_engine,
     shapley_exact,

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import Dataset, DatasetError
-from .games import COHORT_METHODS, TABLE_D_CAP, make_game, make_var_game
+from .games import COHORT_METHODS, EXACT_CAP, make_game, make_var_game
 from .shapley import Attribution, _phi_from_tables, shapley_engine
 from .similarity import cohort_table_chunks, resolve_rules
 
@@ -50,7 +50,7 @@ def cs_attribution_sweep(ds: Dataset, rules, targets=None, squared: bool = False
     Each chunk of cohort tables is contracted as it is built, so memory
     stays bounded by the chunk, not by targets x 2^d.
     """
-    if ds.d > TABLE_D_CAP:
+    if ds.d > EXACT_CAP:
         raise DatasetError(f"d={ds.d} too large for the dense cohort sweep")
     resolved = resolve_rules(rules, ds)
     targets = np.arange(ds.n) if targets is None else np.asarray(targets, np.intp)

@@ -16,16 +16,17 @@ import numpy as np
 
 from .bits import halves, subset_sizes
 from .dataset import Dataset, split_holdout
-from .games import MODEL_METHODS, make_game
+from .games import EXACT_CAP, MODEL_METHODS, make_game
 from .models import predict
-from .shapley import EXACT_CAP, shapley_weight_table
+from .shapley import shapley_weight_table
 from .similarity import (
     AbsoluteThreshold,
     Identity,
     RelativeThreshold,
     SimilarityError,
-    SimilarityMatrix,
     _column_close,
+    in_cohort,
+    match_codes,
     resolve_rules,
 )
 
@@ -88,12 +89,8 @@ def is_realistic(point, ds: Dataset, rules) -> RealismVerdict:
     point = np.asarray(point, dtype=float)
     if point.shape != (ds.d,):
         raise SimilarityError(f"point has shape {point.shape}, want ({ds.d},)")
-    close = [
-        _column_close(rule, ds.X[:, j], point[j])
-        for j, rule in enumerate(resolve_rules(rules, ds))
-    ]
-    Z = SimilarityMatrix(-1, np.stack(close, axis=1))
-    members = np.flatnonzero(Z.cohort(range(ds.d)))
+    codes = match_codes(ds.X, resolve_rules(rules, ds), point)[0]
+    members = np.flatnonzero(in_cohort(codes, (1 << ds.d) - 1))
     if len(members) == 0:
         return RealismVerdict(point=point, realistic=False, witness=None)
     return RealismVerdict(point=point, realistic=True, witness=int(members[0]))

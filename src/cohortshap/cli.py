@@ -34,7 +34,7 @@ from .cube import (
     shapley_from_anchored,
 )
 from .dataset import DatasetError, attach_predictions, load_csv
-from .games import TABLE_D_CAP, TableGame
+from .games import EXACT_CAP, MODEL_METHODS, TableGame
 from .models import ModelError, predict
 from .shapley import Attribution, shapley_exact
 from .similarity import SimilarityError
@@ -154,7 +154,7 @@ def cmd_global(cfg: RunConfig) -> int:
         "phi": _named(ds.names, direct.phi_var),
         "total": float(direct.total_variance),
     }
-    if ds.d <= TABLE_D_CAP:
+    if ds.d <= EXACT_CAP:
         with _phase("per-subject disaggregation"):
             agg = aggregate_squared_cs(ds, rules)
         residual = float(np.max(np.abs(direct.phi_var - agg.phi_var)))
@@ -205,7 +205,7 @@ def cmd_audit(cfg: RunConfig) -> int:
     write_realism_csv(report, os.path.join(cfg.out, "realism.csv"))
 
     if model is not None:
-        method = cfg.method if cfg.method in ("bs", "bs2", "abs", "abs2") else "bs"
+        method = cfg.method if cfg.method in MODEL_METHODS else "bs"
         targets = cfg.parsed_targets()
         if targets == "all":
             targets = [0]

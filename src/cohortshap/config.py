@@ -11,9 +11,8 @@ import os
 from dataclasses import dataclass, field
 
 from .dataset import schema_from_json
-from .games import MODEL_METHODS
+from .games import EXACT_CAP, MODEL_METHODS
 from .models import ExternalCommand, LinearModel, LogisticModel
-from .shapley import EXACT_CAP
 from .similarity import (
     AbsoluteThreshold,
     Identity,
@@ -139,17 +138,20 @@ class RunConfig:
     def parsed_schema(self):
         if self.schema is None:
             raise ConfigError("no schema configured")
-        return schema_from_json(self.schema)
+        try:
+            return schema_from_json(self.schema)
+        except (KeyError, TypeError, AttributeError) as exc:
+            raise _spec_error("schema", self.schema, exc) from None
 
     def parsed_targets(self) -> object:
         if self.targets == "all":
             return "all"
-        if isinstance(self.targets, str):
-            try:
+        try:
+            if isinstance(self.targets, str):
                 return [int(t) for t in self.targets.split(",") if t.strip()]
-            except ValueError:
-                raise ConfigError(f"bad target list {self.targets!r}") from None
-        return [int(t) for t in self.targets]
+            return [int(t) for t in self.targets]
+        except (TypeError, ValueError):
+            raise ConfigError(f"bad target list {self.targets!r}") from None
 
     def rules_for(self, schema) -> list:
         """One rule per column: its own spec, else "default", else identity."""
@@ -171,6 +173,12 @@ class RunConfig:
         return None
 
     def validate(self, command: str) -> None:
+        for key in ("permutations", "seed"):
+            value = getattr(self, key)
+            if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+                raise ConfigError(f"{key} must be an integer >= 0, got {value!r}")
+        if not isinstance(self.audit, dict):
+            raise ConfigError(f"audit must be an object, got {self.audit!r}")
         if self.method not in METHODS:
             raise ConfigError(f"unknown method {self.method!r}; one of {METHODS}")
         if self.engine not in ("exact", "mc"):

@@ -1,8 +1,10 @@
 """The seven coalition value functions.
 
-Cohort games (cs, cs2, var) read only observed predictions through cohort
-means; baseline-style games (bs, bs2, abs, abs2) query a model at hybrid
-points. Every game maps a feature-subset bitmask to a real value with
+Cohort games (cs, cs2, var) average the cohort values of one target or of
+every subject, built from observed predictions by the kernels of
+:mod:`similarity`: a 2^d table up to EXACT_CAP features, else scored per
+requested subset. Baseline-style games (bs, bs2, abs, abs2) query a model at
+hybrid points. Every game maps a feature-subset bitmask to a real value with
 value(empty) = 0, caches what it has evaluated, and batches model calls.
 """
 
@@ -15,18 +17,20 @@ import numpy as np
 from .dataset import Dataset, DatasetError
 from .models import ModelAdapter, predict
 from .similarity import (
+    CHUNK_BYTES,
+    MAX_CHUNK_TARGETS,
     SimilarityMatrix,
-    cohort_means_table,
     cohort_table_chunks,
-    in_cohort,
+    cohort_value_tables,
+    cohort_values,
+    match_codes,
     resolve_rules,
-    similarity_row,
     subset_int,
 )
 
-# Above this dimension a full 2^d table is not materialized and cohort games
-# fall back to filtering match patterns per requested subset.
-TABLE_D_CAP = 20
+# The largest d whose 2^d lattice tables are built: value tables, exact
+# Shapley and the realism split. Above it cohort games score subsets lazily.
+EXACT_CAP = 20
 
 # Batched model evaluations are chunked to roughly this many points.
 POINT_CHUNK = 1 << 22
@@ -69,9 +73,9 @@ class Game:
         return np.array([self._memo[int(m)] for m in masks])
 
     def value_table(self) -> np.ndarray:
-        """Values of every subset, indexed by bitmask. Requires d <= TABLE_D_CAP."""
+        """Values of every subset, indexed by bitmask. Requires d <= EXACT_CAP."""
         if self._table is None:
-            if self.d > TABLE_D_CAP:
+            if self.d > EXACT_CAP:
                 raise ValueError(
                     f"d={self.d} is too large for a full 2^d value table"
                 )
@@ -96,43 +100,61 @@ class TableGame(Game):
         self._table = table
 
 
-class _CohortGame(Game):
-    def __init__(self, ds: Dataset, Z: SimilarityMatrix, t: int, squared: bool):
-        method = "cs2" if squared else "cs"
-        super().__init__(Z.d, method, t)
-        self.squared = squared
-        if self.d <= TABLE_D_CAP:
-            means = cohort_means_table(Z, ds.y)
-            table = means - means[0]
-            if squared:
-                table = table * table
-            table[0] = 0.0
-            self._table = table
-        else:
-            self._codes = Z.patterns()
-            self._y = ds.y
-            self._grand = float(ds.y.mean())
+class _LazyCohortGame(Game):
+    """A cohort game above EXACT_CAP: each requested subset is scored
+    against the match codes of the game's targets, a block at a time."""
+
+    def __init__(self, ds: Dataset, method: str, target, codes, resolved):
+        super().__init__(ds.d, method, target)
+        self.ds = ds
+        self._codes = codes
+        self._resolved = resolved
+
+    def _code_blocks(self):
+        if self._codes is not None:
+            yield self._codes[None]
+            return
+        X = self.ds.X
+        step = min(MAX_CHUNK_TARGETS, max(1, CHUNK_BYTES // (8 * self.ds.n)))
+        for s in range(0, len(X), step):
+            yield match_codes(X, self._resolved, X[s : s + step])
 
     def _evaluate_many(self, masks: np.ndarray) -> np.ndarray:
-        out = np.empty(len(masks))
-        for k, m in enumerate(masks):
-            v = float(self._y[in_cohort(self._codes, m)].mean()) - self._grand
-            out[k] = v * v if self.squared else v
-        return out
+        total = np.zeros(len(masks))
+        targets = 0
+        for codes in self._code_blocks():
+            total += cohort_values(codes, self.ds.y, masks, self.method != "cs").sum(0)
+            targets += len(codes)
+        return total / targets
+
+
+def _cohort_game(ds: Dataset, method: str, target=None, codes=None, resolved=None):
+    """The cohort game of ``method``: the cohort values (squared for cs2 and
+    var) of the one target whose match ``codes`` are given, or their average
+    over every subject under ``resolved`` rules."""
+    if ds.predictions is None:
+        raise DatasetError(f"the {method} game needs predictions attached")
+    squared = method != "cs"
+    if ds.d > EXACT_CAP:
+        return _LazyCohortGame(ds, method, target, codes, resolved)
+    if codes is not None:
+        table = cohort_value_tables(codes, ds.y, ds.d, squared)
+    else:
+        table = np.zeros(1 << ds.d)
+        for _, tables in cohort_table_chunks(ds, resolved, np.arange(ds.n), squared):
+            table += tables.sum(axis=0)
+        table /= ds.n
+    return TableGame(table, method, target)
 
 
 def make_cs_game(ds: Dataset, Z: SimilarityMatrix, t: int) -> Game:
     """Cohort refinement values: mean prediction of C_{t,u} minus the grand mean."""
-    if ds.predictions is None:
-        raise DatasetError("cohort games need predictions attached")
-    return _CohortGame(ds, Z, t, squared=False)
+    return _cohort_game(ds, "cs", t, Z.patterns())
 
 
 def make_cs2_game(ds: Dataset, Z: SimilarityMatrix, t: int) -> Game:
     """Squared cohort refinement values, the per-subject share of variance."""
-    if ds.predictions is None:
-        raise DatasetError("cohort games need predictions attached")
-    return _CohortGame(ds, Z, t, squared=True)
+    return _cohort_game(ds, "cs2", t, Z.patterns())
 
 
 @dataclass(frozen=True)
@@ -244,8 +266,10 @@ def make_game(
     if method in COHORT_METHODS:
         if rules is None:
             raise DatasetError("cohort methods need similarity rules")
-        maker = make_cs_game if method == "cs" else make_cs2_game
-        return maker(ds, similarity_row(rules, ds, t), t)
+        if not 0 <= t < ds.n:
+            raise DatasetError(f"target {t} outside 0..{ds.n - 1}")
+        codes = match_codes(ds.X, resolve_rules(rules, ds), ds.X[t])[0]
+        return _cohort_game(ds, method, t, codes)
     if method in MODEL_METHODS:
         if model is None:
             raise DatasetError(f"method {method!r} needs a model")
@@ -258,35 +282,4 @@ def make_game(
 
 def make_var_game(ds: Dataset, rules) -> Game:
     """Explained-variance values: the subject average of squared cohort values."""
-    if ds.predictions is None:
-        raise DatasetError("the variance game needs predictions attached")
-    resolved = resolve_rules(rules, ds)
-    if ds.d <= TABLE_D_CAP:
-        table = np.zeros(1 << ds.d)
-        for _, tables in cohort_table_chunks(
-            ds, resolved, np.arange(ds.n), squared=True
-        ):
-            table += tables.sum(axis=0)
-        table /= ds.n
-        return TableGame(table, "var")
-    return _LazyVarGame(ds, resolved)
-
-
-class _LazyVarGame(Game):
-    def __init__(self, ds, resolved):
-        super().__init__(ds.d, "var")
-        self.ds = ds
-        self.resolved = resolved
-
-    def _evaluate_many(self, masks: np.ndarray) -> np.ndarray:
-        out = np.empty(len(masks))
-        y = self.ds.y
-        grand = float(y.mean())
-        for k, m in enumerate(masks):
-            acc = 0.0
-            for t in range(self.ds.n):
-                codes = similarity_row(self.resolved, self.ds, t).patterns()
-                dev = float(y[in_cohort(codes, m)].mean()) - grand
-                acc += dev * dev
-            out[k] = acc / self.ds.n
-        return out
+    return _cohort_game(ds, "var", resolved=resolve_rules(rules, ds))

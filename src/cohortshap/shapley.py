@@ -14,9 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bits import halves, subset_sizes
-from .games import Game
-
-EXACT_CAP = 20
+from .games import EXACT_CAP, Game
 
 
 @dataclass(frozen=True)

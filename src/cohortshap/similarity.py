@@ -1,15 +1,16 @@
 """Per-feature similarity to a target subject and the cohorts it induces.
 
-A similarity matrix marks, for one target, which subjects count as close on
-each predictor. Each subject's match pattern is the subset integer of the
-predictors it matches on, and the cohort of a feature subset u is the set of
-subjects whose pattern contains u. The aggregated count/sum tables over all
-2^d subsets are produced by a pattern histogram plus a superset-sum
-transform instead of re-scanning rows per subset.
+A subject's match pattern to a target is the subset integer of the
+predictors it is close on; the cohort of a feature subset u holds the
+subjects whose pattern contains u, and its value is their mean prediction
+minus the grand mean. :func:`match_codes` builds the patterns,
+:func:`cohort_value_tables` all 2^d values by a pattern histogram plus a
+superset-sum transform, and :func:`cohort_values` only the subsets asked for.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,10 +19,12 @@ from . import bits
 from .dataset import Dataset, quantile
 
 
-# Cohort tables of many targets are built in chunks of at most this many
-# bytes of values and at most MAX_CHUNK_TARGETS targets.
+# Cohort tables and match codes of many targets are built in chunks of at
+# most CHUNK_BYTES and MAX_CHUNK_TARGETS targets; cohort_values tests
+# membership within about MASK_BLOCK_BYTES of temporaries per block.
 CHUNK_BYTES = 1 << 25
 MAX_CHUNK_TARGETS = 256
+MASK_BLOCK_BYTES = 1 << 20
 
 
 class SimilarityError(ValueError):
@@ -139,10 +142,6 @@ class SimilarityMatrix:
         self.dense = np.ascontiguousarray(dense, dtype=bool)
 
     @property
-    def n(self) -> int:
-        return self.dense.shape[0]
-
-    @property
     def d(self) -> int:
         return self.dense.shape[1]
 
@@ -192,64 +191,69 @@ def subset_int(u, d: int) -> int:
     return mask
 
 
-def cohort_tables(Z: SimilarityMatrix, y: np.ndarray):
-    """Counts and prediction sums of every cohort C_{t,u}, u over the 2^d lattice.
+def match_codes(X: np.ndarray, resolved, points: np.ndarray) -> np.ndarray:
+    """(points, subjects) int64 match patterns: bit j of entry (p, i) is set
+    when subject row i of ``X`` is close to point p on predictor j."""
+    points = np.atleast_2d(points)
+    codes = np.zeros((len(points), len(X)), dtype=np.int64)
+    for j, rule in enumerate(resolved):
+        close = _column_close(rule, X[None, :, j], points[:, j][:, None])
+        codes |= close.astype(np.int64) << j
+    return codes
 
-    Histogram the per-subject match patterns, then superset-sum: a subject
-    contributes to cohort u exactly when its pattern contains u. Returns
-    (counts, sums) arrays of length 2^d.
-    """
-    d = Z.d
-    codes = Z.patterns()
-    counts = np.bincount(codes, minlength=1 << d).astype(np.int64)
-    sums = np.bincount(codes, weights=y, minlength=1 << d)
+
+def cohort_value_tables(codes: np.ndarray, y: np.ndarray, d: int, squared: bool):
+    """All 2^d cohort values, optionally squared, from the match ``codes`` of
+    one target (subjects,) or of many (targets, subjects): shape (2^d,) or
+    (targets, 2^d). A pattern histogram is superset-summed, since a subject
+    is in cohort u exactly when its pattern contains u."""
+    shape = codes.shape[:-1] + (1 << d,)
+    if codes.ndim > 1:
+        codes = codes + (np.arange(len(codes), dtype=np.int64)[:, None] << d)
+        y = np.broadcast_to(y, codes.shape)
+    flat = codes.ravel()
+    cells = math.prod(shape)
+    counts = np.bincount(flat, minlength=cells).reshape(shape)
+    dev = np.bincount(flat, weights=y.ravel(), minlength=cells).reshape(shape)
     bits.superset_sum_inplace(counts, d)
-    bits.superset_sum_inplace(sums, d)
-    return counts, sums
+    bits.superset_sum_inplace(dev, d)
+    dev /= counts
+    dev -= dev[..., :1].copy()  # numpy would copy an overlapping operand whole
+    if squared:
+        dev *= dev
+    dev[..., 0] = 0.0
+    return dev
 
 
-def cohort_means_table(Z: SimilarityMatrix, y: np.ndarray) -> np.ndarray:
-    """All 2^d cohort means for one target; entry 0 is the grand mean."""
-    counts, sums = cohort_tables(Z, y)
-    return sums / counts
+def cohort_values(codes: np.ndarray, y: np.ndarray, masks, squared: bool):
+    """The columns ``masks`` of :func:`cohort_value_tables` without its 2^d
+    table: (targets, len(masks)), membership tested a block of subsets at a
+    time; the grand mean is ``y.mean()``."""
+    masks = np.asarray(masks, dtype=np.int64)
+    rows, n = codes.shape
+    out = np.empty((rows, len(masks)))
+    step = max(1, MASK_BLOCK_BYTES // (8 * rows * n))
+    for s in range(0, len(masks), step):
+        block = masks[s : s + step]
+        members = in_cohort(codes[:, None, :], block[:, None]).astype(float)
+        out[:, s : s + len(block)] = (members @ y) / members.sum(axis=2)
+    out -= y.mean()
+    if squared:
+        out *= out
+    out[:, masks == 0] = 0.0
+    return out
 
 
 def cohort_table_chunks(ds: Dataset, resolved, targets: np.ndarray, squared: bool):
     """Cohort value tables for many targets, yielded a chunk at a time.
 
     Yields (chunk_offset, tables) with tables of shape (B, 2^d); row b holds
-    the cohort values (grand-mean deviations, optionally squared) of target
-    targets[chunk_offset + b]. One pattern histogram per target replaces the
-    per-subset rescan; the superset sum turns it into all 2^d cohorts.
+    the :func:`cohort_value_tables` row of target targets[chunk_offset + b].
     A chunk's table stays within CHUNK_BYTES (one target at least), so memory
     is bounded for any number of targets.
     """
-    y = ds.y
-    d = ds.d
-    size = 1 << d
-    step = min(MAX_CHUNK_TARGETS, max(1, CHUNK_BYTES // (8 * size)))
+    step = min(MAX_CHUNK_TARGETS, max(1, CHUNK_BYTES // (8 << ds.d)))
     targets = np.asarray(targets, dtype=np.intp)
     for s in range(0, len(targets), step):
-        chunk = targets[s : s + step]
-        codes = np.zeros((len(chunk), ds.n), dtype=np.int64)
-        for j, rule in enumerate(resolved):
-            close = _column_close(rule, ds.X[None, :, j], ds.X[chunk, j][:, None])
-            codes += close.astype(np.int64) << j
-        flat = (codes + (np.arange(len(chunk), dtype=np.int64)[:, None] << d)).ravel()
-        counts = np.bincount(flat, minlength=len(chunk) * size).reshape(
-            len(chunk), size
-        )
-        dev = np.bincount(
-            flat,
-            weights=np.broadcast_to(y, codes.shape).ravel(),
-            minlength=len(chunk) * size,
-        ).reshape(len(chunk), size)
-        bits.superset_sum_inplace(counts, d)
-        bits.superset_sum_inplace(dev, d)
-        dev /= counts
-        del counts
-        dev -= dev[:, :1].copy()
-        if squared:
-            dev *= dev
-        dev[:, 0] = 0.0
-        yield s, dev
+        codes = match_codes(ds.X, resolved, ds.X[targets[s : s + step]])
+        yield s, cohort_value_tables(codes, ds.y, ds.d, squared)

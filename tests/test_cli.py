@@ -213,9 +213,18 @@ def _wide_config(workdir, d=64):
         ("local", {"similarity": {"default": {"kind": "abs", "delta": "x"}}}),
         ("local", "d64"),
         ("global", "d64"),
+        ("audit", {"audit": []}),
+        ("global", {"audit": []}),
+        ("local", {"schema": [{"name": "x1", "kind": "binary"}, {"kind": "binary"},
+                              {"name": "x3", "kind": "binary"}]}),
+        ("local", {"targets": 7}),
+        ("local", {"engine": "mc", "permutations": "x"}),
+        ("local", {"engine": "mc", "seed": "x"}),
     ],
     ids=["abs-no-delta", "linear-no-coefficients", "similarity-list",
-         "delta-not-a-number", "local-d64-mc", "global-d64-mc"],
+         "delta-not-a-number", "local-d64-mc", "global-d64-mc", "audit-list-audit",
+         "audit-list-global", "schema-item-no-name", "targets-int",
+         "permutations-not-int", "seed-not-int"],
 )
 def test_config_holes_exit_2(workdir, capsys, command, extra):
     cfg = _wide_config(workdir) if extra == "d64" else t8_config(workdir, **extra)

@@ -1,11 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cohortshap import (
+    AbsoluteThreshold,
     BaselinePoint,
+    ColumnSchema,
+    Dataset,
     DatasetError,
     Identity,
     LinearModel,
+    RelativeThreshold,
     attach_predictions,
     make_abs2_game,
     make_abs_game,
@@ -14,9 +20,11 @@ from cohortshap import (
     make_cs2_game,
     make_cs_game,
     make_var_game,
+    resolve_rules,
     similarity_row,
 )
-from cohortshap.games import TableGame
+from cohortshap.games import TableGame, _LazyCohortGame
+from cohortshap.similarity import cohort_value_tables, cohort_values, match_codes
 
 from .conftest import random_dataset, t8_target
 
@@ -202,3 +210,49 @@ def test_linear_mean_baseline_bs_equals_cs_total():
             assert bs.total == pytest.approx(cs.total, rel=1e-10)
             checked += 1
     assert checked > 10
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 8),
+    st.integers(1, 30),
+    st.integers(0, 2**32 - 1),
+    st.lists(
+        st.sampled_from(
+            [
+                Identity(),
+                AbsoluteThreshold(0.0),
+                AbsoluteThreshold(0.5),
+                RelativeThreshold(0.5),
+            ]
+        ),
+        min_size=8,
+    ),
+)
+def test_dense_and_lazy_cohort_games_agree(d, n, seed, rule_pool):
+    # a coarse grid gives ties and zero levels (where a relative threshold
+    # admits only exact zeros); the last column is constant
+    rng = np.random.default_rng(seed)
+    X = rng.integers(-2, 3, size=(n, d)) * 0.5
+    X[:, -1] = 0.5
+    schema = tuple(ColumnSchema(f"c{j}", "numeric") for j in range(d))
+    ds = attach_predictions(Dataset(schema=schema, X=X), rng.normal(size=n))
+    rules = rule_pool[:d]
+    resolved = resolve_rules(rules, ds)
+    codes = match_codes(ds.X, resolved, ds.X)
+    masks = np.arange(1 << d)
+    for squared in (False, True):
+        np.testing.assert_allclose(
+            cohort_values(codes, ds.y, masks, squared),
+            cohort_value_tables(codes, ds.y, d, squared),
+            rtol=1e-12,
+            atol=1e-12,
+        )
+    for method, make_game in (("cs", make_cs_game), ("cs2", make_cs2_game)):
+        t = int(rng.integers(n))
+        dense = make_game(ds, similarity_row(rules, ds, t), t)
+        lazy = _LazyCohortGame(ds, method, t, codes[t], None)
+        assert lazy.values(masks) == pytest.approx(dense.value_table(), abs=1e-12)
+    lazy_var = _LazyCohortGame(ds, "var", None, None, resolved)
+    dense_var = make_var_game(ds, rules).value_table()
+    assert lazy_var.values(masks) == pytest.approx(dense_var, abs=1e-12)

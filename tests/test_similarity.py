@@ -16,7 +16,12 @@ from cohortshap import (
     scale_rules,
     similarity_row,
 )
-from cohortshap.similarity import cohort_means_table, cohort_tables, subset_int
+from cohortshap.similarity import (
+    cohort_value_tables,
+    cohort_values,
+    match_codes,
+    subset_int,
+)
 
 from .conftest import random_dataset, t8_target
 from .helpers import naive_cohort_members
@@ -150,14 +155,20 @@ def test_duplicated_columns_swap_invariance():
 
 def test_cohort_tables_match_masks():
     ds = random_dataset(70, 4, seed=9)
-    Z = similarity_row([AbsoluteThreshold(0.6)] * 4, ds, 21)
-    counts, sums = cohort_tables(Z, ds.y)
-    means = cohort_means_table(Z, ds.y)
-    for u in range(1 << 4):
-        members = Z.cohort(u)
-        assert counts[u] == members.sum()
-        assert sums[u] == pytest.approx(ds.y[members].sum(), rel=1e-12)
-        assert means[u] == pytest.approx(ds.y[members].mean(), rel=1e-12)
+    rules = [AbsoluteThreshold(0.6)] * 4
+    Z = similarity_row(rules, ds, 21)
+    codes = match_codes(ds.X, resolve_rules(rules, ds), ds.X[21])
+    assert np.array_equal(codes[0], Z.patterns())
+    grand = ds.y.mean()
+    for squared in (False, True):
+        table = cohort_value_tables(codes, ds.y, 4, squared)[0]
+        lazy = cohort_values(codes, ds.y, np.arange(16), squared)[0]
+        assert table[0] == lazy[0] == 0.0
+        for u in range(1, 1 << 4):
+            want = ds.y[Z.cohort(u)].mean() - grand
+            want = want * want if squared else want
+            assert table[u] == pytest.approx(want, rel=1e-12, abs=1e-14)
+            assert lazy[u] == pytest.approx(want, rel=1e-12, abs=1e-14)
 
 
 def test_subset_int():
