@@ -313,8 +313,16 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (DatasetError, SimilarityError, ModelError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (
+        DatasetError,
+        SimilarityError,
+        ModelError,
+        ValueError,
+        OSError,
+        OverflowError,
+        MemoryError,
+    ) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 
 

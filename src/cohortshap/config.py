@@ -7,6 +7,7 @@ spawned, so a bad config never reaches computation.
 from __future__ import annotations
 
 import json
+import operator
 import os
 from dataclasses import dataclass, field
 
@@ -35,6 +36,26 @@ def _spec_error(what: str, obj, exc: Exception) -> ConfigError:
     return ConfigError(f"bad {what} spec {obj!r}: {reason}")
 
 
+def _check_int(name: str, value, minimum: int) -> None:
+    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+        raise ConfigError(f"{name} must be an integer >= {minimum}, got {value!r}")
+
+
+def _check_numbers(name: str, value) -> None:
+    if not isinstance(value, list) or not all(
+        isinstance(v, (int, float)) and not isinstance(v, bool) for v in value
+    ):
+        raise ConfigError(f"{name} must be a list of numbers, got {value!r}")
+
+
+def _target_index(t) -> int:
+    if isinstance(t, str):
+        return int(t)
+    if isinstance(t, bool):
+        raise TypeError("a target index is not a boolean")
+    return operator.index(t)  # rejects 1.5 instead of truncating it
+
+
 def rule_from_json(obj):
     if obj is None:
         return Identity()
@@ -57,23 +78,6 @@ def rule_from_json(obj):
     except (KeyError, TypeError, ValueError) as exc:
         raise _spec_error("similarity", obj, exc) from None
     raise ConfigError(f"unknown similarity kind {kind!r}")
-
-
-def rule_to_json(rule) -> dict:
-    if isinstance(rule, Identity):
-        return {"kind": "identity"}
-    if isinstance(rule, AbsoluteThreshold):
-        return {"kind": "abs", "delta": rule.delta}
-    if isinstance(rule, RangeFraction):
-        return {
-            "kind": "range_fraction",
-            "frac": rule.frac,
-            "lo_q": rule.lo_q,
-            "hi_q": rule.hi_q,
-        }
-    if isinstance(rule, RelativeThreshold):
-        return {"kind": "relative", "delta": rule.delta}
-    raise ConfigError(f"unserializable rule {rule!r}")
 
 
 def model_from_json(obj):
@@ -146,10 +150,11 @@ class RunConfig:
     def parsed_targets(self) -> object:
         if self.targets == "all":
             return "all"
+        targets = self.targets
+        if isinstance(targets, str):
+            targets = [t for t in targets.split(",") if t.strip()]
         try:
-            if isinstance(self.targets, str):
-                return [int(t) for t in self.targets.split(",") if t.strip()]
-            return [int(t) for t in self.targets]
+            return [_target_index(t) for t in targets]
         except (TypeError, ValueError):
             raise ConfigError(f"bad target list {self.targets!r}") from None
 
@@ -173,12 +178,21 @@ class RunConfig:
         return None
 
     def validate(self, command: str) -> None:
-        for key in ("permutations", "seed"):
-            value = getattr(self, key)
-            if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-                raise ConfigError(f"{key} must be an integer >= 0, got {value!r}")
+        _check_int("permutations", self.permutations, 0)
+        _check_int("seed", self.seed, 0)
+        if not isinstance(self.out, str):
+            raise ConfigError(f"out must be a directory path, got {self.out!r}")
         if not isinstance(self.audit, dict):
             raise ConfigError(f"audit must be an object, got {self.audit!r}")
+        if not isinstance(self.audit.get("similarity", {}), dict):
+            raise ConfigError("audit similarity must be an object of per-column specs")
+        for key in ("scales", "fractions"):
+            if key in self.audit:
+                _check_numbers(f"audit {key}", self.audit[key])
+        if "runs" in self.audit:
+            _check_int("audit runs", self.audit["runs"], 1)
+        if self.audit.get("marginal_samples") is not None:
+            _check_int("audit marginal_samples", self.audit["marginal_samples"], 1)
         if self.method not in METHODS:
             raise ConfigError(f"unknown method {self.method!r}; one of {METHODS}")
         if self.engine not in ("exact", "mc"):
@@ -191,6 +205,8 @@ class RunConfig:
             return
         if self.data is None:
             raise ConfigError("no data file configured")
+        if not isinstance(self.data, str):
+            raise ConfigError(f"data must be a CSV file path, got {self.data!r}")
         if self.schema is None:
             raise ConfigError("no schema configured")
         schema = self.parsed_schema()

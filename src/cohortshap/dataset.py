@@ -72,12 +72,6 @@ class Dataset:
             raise DatasetError("no predictions attached")
         return self.predictions
 
-    def column_index(self, name: str) -> int:
-        for j, c in enumerate(self.schema):
-            if c.name == name:
-                return j
-        raise DatasetError(f"no column named {name!r}")
-
     def kind(self, j: int) -> str:
         return self.schema[j].kind
 

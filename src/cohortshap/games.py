@@ -48,7 +48,9 @@ class Game:
         self.d = d
         self.method = method
         self.target = target
-        self._memo: dict[int, float] = {0: 0.0}
+        # memo of evaluated subsets: sorted masks and their values
+        self._keys = np.zeros(1, dtype=np.int64)
+        self._vals = np.zeros(1)
         self._table: np.ndarray | None = None
 
     # subclasses implement batch evaluation of integer subset masks
@@ -66,11 +68,16 @@ class Game:
         masks = np.asarray(masks, dtype=np.int64)
         if self._table is not None:
             return self._table[masks]
-        missing = [int(m) for m in np.unique(masks) if int(m) not in self._memo]
-        if missing:
-            got = self._evaluate_many(np.array(missing, dtype=np.int64))
-            self._memo.update(zip(missing, map(float, got)))
-        return np.array([self._memo[int(m)] for m in masks])
+        wanted, inverse = np.unique(masks, return_inverse=True)
+        at = np.searchsorted(self._keys, wanted)
+        known = self._keys[np.minimum(at, len(self._keys) - 1)] == wanted
+        if not known.all():
+            missing = wanted[~known]
+            got = np.asarray(self._evaluate_many(missing), dtype=float)
+            self._keys = np.insert(self._keys, at[~known], missing)
+            self._vals = np.insert(self._vals, at[~known], got)
+            at = np.searchsorted(self._keys, wanted)
+        return self._vals[at][inverse].reshape(masks.shape)
 
     def value_table(self) -> np.ndarray:
         """Values of every subset, indexed by bitmask. Requires d <= EXACT_CAP."""

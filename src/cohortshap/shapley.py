@@ -1,9 +1,11 @@
 """Shapley engines: exact lattice evaluation and permutation Monte Carlo.
 
 The exact engine materializes the 2^d coalition values once and contracts
-them against combinatorial weights; the Monte Carlo engine averages marginal
-increments over sampled feature orders with counter-based per-permutation
-seeds, so results do not depend on how the work is distributed.
+them against combinatorial weights. The Monte Carlo engine averages marginal
+increments over sampled feature orders, all drawn from one counter-based
+Philox stream keyed by the seed: order k is row k of that stream, so the
+first k orders are the same whatever the total count, and results do not
+depend on how the work is distributed.
 """
 
 from __future__ import annotations
@@ -81,18 +83,27 @@ def shapley_exact(game: Game) -> Attribution:
 
 
 def _permutations(d: int, m: int, seed: int) -> np.ndarray:
-    perms = np.empty((m, d), dtype=np.int64)
-    for k in range(m):
-        perms[k] = np.random.default_rng([seed, k]).permutation(d)
-    return perms
+    """m uniform orders of range(d) as an (m, d) int64 array.
+
+    Row k ranks the k-th block of d uniforms from one Philox stream keyed
+    by ``seed``, so it depends only on (seed, k). A stable sort fixes the
+    order of the (measure-zero) ties.
+    """
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    keys = rng.random((m, d))
+    return np.argsort(keys, axis=1, kind="stable").astype(np.int64, copy=False)
 
 
 def shapley_permutation(game: Game, m: int, seed: int) -> Attribution:
     """Monte Carlo Shapley from m sampled feature orders.
 
-    Permutation k is drawn from a generator seeded by (seed, k), so the
-    estimate is reproducible and independent of any worker partitioning.
-    Standard errors are per-feature sample deviations of the increments.
+    The orders are the first m rows of ``_permutations``' one stream keyed
+    by ``seed``: order k depends only on (seed, k), so the estimate is
+    reproducible and the orders of a smaller m are a prefix of those of a
+    larger one. All (d + 1) * m coalitions go to ``game.values`` in one
+    call; the total is read from those rows, which all start at the empty
+    set and end at the full one. Standard errors are per-feature sample
+    deviations of the increments.
     """
     if m < 2:
         raise ValueError("need at least two permutations for a standard error")
@@ -108,7 +119,7 @@ def shapley_permutation(game: Game, m: int, seed: int) -> Attribution:
     np.put_along_axis(samples, perms, increments, axis=1)
     phi = samples.mean(axis=0)
     stderr = samples.std(axis=0, ddof=1) / math.sqrt(m)
-    total = float(game.value(game.full_mask) - game.value(0))
+    total = float(flat_values[0, -1] - flat_values[0, 0])
     return Attribution(
         phi=phi,
         total=total,

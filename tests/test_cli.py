@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from cohortshap import cli
 from cohortshap.cli import main
 
 REPO = Path(__file__).resolve().parent.parent
@@ -220,11 +221,20 @@ def _wide_config(workdir, d=64):
         ("local", {"targets": 7}),
         ("local", {"engine": "mc", "permutations": "x"}),
         ("local", {"engine": "mc", "seed": "x"}),
+        ("local", {"targets": [1.5]}),
+        ("local", {"data": 5}),
+        ("local", {"out": 5}),
+        ("audit", {"audit": {"scales": 5}}),
+        ("audit", {"audit": {"runs": "x"}}),
+        ("audit", {"audit": {"marginal_samples": "x"}}),
+        ("audit", {"audit": {"similarity": 5}}),
     ],
     ids=["abs-no-delta", "linear-no-coefficients", "similarity-list",
          "delta-not-a-number", "local-d64-mc", "global-d64-mc", "audit-list-audit",
          "audit-list-global", "schema-item-no-name", "targets-int",
-         "permutations-not-int", "seed-not-int"],
+         "permutations-not-int", "seed-not-int", "targets-float", "data-int",
+         "out-int", "audit-scales-int", "audit-runs-str", "marginal-samples-str",
+         "audit-similarity-int"],
 )
 def test_config_holes_exit_2(workdir, capsys, command, extra):
     cfg = _wide_config(workdir) if extra == "d64" else t8_config(workdir, **extra)
@@ -255,6 +265,18 @@ def test_runtime_errors_exit_1(workdir, capsys):
     assert run_cli(["local", "--config", cfg]) == 1
 
 
+@pytest.mark.parametrize("error", [MemoryError, OverflowError])
+def test_resource_errors_exit_1(workdir, capsys, monkeypatch, error):
+    def fail(*args, **kwargs):
+        raise error()
+
+    monkeypatch.setattr(cli, "local_attributions", fail)
+    assert run_cli(["local", "--config", t8_config(workdir)]) == 1
+    err = capsys.readouterr().err
+    assert f"error: {error.__name__}" in err
+    assert "Traceback" not in err
+
+
 def test_target_out_of_range_rejected(workdir):
     cfg = t8_config(workdir, targets=[42])
     assert run_cli(["local", "--config", cfg]) == 2
@@ -268,15 +290,17 @@ def test_timings_on_stderr(workdir, capsys):
 
 def test_byte_identical_outputs(workdir):
     cfg = t8_config(workdir, targets="all")
-    run_cli(["local", "--config", cfg])
-    first = {
-        p.name: p.read_bytes() for p in (workdir / "out").iterdir()
-    }
-    run_cli(["local", "--config", cfg])
-    second = {
-        p.name: p.read_bytes() for p in (workdir / "out").iterdir()
-    }
-    assert first == second
+    mc = ["--method", "cs2", "--engine", "mc", "--permutations", "40", "--seed", "3",
+          "--out", "out_mc"]
+
+    def outputs():
+        assert run_cli(["local", "--config", cfg]) == 0
+        assert run_cli(["local", "--config", cfg, *mc]) == 0
+        return {p: p.read_bytes() for p in workdir.glob("out*/*")}
+
+    first = outputs()
+    assert workdir / "out_mc" / "panel_cs2.csv" in first
+    assert first == outputs()
 
 
 @pytest.mark.parametrize("command", ["local", "global"])

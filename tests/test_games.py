@@ -139,6 +139,34 @@ def test_purity(t8_games):
         assert first == again  # bit-identical on repeat
 
 
+def test_memo_evaluates_each_mask_once():
+    ds = random_dataset(30, 6, seed=12)
+    codes = match_codes(ds.X, resolve_rules([AbsoluteThreshold(0.5)] * 6, ds), ds.X)
+    game = _LazyCohortGame(ds, "cs", 4, codes[4], None)
+    seen = []
+    evaluate = game._evaluate_many
+
+    def recording(masks):
+        seen.append(masks.copy())
+        return evaluate(masks)
+
+    game._evaluate_many = recording
+    oracle = cohort_values(codes[4:5], ds.y, np.arange(64), False)[0]
+    oracle[0] = 0.0
+    rng = np.random.default_rng(3)
+    requested = set()
+    for shape in ((40,), (5, 7), (3, 2, 4)):
+        masks = rng.integers(0, 64, size=shape)
+        got = game.values(masks)
+        assert got.shape == shape
+        assert np.array_equal(got, oracle[masks])
+        requested.update(masks.ravel().tolist())
+    evaluated = np.concatenate(seen)
+    assert len(np.unique(evaluated)) == len(evaluated)  # none twice, across calls
+    assert set(evaluated.tolist()) == requested - {0}
+    assert game.values([]).shape == (0,)
+
+
 def test_cs_needs_predictions(t8):
     bare = t8.__class__(schema=t8.schema, X=t8.X)
     Z = similarity_row(IDENT3, t8, 0)

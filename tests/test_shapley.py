@@ -15,9 +15,9 @@ from cohortshap import (
     similarity_row,
 )
 from cohortshap.games import TableGame
-from cohortshap.shapley import EXACT_CAP
+from cohortshap.shapley import EXACT_CAP, _permutations
 
-from .conftest import t8_target
+from .conftest import random_dataset, t8_target
 from .helpers import shapley_all_permutations
 
 
@@ -161,3 +161,35 @@ def test_mc_stderr_shrinks():
     small = shapley_permutation(game, 100, seed=4)
     large = shapley_permutation(game, 6400, seed=4)
     assert large.stderr.mean() < small.stderr.mean()
+
+
+@pytest.mark.parametrize("d,k,m,seed", [(1, 1, 5, 0), (6, 7, 300, 4), (63, 2, 9, 2**40)])
+def test_permutations_prefix_invariant(d, k, m, seed):
+    # order k depends only on (seed, k): a longer run extends a shorter one
+    assert np.array_equal(_permutations(d, k, seed), _permutations(d, m, seed)[:k])
+
+
+@pytest.mark.parametrize("d", [1, 6, 63])
+def test_permutations_are_orders(d):
+    perms = _permutations(d, 200, 17)
+    assert perms.shape == (200, d) and perms.dtype == np.int64
+    assert (np.sort(perms, axis=1) == np.arange(d)).all()
+
+
+def test_permutations_uniform_at_d3():
+    # chi-square over the 6 orders, 5 degrees of freedom: 20.52 is the
+    # 0.999 quantile
+    m = 6000
+    codes = _permutations(3, m, 8) @ np.array([9, 3, 1])
+    counts = np.unique(codes, return_counts=True)[1]
+    assert len(counts) == 6
+    chi2 = ((counts - m / 6) ** 2 / (m / 6)).sum()
+    assert chi2 < 20.52
+
+
+def test_mc_total_is_full_minus_empty():
+    ds = random_dataset(40, 21, seed=5, n_binary=21)
+    lazy = make_cs_game(ds, similarity_row([Identity()] * 21, ds, 3), 3)
+    for game in (lazy, random_game(7, 9)):
+        att = shapley_permutation(game, 16, seed=2)
+        assert att.total == game.value(game.full_mask) - game.value(0)
