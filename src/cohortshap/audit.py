@@ -5,6 +5,8 @@ predictor. Marginal-product sampling is compared against held-out rows by
 computing, per sampled point, the smallest threshold scale at which a
 witness appears; rates at every scale then come from one pass, and sharing
 the draws across scales makes the monotonicity in the threshold exact.
+The realism split of a baseline-style attribution reads the witnesses of
+every hybrid from the match codes of the target and of the baseline row.
 """
 
 from __future__ import annotations
@@ -17,14 +19,13 @@ import numpy as np
 from .bits import halves, subset_sizes
 from .dataset import Dataset, split_holdout
 from .games import EXACT_CAP, MODEL_METHODS, make_game
-from .models import predict
 from .shapley import shapley_weight_table
 from .similarity import (
+    MASK_BLOCK_BYTES,
     AbsoluteThreshold,
     Identity,
     RelativeThreshold,
     SimilarityError,
-    _column_close,
     in_cohort,
     match_codes,
     resolve_rules,
@@ -96,17 +97,21 @@ def is_realistic(point, ds: Dataset, rules) -> RealismVerdict:
     return RealismVerdict(point=point, realistic=True, witness=int(members[0]))
 
 
-def realism_flags(points: np.ndarray, ref_X: np.ndarray, resolved) -> np.ndarray:
-    """Vectorized all-predictor witness check of many points against ref_X."""
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    m = len(points)
-    flags = np.empty(m, dtype=bool)
-    for s in range(0, m, POINT_BLOCK):
-        blk = points[s : s + POINT_BLOCK]
-        ok = np.ones((len(blk), ref_X.shape[0]), dtype=bool)
-        for j, rule in enumerate(resolved):
-            ok &= _column_close(rule, ref_X[None, :, j], blk[:, j][:, None])
-        flags[s : s + len(blk)] = ok.any(axis=1)
+def _hybrid_flags(X, resolved, x_t, baselines) -> np.ndarray:
+    """(k, 2^d) realism, witnesses from ``X``, of every hybrid that takes
+    ``x_t`` on the features in u and baseline row b elsewhere: subject i is
+    close to it exactly on (code_t[i] & u) | (code_b[i] & ~u)."""
+    d = X.shape[1]
+    full = (1 << d) - 1
+    code_t = match_codes(X, resolved, x_t)
+    code_b = match_codes(X, resolved, baselines)
+    k, n = code_b.shape
+    flags = np.empty((k, 1 << d), dtype=bool)
+    step = max(1, MASK_BLOCK_BYTES // (8 * k * n))
+    for s in range(0, 1 << d, step):
+        u = np.arange(s, min(s + step, 1 << d), dtype=np.int64)[:, None, None]
+        close = (code_t & u) | (code_b & ~u)
+        flags[:, s : s + len(u)] = in_cohort(close, full).any(axis=2).T
     return flags
 
 
@@ -247,28 +252,10 @@ def bs_realism_split(
         raise ValueError(f"realism split needs a baseline-style method, got {method!r}")
     game = make_game(method, ds, t, model=model, baseline=baseline)
     d = ds.d
-    resolved = resolve_rules(rules, ds)
     masks = np.arange(1 << d, dtype=np.int64)
-
-    # per-baseline differences and realism of every hybrid, (baselines, 2^d):
-    # one baseline point for bs/bs2, every observed row for abs/abs2
-    if method in ("bs", "bs2"):
-        flags = realism_flags(game.hybrid_points(masks), ds.X, resolved)[None, :]
-        diffs = game.value_table()[None, :]
-    else:
-        n = ds.n
-        flags = np.empty((n, 1 << d), dtype=bool)
-        diffs = np.empty((n, 1 << d))
-        block = max(1, (1 << 18) // n)
-        for s in range(0, 1 << d, block):
-            blk = masks[s : s + block]
-            pts = game.hybrid_points(blk).reshape(-1, d)
-            ok = realism_flags(pts, ds.X, resolved).reshape(len(blk), n)
-            delta = predict(model, pts).reshape(len(blk), n) - game.y_base
-            if method == "abs2":
-                delta = delta * delta
-            flags[:, s : s + len(blk)] = ok.T
-            diffs[:, s : s + len(blk)] = delta.T
+    # per-baseline differences and realism of every hybrid, (baselines, 2^d)
+    diffs = np.ascontiguousarray(game.baseline_diffs(masks).T)
+    flags = _hybrid_flags(ds.X, resolve_rules(rules, ds), game.x_t, game.baselines)
 
     w = shapley_weight_table(d)
     sizes = subset_sizes(d)

@@ -94,6 +94,12 @@ def _load_dataset(cfg: RunConfig):
     return ds, model
 
 
+def _check_targets(targets, n: int) -> None:
+    for t in targets:
+        if not 0 <= t < n:
+            raise ConfigError(f"target {t} outside 0..{n - 1}")
+
+
 def cmd_local(cfg: RunConfig) -> int:
     cfg.validate("local")
     if cfg.method == "var":
@@ -104,9 +110,7 @@ def cmd_local(cfg: RunConfig) -> int:
     targets = cfg.parsed_targets()
     everyone = targets == "all"
     target_list = list(range(ds.n)) if everyone else targets
-    for t in target_list:
-        if not 0 <= t < ds.n:
-            raise ConfigError(f"target {t} outside 0..{ds.n - 1}")
+    _check_targets(target_list, ds.n)
 
     with _phase(f"attribution[{cfg.method}] x{len(target_list)}"):
         attributions = local_attributions(
@@ -180,6 +184,9 @@ def cmd_audit(cfg: RunConfig) -> int:
     cfg.validate("audit")
     with _phase("load"):
         ds, model = _load_dataset(cfg)
+    targets = cfg.parsed_targets()
+    targets = [0] if targets == "all" else targets
+    _check_targets(targets, ds.n)
     audit_cfg = cfg.audit
     schema = cfg.parsed_schema()
     base_rules = cfg.rules_for(schema)
@@ -206,9 +213,6 @@ def cmd_audit(cfg: RunConfig) -> int:
 
     if model is not None:
         method = cfg.method if cfg.method in MODEL_METHODS else "bs"
-        targets = cfg.parsed_targets()
-        if targets == "all":
-            targets = [0]
         rules = cfg.rules_for(schema)
         with _phase(f"realism split x{len(targets)}"):
             for t in targets:

@@ -189,6 +189,12 @@ class RunConfig:
         for key in ("scales", "fractions"):
             if key in self.audit:
                 _check_numbers(f"audit {key}", self.audit[key])
+        fractions = self.audit.get("fractions", [])
+        if not all(0 < f < 1 for f in fractions):
+            raise ConfigError(f"audit fractions must lie in (0, 1), got {fractions!r}")
+        reference = self.audit.get("marginal_reference", "full")
+        if reference not in ("full", "train"):
+            raise ConfigError(f"unknown audit marginal_reference {reference!r}")
         if "runs" in self.audit:
             _check_int("audit runs", self.audit["runs"], 1)
         if self.audit.get("marginal_samples") is not None:
@@ -217,6 +223,10 @@ class RunConfig:
             raise ConfigError(
                 f"exact engine capped at d={EXACT_CAP}, got d={d}; use engine=mc"
             )
+        if self.baseline != "mean":
+            _check_numbers("a baseline other than 'mean'", self.baseline)
+            if len(self.baseline) != d:
+                raise ConfigError(f"baseline needs {d} numbers, got {self.baseline!r}")
         model = self.parsed_model()  # raises early on a malformed spec
         if self.method in MODEL_METHODS and model is None:
             raise ConfigError(f"method {self.method!r} needs a predicting model")

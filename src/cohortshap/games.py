@@ -3,9 +3,11 @@
 Cohort games (cs, cs2, var) average the cohort values of one target or of
 every subject, built from observed predictions by the kernels of
 :mod:`similarity`: a 2^d table up to EXACT_CAP features, else scored per
-requested subset. Baseline-style games (bs, bs2, abs, abs2) query a model at
-hybrid points. Every game maps a feature-subset bitmask to a real value with
-value(empty) = 0, caches what it has evaluated, and batches model calls.
+requested subset. One baseline game (bs, bs2, abs, abs2) queries a model at
+the hybrids of the target with k baseline rows: the configured baseline for
+bs/bs2, every observed row for abs/abs2. Every game maps a feature-subset
+bitmask to a real value with value(empty) = 0, caches what it has evaluated,
+and batches model calls.
 """
 
 from __future__ import annotations
@@ -156,12 +158,12 @@ def _cohort_game(ds: Dataset, method: str, target=None, codes=None, resolved=Non
 
 def make_cs_game(ds: Dataset, Z: SimilarityMatrix, t: int) -> Game:
     """Cohort refinement values: mean prediction of C_{t,u} minus the grand mean."""
-    return _cohort_game(ds, "cs", t, Z.patterns())
+    return make_game("cs", ds, t, rules=Z)
 
 
 def make_cs2_game(ds: Dataset, Z: SimilarityMatrix, t: int) -> Game:
     """Squared cohort refinement values, the per-subject share of variance."""
-    return _cohort_game(ds, "cs2", t, Z.patterns())
+    return make_game("cs2", ds, t, rules=Z)
 
 
 @dataclass(frozen=True)
@@ -191,75 +193,60 @@ def _baseline_array(baseline, ds: Dataset) -> np.ndarray:
     return arr
 
 
-def _take_matrix(masks: np.ndarray, d: int) -> np.ndarray:
-    return (masks[:, None] >> np.arange(d, dtype=np.int64)[None, :] & 1).astype(bool)
-
-
 class _BaselineGame(Game):
-    def __init__(self, ds, t, baseline, model, squared):
-        super().__init__(ds.d, "bs2" if squared else "bs", t)
-        self.squared = squared
+    """The model at the hybrid taking the target on u and a baseline row
+    elsewhere, minus the model at that row (squared for bs2 and abs2),
+    averaged over the k rows of ``baselines``."""
+
+    def __init__(self, ds: Dataset, method: str, t: int, baselines, model):
+        super().__init__(ds.d, method, t)
+        self.squared = method.endswith("2")
         self.model = model
         self.x_t = ds.X[t].copy()
-        self.x_b = _baseline_array(baseline, ds)
-        self.f_b = float(predict(model, self.x_b[None, :])[0])
+        self.baselines = baselines
+        self.f_b = predict(model, baselines)
 
-    def hybrid_points(self, masks: np.ndarray) -> np.ndarray:
-        take = _take_matrix(np.asarray(masks, dtype=np.int64), self.d)
-        return np.where(take, self.x_t[None, :], self.x_b[None, :])
+    def _diff_chunks(self, masks):
+        """Per-baseline differences of ``masks``, one chunk of about
+        POINT_CHUNK hybrid points, hence one model call, at a time."""
+        masks = np.asarray(masks, dtype=np.int64)
+        k = len(self.baselines)
+        chunk = max(1, POINT_CHUNK // (k * self.d))
+        for s in range(0, len(masks), chunk):
+            block = masks[s : s + chunk]
+            take = (block[:, None] >> np.arange(self.d) & 1).astype(bool)
+            pts = np.where(take[:, None, :], self.x_t, self.baselines)
+            diff = predict(self.model, pts.reshape(-1, self.d)).reshape(len(block), k)
+            diff -= self.f_b
+            yield diff * diff if self.squared else diff
+
+    def baseline_diffs(self, masks) -> np.ndarray:
+        """(len(masks), k) per-baseline differences of nonempty ``masks``."""
+        return np.concatenate(list(self._diff_chunks(masks)))
 
     def _evaluate_many(self, masks: np.ndarray) -> np.ndarray:
-        diff = predict(self.model, self.hybrid_points(masks)) - self.f_b
-        return diff * diff if self.squared else diff
+        return np.concatenate([diff.mean(axis=1) for diff in self._diff_chunks(masks)])
 
 
 def make_bs_game(ds: Dataset, t: int, baseline, model: ModelAdapter) -> Game:
     """Baseline values: model output at the target/baseline hybrid minus the
     baseline prediction; one model call per coalition."""
-    return _BaselineGame(ds, t, baseline, model, squared=False)
+    return make_game("bs", ds, t, model=model, baseline=baseline)
 
 
 def make_bs2_game(ds: Dataset, t: int, baseline, model: ModelAdapter) -> Game:
     """Squared per-coalition baseline differences."""
-    return _BaselineGame(ds, t, baseline, model, squared=True)
-
-
-class _AllBaselineGame(Game):
-    def __init__(self, ds, t, model, squared):
-        super().__init__(ds.d, "abs2" if squared else "abs", t)
-        self.squared = squared
-        self.model = model
-        self.X = ds.X
-        self.x_t = ds.X[t].copy()
-        self.y_base = predict(model, ds.X)
-
-    def hybrid_points(self, masks: np.ndarray) -> np.ndarray:
-        """Hybrids of the target with every row as baseline: (len(masks), n, d)."""
-        take = _take_matrix(np.asarray(masks, dtype=np.int64), self.d)
-        return np.where(take[:, None, :], self.x_t[None, None, :], self.X[None, :, :])
-
-    def _evaluate_many(self, masks: np.ndarray) -> np.ndarray:
-        n = self.X.shape[0]
-        chunk = max(1, POINT_CHUNK // (n * self.d))
-        out = np.empty(len(masks))
-        for s in range(0, len(masks), chunk):
-            block = masks[s : s + chunk]
-            pts = self.hybrid_points(block).reshape(-1, self.d)
-            diff = predict(self.model, pts).reshape(len(block), n) - self.y_base
-            if self.squared:
-                diff = diff * diff
-            out[s : s + len(block)] = diff.mean(axis=1)
-        return out
+    return make_game("bs2", ds, t, model=model, baseline=baseline)
 
 
 def make_abs_game(ds: Dataset, t: int, model: ModelAdapter) -> Game:
     """Baseline values averaged over every observed row as the baseline."""
-    return _AllBaselineGame(ds, t, model, squared=False)
+    return make_game("abs", ds, t, model=model)
 
 
 def make_abs2_game(ds: Dataset, t: int, model: ModelAdapter) -> Game:
     """Mean squared per-baseline differences over every observed row."""
-    return _AllBaselineGame(ds, t, model, squared=True)
+    return make_game("abs2", ds, t, model=model)
 
 
 def make_game(
@@ -267,23 +254,28 @@ def make_game(
 ) -> Game:
     """The game of a per-target method for target t.
 
-    Cohort methods (cs, cs2) need similarity ``rules``; baseline-style
-    methods (bs, bs2, abs, abs2) need a ``model``, and bs/bs2 a ``baseline``.
+    Cohort methods (cs, cs2) need similarity ``rules``, or target t's
+    :class:`SimilarityMatrix` in their place; baseline-style methods (bs,
+    bs2, abs, abs2) need a ``model``, and bs/bs2 a ``baseline``.
     """
+    if not 0 <= t < ds.n:
+        raise DatasetError(f"target {t} outside 0..{ds.n - 1}")
     if method in COHORT_METHODS:
         if rules is None:
             raise DatasetError("cohort methods need similarity rules")
-        if not 0 <= t < ds.n:
-            raise DatasetError(f"target {t} outside 0..{ds.n - 1}")
-        codes = match_codes(ds.X, resolve_rules(rules, ds), ds.X[t])[0]
+        if isinstance(rules, SimilarityMatrix):
+            codes = rules.patterns()
+        else:
+            codes = match_codes(ds.X, resolve_rules(rules, ds), ds.X[t])[0]
         return _cohort_game(ds, method, t, codes)
     if method in MODEL_METHODS:
         if model is None:
             raise DatasetError(f"method {method!r} needs a model")
-        squared = method.endswith("2")
         if method.startswith("abs"):
-            return _AllBaselineGame(ds, t, model, squared)
-        return _BaselineGame(ds, t, baseline, model, squared)
+            baselines = ds.X
+        else:
+            baselines = _baseline_array(baseline, ds)[None, :]
+        return _BaselineGame(ds, method, t, baselines, model)
     raise DatasetError(f"method {method!r} has no per-target game")
 
 

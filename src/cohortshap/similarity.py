@@ -133,41 +133,41 @@ def _column_close(rule: SimilarityRule, column: np.ndarray, center) -> np.ndarra
 
 
 class SimilarityMatrix:
-    """n x d similarity indicators of every subject to one target."""
+    """Match patterns of every subject to one target (see :func:`match_codes`)."""
 
-    def __init__(self, target: int, dense: np.ndarray):
-        if dense.ndim != 2:
-            raise SimilarityError("similarity matrix must be 2-D")
+    def __init__(self, target: int, codes: np.ndarray, d: int):
+        if codes.ndim != 1:
+            raise SimilarityError("a target's match codes must be 1-D")
         self.target = target
-        self.dense = np.ascontiguousarray(dense, dtype=bool)
+        self.d = d
+        self._codes = codes
+        self._codes.flags.writeable = False
 
     @property
-    def d(self) -> int:
-        return self.dense.shape[1]
+    def dense(self) -> np.ndarray:
+        """n x d boolean indicators: bit j of each subject's pattern."""
+        dense = (self._codes[:, None] >> np.arange(self.d) & 1).astype(bool)
+        dense.flags.writeable = False
+        return dense
 
     def patterns(self) -> np.ndarray:
         """Per-subject subset integer of the features it matches the target on."""
-        weights = (1 << np.arange(self.d, dtype=np.int64))
-        return self.dense @ weights
+        return self._codes
 
     def cohort(self, u) -> np.ndarray:
         """Boolean membership of the cohort C_{t,u}: subjects similar to the
         target on every feature in u (everyone for the empty set)."""
-        return in_cohort(self.patterns(), subset_int(u, self.d))
+        return in_cohort(self._codes, subset_int(u, self.d))
 
 
 def similarity_row(rules, ds: Dataset, t: int) -> SimilarityMatrix:
     """Similarity of every subject to subject t under resolved rules."""
     if not 0 <= t < ds.n:
         raise SimilarityError(f"target {t} outside 0..{ds.n - 1}")
-    rules = resolve_rules(rules, ds)
-    cols = [
-        _column_close(rule, ds.X[:, j], ds.X[t, j]) for j, rule in enumerate(rules)
-    ]
-    Z = SimilarityMatrix(t, np.stack(cols, axis=1))
-    if not Z.dense[t].all():
+    codes = match_codes(ds.X, resolve_rules(rules, ds), ds.X[t])[0]
+    if not in_cohort(codes[t], (1 << ds.d) - 1):
         raise SimilarityError("target row must be all-similar to itself")
-    return Z
+    return SimilarityMatrix(t, codes, ds.d)
 
 
 def in_cohort(codes: np.ndarray, u) -> np.ndarray:

@@ -8,18 +8,19 @@ from cohortshap import (
     Identity,
     LinearModel,
     RangeFraction,
+    RelativeThreshold,
     attach_predictions,
     bs_realism_split,
     is_realistic,
     make_abs_game,
-    make_bs2_game,
     make_bs_game,
+    make_game,
     realism_curve,
     sample_marginal_product,
     shapley_exact,
     write_realism_csv,
 )
-from cohortshap.audit import _min_witness_scale, realism_flags
+from cohortshap.audit import _hybrid_flags, _min_witness_scale
 from cohortshap.similarity import resolve_rules
 
 from .conftest import random_dataset, t8_target
@@ -71,7 +72,7 @@ def test_wide_threshold_everything_realistic():
     span = ds.X.max() - ds.X.min()
     rules = [AbsoluteThreshold(float(span) * 2)] * 2
     pts = sample_marginal_product(ds, 100, seed=0)
-    assert realism_flags(pts, ds.X, resolve_rules(rules, ds)).all()
+    assert all(is_realistic(p, ds, rules).realistic for p in pts)
 
 
 def test_min_witness_scale_matches_flags():
@@ -81,10 +82,8 @@ def test_min_witness_scale_matches_flags():
     pts = sample_marginal_product(ds, 300, seed=2)
     min_scale = _min_witness_scale(pts, ds.X, resolved)
     for scale in (0.1, 0.4, 0.9):
-        scaled = resolve_rules(
-            [Identity(), AbsoluteThreshold(scale), AbsoluteThreshold(scale)], ds
-        )
-        expect = realism_flags(pts, ds.X, scaled)
+        scaled = [Identity(), AbsoluteThreshold(scale), AbsoluteThreshold(scale)]
+        expect = [is_realistic(p, ds, scaled).realistic for p in pts]
         assert np.array_equal(min_scale <= scale, expect)
 
 
@@ -177,9 +176,48 @@ def test_split_abs_method(t8):
 def test_split_squared_methods(t8):
     rules = [Identity()] * 3
     t = t8_target(t8)
-    split = bs_realism_split(t8, t, "mean", LINEAR, rules, method="bs2")
-    full = shapley_exact(make_bs2_game(t8, t, "mean", LINEAR))
-    assert split.phi == pytest.approx(full.phi, rel=1e-12, abs=1e-12)
+    for method in ("bs2", "abs2"):
+        split = bs_realism_split(t8, t, "mean", LINEAR, rules, method=method)
+        full = shapley_exact(make_game(method, t8, t, model=LINEAR))
+        assert split.phi == pytest.approx(full.phi, rel=1e-12, abs=1e-12)
+
+
+def _mixed_rule_table():
+    # a coarse grid gives ties and zero levels (where a relative threshold
+    # admits only exact zeros); column 3 holds category codes, column 4 is
+    # constant
+    rng = np.random.default_rng(17)
+    X = rng.integers(-2, 3, size=(24, 5)) * 0.5
+    X[:, 3] = rng.integers(0, 3, size=24)
+    X[:, 4] = 0.5
+    kinds = ["numeric", "numeric", "numeric", "categorical", "numeric"]
+    schema = tuple(ColumnSchema(f"c{j}", kind) for j, kind in enumerate(kinds))
+    ds = attach_predictions(Dataset(schema=schema, X=X), rng.normal(size=24))
+    rules = [
+        AbsoluteThreshold(0.5),
+        AbsoluteThreshold(0.0),
+        RelativeThreshold(0.5),
+        Identity(),
+        AbsoluteThreshold(0.5),
+    ]
+    return ds, rules
+
+
+@pytest.mark.parametrize("method,baseline", [("bs", "mean"), ("bs", 5), ("abs", None)])
+def test_hybrid_flags_match_point_scan(method, baseline):
+    ds, rules = _mixed_rule_table()
+    model = LinearModel((1.0, -2.0, 0.5, 0.0, 3.0), 0.0)
+    if isinstance(baseline, int):
+        baseline = ds.X[baseline]
+    game = make_game(method, ds, 7, model=model, baseline=baseline)
+    flags = _hybrid_flags(ds.X, resolve_rules(rules, ds), game.x_t, game.baselines)
+    assert flags.shape == (len(game.baselines), 1 << ds.d)
+    for b, x_b in enumerate(game.baselines):
+        for u in range(1 << ds.d):
+            take = (u >> np.arange(ds.d) & 1).astype(bool)
+            point = np.where(take, game.x_t, x_b)
+            assert flags[b, u] == is_realistic(point, ds, rules).realistic
+    assert flags.any() and not flags.all()
 
 
 def test_split_rejects_cohort_methods(t8):

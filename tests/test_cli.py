@@ -40,6 +40,10 @@ def t8_config(workdir, **extra):
     return path
 
 
+LINEAR_SPEC = {"kind": "linear", "coefficients": [2.0, 1.0, 0.0], "intercept": 0.0}
+SMALL_AUDIT = {"scales": [0.5, 1.0], "fractions": [0.25], "runs": 2}
+
+
 def test_local_cs_single_target(workdir, capsys):
     cfg = t8_config(workdir)
     assert run_cli(["local", "--config", cfg]) == 0
@@ -228,13 +232,22 @@ def _wide_config(workdir, d=64):
         ("audit", {"audit": {"runs": "x"}}),
         ("audit", {"audit": {"marginal_samples": "x"}}),
         ("audit", {"audit": {"similarity": 5}}),
+        ("audit", {"audit": {"fractions": [0.2, 1.5]}}),
+        ("audit", {"audit": {"fractions": [0.0]}}),
+        ("audit", {"audit": {"marginal_reference": 5}}),
+        ("local", {"method": "bs", "model": LINEAR_SPEC, "baseline": "median"}),
+        ("local", {"method": "bs", "model": LINEAR_SPEC, "baseline": [0.5]}),
+        ("local", {"method": "bs", "model": LINEAR_SPEC, "baseline": ["a", "b", "c"]}),
+        ("audit", {"model": LINEAR_SPEC, "baseline": "median"}),
     ],
     ids=["abs-no-delta", "linear-no-coefficients", "similarity-list",
          "delta-not-a-number", "local-d64-mc", "global-d64-mc", "audit-list-audit",
          "audit-list-global", "schema-item-no-name", "targets-int",
          "permutations-not-int", "seed-not-int", "targets-float", "data-int",
          "out-int", "audit-scales-int", "audit-runs-str", "marginal-samples-str",
-         "audit-similarity-int"],
+         "audit-similarity-int", "audit-fraction-above-1", "audit-fraction-0",
+         "marginal-reference-int", "baseline-median", "baseline-short",
+         "baseline-strings", "audit-baseline-median"],
 )
 def test_config_holes_exit_2(workdir, capsys, command, extra):
     cfg = _wide_config(workdir) if extra == "d64" else t8_config(workdir, **extra)
@@ -282,6 +295,16 @@ def test_target_out_of_range_rejected(workdir):
     assert run_cli(["local", "--config", cfg]) == 2
 
 
+@pytest.mark.parametrize("target", ["99", "-1"])
+def test_audit_target_out_of_range_rejected(workdir, capsys, target):
+    cfg = t8_config(workdir, model=LINEAR_SPEC, audit=SMALL_AUDIT)
+    assert run_cli(["audit", "--config", cfg, "--targets", target]) == 2
+    err = capsys.readouterr().err
+    assert f"target {target} outside 0..7" in err
+    assert "Traceback" not in err
+    assert not list(workdir.glob("out/split_*"))
+
+
 def test_timings_on_stderr(workdir, capsys):
     cfg = t8_config(workdir)
     run_cli(["local", "--config", cfg])
@@ -289,17 +312,23 @@ def test_timings_on_stderr(workdir, capsys):
 
 
 def test_byte_identical_outputs(workdir):
-    cfg = t8_config(workdir, targets="all")
+    cfg = t8_config(workdir, targets="all", model=LINEAR_SPEC, audit=SMALL_AUDIT)
     mc = ["--method", "cs2", "--engine", "mc", "--permutations", "40", "--seed", "3",
           "--out", "out_mc"]
+    abs2 = ["--method", "abs2", "--out", "out_abs2"]
+    audit = ["--targets", "3,7", "--out", "out_audit"]
 
     def outputs():
         assert run_cli(["local", "--config", cfg]) == 0
         assert run_cli(["local", "--config", cfg, *mc]) == 0
+        assert run_cli(["local", "--config", cfg, *abs2]) == 0
+        assert run_cli(["audit", "--config", cfg, *audit]) == 0
         return {p: p.read_bytes() for p in workdir.glob("out*/*")}
 
     first = outputs()
     assert workdir / "out_mc" / "panel_cs2.csv" in first
+    assert workdir / "out_abs2" / "panel_abs2.csv" in first
+    assert workdir / "out_audit" / "split_bs_t3.json" in first
     assert first == outputs()
 
 

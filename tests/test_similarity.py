@@ -78,6 +78,7 @@ def test_target_row_all_ones():
     for t in (0, 17, 39):
         Z = similarity_row(rules, ds, t)
         assert Z.dense[t].all()
+        assert not Z.dense.flags.writeable  # derived from the stored codes
 
 
 def test_t8_cohort_counts(t8):
