@@ -25,12 +25,15 @@ from .similarity import cohort_table_chunks, resolve_rules
 @dataclass(frozen=True)
 class GlobalAttribution:
     """Shapley split of the explained variance over features, optionally with
-    the per-subject squared-cohort rows it averages."""
+    the per-subject squared-cohort rows it averages, or with the standard
+    errors and permutation count of a Monte Carlo estimate."""
 
     phi_var: np.ndarray
     total_variance: float
     method: str
     per_subject: np.ndarray | None = None
+    stderr: np.ndarray | None = None
+    permutations_used: int | None = None
 
 
 @dataclass(frozen=True)
@@ -71,7 +74,13 @@ def variance_shapley(
 ) -> GlobalAttribution:
     """Shapley split of the variance explained by refining on each feature."""
     att = shapley_engine(make_var_game(ds, rules), engine, permutations, seed)
-    return GlobalAttribution(phi_var=att.phi, total_variance=att.total, method="var")
+    return GlobalAttribution(
+        phi_var=att.phi,
+        total_variance=att.total,
+        method="var",
+        stderr=att.stderr,
+        permutations_used=att.permutations_used,
+    )
 
 
 def aggregate_squared_cs(ds: Dataset, rules) -> GlobalAttribution:

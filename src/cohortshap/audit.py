@@ -1,10 +1,14 @@
 """Realism audit of synthetic-point attribution methods.
 
 A point is realistic when at least one subject is similar to it on every
-predictor. Marginal-product sampling is compared against held-out rows by
-computing, per sampled point, the smallest threshold scale at which a
-witness appears; rates at every scale then come from one pass, and sharing
-the draws across scales makes the monotonicity in the threshold exact.
+predictor, under the same predicate (``match_codes``) that builds cohorts.
+Marginal-product sampling is compared against held-out rows. One witness
+scan per run computes, per point, the smallest threshold scale at which a
+witness appears; it screens the point at every scale at once. A point whose
+scale lies within ``SCALE_ULPS`` ulps of a configured scale is decided by
+the predicate itself, so every rate is the share of points
+:func:`is_realistic` accepts, and sharing the draws across scales keeps the
+rates monotone in the threshold.
 The realism split of a baseline-style attribution reads the witnesses of
 every hybrid from the match codes of the target and of the baseline row.
 """
@@ -22,16 +26,17 @@ from .games import EXACT_CAP, MODEL_METHODS, make_game
 from .shapley import shapley_weight_table
 from .similarity import (
     MASK_BLOCK_BYTES,
-    AbsoluteThreshold,
-    Identity,
-    RelativeThreshold,
     SimilarityError,
     in_cohort,
     match_codes,
     resolve_rules,
+    scale_rules,
 )
 
 POINT_BLOCK = 2048
+# The scan's ratio gap / radius and the predicate's test gap <= radius * scale
+# round differently; near a scale they are at most a few ulps apart.
+SCALE_ULPS = 8
 
 
 @dataclass(frozen=True)
@@ -118,8 +123,11 @@ def _hybrid_flags(X, resolved, x_t, baselines) -> np.ndarray:
 def _min_witness_scale(points: np.ndarray, ref_X: np.ndarray, resolved) -> np.ndarray:
     """Smallest threshold multiplier at which each point gains a witness.
 
-    Rules are taken at unit scale; identity columns (and zero thresholds)
-    must match exactly at any scale. Returns +inf where no multiplier helps.
+    Rules are taken at unit scale; a column whose radius is 0 (identity, a
+    zero threshold, a relative threshold at a zero level) must match exactly
+    at any scale. Returns +inf where no multiplier helps. The ratios round
+    differently from the predicate, so this is a screen: near a scale,
+    :func:`_realistic_at` asks ``match_codes``.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     m = len(points)
@@ -130,25 +138,38 @@ def _min_witness_scale(points: np.ndarray, ref_X: np.ndarray, resolved) -> np.nd
         for j, rule in enumerate(resolved):
             col = ref_X[None, :, j]
             center = blk[:, j][:, None]
-            exact = isinstance(rule, Identity) or (
-                isinstance(rule, AbsoluteThreshold) and rule.delta == 0.0
-            )
-            if exact:
+            radius = rule.radius(center)
+            if np.count_nonzero(radius) == 0:
                 need[col != center] = np.inf
                 continue
-            gap = np.abs(col - center)
-            if isinstance(rule, AbsoluteThreshold):
-                ratio = gap * (1.0 / rule.delta)
-            elif isinstance(rule, RelativeThreshold):
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    ratio = gap / (rule.delta * np.abs(center))
-                # 0/0 means an exact match of a zero level: scale 0 suffices
-                ratio = np.nan_to_num(ratio, nan=0.0, posinf=np.inf)
-            else:
-                raise ValueError(f"unresolved rule {rule!r}")
-            np.maximum(need, ratio, out=need)
+            # gap / radius, by a reciprocal because a product is cheaper than
+            # a quotient: x/0 is inf, and fmax skips the NaN of 0/0, an exact
+            # match at radius 0, as it would skip a ratio of 0
+            ratio = np.abs(col - center)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                ratio *= 1.0 / radius
+            np.fmax(need, ratio, out=need)
         out[s : s + len(blk)] = need.min(axis=1)
     return out
+
+
+def _realistic_at(points: np.ndarray, ref_X: np.ndarray, resolved, scales):
+    """(scales, points) realism of each point, witnesses from ``ref_X``, under
+    ``scale_rules(resolved, s)`` for each scale s: the witness scan screens,
+    and points within SCALE_ULPS ulps of s are decided by ``match_codes``."""
+    min_scale = _min_witness_scale(points, ref_X, resolved)
+    flags = min_scale <= scales[:, None]
+    tol = SCALE_ULPS * np.spacing(np.abs(scales))
+    near = np.abs(min_scale - scales[:, None]) <= tol[:, None]
+    full = (1 << ref_X.shape[1]) - 1
+    for k in np.flatnonzero(near.any(axis=1)):
+        scaled = scale_rules(resolved, scales[k])
+        idx = np.flatnonzero(near[k])
+        for s in range(0, len(idx), POINT_BLOCK):
+            blk = idx[s : s + POINT_BLOCK]
+            codes = match_codes(ref_X, scaled, points[blk])
+            flags[k, blk] = in_cohort(codes, full).any(axis=1)
+    return flags
 
 
 def realism_curve(
@@ -165,9 +186,10 @@ def realism_curve(
 
     ``base_rules`` carry thresholds at scale 1.0; each entry of ``scales``
     multiplies them. Draws and splits are shared across scales (one witness
-    scan per run), so rates are non-decreasing in the threshold by
-    construction. Thresholds are resolved against the full dataset; holdout
-    witnesses come from the train split only. Witnesses for the marginal
+    scan per run), and each rate is the share of points that
+    :func:`is_realistic` accepts at that scale, so rates are non-decreasing
+    in the threshold. Thresholds are resolved against the full dataset;
+    holdout witnesses come from the train split only. Witnesses for the marginal
     curve come from the full dataset, or from a per-run train split (at the
     first holdout fraction) when marginal_reference="train".
     """
@@ -175,6 +197,8 @@ def realism_curve(
         raise ValueError("need at least one run")
     if marginal_reference not in ("full", "train"):
         raise ValueError(f"unknown marginal reference {marginal_reference!r}")
+    if marginal_reference == "train" and len(fractions) == 0:
+        raise ValueError("a train marginal reference needs a holdout fraction")
     scales = tuple(float(s) for s in scales)
     fractions = tuple(float(f) for f in fractions)
     m = 10 * ds.n if marginal_samples is None else int(marginal_samples)
@@ -189,16 +213,15 @@ def realism_curve(
             source, _ = split_holdout(ds, fractions[0], _derive_seed(seed, 2, 0, r))
             witness_X = source.X
         pts = sample_marginal_product(source, m, _derive_seed(seed, 1, r))
-        min_scale = _min_witness_scale(pts, witness_X, resolved)
-        marginal += (min_scale[None, :] <= scale_arr[:, None]).mean(axis=1)
+        marginal += _realistic_at(pts, witness_X, resolved, scale_arr).mean(axis=1)
     marginal /= runs
 
     holdout = np.zeros((len(scales), len(fractions)))
     for fi, frac in enumerate(fractions):
         for r in range(runs):
             train, test = split_holdout(ds, frac, _derive_seed(seed, 2, fi, r))
-            min_scale = _min_witness_scale(test.X, train.X, resolved)
-            holdout[:, fi] += (min_scale[None, :] <= scale_arr[:, None]).mean(axis=1)
+            flags = _realistic_at(test.X, train.X, resolved, scale_arr)
+            holdout[:, fi] += flags.mean(axis=1)
     holdout /= runs
 
     return RealismReport(

@@ -158,16 +158,23 @@ def cmd_global(cfg: RunConfig) -> int:
         "phi": _named(ds.names, direct.phi_var),
         "total": float(direct.total_variance),
     }
-    if ds.d <= EXACT_CAP:
+    if direct.stderr is not None:
+        payload["stderr"] = _named(ds.names, direct.stderr)
+        payload["permutations"] = direct.permutations_used
+    per_subject = cfg.audit.get("per_subject", False)
+    # an exact direct route implies d <= EXACT_CAP; an MC estimate has no
+    # residual against the exact aggregate, only a standard error
+    if cfg.engine == "exact" or (per_subject and ds.d <= EXACT_CAP):
         with _phase("per-subject disaggregation"):
             agg = aggregate_squared_cs(ds, rules)
-        residual = float(np.max(np.abs(direct.phi_var - agg.phi_var)))
-        print(
-            f"disaggregation residual: {residual!r} "
-            f"(budget {1e-9 * max(direct.total_variance, 1e-300)!r})"
-        )
-        payload["disaggregation_residual"] = residual
-        if cfg.audit.get("per_subject", False):
+        if cfg.engine == "exact":
+            residual = float(np.max(np.abs(direct.phi_var - agg.phi_var)))
+            print(
+                f"disaggregation residual: {residual!r} "
+                f"(budget {1e-9 * max(direct.total_variance, 1e-300)!r})"
+            )
+            payload["disaggregation_residual"] = residual
+        if per_subject:
             path = os.path.join(cfg.out, "per_subject_cs2.csv")
             os.makedirs(cfg.out, exist_ok=True)
             with open(path, "w", encoding="utf-8") as fh:
@@ -189,11 +196,7 @@ def cmd_audit(cfg: RunConfig) -> int:
     _check_targets(targets, ds.n)
     audit_cfg = cfg.audit
     schema = cfg.parsed_schema()
-    base_rules = cfg.rules_for(schema)
-    if "similarity" in audit_cfg:
-        spec = dict(cfg.similarity)
-        spec.update(audit_cfg["similarity"])
-        base_rules = RunConfig(similarity=spec).rules_for(schema)
+    base_rules = cfg.audit_rules_for(schema)
     scales = audit_cfg.get("scales", [round(0.05 * k, 10) for k in range(1, 21)])
     fractions = audit_cfg.get("fractions", [0.1, 0.2, 0.3])
     runs = int(audit_cfg.get("runs", 100))

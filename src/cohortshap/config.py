@@ -19,6 +19,8 @@ from .similarity import (
     Identity,
     RangeFraction,
     RelativeThreshold,
+    SimilarityError,
+    check_rules,
 )
 
 METHODS = ("cs", "cs2", "bs", "bs2", "abs", "abs2", "var")
@@ -78,6 +80,17 @@ def rule_from_json(obj):
     except (KeyError, TypeError, ValueError) as exc:
         raise _spec_error("similarity", obj, exc) from None
     raise ConfigError(f"unknown similarity kind {kind!r}")
+
+
+def rules_from_json(spec, schema, what: str) -> list:
+    """One rule per column: its own spec, else "default", else identity."""
+    if not isinstance(spec, dict):
+        raise ConfigError(f"{what} must be an object of per-column specs")
+    unknown = set(spec) - {"default", *(col.name for col in schema)}
+    if unknown:
+        raise ConfigError(f"{what} keys name no column: {sorted(unknown)}")
+    default = spec.get("default")
+    return [rule_from_json(spec.get(col.name, default)) for col in schema]
 
 
 def model_from_json(obj):
@@ -159,13 +172,12 @@ class RunConfig:
             raise ConfigError(f"bad target list {self.targets!r}") from None
 
     def rules_for(self, schema) -> list:
-        """One rule per column: its own spec, else "default", else identity."""
-        if not isinstance(self.similarity, dict):
-            raise ConfigError("similarity must be an object of per-column specs")
-        default = self.similarity.get("default")
-        return [
-            rule_from_json(self.similarity.get(col.name, default)) for col in schema
-        ]
+        return rules_from_json(self.similarity, schema, "similarity")
+
+    def audit_rules_for(self, schema) -> list:
+        """The realism curve's rules: audit similarity specs over the run's."""
+        spec = {**self.similarity, **self.audit.get("similarity", {})}
+        return rules_from_json(spec, schema, "audit similarity")
 
     def parsed_model(self):
         if self.model is None:
@@ -189,6 +201,8 @@ class RunConfig:
         for key in ("scales", "fractions"):
             if key in self.audit:
                 _check_numbers(f"audit {key}", self.audit[key])
+                if not self.audit[key]:
+                    raise ConfigError(f"audit {key} must not be empty")
         fractions = self.audit.get("fractions", [])
         if not all(0 < f < 1 for f in fractions):
             raise ConfigError(f"audit fractions must lie in (0, 1), got {fractions!r}")
@@ -239,5 +253,9 @@ class RunConfig:
                 f"method {self.method!r} needs predictions: a prediction_column, "
                 "a predictions file, or a model to evaluate"
             )
-        self.rules_for(schema)
+        for rules in (self.rules_for(schema), self.audit_rules_for(schema)):
+            try:
+                check_rules(rules, schema)
+            except SimilarityError as exc:
+                raise ConfigError(str(exc)) from None
         self.parsed_targets()

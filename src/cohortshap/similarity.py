@@ -6,12 +6,15 @@ subjects whose pattern contains u, and its value is their mean prediction
 minus the grand mean. :func:`match_codes` builds the patterns,
 :func:`cohort_value_tables` all 2^d values by a pattern histogram plus a
 superset-sum transform, and :func:`cohort_values` only the subsets asked for.
+Each resolved rule type owns its closeness test (``close``) and the largest
+gap it accepts (``radius``); no other module knows the rule types.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -33,13 +36,26 @@ class SimilarityError(ValueError):
 
 @dataclass(frozen=True)
 class Identity:
+    """Close exactly when equal; the only rule a categorical column takes."""
+
+    kinds: ClassVar[tuple[str, ...]] = ("numeric", "binary", "categorical")
+
     def scaled(self, factor: float) -> "Identity":
         return self
+
+    def close(self, column, center):
+        return column == center
+
+    def radius(self, center):
+        return 0.0
 
 
 @dataclass(frozen=True)
 class AbsoluteThreshold:
+    """|x_ij - x_tj| <= delta."""
+
     delta: float
+    kinds: ClassVar[tuple[str, ...]] = ("numeric", "binary")
 
     def __post_init__(self):
         if self.delta < 0:
@@ -48,14 +64,22 @@ class AbsoluteThreshold:
     def scaled(self, factor: float) -> "AbsoluteThreshold":
         return AbsoluteThreshold(self.delta * factor)
 
+    def close(self, column, center):
+        return np.abs(column - center) <= self.delta
+
+    def radius(self, center):
+        return self.delta
+
 
 @dataclass(frozen=True)
 class RangeFraction:
-    """Absolute threshold of frac * (quantile(hi_q) - quantile(lo_q))."""
+    """Absolute threshold of frac * (quantile(hi_q) - quantile(lo_q)); it has
+    no closeness until :func:`resolve_rules` pins it to a dataset."""
 
     frac: float
     lo_q: float = 0.0
     hi_q: float = 1.0
+    kinds: ClassVar[tuple[str, ...]] = ("numeric",)
 
     def __post_init__(self):
         if self.frac < 0:
@@ -66,12 +90,19 @@ class RangeFraction:
     def scaled(self, factor: float) -> "RangeFraction":
         return RangeFraction(self.frac * factor, self.lo_q, self.hi_q)
 
+    def close(self, column, center):
+        raise SimilarityError(f"unresolved rule {self!r}; call resolve_rules first")
+
+    def radius(self, center):
+        return self.close(None, center)
+
 
 @dataclass(frozen=True)
 class RelativeThreshold:
     """|x_ij - x_tj| <= delta * |x_tj|; not symmetric in i and t."""
 
     delta: float
+    kinds: ClassVar[tuple[str, ...]] = ("numeric",)
 
     def __post_init__(self):
         if self.delta < 0:
@@ -79,6 +110,12 @@ class RelativeThreshold:
 
     def scaled(self, factor: float) -> "RelativeThreshold":
         return RelativeThreshold(self.delta * factor)
+
+    def close(self, column, center):
+        return np.abs(column - center) <= self.delta * np.abs(center)
+
+    def radius(self, center):
+        return self.delta * np.abs(center)
 
 
 SimilarityRule = Identity | AbsoluteThreshold | RangeFraction | RelativeThreshold
@@ -89,47 +126,37 @@ def scale_rules(rules, factor: float):
     return [r.scaled(factor) for r in rules]
 
 
+def check_rules(rules, schema) -> None:
+    """One rule per column of ``schema``, each of a type the column's kind takes."""
+    rules = list(rules)
+    if len(rules) != len(schema):
+        raise SimilarityError(f"{len(rules)} rules for {len(schema)} columns")
+    for rule, col in zip(rules, schema):
+        if col.kind not in rule.kinds:
+            raise SimilarityError(
+                f"{col.kind} column {col.name!r} is non-numeric: {rule!r} needs "
+                f"a {' or '.join(rule.kinds)} column"
+            )
+
+
 def resolve_rules(rules, ds: Dataset) -> list[SimilarityRule]:
     """Validate rules against the dataset and pin quantile ranges to thresholds.
 
     Returns one of Identity / AbsoluteThreshold / RelativeThreshold per
     column; RangeFraction is materialized against this dataset's quantiles.
+    Each resolved rule's ``close(column, center)`` is the closeness test and
+    ``radius(center)`` the largest gap it accepts.
     """
     rules = list(rules)
-    if len(rules) != ds.d:
-        raise SimilarityError(f"{len(rules)} rules for {ds.d} columns")
+    check_rules(rules, ds.schema)
     resolved: list[SimilarityRule] = []
     for j, rule in enumerate(rules):
-        kind = ds.kind(j)
-        if kind == "categorical" and not isinstance(rule, Identity):
-            raise SimilarityError(
-                f"column {ds.names[j]!r} is categorical and needs identity similarity"
-            )
-        if isinstance(rule, RelativeThreshold) and kind != "numeric":
-            raise SimilarityError(
-                f"relative threshold on non-numeric column {ds.names[j]!r}"
-            )
         if isinstance(rule, RangeFraction):
             width = quantile(ds, j, rule.hi_q) - quantile(ds, j, rule.lo_q)
             resolved.append(AbsoluteThreshold(rule.frac * width))
         else:
             resolved.append(rule)
     return resolved
-
-
-def _column_close(rule: SimilarityRule, column: np.ndarray, center) -> np.ndarray:
-    """Boolean closeness of ``column`` entries to target value(s) ``center``.
-
-    ``center`` may be a scalar (one target) or a column vector of targets,
-    in which case the result broadcasts to (targets, subjects).
-    """
-    if isinstance(rule, Identity):
-        return column == center
-    if isinstance(rule, AbsoluteThreshold):
-        return np.abs(column - center) <= rule.delta
-    if isinstance(rule, RelativeThreshold):
-        return np.abs(column - center) <= rule.delta * np.abs(center)
-    raise SimilarityError(f"unresolved rule {rule!r}; call resolve_rules first")
 
 
 class SimilarityMatrix:
@@ -197,7 +224,7 @@ def match_codes(X: np.ndarray, resolved, points: np.ndarray) -> np.ndarray:
     points = np.atleast_2d(points)
     codes = np.zeros((len(points), len(X)), dtype=np.int64)
     for j, rule in enumerate(resolved):
-        close = _column_close(rule, X[None, :, j], points[:, j][:, None])
+        close = rule.close(X[None, :, j], points[:, j][:, None])
         codes |= close.astype(np.int64) << j
     return codes
 

@@ -20,8 +20,9 @@ from cohortshap import (
     shapley_exact,
     write_realism_csv,
 )
-from cohortshap.audit import _hybrid_flags, _min_witness_scale
-from cohortshap.similarity import resolve_rules
+from cohortshap.audit import _derive_seed, _hybrid_flags, _min_witness_scale
+from cohortshap.dataset import split_holdout
+from cohortshap.similarity import resolve_rules, scale_rules
 
 from .conftest import random_dataset, t8_target
 
@@ -85,6 +86,62 @@ def test_min_witness_scale_matches_flags():
         scaled = [Identity(), AbsoluteThreshold(scale), AbsoluteThreshold(scale)]
         expect = [is_realistic(p, ds, scaled).realistic for p in pts]
         assert np.array_equal(min_scale <= scale, expect)
+
+
+def _predicate_rate(points, ref: Dataset, rules) -> float:
+    return float(np.mean([is_realistic(p, ref, rules).realistic for p in points]))
+
+
+def test_realism_curve_rates_are_predicate_rates():
+    # Integer gaps put witness scales on the configured scales, where the
+    # scan's ratio and the predicate round apart: 3 / 5 rounds above 0.6
+    # although 3 <= 5 * 0.6, and 1.8 / (0.5 * 3) rounds to 1.2 although
+    # 1.8 > 0.5 * 1.2 * 3. Every rate must still be is_realistic's.
+    # Rows with c = 1 have a in {0, 6} and b = 1.2, so a sample with c = 1
+    # and a = 3 or b = 3.0 has only such boundary witnesses.
+    rng = np.random.default_rng(12)
+    n = 40
+    c = rng.choice([0.0, 1.0], n)
+    a = np.where(c == 1, rng.choice([0.0, 6.0], n), rng.choice([0.0, 3.0, 6.0], n))
+    b = np.where(c == 1, 1.2, rng.choice([1.2, 3.0], n))
+    X = np.column_stack([a, b, c])
+    ds = Dataset(
+        schema=(ColumnSchema("a", "numeric"), ColumnSchema("b", "numeric"),
+                ColumnSchema("c", "binary")),
+        X=X,
+    )
+    base = [AbsoluteThreshold(5.0), RelativeThreshold(0.5), Identity()]
+    resolved = resolve_rules(base, ds)
+    scales, fractions, runs, seed, m = [0.6, 1.0, 1.2], [0.25, 0.5], 3, 5, 60
+    screen_misses = 0
+    for reference in ("full", "train"):
+        report = realism_curve(
+            ds, base, scales, fractions, runs=runs, seed=seed,
+            marginal_samples=m, marginal_reference=reference,
+        )
+        marginal = np.zeros(len(scales))
+        holdout = np.zeros((len(scales), len(fractions)))
+        for r in range(runs):
+            source = ds
+            if reference == "train":
+                source, _ = split_holdout(ds, fractions[0], _derive_seed(seed, 2, 0, r))
+            pts = sample_marginal_product(source, m, _derive_seed(seed, 1, r))
+            min_scale = _min_witness_scale(pts, source.X, resolved)
+            for si, scale in enumerate(scales):
+                rules = scale_rules(resolved, scale)
+                flags = [is_realistic(p, source, rules).realistic for p in pts]
+                marginal[si] += np.mean(flags)
+                screen_misses += int(np.sum((min_scale <= scale) != flags))
+            for fi, frac in enumerate(fractions):
+                train, test = split_holdout(ds, frac, _derive_seed(seed, 2, fi, r))
+                for si, scale in enumerate(scales):
+                    rules = scale_rules(resolved, scale)
+                    holdout[si, fi] += _predicate_rate(test.X, train, rules)
+        assert np.allclose(report.marginal_rates, marginal / runs, rtol=0, atol=1e-12)
+        assert np.allclose(report.holdout_rates, holdout / runs, rtol=0, atol=1e-12)
+        assert (np.diff(report.marginal_rates) >= 0).all()
+        assert (np.diff(report.holdout_rates, axis=0) >= 0).all()
+    assert screen_misses > 0  # the data does reach the ulp boundaries
 
 
 def test_full_factorial_marginal_rate_one(t8):

@@ -18,7 +18,11 @@ TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
 
 # Hooks the tracer still names although the code behind them is gone; the
 # benchmark drops them at its next change.
-KNOWN_ABSENT = {"aggregate.cohort_value_sweep", "audit.realism_flags"}
+KNOWN_ABSENT = {
+    "aggregate.cohort_value_sweep",
+    "audit.realism_flags",
+    "similarity._column_close",
+}
 
 
 def _tracing():

@@ -6,7 +6,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cohortshap import cli
+from cohortshap import (
+    AbsoluteThreshold,
+    ColumnSchema,
+    Dataset,
+    aggregate_squared_cs,
+    attach_predictions,
+    cli,
+)
 from cohortshap.cli import main
 
 REPO = Path(__file__).resolve().parent.parent
@@ -118,6 +125,36 @@ def test_global_command(workdir, capsys):
     out = capsys.readouterr().out
     assert "disaggregation residual" in out
     assert payload["disaggregation_residual"] <= 1e-9 * 1.25
+
+
+def test_global_mc_reports_stderr_not_residual(workdir, capsys):
+    # the MC direct route has no residual against the exact aggregate; it
+    # reports its standard errors instead
+    rng = np.random.default_rng(8)
+    X = rng.integers(0, 4, size=(60, 5)).astype(float)
+    y = X @ rng.normal(size=5) + rng.normal(size=60)
+    names = [f"c{j}" for j in range(5)]
+    rows = [",".join([*names, "pred"])]
+    rows += [",".join(repr(float(v)) for v in (*x, p)) for x, p in zip(X, y)]
+    (workdir / "rand.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
+    cfg = t8_config(
+        workdir, data="rand.csv", schema={name: "numeric" for name in names},
+        similarity={"default": {"kind": "abs", "delta": 1.0}}, method="var",
+        engine="mc", permutations=200, seed=4,
+    )
+    assert run_cli(["global", "--config", cfg]) == 0
+    assert "disaggregation residual" not in capsys.readouterr().out
+    payload = json.loads((workdir / "out" / "global_var.json").read_text())
+    assert "disaggregation_residual" not in payload
+    assert payload["permutations"] == 200
+    stderr = np.array([payload["stderr"][name] for name in names])
+    assert np.isfinite(stderr).all() and (stderr > 0).all()
+    ds = attach_predictions(
+        Dataset(schema=tuple(ColumnSchema(name, "numeric") for name in names), X=X), y
+    )
+    agg = aggregate_squared_cs(ds, [AbsoluteThreshold(1.0)] * 5)
+    phi = np.array([payload["phi"][name] for name in names])
+    assert (np.abs(phi - agg.phi_var) <= 4 * stderr).all()
 
 
 def test_audit_command(workdir):
@@ -239,6 +276,15 @@ def _wide_config(workdir, d=64):
         ("local", {"method": "bs", "model": LINEAR_SPEC, "baseline": [0.5]}),
         ("local", {"method": "bs", "model": LINEAR_SPEC, "baseline": ["a", "b", "c"]}),
         ("audit", {"model": LINEAR_SPEC, "baseline": "median"}),
+        ("audit", {"audit": {"fractions": [], "marginal_reference": "train"}}),
+        ("audit", {"audit": {"scales": []}}),
+        ("local", {"similarity": {"x9": {"kind": "identity"}}}),
+        ("audit", {"audit": {"similarity": {"x9": {"kind": "identity"}}}}),
+        ("local", {"similarity": {"x1": {"kind": "relative", "delta": 0.5}}}),
+        ("local", {"similarity": {"x1": {"kind": "range_fraction", "frac": 0.1}}}),
+        ("local", {"schema": {"x1": "categorical", "x2": "binary", "x3": "binary"},
+                   "similarity": {"default": {"kind": "abs", "delta": 1.0}}}),
+        ("audit", {"audit": {"similarity": {"x2": {"kind": "relative", "delta": 1}}}}),
     ],
     ids=["abs-no-delta", "linear-no-coefficients", "similarity-list",
          "delta-not-a-number", "local-d64-mc", "global-d64-mc", "audit-list-audit",
@@ -247,7 +293,10 @@ def _wide_config(workdir, d=64):
          "out-int", "audit-scales-int", "audit-runs-str", "marginal-samples-str",
          "audit-similarity-int", "audit-fraction-above-1", "audit-fraction-0",
          "marginal-reference-int", "baseline-median", "baseline-short",
-         "baseline-strings", "audit-baseline-median"],
+         "baseline-strings", "audit-baseline-median", "audit-fractions-empty",
+         "audit-scales-empty", "similarity-key-typo", "audit-similarity-key-typo",
+         "relative-on-binary", "range-fraction-on-binary", "abs-on-categorical",
+         "audit-relative-on-binary"],
 )
 def test_config_holes_exit_2(workdir, capsys, command, extra):
     cfg = _wide_config(workdir) if extra == "d64" else t8_config(workdir, **extra)

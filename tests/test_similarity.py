@@ -62,6 +62,28 @@ def test_resolve_guards():
         resolve_rules([Identity(), RelativeThreshold(0.1)], ds)
     with pytest.raises(SimilarityError, match="3 rules"):
         resolve_rules([Identity(), Identity(), Identity()], ds)
+    with pytest.raises(SimilarityError, match="non-numeric"):
+        resolve_rules([Identity(), RangeFraction(0.1)], ds)
+    with pytest.raises(SimilarityError, match="unresolved"):
+        match_codes(ds.X, [Identity(), RangeFraction(0.1)], ds.X[0])
+
+
+TIES = st.sampled_from([0.0, -0.0, 1.0, 1.2, 1.8, 3.0, -3.0, 5.0])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    values=st.lists(st.one_of(TIES, st.floats(-1e6, 1e6)), min_size=1, max_size=12),
+    delta=st.one_of(st.just(0.0), st.sampled_from([0.5, 5.0]), st.floats(0.0, 1e3)),
+    pick=st.integers(0, 11),
+)
+def test_close_is_gap_within_radius(values, delta, pick):
+    col = np.array(values)
+    for rule in (Identity(), AbsoluteThreshold(delta), RelativeThreshold(delta)):
+        # one centre, and every entry as a centre (the match_codes broadcast)
+        for center in (col[pick % len(col)], col[:, None]):
+            gap = np.abs(col - center)
+            assert np.array_equal(rule.close(col, center), gap <= rule.radius(center))
 
 
 def test_zero_threshold_equals_identity():
