@@ -7,6 +7,7 @@ spawned, so a bad config never reaches computation.
 from __future__ import annotations
 
 import json
+import math
 import operator
 import os
 from dataclasses import dataclass, field
@@ -102,8 +103,10 @@ def model_from_json(obj):
         if not isinstance(obj.get("path"), str):
             raise ConfigError("predictions model needs a file path")
         return None
-    if kind == "external" and isinstance(obj.get("command"), str):
-        raise ConfigError("external command must be an argv list")
+    if kind == "external" and not (
+        isinstance(obj.get("command"), list) and obj["command"]
+    ):
+        raise ConfigError("external command must be a non-empty argv list")
     try:
         if kind == "linear":
             return LinearModel(tuple(float(c) for c in obj["coefficients"]),
@@ -189,6 +192,24 @@ class RunConfig:
             return self.model["path"]
         return None
 
+    def _check_cube_probs(self) -> None:
+        """cube_probs: per-coordinate probabilities, or corner probabilities
+        of a product measure; the length is checked when the values are
+        inline."""
+        if "cube_probs" not in self.audit:
+            return
+        probs = self.audit["cube_probs"]
+        _check_numbers("audit cube_probs", probs)
+        if not all(0 <= p <= 1 for p in probs):
+            raise ConfigError(f"audit cube_probs must lie in [0, 1], got {probs!r}")
+        if isinstance(self.cube_values, list):
+            d = len(self.cube_values).bit_length() - 1
+            if len(probs) not in (d, 1 << d):
+                raise ConfigError(
+                    f"audit cube_probs needs {d} coordinate probabilities "
+                    f"for {len(self.cube_values)} cube values, got {len(probs)}"
+                )
+
     def validate(self, command: str) -> None:
         _check_int("permutations", self.permutations, 0)
         _check_int("seed", self.seed, 0)
@@ -203,6 +224,9 @@ class RunConfig:
                 _check_numbers(f"audit {key}", self.audit[key])
                 if not self.audit[key]:
                     raise ConfigError(f"audit {key} must not be empty")
+        scales = self.audit.get("scales", [])
+        if not all(math.isfinite(s) and s >= 0 for s in scales):
+            raise ConfigError(f"audit scales must be finite and >= 0, got {scales!r}")
         fractions = self.audit.get("fractions", [])
         if not all(0 < f < 1 for f in fractions):
             raise ConfigError(f"audit fractions must lie in (0, 1), got {fractions!r}")
@@ -222,6 +246,7 @@ class RunConfig:
         if command == "cube":
             if self.cube_values is None:
                 raise ConfigError("cube command needs cube_values")
+            self._check_cube_probs()
             return
         if self.data is None:
             raise ConfigError("no data file configured")

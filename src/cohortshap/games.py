@@ -5,9 +5,11 @@ every subject, built from observed predictions by the kernels of
 :mod:`similarity`: a 2^d table up to EXACT_CAP features, else scored per
 requested subset. One baseline game (bs, bs2, abs, abs2) queries a model at
 the hybrids of the target with k baseline rows: the configured baseline for
-bs/bs2, every observed row for abs/abs2. Every game maps a feature-subset
-bitmask to a real value with value(empty) = 0, caches what it has evaluated,
-and batches model calls.
+bs/bs2, every observed row for abs/abs2. The baseline rows are the hybrids
+of the empty set, so they ride the game's first model call instead of a
+call of their own. Every game maps a feature-subset bitmask to a real value
+with value(empty) = 0, caches what it has evaluated, and batches model
+calls.
 """
 
 from __future__ import annotations
@@ -204,12 +206,17 @@ class _BaselineGame(Game):
         self.model = model
         self.x_t = ds.X[t].copy()
         self.baselines = baselines
-        self.f_b = predict(model, baselines)
+        self.f_b: np.ndarray | None = None  # model at the baselines, once called
 
     def _diff_chunks(self, masks):
         """Per-baseline differences of ``masks``, one chunk of about
-        POINT_CHUNK hybrid points, hence one model call, at a time."""
+        POINT_CHUNK hybrid points, hence one model call, at a time. Until
+        ``f_b`` is known, the first chunk leads with the empty set, whose
+        hybrids are the baseline rows."""
         masks = np.asarray(masks, dtype=np.int64)
+        lead = self.f_b is None
+        if lead:
+            masks = np.concatenate([np.zeros(1, dtype=np.int64), masks])
         k = len(self.baselines)
         chunk = max(1, POINT_CHUNK // (k * self.d))
         for s in range(0, len(masks), chunk):
@@ -217,6 +224,8 @@ class _BaselineGame(Game):
             take = (block[:, None] >> np.arange(self.d) & 1).astype(bool)
             pts = np.where(take[:, None, :], self.x_t, self.baselines)
             diff = predict(self.model, pts.reshape(-1, self.d)).reshape(len(block), k)
+            if lead:
+                self.f_b, diff, lead = diff[0].copy(), diff[1:], False
             diff -= self.f_b
             yield diff * diff if self.squared else diff
 

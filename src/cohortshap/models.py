@@ -2,9 +2,12 @@
 
 The external-command protocol is line-oriented and order-preserving: the
 query points go to the child's standard input as CSV rows of d decimal
-fields, EOF closes the stream, and the child answers with one decimal per
-line. A nonzero exit status, a short/garbled reply or a non-finite value is
-a model failure.
+fields (shortest round-trip ``repr``), EOF closes the stream, and the child
+answers with one decimal per line. The command is treated as a pure
+function, so each distinct row of a call is sent once, in order of first
+appearance, and its prediction is scattered back to every copy. A nonzero
+exit status, a short/garbled reply, a non-finite value or a call that runs
+past EXTERNAL_TIMEOUT_S is a model failure.
 """
 
 from __future__ import annotations
@@ -15,6 +18,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import Dataset
+
+# Seconds one external call may take. A baseline game sends at most
+# games.POINT_CHUNK (4M) points per call, and a plain-Python child needs
+# about 13 us per point, so a full chunk takes about 55 s.
+EXTERNAL_TIMEOUT_S = 600
+
+# Rows formatted per block, which bounds the intermediate strings.
+ROW_BLOCK = 1 << 14
 
 
 class ModelError(RuntimeError):
@@ -58,32 +69,78 @@ def _sigmoid(eta: np.ndarray) -> np.ndarray:
     return out
 
 
-def _points_csv(points: np.ndarray) -> str:
-    lines = [",".join(repr(float(v)) for v in row) for row in points]
-    return "\n".join(lines) + "\n"
+def _first_rows(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rows of ``bits`` that hold each distinct row first, in order, and the
+    index of every row among them. Row keys combine the per-column codes in
+    mixed radix, re-ranked before the radix product would pass 2^62."""
+    key = np.zeros(len(bits), dtype=np.int64)
+    base = 1
+    for col in bits.T:
+        vals, code = np.unique(col, return_inverse=True)
+        if base * len(vals) > 1 << 62:
+            ranks, key = np.unique(key, return_inverse=True)
+            base = len(ranks)
+        key = key * len(vals) + code
+        base *= len(vals)
+    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    return first[order], rank[inverse]
+
+
+def _distinct_csv(points: np.ndarray) -> tuple[str, np.ndarray]:
+    """CSV text of the distinct rows of ``points`` in order of first
+    appearance, and the index of every point's row in it.
+
+    Rows compare by bit pattern, so -0.0 and 0.0 (and NaN payloads) stay
+    apart. Each block of ROW_BLOCK rows formats each of its distinct values
+    once per column and joins the tokens.
+    """
+    bits = np.ascontiguousarray(points, dtype=float).view(np.int64)
+    rows, inverse = _first_rows(bits)
+    if len(rows) < len(bits):
+        bits = bits[rows]
+    parts = []
+    for s in range(0, len(bits), ROW_BLOCK):
+        cols = []
+        for col in bits[s : s + ROW_BLOCK].T:
+            vals, code = np.unique(col, return_inverse=True)
+            tokens = np.array([repr(v) for v in vals.view(float).tolist()], dtype=object)
+            cols.append(tokens[code].tolist())
+        parts.append("\n".join(map(",".join, zip(*cols))) + "\n")
+    return "".join(parts), inverse
 
 
 def _run_external(model: ExternalCommand, points: np.ndarray) -> np.ndarray:
-    proc = subprocess.run(
-        list(model.command),
-        input=_points_csv(points),
-        capture_output=True,
-        text=True,
-    )
+    text, inverse = _distinct_csv(points)
+    sent = text.count("\n")
+    try:
+        proc = subprocess.run(
+            list(model.command),
+            input=text,
+            capture_output=True,
+            text=True,
+            timeout=EXTERNAL_TIMEOUT_S,
+        )
+    except subprocess.TimeoutExpired:
+        raise ModelError(
+            f"external model timed out after {EXTERNAL_TIMEOUT_S} s"
+        ) from None
     if proc.returncode != 0:
         raise ModelError(
             f"external model exited {proc.returncode}: {proc.stderr.strip()[:200]}"
         )
     lines = proc.stdout.split()
-    if len(lines) != len(points):
+    if len(lines) != sent:
         raise ModelError(
-            f"external model returned {len(lines)} predictions for {len(points)} points"
+            f"external model returned {len(lines)} predictions for {sent} points"
         )
     try:
         preds = np.array([float(s) for s in lines])
     except ValueError as exc:
         raise ModelError(f"garbled external model output: {exc}") from None
-    return preds
+    return preds[inverse]
 
 
 def predict(model: ModelAdapter, points) -> np.ndarray:

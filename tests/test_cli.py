@@ -1,6 +1,8 @@
 import json
+import os
 import shutil
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +15,7 @@ from cohortshap import (
     aggregate_squared_cs,
     attach_predictions,
     cli,
+    models,
 )
 from cohortshap.cli import main
 
@@ -285,6 +288,14 @@ def _wide_config(workdir, d=64):
         ("local", {"schema": {"x1": "categorical", "x2": "binary", "x3": "binary"},
                    "similarity": {"default": {"kind": "abs", "delta": 1.0}}}),
         ("audit", {"audit": {"similarity": {"x2": {"kind": "relative", "delta": 1}}}}),
+        ("local", {"method": "bs", "model": {"kind": "external", "command": []}}),
+        ("local", {"method": "bs", "model": {"kind": "external", "command": {}}}),
+        ("audit", {"audit": {"scales": [0.5, -1.0]}}),
+        ("audit", {"audit": {"scales": [float("nan")]}}),
+        ("cube", {"cube_values": [0.0, 1.0, 2.0, 4.0], "audit": {"cube_probs": "x"}}),
+        ("cube", {"cube_values": [0.0, 1.0, 2.0, 4.0], "audit": {"cube_probs": [2.0]}}),
+        ("cube", {"cube_values": [0.0, 1.0, 2.0, 4.0],
+                  "audit": {"cube_probs": [0.5, 0.5, 0.5]}}),
     ],
     ids=["abs-no-delta", "linear-no-coefficients", "similarity-list",
          "delta-not-a-number", "local-d64-mc", "global-d64-mc", "audit-list-audit",
@@ -296,7 +307,9 @@ def _wide_config(workdir, d=64):
          "baseline-strings", "audit-baseline-median", "audit-fractions-empty",
          "audit-scales-empty", "similarity-key-typo", "audit-similarity-key-typo",
          "relative-on-binary", "range-fraction-on-binary", "abs-on-categorical",
-         "audit-relative-on-binary"],
+         "audit-relative-on-binary", "external-command-empty",
+         "external-command-object", "audit-scale-negative", "audit-scale-nan",
+         "cube-probs-str", "cube-probs-above-1", "cube-probs-wrong-length"],
 )
 def test_config_holes_exit_2(workdir, capsys, command, extra):
     cfg = _wide_config(workdir) if extra == "d64" else t8_config(workdir, **extra)
@@ -325,6 +338,24 @@ def test_runtime_errors_exit_1(workdir, capsys):
         model={"kind": "external", "command": ["/nonexistent/model"]},
     )
     assert run_cli(["local", "--config", cfg]) == 1
+
+
+def test_hung_external_model_times_out(workdir, capsys, monkeypatch):
+    monkeypatch.setattr(models, "EXTERNAL_TIMEOUT_S", 0.5)
+    child = ("import os, time\n"
+             "open('child.pid', 'w').write(str(os.getpid()))\n"
+             "time.sleep(60)\n")
+    command = [sys.executable, "-c", child]
+    cfg = t8_config(workdir, method="bs", model={"kind": "external", "command": command})
+    start = time.monotonic()
+    assert run_cli(["local", "--config", cfg]) == 1
+    assert time.monotonic() - start < 10
+    err = capsys.readouterr().err
+    assert "error: external model timed out after 0.5 s" in err
+    assert "Traceback" not in err
+    # the child was killed and reaped
+    with pytest.raises(ProcessLookupError):
+        os.kill(int((workdir / "child.pid").read_text()), 0)
 
 
 @pytest.mark.parametrize("error", [MemoryError, OverflowError])

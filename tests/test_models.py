@@ -1,7 +1,10 @@
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cohortshap import (
     ColumnSchema,
@@ -13,6 +16,8 @@ from cohortshap import (
     ModelError,
     PerfectSeparationError,
     fit_logistic,
+    make_game,
+    models,
     predict,
 )
 
@@ -70,7 +75,8 @@ def test_external_command_failures(tmp_path):
     short = tmp_path / "short.py"
     short.write_text("print(1.0)\n", encoding="utf-8")
     with pytest.raises(ModelError, match="returned 1 predictions for 2"):
-        predict(ExternalCommand((sys.executable, str(short))), np.zeros((2, 2)))
+        # two distinct rows: duplicate rows are sent once
+        predict(ExternalCommand((sys.executable, str(short))), np.eye(2))
 
     garbled = tmp_path / "garbled.py"
     garbled.write_text(
@@ -124,3 +130,148 @@ def test_fit_iteration_cap():
     labels = (ds.y > 1.4).astype(float)
     with pytest.raises((ConvergenceError, PerfectSeparationError)):
         fit_logistic(ds, labels, iterations=1)
+
+
+def points_csv(points) -> str:
+    """The per-value formatter the external protocol is defined by."""
+    lines = [",".join(repr(float(v)) for v in row) for row in points]
+    return "\n".join(lines) + "\n"
+
+
+def first_rows(points) -> list[int]:
+    """Index of each distinct row's first appearance, compared bit for bit."""
+    seen = {}
+    for i, row in enumerate(np.asarray(points).view(np.int64).tolist()):
+        seen.setdefault(tuple(row), i)
+    return list(seen.values())
+
+
+def check_distinct_csv(points) -> None:
+    text, inverse = models._distinct_csv(points)
+    rows = first_rows(points)
+    assert text == points_csv(points[rows])
+    sent = points[rows][inverse]
+    assert (sent.view(np.int64) == points.view(np.int64)).all()
+
+
+NAN_PAYLOAD = np.array([0x7FF8000000000001], dtype=np.int64).view(float)[0]
+SPECIALS = [0.0, -0.0, np.nan, NAN_PAYLOAD, np.inf, -np.inf, 5e-324, -5e-324,
+            2.2250738585072014e-308 / 3, 1e308, -1e308, 0.1, 1.0, -2.5]
+VALUES = st.one_of(st.sampled_from(SPECIALS), st.floats(allow_nan=True))
+
+
+@st.composite
+def repeated_rows(draw):
+    d = draw(st.integers(1, 5))
+    base = draw(st.lists(st.lists(VALUES, min_size=d, max_size=d), min_size=1, max_size=12))
+    picks = draw(st.lists(st.integers(0, len(base) - 1), min_size=1, max_size=30))
+    return np.array(base, dtype=float)[picks]
+
+
+@settings(max_examples=200, deadline=None)
+@given(repeated_rows())
+def test_distinct_csv_matches_per_value_repr(points):
+    check_distinct_csv(points)
+
+
+def test_distinct_csv_edge_shapes():
+    check_distinct_csv(np.array([[-0.0]]))
+    check_distinct_csv(np.array([[0.0], [-0.0], [0.0], [np.nan], [NAN_PAYLOAD]]))
+    # more rows than one block, with repeated values in every column
+    rng = np.random.default_rng(0)
+    n = 2 * models.ROW_BLOCK + 7
+    points = np.column_stack([
+        rng.normal(size=n),
+        rng.choice(SPECIALS, size=n),
+        rng.integers(0, 3, size=n) - 0.0 * rng.integers(0, 2, size=n),
+    ])
+    points[5:9] = points[0]  # whole-row repeats
+    check_distinct_csv(points)
+    # no repeated row: the bytes of the per-value formatter, in row order
+    text, inverse = models._distinct_csv(points[9:])
+    assert text == points_csv(points[9:])
+    assert (inverse == np.arange(n - 9)).all()
+
+
+def _peak_bytes(fn, points) -> int:
+    tracemalloc.start()
+    try:
+        fn(points)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_distinct_csv_memory_is_bounded():
+    points = np.random.default_rng(1).normal(size=(200_000, 8))
+    assert _peak_bytes(models._distinct_csv, points) <= _peak_bytes(points_csv, points)
+
+
+LOGGING_SCRIPT = (
+    "import os, sys\n"
+    "log, coef = sys.argv[1], [float(c) for c in sys.argv[2:]]\n"
+    "text = sys.stdin.read()\n"
+    "with open(os.path.join(log, str(len(os.listdir(log))) + '.csv'), 'w') as fh:\n"
+    "    fh.write(text)\n"
+    "for line in text.splitlines():\n"
+    "    print(repr(sum(c * float(v) for c, v in zip(coef, line.split(',')))))\n"
+)
+
+
+class LoggingModel:
+    """An external linear model whose child keeps what each spawn received."""
+
+    def __init__(self, tmp_path, coef):
+        script = tmp_path / "logging_model.py"
+        script.write_text(LOGGING_SCRIPT, encoding="utf-8")
+        self.log = tmp_path / "calls"
+        self.log.mkdir()
+        self.model = ExternalCommand(
+            (sys.executable, str(script), str(self.log), *map(repr, coef))
+        )
+        self.linear = LinearModel(tuple(coef))
+
+    def received(self) -> list[str]:
+        return [(self.log / f"{i}.csv").read_text() for i in range(self.spawns)]
+
+    @property
+    def spawns(self) -> int:
+        return len(list(self.log.iterdir()))
+
+
+COEF = (0.75, -1.5, 2.0, 0.125, -0.5, 1.25)
+
+
+@pytest.mark.parametrize("method", ["bs", "bs2", "abs", "abs2"])
+def test_baseline_game_table_spawns_once(tmp_path, method):
+    ds = random_dataset(12, 6, seed=4)
+    logged = LoggingModel(tmp_path, COEF)
+    table = make_game(method, ds, 3, model=logged.model).value_table()
+    assert logged.spawns == 1
+    expected = make_game(method, ds, 3, model=logged.linear).value_table()
+    np.testing.assert_allclose(table, expected, rtol=0, atol=1e-12)
+
+
+def test_mc_baseline_game_spawns_once_per_new_masks(tmp_path):
+    ds = random_dataset(12, 6, seed=5)
+    logged = LoggingModel(tmp_path, COEF)
+    game = make_game("bs", ds, 2, model=logged.model)
+    game.values([3, 5, 63])
+    assert logged.spawns == 1
+    game.values([5, 0, 3])
+    assert logged.spawns == 1
+    game.values([5, 7, 9])
+    assert logged.spawns == 2
+    # the baseline row rode the first call only
+    assert len(logged.received()[0].splitlines()) == 4
+    assert len(logged.received()[1].splitlines()) == 2
+
+
+def test_external_rows_sent_once_in_first_appearance_order(tmp_path):
+    logged = LoggingModel(tmp_path, COEF)
+    rng = np.random.default_rng(6)
+    base = rng.normal(size=(5, 6))
+    points = base[[3, 1, 3, 0, 1, 1, 4, 3]]
+    preds = predict(logged.model, points)
+    assert logged.received() == [points_csv(base[[3, 1, 0, 4]])]
+    np.testing.assert_allclose(preds, predict(logged.linear, points), rtol=0, atol=1e-12)
