@@ -3,15 +3,18 @@
 The external-command protocol is line-oriented and order-preserving: the
 query points go to the child's standard input as CSV rows of d decimal
 fields (shortest round-trip ``repr``), EOF closes the stream, and the child
-answers with one decimal per line. The command is treated as a pure
-function, so each distinct row of a call is sent once, in order of first
-appearance, and its prediction is scattered back to every copy. A nonzero
-exit status, a short/garbled reply, a non-finite value or a call that runs
-past EXTERNAL_TIMEOUT_S is a model failure.
+answers with one decimal per line. The child runs in a session of its
+own; a call that runs past EXTERNAL_TIMEOUT_S kills that session's process
+group, so a wrapper command takes the model it started down with it. A
+nonzero exit status, a short/garbled reply, a non-finite value or a timeout
+is a model failure.
 """
 
 from __future__ import annotations
 
+import contextlib
+import os
+import signal
 import subprocess
 from dataclasses import dataclass
 
@@ -69,38 +72,14 @@ def _sigmoid(eta: np.ndarray) -> np.ndarray:
     return out
 
 
-def _first_rows(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Rows of ``bits`` that hold each distinct row first, in order, and the
-    index of every row among them. Row keys combine the per-column codes in
-    mixed radix, re-ranked before the radix product would pass 2^62."""
-    key = np.zeros(len(bits), dtype=np.int64)
-    base = 1
-    for col in bits.T:
-        vals, code = np.unique(col, return_inverse=True)
-        if base * len(vals) > 1 << 62:
-            ranks, key = np.unique(key, return_inverse=True)
-            base = len(ranks)
-        key = key * len(vals) + code
-        base *= len(vals)
-    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    rank = np.empty_like(order)
-    rank[order] = np.arange(len(order))
-    return first[order], rank[inverse]
+def _csv_text(points: np.ndarray) -> str:
+    """CSV text of ``points``, equal to joining ``repr(float(v))`` per value.
 
-
-def _distinct_csv(points: np.ndarray) -> tuple[str, np.ndarray]:
-    """CSV text of the distinct rows of ``points`` in order of first
-    appearance, and the index of every point's row in it.
-
-    Rows compare by bit pattern, so -0.0 and 0.0 (and NaN payloads) stay
-    apart. Each block of ROW_BLOCK rows formats each of its distinct values
-    once per column and joins the tokens.
+    Each block of ROW_BLOCK rows formats each of its distinct values once
+    per column and joins the tokens. Values compare by bit pattern, so -0.0
+    and 0.0 (and NaN payloads) keep their own ``repr``.
     """
     bits = np.ascontiguousarray(points, dtype=float).view(np.int64)
-    rows, inverse = _first_rows(bits)
-    if len(rows) < len(bits):
-        bits = bits[rows]
     parts = []
     for s in range(0, len(bits), ROW_BLOCK):
         cols = []
@@ -109,38 +88,44 @@ def _distinct_csv(points: np.ndarray) -> tuple[str, np.ndarray]:
             tokens = np.array([repr(v) for v in vals.view(float).tolist()], dtype=object)
             cols.append(tokens[code].tolist())
         parts.append("\n".join(map(",".join, zip(*cols))) + "\n")
-    return "".join(parts), inverse
+    return "".join(parts)
 
 
 def _run_external(model: ExternalCommand, points: np.ndarray) -> np.ndarray:
-    text, inverse = _distinct_csv(points)
-    sent = text.count("\n")
+    text = _csv_text(points)
+    proc = subprocess.Popen(
+        list(model.command),
+        stdin=subprocess.PIPE,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        start_new_session=True,
+    )
     try:
-        proc = subprocess.run(
-            list(model.command),
-            input=text,
-            capture_output=True,
-            text=True,
-            timeout=EXTERNAL_TIMEOUT_S,
-        )
-    except subprocess.TimeoutExpired:
-        raise ModelError(
-            f"external model timed out after {EXTERNAL_TIMEOUT_S} s"
-        ) from None
+        out, err = proc.communicate(text, timeout=EXTERNAL_TIMEOUT_S)
+    except BaseException as exc:
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        if isinstance(exc, subprocess.TimeoutExpired):
+            raise ModelError(
+                f"external model timed out after {EXTERNAL_TIMEOUT_S} s"
+            ) from None
+        raise
     if proc.returncode != 0:
         raise ModelError(
-            f"external model exited {proc.returncode}: {proc.stderr.strip()[:200]}"
+            f"external model exited {proc.returncode}: {err.strip()[:200]}"
         )
-    lines = proc.stdout.split()
-    if len(lines) != sent:
+    lines = out.split()
+    if len(lines) != len(points):
         raise ModelError(
-            f"external model returned {len(lines)} predictions for {sent} points"
+            f"external model returned {len(lines)} predictions for {len(points)} points"
         )
     try:
         preds = np.array([float(s) for s in lines])
     except ValueError as exc:
         raise ModelError(f"garbled external model output: {exc}") from None
-    return preds[inverse]
+    return preds
 
 
 def predict(model: ModelAdapter, points) -> np.ndarray:

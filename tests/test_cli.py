@@ -340,10 +340,25 @@ def test_runtime_errors_exit_1(workdir, capsys):
     assert run_cli(["local", "--config", cfg]) == 1
 
 
+def _running(pid) -> bool:
+    """Whether ``pid`` is a live process; a zombie counts as gone."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return True
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+
 def test_hung_external_model_times_out(workdir, capsys, monkeypatch):
-    monkeypatch.setattr(models, "EXTERNAL_TIMEOUT_S", 0.5)
-    child = ("import os, time\n"
-             "open('child.pid', 'w').write(str(os.getpid()))\n"
+    monkeypatch.setattr(models, "EXTERNAL_TIMEOUT_S", 3)
+    # a wrapper whose model runs as a grandchild, as under `sh -c`
+    child = ("import os, subprocess, sys, time\n"
+             "model = subprocess.Popen([sys.executable, '-c', 'import time; time.sleep(60)'])\n"
+             "open('pids', 'w').write(f'{os.getpid()} {model.pid}')\n"
              "time.sleep(60)\n")
     command = [sys.executable, "-c", child]
     cfg = t8_config(workdir, method="bs", model={"kind": "external", "command": command})
@@ -351,11 +366,14 @@ def test_hung_external_model_times_out(workdir, capsys, monkeypatch):
     assert run_cli(["local", "--config", cfg]) == 1
     assert time.monotonic() - start < 10
     err = capsys.readouterr().err
-    assert "error: external model timed out after 0.5 s" in err
+    assert "error: external model timed out after 3 s" in err
     assert "Traceback" not in err
-    # the child was killed and reaped
-    with pytest.raises(ProcessLookupError):
-        os.kill(int((workdir / "child.pid").read_text()), 0)
+    # the wrapper and the model it started were both killed
+    pids = [int(p) for p in (workdir / "pids").read_text().split()]
+    deadline = time.monotonic() + 5
+    while any(map(_running, pids)) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert not any(map(_running, pids))
 
 
 @pytest.mark.parametrize("error", [MemoryError, OverflowError])

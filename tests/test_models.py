@@ -75,8 +75,7 @@ def test_external_command_failures(tmp_path):
     short = tmp_path / "short.py"
     short.write_text("print(1.0)\n", encoding="utf-8")
     with pytest.raises(ModelError, match="returned 1 predictions for 2"):
-        # two distinct rows: duplicate rows are sent once
-        predict(ExternalCommand((sys.executable, str(short))), np.eye(2))
+        predict(ExternalCommand((sys.executable, str(short))), np.zeros((2, 2)))
 
     garbled = tmp_path / "garbled.py"
     garbled.write_text(
@@ -138,20 +137,8 @@ def points_csv(points) -> str:
     return "\n".join(lines) + "\n"
 
 
-def first_rows(points) -> list[int]:
-    """Index of each distinct row's first appearance, compared bit for bit."""
-    seen = {}
-    for i, row in enumerate(np.asarray(points).view(np.int64).tolist()):
-        seen.setdefault(tuple(row), i)
-    return list(seen.values())
-
-
-def check_distinct_csv(points) -> None:
-    text, inverse = models._distinct_csv(points)
-    rows = first_rows(points)
-    assert text == points_csv(points[rows])
-    sent = points[rows][inverse]
-    assert (sent.view(np.int64) == points.view(np.int64)).all()
+def check_csv_text(points) -> None:
+    assert models._csv_text(points) == points_csv(points)
 
 
 NAN_PAYLOAD = np.array([0x7FF8000000000001], dtype=np.int64).view(float)[0]
@@ -170,27 +157,23 @@ def repeated_rows(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(repeated_rows())
-def test_distinct_csv_matches_per_value_repr(points):
-    check_distinct_csv(points)
+def test_csv_text_matches_per_value_repr(points):
+    check_csv_text(points)
 
 
-def test_distinct_csv_edge_shapes():
-    check_distinct_csv(np.array([[-0.0]]))
-    check_distinct_csv(np.array([[0.0], [-0.0], [0.0], [np.nan], [NAN_PAYLOAD]]))
+def test_csv_text_edge_shapes():
+    check_csv_text(np.array([[-0.0]]))
+    check_csv_text(np.array([[0.0], [-0.0], [0.0], [np.nan], [NAN_PAYLOAD]]))
     # more rows than one block, with repeated values in every column
     rng = np.random.default_rng(0)
     n = 2 * models.ROW_BLOCK + 7
     points = np.column_stack([
         rng.normal(size=n),
         rng.choice(SPECIALS, size=n),
-        rng.integers(0, 3, size=n) - 0.0 * rng.integers(0, 2, size=n),
+        np.copysign(rng.integers(0, 3, size=n), rng.choice([-1.0, 1.0], size=n)),
     ])
     points[5:9] = points[0]  # whole-row repeats
-    check_distinct_csv(points)
-    # no repeated row: the bytes of the per-value formatter, in row order
-    text, inverse = models._distinct_csv(points[9:])
-    assert text == points_csv(points[9:])
-    assert (inverse == np.arange(n - 9)).all()
+    check_csv_text(points)
 
 
 def _peak_bytes(fn, points) -> int:
@@ -202,9 +185,10 @@ def _peak_bytes(fn, points) -> int:
         tracemalloc.stop()
 
 
-def test_distinct_csv_memory_is_bounded():
-    points = np.random.default_rng(1).normal(size=(200_000, 8))
-    assert _peak_bytes(models._distinct_csv, points) <= _peak_bytes(points_csv, points)
+def test_csv_text_memory_is_bounded():
+    # four row blocks of all-distinct values
+    points = np.random.default_rng(1).normal(size=(4 * models.ROW_BLOCK, 8))
+    assert _peak_bytes(models._csv_text, points) <= _peak_bytes(points_csv, points)
 
 
 LOGGING_SCRIPT = (
@@ -267,11 +251,10 @@ def test_mc_baseline_game_spawns_once_per_new_masks(tmp_path):
     assert len(logged.received()[1].splitlines()) == 2
 
 
-def test_external_rows_sent_once_in_first_appearance_order(tmp_path):
+def test_external_rows_sent_in_order(tmp_path):
     logged = LoggingModel(tmp_path, COEF)
-    rng = np.random.default_rng(6)
-    base = rng.normal(size=(5, 6))
+    base = np.random.default_rng(6).normal(size=(5, 6))
     points = base[[3, 1, 3, 0, 1, 1, 4, 3]]
     preds = predict(logged.model, points)
-    assert logged.received() == [points_csv(base[[3, 1, 0, 4]])]
+    assert logged.received() == [points_csv(points)]
     np.testing.assert_allclose(preds, predict(logged.linear, points), rtol=0, atol=1e-12)
