@@ -1,12 +1,17 @@
 """Global sensitivity: variance Shapley, its per-subject disaggregation, and
 panel exports of per-subject attributions ordered by prediction.
 
-The all-targets cohort sweep is the hot path: per chunk of targets it builds
+The cohort sweep is the hot path. :func:`cohort_value_sweep` walks the
+cohort tables of many targets once, a chunk at a time: per chunk it builds
 match-pattern histograms against every subject, superset-sums them into
-cohort count/sum tables and contracts the value tables straight into Shapley
-vectors, so no subset is ever rescanned row by row and no table outlives its
-chunk. :func:`local_attributions` is the one per-target builder: local runs
-and panels of every method and engine go through it.
+cohort count/sum tables, and adds the value tables into a running subject
+sum and/or contracts them straight into Shapley rows, so no subset is ever
+rescanned row by row and no table outlives its chunk. :func:`global_attribution`
+takes both sides of the squared-cohort identity from one such sweep: the
+variance Shapley of the mean squared table (the direct route) and the mean
+of the per-subject squared cohort rows (the disaggregated route).
+:func:`local_attributions` is the one per-target builder: local runs and
+panels of every method and engine go through it.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import Dataset, DatasetError
-from .games import COHORT_METHODS, EXACT_CAP, make_game, make_var_game
+from .games import COHORT_METHODS, EXACT_CAP, TableGame, make_game, make_var_game
 from .shapley import Attribution, _phi_from_tables, shapley_engine
 from .similarity import cohort_table_chunks, resolve_rules
 
@@ -47,22 +52,63 @@ class Panel:
     feature_names: tuple[str, ...]
 
 
-def cs_attribution_sweep(ds: Dataset, rules, targets=None, squared: bool = False):
-    """Exact cohort-Shapley rows for many targets: (phi matrix, totals).
+def cohort_value_sweep(
+    ds: Dataset,
+    resolved,
+    targets=None,
+    squared: bool = False,
+    rows: bool = True,
+    mean: bool = False,
+):
+    """One pass over the cohort tables of ``targets`` (every subject when
+    None) under ``resolved`` rules: (mean table, phi rows, totals).
 
-    Each chunk of cohort tables is contracted as it is built, so memory
-    stays bounded by the chunk, not by targets x 2^d.
+    With ``mean``, each chunk's tables are summed into one 2^d table, chunk
+    after chunk in target order, which is divided by the target count at
+    the end. With ``rows``, each chunk is also contracted into the targets'
+    exact Shapley rows and their totals. What is not asked for is None.
+    Memory stays bounded by the chunk, not by targets x 2^d.
     """
     if ds.d > EXACT_CAP:
         raise DatasetError(f"d={ds.d} too large for the dense cohort sweep")
-    resolved = resolve_rules(rules, ds)
     targets = np.arange(ds.n) if targets is None else np.asarray(targets, np.intp)
-    phi = np.empty((len(targets), ds.d))
-    totals = np.empty(len(targets))
+    table = np.zeros(1 << ds.d) if mean else None
+    phi = np.empty((len(targets), ds.d)) if rows else None
+    totals = np.empty(len(targets)) if rows else None
     for s, tables in cohort_table_chunks(ds, resolved, targets, squared):
-        phi[s : s + len(tables)] = _phi_from_tables(tables, ds.d)
-        totals[s : s + len(tables)] = tables[:, -1]
+        if mean:
+            table += tables.sum(axis=0)
+        if rows:
+            phi[s : s + len(tables)] = _phi_from_tables(tables, ds.d)
+            totals[s : s + len(tables)] = tables[:, -1]
+    if mean:
+        table /= len(targets)
+    return table, phi, totals
+
+
+def cs_attribution_sweep(ds: Dataset, rules, targets=None, squared: bool = False):
+    """Exact cohort-Shapley rows for many targets: (phi matrix, totals)."""
+    _, phi, totals = cohort_value_sweep(ds, resolve_rules(rules, ds), targets, squared)
     return phi, totals
+
+
+def _direct(att: Attribution) -> GlobalAttribution:
+    return GlobalAttribution(
+        phi_var=att.phi,
+        total_variance=att.total,
+        method="var",
+        stderr=att.stderr,
+        permutations_used=att.permutations_used,
+    )
+
+
+def _disaggregated(phi: np.ndarray, totals: np.ndarray) -> GlobalAttribution:
+    return GlobalAttribution(
+        phi_var=phi.mean(axis=0),
+        total_variance=float(totals.mean()),
+        method="cs2-aggregate",
+        per_subject=phi,
+    )
 
 
 def variance_shapley(
@@ -73,26 +119,39 @@ def variance_shapley(
     seed: int = 0,
 ) -> GlobalAttribution:
     """Shapley split of the variance explained by refining on each feature."""
-    att = shapley_engine(make_var_game(ds, rules), engine, permutations, seed)
-    return GlobalAttribution(
-        phi_var=att.phi,
-        total_variance=att.total,
-        method="var",
-        stderr=att.stderr,
-        permutations_used=att.permutations_used,
-    )
+    return _direct(shapley_engine(make_var_game(ds, rules), engine, permutations, seed))
 
 
 def aggregate_squared_cs(ds: Dataset, rules) -> GlobalAttribution:
     """Average the squared cohort rows of every subject; by additivity this
     reproduces the variance Shapley feature by feature."""
-    phi, totals = cs_attribution_sweep(ds, rules, squared=True)
-    return GlobalAttribution(
-        phi_var=phi.mean(axis=0),
-        total_variance=float(totals.mean()),
-        method="cs2-aggregate",
-        per_subject=phi,
+    return _disaggregated(*cs_attribution_sweep(ds, rules, squared=True))
+
+
+def global_attribution(
+    ds: Dataset,
+    rules,
+    engine: str = "exact",
+    permutations: int = 1000,
+    seed: int = 0,
+    per_subject: bool = False,
+) -> tuple[GlobalAttribution, GlobalAttribution | None]:
+    """The direct route of the squared-cohort identity and, with
+    ``per_subject``, the disaggregated one, from one sweep of the squared
+    cohort tables.
+
+    The direct route is :func:`variance_shapley` by ``engine`` on the mean
+    table, the disaggregated one :func:`aggregate_squared_cs` on the rows
+    contracted from the same chunks; each equals that function's result bit
+    for bit. Without ``per_subject`` the second is None.
+    """
+    if not per_subject:
+        return variance_shapley(ds, rules, engine, permutations, seed), None
+    table, phi, totals = cohort_value_sweep(
+        ds, resolve_rules(rules, ds), squared=True, rows=True, mean=True
     )
+    att = shapley_engine(TableGame(table, "var"), engine, permutations, seed)
+    return _direct(att), _disaggregated(phi, totals)
 
 
 def local_attributions(

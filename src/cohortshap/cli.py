@@ -18,10 +18,9 @@ import time
 import numpy as np
 
 from .aggregate import (
-    aggregate_squared_cs,
+    global_attribution,
     local_attributions,
     make_panel,
-    variance_shapley,
     write_panel_csv,
 )
 from .audit import bs_realism_split, realism_curve, write_realism_csv
@@ -34,7 +33,7 @@ from .cube import (
     shapley_from_anchored,
 )
 from .dataset import DatasetError, attach_predictions, load_csv
-from .games import EXACT_CAP, MODEL_METHODS, TableGame
+from .games import MODEL_METHODS, TableGame
 from .models import ModelError, predict
 from .shapley import Attribution, shapley_exact
 from .similarity import SimilarityError
@@ -149,9 +148,14 @@ def cmd_global(cfg: RunConfig) -> int:
     with _phase("load"):
         ds, _ = _load_dataset(cfg)
         rules = cfg.rules_for(ds.schema)
-    with _phase("variance shapley"):
-        direct = variance_shapley(
-            ds, rules, engine=cfg.engine, permutations=cfg.permutations, seed=cfg.seed
+    # the exact direct route is checked against the disaggregated one; an MC
+    # estimate reports its standard errors instead
+    per_subject = cfg.audit.get("per_subject", False)
+    rows = cfg.engine == "exact" or per_subject
+    with _phase("cohort sweep: variance shapley and per-subject rows"
+                if rows else "variance shapley"):
+        direct, agg = global_attribution(
+            ds, rules, cfg.engine, cfg.permutations, cfg.seed, per_subject=rows
         )
     payload = {
         "method": "var",
@@ -161,27 +165,21 @@ def cmd_global(cfg: RunConfig) -> int:
     if direct.stderr is not None:
         payload["stderr"] = _named(ds.names, direct.stderr)
         payload["permutations"] = direct.permutations_used
-    per_subject = cfg.audit.get("per_subject", False)
-    # an exact direct route implies d <= EXACT_CAP; an MC estimate has no
-    # residual against the exact aggregate, only a standard error
-    if cfg.engine == "exact" or (per_subject and ds.d <= EXACT_CAP):
-        with _phase("per-subject disaggregation"):
-            agg = aggregate_squared_cs(ds, rules)
-        if cfg.engine == "exact":
-            residual = float(np.max(np.abs(direct.phi_var - agg.phi_var)))
-            print(
-                f"disaggregation residual: {residual!r} "
-                f"(budget {1e-9 * max(direct.total_variance, 1e-300)!r})"
-            )
-            payload["disaggregation_residual"] = residual
-        if per_subject:
-            path = os.path.join(cfg.out, "per_subject_cs2.csv")
-            os.makedirs(cfg.out, exist_ok=True)
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write(",".join(["subject", *ds.names]) + "\n")
-                for t in range(ds.n):
-                    row = ",".join(repr(float(v)) for v in agg.per_subject[t])
-                    fh.write(f"{t},{row}\n")
+    if cfg.engine == "exact":
+        residual = float(np.max(np.abs(direct.phi_var - agg.phi_var)))
+        print(
+            f"disaggregation residual: {residual!r} "
+            f"(budget {1e-9 * max(direct.total_variance, 1e-300)!r})"
+        )
+        payload["disaggregation_residual"] = residual
+    if per_subject:
+        path = os.path.join(cfg.out, "per_subject_cs2.csv")
+        os.makedirs(cfg.out, exist_ok=True)
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(",".join(["subject", *ds.names]) + "\n")
+            for t in range(ds.n):
+                row = ",".join(repr(float(v)) for v in agg.per_subject[t])
+                fh.write(f"{t},{row}\n")
     with _phase("emit"):
         _write_json(os.path.join(cfg.out, "global_var.json"), payload)
     return 0
@@ -276,7 +274,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, help_text in (
         ("local", "per-target attributions (and a panel for --targets all)"),
-        ("global", "variance Shapley with per-subject disaggregation"),
+        ("global", "variance Shapley and its per-subject disaggregation from one "
+                   "sweep of the squared cohort tables"),
         ("audit", "realism calibration and realistic/unrealistic splits"),
         ("cube", "decompositions of an explicit 2^d value table"),
     ):

@@ -235,6 +235,11 @@ class RunConfig:
             raise ConfigError(f"unknown audit marginal_reference {reference!r}")
         if "runs" in self.audit:
             _check_int("audit runs", self.audit["runs"], 1)
+        per_subject = self.audit.get("per_subject", False)
+        if not isinstance(per_subject, bool):
+            raise ConfigError(
+                f"audit per_subject must be true or false, got {per_subject!r}"
+            )
         if self.audit.get("marginal_samples") is not None:
             _check_int("audit marginal_samples", self.audit["marginal_samples"], 1)
         if self.method not in METHODS:
@@ -261,6 +266,11 @@ class RunConfig:
         if self.engine == "exact" and d > EXACT_CAP:
             raise ConfigError(
                 f"exact engine capped at d={EXACT_CAP}, got d={d}; use engine=mc"
+            )
+        if command == "global" and per_subject and d > EXACT_CAP:
+            raise ConfigError(
+                f"audit per_subject needs the dense cohort tables, capped at "
+                f"d={EXACT_CAP}; got d={d}"
             )
         if self.baseline != "mean":
             _check_numbers("a baseline other than 'mean'", self.baseline)

@@ -24,7 +24,6 @@ from .similarity import (
     CHUNK_BYTES,
     MAX_CHUNK_TARGETS,
     SimilarityMatrix,
-    cohort_table_chunks,
     cohort_value_tables,
     cohort_values,
     match_codes,
@@ -151,10 +150,11 @@ def _cohort_game(ds: Dataset, method: str, target=None, codes=None, resolved=Non
     if codes is not None:
         table = cohort_value_tables(codes, ds.y, ds.d, squared)
     else:
-        table = np.zeros(1 << ds.d)
-        for _, tables in cohort_table_chunks(ds, resolved, np.arange(ds.n), squared):
-            table += tables.sum(axis=0)
-        table /= ds.n
+        from .aggregate import cohort_value_sweep  # aggregate imports this module
+
+        table, _, _ = cohort_value_sweep(
+            ds, resolved, squared=squared, rows=False, mean=True
+        )
     return TableGame(table, method, target)
 
 

@@ -120,6 +120,8 @@ def shapley_permutation(game: Game, m: int, seed: int) -> Attribution:
     phi = samples.mean(axis=0)
     stderr = samples.std(axis=0, ddof=1) / math.sqrt(m)
     total = float(flat_values[0, -1] - flat_values[0, 0])
+    if not (math.isfinite(total) and np.isfinite(phi).all()):
+        raise ValueError("game total is not finite")
     return Attribution(
         phi=phi,
         total=total,

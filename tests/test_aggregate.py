@@ -5,20 +5,32 @@ import pytest
 
 from cohortshap import (
     AbsoluteThreshold,
+    Dataset,
     Identity,
     LinearModel,
+    RelativeThreshold,
+    TableGame,
     aggregate_squared_cs,
     attach_predictions,
     export_panel,
     make_cs2_game,
     make_cs_game,
     make_var_game,
+    resolve_rules,
+    shapley_engine,
     shapley_exact,
     similarity_row,
     variance_shapley,
     write_panel_csv,
 )
-from cohortshap.aggregate import cs_attribution_sweep
+from cohortshap.aggregate import cs_attribution_sweep, global_attribution
+from cohortshap.shapley import _phi_from_tables
+from cohortshap.similarity import (
+    CHUNK_BYTES,
+    MAX_CHUNK_TARGETS,
+    cohort_value_tables,
+    match_codes,
+)
 
 from .conftest import random_dataset, t8_target
 
@@ -66,8 +78,8 @@ def test_sweep_matches_per_target_games():
 
 
 def test_sweep_memory_bounded_by_chunk():
-    # the sweep contracts each chunk as it is built, so its peak stays below
-    # a single targets x 2^d table of cohort values
+    # the sweeps contract (and sum) each chunk as it is built, so their peaks
+    # stay below a single targets x 2^d table of cohort values
     ds = random_dataset(300, 16, seed=4)
     rules = [AbsoluteThreshold(0.5)] * 16
     full_table = ds.n * (1 << ds.d) * 8
@@ -75,10 +87,66 @@ def test_sweep_memory_bounded_by_chunk():
     try:
         phi, totals = cs_attribution_sweep(ds, rules)
         _, peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        direct, agg = global_attribution(ds, rules, per_subject=True)
+        _, peak_global = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert phi.shape == (300, 16) and np.isfinite(totals).all()
     assert peak < full_table
+    assert agg.per_subject.shape == (300, 16) and np.isfinite(direct.phi_var).all()
+    assert peak_global < full_table
+
+
+def _two_pass(ds, rules, engine):
+    """The direct and disaggregated routes as two separate passes over the
+    squared cohort tables, summed and contracted in the sweep's chunks."""
+    tables = cohort_value_tables(
+        match_codes(ds.X, resolve_rules(rules, ds), ds.X), ds.y, ds.d, squared=True
+    )
+    step = min(MAX_CHUNK_TARGETS, max(1, CHUNK_BYTES // (8 << ds.d)))
+    table = np.zeros(1 << ds.d)
+    for s in range(0, ds.n, step):
+        table += tables[s : s + step].sum(axis=0)
+    table /= ds.n
+    direct = shapley_engine(TableGame(table, "var"), engine, 300, 7)
+    rows = np.concatenate(
+        [_phi_from_tables(tables[s : s + step], ds.d) for s in range(0, ds.n, step)]
+    )
+    return table, direct, rows, tables[:, -1]
+
+
+@pytest.mark.parametrize("engine", ["exact", "mc"])
+@pytest.mark.parametrize("n", [40, 300])
+def test_one_sweep_matches_two_passes_bit_for_bit(engine, n):
+    # identity, absolute, relative and constant columns; 300 subjects take
+    # two chunks at d = 6
+    for seed in (5, 6):
+        ds = random_dataset(n, 6, seed=seed, n_binary=1)
+        X = ds.X.copy()
+        X[:, 5] = 1.5
+        ds = attach_predictions(Dataset(schema=ds.schema, X=X), ds.y)
+        rules = [Identity(), AbsoluteThreshold(0.5), AbsoluteThreshold(0.0),
+                 RelativeThreshold(0.3), RelativeThreshold(0.0), AbsoluteThreshold(0.2)]
+        table, want, rows, totals = _two_pass(ds, rules, engine)
+        direct, agg = global_attribution(ds, rules, engine, 300, 7, per_subject=True)
+        assert np.array_equal(direct.phi_var, want.phi)
+        assert direct.total_variance == want.total
+        if engine == "mc":
+            assert np.array_equal(direct.stderr, want.stderr)
+            assert direct.permutations_used == 300
+        assert np.array_equal(agg.per_subject, rows)
+        assert np.array_equal(agg.phi_var, rows.mean(axis=0))
+        assert agg.total_variance == float(totals.mean())
+        phi, sweep_totals = cs_attribution_sweep(ds, rules, squared=True)
+        assert np.array_equal(phi, rows) and np.array_equal(sweep_totals, totals)
+        # the two public routes give the same numbers on their own
+        alone = variance_shapley(ds, rules, engine, 300, 7)
+        assert np.array_equal(alone.phi_var, want.phi)
+        assert np.array_equal(aggregate_squared_cs(ds, rules).per_subject, rows)
+        assert np.array_equal(make_var_game(ds, rules).value_table(), table)
+        lone, none = global_attribution(ds, rules, engine, 300, 7)
+        assert none is None and np.array_equal(lone.phi_var, want.phi)
 
 
 def test_disaggregation_identity_random():

@@ -160,6 +160,29 @@ def test_global_mc_reports_stderr_not_residual(workdir, capsys):
     assert (np.abs(phi - agg.phi_var) <= 4 * stderr).all()
 
 
+def test_mc_rejects_non_finite_games(workdir, capsys):
+    # predictions of +-1e308 overflow the cohort sums; the exact engine
+    # already refuses such a game, and the MC engine must too, instead of
+    # writing NaN tokens that are not valid JSON
+    rows = ["x1,x2,x3,pred"]
+    for i in range(12):
+        pred = 1e308 if i < 6 else -1e308
+        rows.append(f"{i % 2}.0,{i // 2 % 2}.0,{i // 4 % 2}.0,{pred!r}")
+    (workdir / "big.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
+    cfg = t8_config(workdir, data="big.csv", targets=[0], permutations=50,
+                    audit={"per_subject": True})
+    with np.errstate(over="ignore", invalid="ignore"):
+        for command in ("local", "global"):
+            for engine in ("exact", "mc"):
+                out = f"out_{command}_{engine}"
+                argv = [command, "--config", cfg, "--engine", engine, "--out", out]
+                assert run_cli(argv) == 1
+                err = capsys.readouterr().err
+                assert "error: game total is not finite" in err
+                assert "Traceback" not in err
+    assert not list(workdir.glob("out_*/*"))
+
+
 def test_audit_command(workdir):
     cfg = t8_config(
         workdir,
@@ -234,7 +257,7 @@ def test_config_errors_exit_2(workdir, capsys):
     assert run_cli(["local", "--config", cfg]) == 2
 
 
-def _wide_config(workdir, d=64):
+def _wide_config(workdir, d=64, **extra):
     names = [f"c{j}" for j in range(d)]
     rows = [",".join(names + ["pred"])]
     rows += [",".join(str(float(i + j)) for j in range(d + 1)) for i in range(4)]
@@ -246,6 +269,7 @@ def _wide_config(workdir, d=64):
         engine="mc",
         permutations=4,
         targets=[0],
+        **extra,
     )
 
 
@@ -256,8 +280,8 @@ def _wide_config(workdir, d=64):
         ("local", {"model": {"kind": "linear"}}),
         ("local", {"similarity": []}),
         ("local", {"similarity": {"default": {"kind": "abs", "delta": "x"}}}),
-        ("local", "d64"),
-        ("global", "d64"),
+        ("local", {"d": 64}),
+        ("global", {"d": 64}),
         ("audit", {"audit": []}),
         ("global", {"audit": []}),
         ("local", {"schema": [{"name": "x1", "kind": "binary"}, {"kind": "binary"},
@@ -296,6 +320,8 @@ def _wide_config(workdir, d=64):
         ("cube", {"cube_values": [0.0, 1.0, 2.0, 4.0], "audit": {"cube_probs": [2.0]}}),
         ("cube", {"cube_values": [0.0, 1.0, 2.0, 4.0],
                   "audit": {"cube_probs": [0.5, 0.5, 0.5]}}),
+        ("global", {"method": "var", "audit": {"per_subject": "no"}}),
+        ("global", {"d": 22, "audit": {"per_subject": True}}),
     ],
     ids=["abs-no-delta", "linear-no-coefficients", "similarity-list",
          "delta-not-a-number", "local-d64-mc", "global-d64-mc", "audit-list-audit",
@@ -309,10 +335,12 @@ def _wide_config(workdir, d=64):
          "relative-on-binary", "range-fraction-on-binary", "abs-on-categorical",
          "audit-relative-on-binary", "external-command-empty",
          "external-command-object", "audit-scale-negative", "audit-scale-nan",
-         "cube-probs-str", "cube-probs-above-1", "cube-probs-wrong-length"],
+         "cube-probs-str", "cube-probs-above-1", "cube-probs-wrong-length",
+         "per-subject-str", "per-subject-above-cap"],
 )
 def test_config_holes_exit_2(workdir, capsys, command, extra):
-    cfg = _wide_config(workdir) if extra == "d64" else t8_config(workdir, **extra)
+    wide = "d" in extra
+    cfg = _wide_config(workdir, **extra) if wide else t8_config(workdir, **extra)
     assert run_cli([command, "--config", cfg]) == 2
     err = capsys.readouterr().err
     assert "config error" in err
