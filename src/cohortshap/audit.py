@@ -4,7 +4,11 @@ A point is realistic when at least one subject is similar to it on every
 predictor, under the same predicate (``match_codes``) that builds cohorts.
 Marginal-product sampling is compared against held-out rows. One witness
 scan per run computes, per point, the smallest threshold scale at which a
-witness appears; it screens the point at every scale at once. A point whose
+witness appears; it screens the point at every scale at once. A column
+whose radius is 0 at every point must match exactly at any scale, so the
+scan groups rows and points into exact-match buckets on those columns and
+pairs a point only with the rows of its bucket, in blocks of about
+``MASK_BLOCK_BYTES`` held in two buffers reused across blocks. A point whose
 scale lies within ``SCALE_ULPS`` ulps of a configured scale is decided by
 the predicate itself, so every rate is the share of points
 :func:`is_realistic` accepts, and sharing the draws across scales keeps the
@@ -33,7 +37,6 @@ from .similarity import (
     scale_rules,
 )
 
-POINT_BLOCK = 2048
 # The scan's ratio gap / radius and the predicate's test gap <= radius * scale
 # round differently; near a scale they are at most a few ulps apart.
 SCALE_ULPS = 8
@@ -120,53 +123,95 @@ def _hybrid_flags(X, resolved, x_t, baselines) -> np.ndarray:
     return flags
 
 
+def _bucket_keys(ref_X: np.ndarray, points: np.ndarray, cols) -> tuple:
+    """Dense int64 keys of the reference rows and of the points over the
+    columns ``cols``: two rows share a key exactly when they are equal (==)
+    on every such column. Mixed radix over per-column ``np.unique`` codes,
+    re-densified after each column so the key cannot overflow."""
+    values = np.concatenate([ref_X[:, cols], points[:, cols]])
+    key = np.zeros(len(values), dtype=np.int64)
+    for column in values.T:
+        levels, code = np.unique(column, return_inverse=True)
+        _, key = np.unique(key * len(levels) + code, return_inverse=True)
+    return key[: len(ref_X)], key[len(ref_X) :]
+
+
 def _min_witness_scale(points: np.ndarray, ref_X: np.ndarray, resolved) -> np.ndarray:
     """Smallest threshold multiplier at which each point gains a witness.
 
-    Rules are taken at unit scale; a column whose radius is 0 (identity, a
-    zero threshold, a relative threshold at a zero level) must match exactly
-    at any scale. Returns +inf where no multiplier helps. The ratios round
-    differently from the predicate, so this is a screen: near a scale,
-    :func:`_realistic_at` asks ``match_codes``.
+    Rules are taken at unit scale. A key column, one whose radius is 0 at
+    every point (identity, a zero threshold, a relative threshold at zero
+    levels only), must match exactly at any scale, so the reference rows and
+    the points are grouped by their key over those columns and each point
+    is scanned only against the rows of its own bucket. On the other
+    columns a pair needs ``|col - center| * (1 / radius)``, the largest over
+    columns; a point's scale is the smallest need in its bucket: 0.0 when
+    every column is a key column and the bucket has rows, +inf when it has
+    none. The scan runs in point blocks of about MASK_BLOCK_BYTES per
+    buffer. The ratios round differently from the predicate, so this is a
+    screen: near a scale, :func:`_realistic_at` asks ``match_codes``.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    m = len(points)
-    out = np.empty(m)
-    for s in range(0, m, POINT_BLOCK):
-        blk = points[s : s + POINT_BLOCK]
-        need = np.zeros((len(blk), ref_X.shape[0]))
-        for j, rule in enumerate(resolved):
-            col = ref_X[None, :, j]
-            center = blk[:, j][:, None]
-            radius = rule.radius(center)
-            if np.count_nonzero(radius) == 0:
-                need[col != center] = np.inf
-                continue
-            # gap / radius, by a reciprocal because a product is cheaper than
-            # a quotient: x/0 is inf, and fmax skips the NaN of 0/0, an exact
-            # match at radius 0, as it would skip a ratio of 0
-            ratio = np.abs(col - center)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                ratio *= 1.0 / radius
-            np.fmax(need, ratio, out=need)
-        out[s : s + len(blk)] = need.min(axis=1)
+    radii = [rule.radius(points[:, j]) for j, rule in enumerate(resolved)]
+    is_key = [np.count_nonzero(r) == 0 for r in radii]
+    keys = [j for j, k in enumerate(is_key) if k]
+    scan = [j for j, k in enumerate(is_key) if not k]
+    ref_key, point_key = _bucket_keys(ref_X, points, keys)
+    ref_order = np.argsort(ref_key, kind="stable")
+    point_order = np.argsort(point_key, kind="stable")
+    ref_key, point_key = ref_key[ref_order], point_key[point_order]
+    starts = np.flatnonzero(np.diff(point_key, prepend=-1))
+    ends = np.append(starts[1:], len(points))
+    lo = np.searchsorted(ref_key, point_key[starts], side="left")
+    width = np.searchsorted(ref_key, point_key[starts], side="right") - lo
+    found = np.repeat(np.where(width > 0, 0.0, np.inf), ends - starts)
+    if scan:
+        cols = ref_X[ref_order][:, scan].T.copy()
+        centers = points[point_order][:, scan].T.copy()
+        rows = np.maximum(1, MASK_BLOCK_BYTES // (8 * np.maximum(width, 1)))
+        size = int((np.minimum(ends - starts, rows) * width).max())
+        need_buf, ratio_buf = np.empty(size), np.empty(size)
+        # gap / radius, by a reciprocal because a product is cheaper than a
+        # quotient: x/0 is inf, and fmax skips the NaN of 0/0, an exact
+        # match at radius 0, as it would skip a ratio of 0; a gap or ratio
+        # past the float range is inf, beyond every scale
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            inv = np.stack([1.0 / np.broadcast_to(radii[j], len(points)) for j in scan])
+            inv = inv[:, point_order]
+            for b in np.flatnonzero(width):
+                ref = cols[:, None, lo[b] : lo[b] + width[b]]
+                for s in range(starts[b], ends[b], rows[b]):
+                    e = min(s + rows[b], ends[b])
+                    need = need_buf[: (e - s) * width[b]].reshape(e - s, width[b])
+                    ratio = ratio_buf[: need.size].reshape(need.shape)
+                    need.fill(0.0)
+                    for c in range(len(scan)):
+                        np.subtract(ref[c], centers[c, s:e, None], out=ratio)
+                        np.abs(ratio, out=ratio)
+                        np.multiply(ratio, inv[c, s:e, None], out=ratio)
+                        np.fmax(need, ratio, out=need)
+                    need.min(axis=1, out=found[s:e])
+    out = np.empty(len(points))
+    out[point_order] = found
     return out
 
 
 def _realistic_at(points: np.ndarray, ref_X: np.ndarray, resolved, scales):
     """(scales, points) realism of each point, witnesses from ``ref_X``, under
     ``scale_rules(resolved, s)`` for each scale s: the witness scan screens,
-    and points within SCALE_ULPS ulps of s are decided by ``match_codes``."""
+    and points within SCALE_ULPS ulps of s are decided by ``match_codes``,
+    a block of about MASK_BLOCK_BYTES of codes at a time."""
     min_scale = _min_witness_scale(points, ref_X, resolved)
     flags = min_scale <= scales[:, None]
     tol = SCALE_ULPS * np.spacing(np.abs(scales))
     near = np.abs(min_scale - scales[:, None]) <= tol[:, None]
     full = (1 << ref_X.shape[1]) - 1
+    step = max(1, MASK_BLOCK_BYTES // (8 * len(ref_X)))
     for k in np.flatnonzero(near.any(axis=1)):
         scaled = scale_rules(resolved, scales[k])
         idx = np.flatnonzero(near[k])
-        for s in range(0, len(idx), POINT_BLOCK):
-            blk = idx[s : s + POINT_BLOCK]
+        for s in range(0, len(idx), step):
+            blk = idx[s : s + step]
             codes = match_codes(ref_X, scaled, points[blk])
             flags[k, blk] = in_cohort(codes, full).any(axis=1)
     return flags

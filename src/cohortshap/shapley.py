@@ -118,7 +118,6 @@ def shapley_permutation(game: Game, m: int, seed: int) -> Attribution:
     samples = np.empty((m, d))
     np.put_along_axis(samples, perms, increments, axis=1)
     phi = samples.mean(axis=0)
-    stderr = samples.std(axis=0, ddof=1) / math.sqrt(m)
     total = float(flat_values[0, -1] - flat_values[0, 0])
     if not (math.isfinite(total) and np.isfinite(phi).all()):
         raise ValueError("game total is not finite")
@@ -127,9 +126,28 @@ def shapley_permutation(game: Game, m: int, seed: int) -> Attribution:
         total=total,
         method=game.method,
         target=game.target,
-        stderr=stderr,
+        stderr=_stderr(samples),
         permutations_used=m,
     )
+
+
+def _stderr(samples: np.ndarray) -> np.ndarray:
+    """Per-feature standard error of the mean of the (m, d) increments.
+
+    Squares of increments near the float limit overflow although their
+    deviation does not; such a feature's deviation is taken on its samples
+    scaled by their largest magnitude."""
+    m = len(samples)
+    with np.errstate(over="ignore", invalid="ignore"):
+        stderr = samples.std(axis=0, ddof=1) / math.sqrt(m)
+        bad = ~np.isfinite(stderr)
+        if bad.any():
+            scale = np.abs(samples[:, bad]).max(axis=0)
+            deviation = (samples[:, bad] / scale).std(axis=0, ddof=1)
+            stderr[bad] = deviation / math.sqrt(m) * scale
+    if not np.isfinite(stderr).all():
+        raise ValueError("Monte Carlo standard error is not finite")
+    return stderr
 
 
 def shapley_engine(

@@ -145,3 +145,24 @@ def t8_rows():
     X = np.array(list(itertools.product([0, 1], repeat=3)))[:, ::-1].astype(float)
     y = 2.0 * X[:, 0] + X[:, 1]
     return X, y
+
+
+def dense_min_witness_scale(points, ref_X, resolved):
+    """Witness scan over every (point, reference row) pair: per column the
+    pair needs |col - center| * (1 / radius), or +inf on a mismatch where
+    the radius is 0 at every point; the largest need over columns, then the
+    smallest over rows."""
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    need = np.zeros((len(points), ref_X.shape[0]))
+    for j, rule in enumerate(resolved):
+        col = ref_X[None, :, j]
+        center = points[:, j][:, None]
+        radius = rule.radius(center)
+        if np.count_nonzero(radius) == 0:
+            need[col != center] = np.inf
+            continue
+        ratio = np.abs(col - center)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            ratio *= 1.0 / radius
+        np.fmax(need, ratio, out=need)
+    return need.min(axis=1)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cohortshap import (
     AbsoluteThreshold,
@@ -20,11 +22,13 @@ from cohortshap import (
     shapley_exact,
     write_realism_csv,
 )
+from cohortshap import audit
 from cohortshap.audit import _derive_seed, _hybrid_flags, _min_witness_scale
 from cohortshap.dataset import split_holdout
 from cohortshap.similarity import resolve_rules, scale_rules
 
 from .conftest import random_dataset, t8_target
+from .helpers import dense_min_witness_scale
 
 LINEAR = LinearModel((2.0, 1.0, 0.0), 0.0)
 
@@ -86,6 +90,53 @@ def test_min_witness_scale_matches_flags():
         scaled = [Identity(), AbsoluteThreshold(scale), AbsoluteThreshold(scale)]
         expect = [is_realistic(p, ds, scaled).realistic for p in pts]
         assert np.array_equal(min_scale <= scale, expect)
+
+
+SCAN_RULES = {
+    "identity": Identity(),
+    "zero": AbsoluteThreshold(0.0),
+    "relative": RelativeThreshold(0.5),
+    "range": RangeFraction(0.3),
+}
+# ties, signed zeros (zero relative centres on some points only) and a
+# value no reference row takes, so some query keys have no bucket
+SCAN_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, 2.0, -1.5]), st.floats(-4.0, 4.0)
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_bucketed_scan_equals_dense_scan(data):
+    d = data.draw(st.integers(1, 4))
+    kinds = data.draw(st.lists(st.sampled_from(sorted(SCAN_RULES)), min_size=d, max_size=d))
+    n = data.draw(st.integers(1, 23))
+    m = data.draw(st.integers(1, 37))
+    ref = data.draw(st.lists(SCAN_VALUES, min_size=n * d, max_size=n * d))
+    pts = data.draw(
+        st.lists(st.one_of(SCAN_VALUES, st.just(7.0)), min_size=m * d, max_size=m * d)
+    )
+    ref, pts = np.reshape(ref, (n, d)), np.reshape(pts, (m, d))
+    ds = Dataset(schema=tuple(ColumnSchema(f"c{j}", "numeric") for j in range(d)), X=ref)
+    resolved = resolve_rules([SCAN_RULES[k] for k in kinds], ds)
+    # one-point blocks, few-point blocks with a ragged last one, one block
+    budget = data.draw(st.sampled_from([8, 8 * 5, 8 * 64, 1 << 20]))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(audit, "MASK_BLOCK_BYTES", budget)
+        got = _min_witness_scale(pts, ref, resolved)
+    assert np.array_equal(got, dense_min_witness_scale(pts, ref, resolved))
+
+
+def test_witness_scan_bucket_edges():
+    ref = np.array([[0.0, 1.0], [1.0, 2.0], [1.0, 4.0]])
+    pts = np.array([[-0.0, 1.5], [2.0, 1.0], [1.0, 3.5]])
+    # -0.0 keys with 0.0; key 2.0 has no reference row; all-key tables give 0
+    keys_only = _min_witness_scale(pts, ref, [Identity(), AbsoluteThreshold(0.0)])
+    assert np.array_equal(keys_only, [np.inf, np.inf, np.inf])
+    keys_only = _min_witness_scale(pts[:, :1], ref[:, :1], [Identity()])
+    assert np.array_equal(keys_only, [0.0, np.inf, 0.0])
+    mixed = _min_witness_scale(pts, ref, [Identity(), AbsoluteThreshold(0.25)])
+    assert np.array_equal(mixed, [2.0, np.inf, 2.0])
 
 
 def _predicate_rate(points, ref: Dataset, rules) -> float:

@@ -183,6 +183,28 @@ def test_mc_rejects_non_finite_games(workdir, capsys):
     assert not list(workdir.glob("out_*/*"))
 
 
+def test_mc_stderr_of_huge_increments_is_strict_json(workdir):
+    # predictions of +-1e200 keep phi and the total finite, but squaring the
+    # increments in the sample deviation overflows; the standard error must
+    # still be finite, and the artifact strict JSON without Infinity tokens
+    rows = ["x1,x2,x3,pred"]
+    for i in range(12):
+        pred = 1e200 if i % 3 else -1e200
+        rows.append(f"{i % 2}.0,{i // 2 % 2}.0,{i // 4 % 2}.0,{pred!r}")
+    (workdir / "huge.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
+    cfg = t8_config(workdir, data="huge.csv", targets=[0, 5], permutations=50)
+    assert run_cli(["local", "--config", cfg, "--engine", "mc"]) == 0
+
+    def reject(token):
+        raise ValueError(f"non-strict JSON token {token}")
+
+    for t in (0, 5):
+        text = (workdir / "out" / f"attribution_cs_t{t}.json").read_text()
+        payload = json.loads(text, parse_constant=reject)
+        stderr = np.array(list(payload["stderr"].values()))
+        assert np.isfinite(stderr).all() and (stderr > 1e190).any()
+
+
 def test_audit_command(workdir):
     cfg = t8_config(
         workdir,

@@ -16,6 +16,7 @@ from cohortshap import (
     scale_rules,
     similarity_row,
 )
+from cohortshap import similarity
 from cohortshap.similarity import (
     cohort_value_tables,
     cohort_values,
@@ -174,6 +175,22 @@ def test_duplicated_columns_swap_invariance():
     for u in range(8):
         swapped = (u & 0b100) | ((u & 1) << 1) | ((u >> 1) & 1)
         assert Z.cohort(u).sum() == Z.cohort(swapped).sum()
+
+
+def test_match_codes_row_blocks_equal_per_point_codes(monkeypatch):
+    ds = random_dataset(37, 4, seed=6, n_binary=1)
+    base = [Identity(), AbsoluteThreshold(0.3), RelativeThreshold(0.4), RangeFraction(0.2)]
+    resolved = resolve_rules(base, ds)
+    pts = np.vstack([ds.X, ds.X[:9] + 0.1, np.zeros((1, 4))])  # 47 points
+    # 5 points per block: ten blocks, the last one ragged
+    monkeypatch.setattr(similarity, "MASK_BLOCK_BYTES", 8 * 37 * 5 + 7)
+    codes = match_codes(ds.X, resolved, pts)
+    for p, point in enumerate(pts):
+        want = np.zeros(ds.n, dtype=np.int64)
+        for j, rule in enumerate(resolved):
+            for i in range(ds.n):
+                want[i] |= int(bool(rule.close(ds.X[i, j], point[j]))) << j
+        assert np.array_equal(codes[p], want)
 
 
 def test_cohort_tables_match_masks():
