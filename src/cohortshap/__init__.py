@@ -6,7 +6,6 @@ decomposition machinery, and a realism audit of synthetic-point methods.
 """
 
 from .aggregate import (
-    GlobalAttribution,
     Panel,
     aggregate_squared_cs,
     export_panel,

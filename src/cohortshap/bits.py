@@ -6,11 +6,16 @@ holds one value per subset on its last axis, indexed by the subset integer.
 the matching sets with j, as views; every with-or-without-j walk (the
 in-place transforms here, the Shapley contraction, the realism split and the
 cube decompositions) runs on those views, giving the d * 2^(d-1) schedule.
+:data:`EXACT_CAP` bounds the d of every lattice table the package builds.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+# The largest d whose 2^d lattice tables are built: value tables, exact
+# Shapley and the realism split. Above it cohort games score subsets lazily.
+EXACT_CAP = 20
 
 
 def subset_sizes(d: int) -> np.ndarray:

@@ -66,12 +66,11 @@ def _named(names, values) -> dict:
 
 
 def _attribution_payload(att: Attribution, names) -> dict:
-    payload = {
-        "method": att.method,
-        "target": att.target,
-        "phi": _named(names, att.phi),
-        "total": float(att.total),
-    }
+    payload = {"method": att.method}
+    if att.target is not None:
+        payload["target"] = att.target
+    payload["phi"] = _named(names, att.phi)
+    payload["total"] = float(att.total)
     if att.stderr is not None:
         payload["stderr"] = _named(names, att.stderr)
     if att.permutations_used is not None:
@@ -154,22 +153,15 @@ def cmd_global(cfg: RunConfig) -> int:
     rows = cfg.engine == "exact" or per_subject
     with _phase("cohort sweep: variance shapley and per-subject rows"
                 if rows else "variance shapley"):
-        direct, agg = global_attribution(
+        direct, cs2_rows = global_attribution(
             ds, rules, cfg.engine, cfg.permutations, cfg.seed, per_subject=rows
         )
-    payload = {
-        "method": "var",
-        "phi": _named(ds.names, direct.phi_var),
-        "total": float(direct.total_variance),
-    }
-    if direct.stderr is not None:
-        payload["stderr"] = _named(ds.names, direct.stderr)
-        payload["permutations"] = direct.permutations_used
+    payload = _attribution_payload(direct, ds.names)
     if cfg.engine == "exact":
-        residual = float(np.max(np.abs(direct.phi_var - agg.phi_var)))
+        residual = float(np.max(np.abs(direct.phi - cs2_rows.mean(axis=0))))
         print(
             f"disaggregation residual: {residual!r} "
-            f"(budget {1e-9 * max(direct.total_variance, 1e-300)!r})"
+            f"(budget {1e-9 * max(direct.total, 1e-300)!r})"
         )
         payload["disaggregation_residual"] = residual
     if per_subject:
@@ -178,7 +170,7 @@ def cmd_global(cfg: RunConfig) -> int:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(",".join(["subject", *ds.names]) + "\n")
             for t in range(ds.n):
-                row = ",".join(repr(float(v)) for v in agg.per_subject[t])
+                row = ",".join(repr(float(v)) for v in cs2_rows[t])
                 fh.write(f"{t},{row}\n")
     with _phase("emit"):
         _write_json(os.path.join(cfg.out, "global_var.json"), payload)
@@ -240,14 +232,19 @@ def cmd_cube(cfg: RunConfig) -> int:
         with open(values, encoding="utf-8") as fh:
             values = [float(line) for line in fh if line.strip()]
     g = CubeFunction(np.asarray(values, dtype=float))
-    with _phase("decompositions"):
+    # an overflow shows as a non-finite output, refused below
+    with _phase("decompositions"), np.errstate(over="ignore", invalid="ignore"):
         dec = anchored_cube(g)
         via_anchored = shapley_from_anchored(dec)
         direct = shapley_exact(TableGame(g.values - g.values[0], "cube"))
         probs = cfg.audit.get("cube_probs", [0.5] * g.d)
         anova = anova_cube(g, np.asarray(probs, dtype=float))
         effects = shapley_effects_independent(anova)
-    discrepancy = float(np.max(np.abs(via_anchored.phi - direct.phi)))
+        discrepancy = float(np.max(np.abs(via_anchored.phi - direct.phi)))
+    outputs = (dec.components, anova.sigma2, anova.mean, via_anchored.phi,
+               direct.phi, effects.phi, discrepancy)
+    if not all(np.isfinite(v).all() for v in outputs):
+        raise ValueError("cube decompositions overflow: an output is not finite")
     print(f"two-route max discrepancy: {discrepancy!r}")
     names = [f"z{j + 1}" for j in range(g.d)]
     _write_json(

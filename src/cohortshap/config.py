@@ -170,9 +170,12 @@ class RunConfig:
         if isinstance(targets, str):
             targets = [t for t in targets.split(",") if t.strip()]
         try:
-            return [_target_index(t) for t in targets]
+            parsed = [_target_index(t) for t in targets]
         except (TypeError, ValueError):
             raise ConfigError(f"bad target list {self.targets!r}") from None
+        if not parsed:
+            raise ConfigError(f"target list {self.targets!r} names no subject")
+        return parsed
 
     def rules_for(self, schema) -> list:
         return rules_from_json(self.similarity, schema, "similarity")
@@ -191,6 +194,21 @@ class RunConfig:
         if self.model is not None and self.model.get("kind") == "predictions":
             return self.model["path"]
         return None
+
+    def _check_cube_values(self) -> None:
+        """cube_values: a file path, or an inline list of 2^d numbers, d >= 1."""
+        values = self.cube_values
+        if values is None:
+            raise ConfigError("cube command needs cube_values")
+        if isinstance(values, str):
+            return
+        size = len(values) if isinstance(values, list) else 0
+        if size < 2 or size & (size - 1):
+            raise ConfigError(
+                f"cube_values must be a file path or a list of 2^d numbers with "
+                f"d >= 1, got {values!r}"
+            )
+        _check_numbers("cube_values", values)
 
     def _check_cube_probs(self) -> None:
         """cube_probs: per-coordinate probabilities, or corner probabilities
@@ -249,8 +267,7 @@ class RunConfig:
         if self.engine == "mc" and self.permutations < 2:
             raise ConfigError("mc engine needs at least 2 permutations")
         if command == "cube":
-            if self.cube_values is None:
-                raise ConfigError("cube command needs cube_values")
+            self._check_cube_values()
             self._check_cube_probs()
             return
         if self.data is None:

@@ -31,6 +31,8 @@ class CubeFunction:
         object.__setattr__(self, "values", values)
         if 1 << self.d != values.size or values.size < 2:
             raise ValueError(f"corner table size {values.size} is not 2^d with d>=1")
+        if not np.isfinite(values).all():
+            raise ValueError("corner values must be finite")
 
     @property
     def d(self) -> int:

@@ -1,15 +1,17 @@
-"""The seven coalition value functions.
+"""The seven coalition value functions, and the cohort sweep.
 
 Cohort games (cs, cs2, var) average the cohort values of one target or of
 every subject, built from observed predictions by the kernels of
 :mod:`similarity`: a 2^d table up to EXACT_CAP features, else scored per
-requested subset. One baseline game (bs, bs2, abs, abs2) queries a model at
-the hybrids of the target with k baseline rows: the configured baseline for
-bs/bs2, every observed row for abs/abs2. The baseline rows are the hybrids
-of the empty set, so they ride the game's first model call instead of a
-call of their own. Every game maps a feature-subset bitmask to a real value
-with value(empty) = 0, caches what it has evaluated, and batches model
-calls.
+requested subset. :func:`cohort_value_sweep` is the one pass over the
+cohort tables of many targets: it builds the var game's subject-mean table
+and the exact Shapley rows of many cs or cs2 games. One baseline game
+(bs, bs2, abs, abs2) queries a model at the hybrids of the target with k
+baseline rows: the configured baseline for bs/bs2, every observed row for
+abs/abs2. The baseline rows are the hybrids of the empty set, so they ride
+the game's first model call instead of a call of their own. Every game maps
+a feature-subset bitmask to a real value with value(empty) = 0, caches what
+it has evaluated, and batches model calls.
 """
 
 from __future__ import annotations
@@ -18,22 +20,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bits import EXACT_CAP
 from .dataset import Dataset, DatasetError
 from .models import ModelAdapter, predict
+from .shapley import _phi_from_tables
 from .similarity import (
-    CHUNK_BYTES,
-    MAX_CHUNK_TARGETS,
     SimilarityMatrix,
+    cohort_table_chunks,
     cohort_value_tables,
     cohort_values,
+    match_code_chunks,
     match_codes,
     resolve_rules,
     subset_int,
 )
-
-# The largest d whose 2^d lattice tables are built: value tables, exact
-# Shapley and the realism split. Above it cohort games score subsets lazily.
-EXACT_CAP = 20
 
 # Batched model evaluations are chunked to roughly this many points.
 POINT_CHUNK = 1 << 22
@@ -120,22 +120,51 @@ class _LazyCohortGame(Game):
         self._codes = codes
         self._resolved = resolved
 
-    def _code_blocks(self):
-        if self._codes is not None:
-            yield self._codes[None]
-            return
-        X = self.ds.X
-        step = min(MAX_CHUNK_TARGETS, max(1, CHUNK_BYTES // (8 * self.ds.n)))
-        for s in range(0, len(X), step):
-            yield match_codes(X, self._resolved, X[s : s + step])
-
     def _evaluate_many(self, masks: np.ndarray) -> np.ndarray:
+        if self._codes is not None:
+            chunks = [(0, self._codes[None])]
+        else:
+            chunks = match_code_chunks(self.ds, self._resolved, range(self.ds.n), 0)
         total = np.zeros(len(masks))
         targets = 0
-        for codes in self._code_blocks():
+        for _, codes in chunks:
             total += cohort_values(codes, self.ds.y, masks, self.method != "cs").sum(0)
             targets += len(codes)
         return total / targets
+
+
+def cohort_value_sweep(
+    ds: Dataset,
+    resolved,
+    targets=None,
+    squared: bool = False,
+    rows: bool = True,
+    mean: bool = False,
+):
+    """One pass over the cohort tables of ``targets`` (every subject when
+    None) under ``resolved`` rules: (mean table, phi rows, totals).
+
+    With ``mean``, each chunk's tables are summed into one 2^d table, chunk
+    after chunk in target order, which is divided by the target count at
+    the end. With ``rows``, each chunk is also contracted into the targets'
+    exact Shapley rows and their totals. What is not asked for is None.
+    Memory stays bounded by the chunk, not by targets x 2^d.
+    """
+    if ds.d > EXACT_CAP:
+        raise DatasetError(f"d={ds.d} too large for the dense cohort sweep")
+    targets = np.arange(ds.n) if targets is None else np.asarray(targets, np.intp)
+    table = np.zeros(1 << ds.d) if mean else None
+    phi = np.empty((len(targets), ds.d)) if rows else None
+    totals = np.empty(len(targets)) if rows else None
+    for s, tables in cohort_table_chunks(ds, resolved, targets, squared):
+        if mean:
+            table += tables.sum(axis=0)
+        if rows:
+            phi[s : s + len(tables)] = _phi_from_tables(tables, ds.d)
+            totals[s : s + len(tables)] = tables[:, -1]
+    if mean:
+        table /= len(targets)
+    return table, phi, totals
 
 
 def _cohort_game(ds: Dataset, method: str, target=None, codes=None, resolved=None):
@@ -150,8 +179,6 @@ def _cohort_game(ds: Dataset, method: str, target=None, codes=None, resolved=Non
     if codes is not None:
         table = cohort_value_tables(codes, ds.y, ds.d, squared)
     else:
-        from .aggregate import cohort_value_sweep  # aggregate imports this module
-
         table, _, _ = cohort_value_sweep(
             ds, resolved, squared=squared, rows=False, mean=True
         )

@@ -12,11 +12,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .bits import halves, subset_sizes
-from .games import EXACT_CAP, Game
+from .bits import EXACT_CAP, halves, subset_sizes
+
+if TYPE_CHECKING:
+    from .games import Game
 
 
 @dataclass(frozen=True)

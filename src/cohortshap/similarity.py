@@ -23,9 +23,9 @@ from .dataset import Dataset, quantile
 
 
 # Cohort tables and match codes of many targets are built in chunks of at
-# most CHUNK_BYTES and MAX_CHUNK_TARGETS targets; match_codes, cohort_values
-# and the realism scan keep their temporaries within about MASK_BLOCK_BYTES
-# per block.
+# most CHUNK_BYTES and MAX_CHUNK_TARGETS targets (see match_code_chunks);
+# match_codes, cohort_values and the realism scan keep their temporaries
+# within about MASK_BLOCK_BYTES per block.
 CHUNK_BYTES = 1 << 25
 MAX_CHUNK_TARGETS = 256
 MASK_BLOCK_BYTES = 1 << 20
@@ -288,20 +288,32 @@ def cohort_values(codes: np.ndarray, y: np.ndarray, masks, squared: bool):
     return out
 
 
+def match_code_chunks(ds: Dataset, resolved, targets, row_bytes: int):
+    """Match codes of many targets against every subject, a chunk at a time.
+
+    Yields (chunk_offset, codes): row b of ``codes`` holds the
+    :func:`match_codes` row of target targets[chunk_offset + b]. A chunk
+    holds at most MAX_CHUNK_TARGETS targets, and its codes and the
+    ``row_bytes`` per target a caller builds from them each stay within
+    CHUNK_BYTES (one target at least). Every chunk is written into one
+    buffer, valid until the next chunk: a multi-MB array allocated afresh
+    per chunk was served from new, page-faulting memory each time.
+    """
+    step = min(MAX_CHUNK_TARGETS, max(1, CHUNK_BYTES // max(8 * ds.n, row_bytes)))
+    targets = np.asarray(targets, dtype=np.intp)
+    codes = np.empty((min(step, len(targets)), ds.n), dtype=np.int64)
+    for s in range(0, len(targets), step):
+        chunk = targets[s : s + step]
+        yield s, match_codes(ds.X, resolved, ds.X[chunk], out=codes[: len(chunk)])
+
+
 def cohort_table_chunks(ds: Dataset, resolved, targets: np.ndarray, squared: bool):
     """Cohort value tables for many targets, yielded a chunk at a time.
 
     Yields (chunk_offset, tables) with tables of shape (B, 2^d); row b holds
     the :func:`cohort_value_tables` row of target targets[chunk_offset + b].
-    A chunk's table stays within CHUNK_BYTES (one target at least), so memory
-    is bounded for any number of targets. Every chunk's match codes go to
-    one buffer: a multi-MB array allocated afresh per chunk was served
-    from new, page-faulting memory each time.
+    Chunks follow :func:`match_code_chunks`, so a chunk's tables and codes
+    stay within CHUNK_BYTES and memory is bounded for any number of targets.
     """
-    step = min(MAX_CHUNK_TARGETS, max(1, CHUNK_BYTES // (8 << ds.d)))
-    targets = np.asarray(targets, dtype=np.intp)
-    codes = np.empty((min(step, len(targets)), ds.n), dtype=np.int64)
-    for s in range(0, len(targets), step):
-        chunk = targets[s : s + step]
-        match_codes(ds.X, resolved, ds.X[chunk], out=codes[: len(chunk)])
-        yield s, cohort_value_tables(codes[: len(chunk)], ds.y, ds.d, squared)
+    for s, codes in match_code_chunks(ds, resolved, targets, 8 << ds.d):
+        yield s, cohort_value_tables(codes, ds.y, ds.d, squared)

@@ -30,15 +30,16 @@ from cohortshap import (
     make_cs_game,
     predict,
     realism_curve,
+    resolve_rules,
     shapley_exact,
     shapley_from_anchored,
     shapley_permutation,
     similarity_row,
     variance_shapley,
 )
-from cohortshap.aggregate import cs_attribution_sweep
+from cohortshap.aggregate import global_attribution
 from cohortshap.audit import bs_realism_split
-from cohortshap.games import TableGame
+from cohortshap.games import TableGame, cohort_value_sweep
 
 from .conftest import (
     load_boston,
@@ -156,9 +157,11 @@ def test_criterion_3_disaggregation_identity():
         rules = random_rules(d, seed + 900)
         direct = variance_shapley(ds, rules)
         agg = aggregate_squared_cs(ds, rules)
-        budget = 1e-9 * max(direct.total_variance, 1e-300)
-        assert np.max(np.abs(direct.phi_var - agg.phi_var)) <= budget
-        assert agg.per_subject.shape == (n, d)
+        budget = 1e-9 * max(direct.total, 1e-300)
+        assert np.max(np.abs(direct.phi - agg.phi)) <= budget
+        _, rows = global_attribution(ds, rules, per_subject=True)
+        assert rows.shape == (n, d)
+        assert np.array_equal(agg.phi, rows.mean(axis=0))
     report(3, "variance Shapley equals mean squared-cohort rows on 8 datasets")
 
 
@@ -173,7 +176,7 @@ def test_criterion_4_t8_fixture():
     cs2 = shapley_exact(make_cs2_game(ds, Z, t))
     assert cs2.phi == pytest.approx([1.5, 0.75, 0.0], abs=1e-12)
     var = variance_shapley(ds, rules)
-    assert var.phi_var == pytest.approx([1.0, 0.25, 0.0], abs=1e-12)
+    assert var.phi == pytest.approx([1.0, 0.25, 0.0], abs=1e-12)
 
     model = LinearModel((2.0, 1.0, 0.0), 0.0)
     from cohortshap import make_abs2_game
@@ -249,7 +252,7 @@ def test_criterion_6_titanic_ranking():
     model = fit_logistic(ds, survived)
     ds = attach_predictions(ds, predict(model, ds.X))
     out = variance_shapley(ds, TITANIC_RULES)
-    order = np.argsort(out.phi_var)[::-1]
+    order = np.argsort(out.phi)[::-1]
     names = [ds.names[j] for j in order]
     assert names[0] == "sex"
     assert names[1] == "pclass"
@@ -330,7 +333,7 @@ def test_criterion_9_performance_budget():
         label = "surrogate with the titanic shape (1045 x 6)"
     assert ds.n == 1045 and ds.d == 6
     start = time.perf_counter()
-    phi, totals = cs_attribution_sweep(ds, TITANIC_RULES, squared=False)
+    _, phi, totals = cohort_value_sweep(ds, resolve_rules(TITANIC_RULES, ds))
     elapsed = time.perf_counter() - start
     assert phi.shape == (1045, 6)
     assert np.isfinite(phi).all()

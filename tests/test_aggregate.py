@@ -23,7 +23,8 @@ from cohortshap import (
     variance_shapley,
     write_panel_csv,
 )
-from cohortshap.aggregate import cs_attribution_sweep, global_attribution
+from cohortshap.aggregate import global_attribution
+from cohortshap.games import cohort_value_sweep
 from cohortshap.shapley import _phi_from_tables
 from cohortshap.similarity import (
     CHUNK_BYTES,
@@ -37,37 +38,43 @@ from .conftest import random_dataset, t8_target
 IDENT3 = [Identity()] * 3
 
 
+def _cs_rows(ds, rules, squared):
+    """Exact cohort Shapley rows of every subject: (phi matrix, totals)."""
+    _, phi, totals = cohort_value_sweep(ds, resolve_rules(rules, ds), squared=squared)
+    return phi, totals
+
+
 def test_t8_variance_shapley(t8):
     out = variance_shapley(t8, IDENT3)
-    assert out.phi_var == pytest.approx([1.0, 0.25, 0.0], abs=1e-12)
-    assert out.total_variance == pytest.approx(1.25)
+    assert out.phi == pytest.approx([1.0, 0.25, 0.0], abs=1e-12)
+    assert out.total == pytest.approx(1.25)
 
 
 def test_constant_predictions_zero(t8):
     flat = attach_predictions(t8, np.full(8, 2.5))
     out = variance_shapley(flat, IDENT3)
-    assert np.abs(out.phi_var).max() == 0.0
+    assert np.abs(out.phi).max() == 0.0
 
 
 def test_t8_disaggregation(t8):
     agg = aggregate_squared_cs(t8, IDENT3)
-    direct = variance_shapley(t8, IDENT3)
-    assert agg.phi_var == pytest.approx(direct.phi_var, abs=1e-12)
+    direct, rows = global_attribution(t8, IDENT3, per_subject=True)
+    assert agg.phi == pytest.approx(direct.phi, abs=1e-12)
     t = t8_target(t8)
-    assert agg.per_subject[t] == pytest.approx([1.5, 0.75, 0.0], abs=1e-12)
+    assert rows[t] == pytest.approx([1.5, 0.75, 0.0], abs=1e-12)
 
 
 def test_single_subject_all_zero():
     ds = random_dataset(1, 3, seed=0)
-    agg = aggregate_squared_cs(ds, [AbsoluteThreshold(0.5)] * 3)
-    assert np.abs(agg.per_subject).max() == 0.0
+    _, rows = global_attribution(ds, [AbsoluteThreshold(0.5)] * 3, per_subject=True)
+    assert np.abs(rows).max() == 0.0
 
 
 def test_sweep_matches_per_target_games():
     ds = random_dataset(60, 4, seed=13, n_binary=1)
     rules = [Identity()] + [AbsoluteThreshold(0.5)] * 3
-    phi, totals = cs_attribution_sweep(ds, rules, squared=False)
-    phi2, _ = cs_attribution_sweep(ds, rules, squared=True)
+    phi, totals = _cs_rows(ds, rules, squared=False)
+    phi2, _ = _cs_rows(ds, rules, squared=True)
     for t in (0, 7, 33, 59):
         Z = similarity_row(rules, ds, t)
         att = shapley_exact(make_cs_game(ds, Z, t))
@@ -85,16 +92,16 @@ def test_sweep_memory_bounded_by_chunk():
     full_table = ds.n * (1 << ds.d) * 8
     tracemalloc.start()
     try:
-        phi, totals = cs_attribution_sweep(ds, rules)
+        phi, totals = _cs_rows(ds, rules, squared=False)
         _, peak = tracemalloc.get_traced_memory()
         tracemalloc.reset_peak()
-        direct, agg = global_attribution(ds, rules, per_subject=True)
+        direct, rows = global_attribution(ds, rules, per_subject=True)
         _, peak_global = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert phi.shape == (300, 16) and np.isfinite(totals).all()
     assert peak < full_table
-    assert agg.per_subject.shape == (300, 16) and np.isfinite(direct.phi_var).all()
+    assert rows.shape == (300, 16) and np.isfinite(direct.phi).all()
     assert peak_global < full_table
 
 
@@ -129,37 +136,39 @@ def test_one_sweep_matches_two_passes_bit_for_bit(engine, n):
         rules = [Identity(), AbsoluteThreshold(0.5), AbsoluteThreshold(0.0),
                  RelativeThreshold(0.3), RelativeThreshold(0.0), AbsoluteThreshold(0.2)]
         table, want, rows, totals = _two_pass(ds, rules, engine)
-        direct, agg = global_attribution(ds, rules, engine, 300, 7, per_subject=True)
-        assert np.array_equal(direct.phi_var, want.phi)
-        assert direct.total_variance == want.total
+        direct, cs2_rows = global_attribution(
+            ds, rules, engine, 300, 7, per_subject=True
+        )
+        assert direct.method == "var" and direct.target is None
+        assert np.array_equal(direct.phi, want.phi)
+        assert direct.total == want.total
         if engine == "mc":
             assert np.array_equal(direct.stderr, want.stderr)
             assert direct.permutations_used == 300
-        assert np.array_equal(agg.per_subject, rows)
-        assert np.array_equal(agg.phi_var, rows.mean(axis=0))
-        assert agg.total_variance == float(totals.mean())
-        phi, sweep_totals = cs_attribution_sweep(ds, rules, squared=True)
+        assert np.array_equal(cs2_rows, rows)
+        phi, sweep_totals = _cs_rows(ds, rules, squared=True)
         assert np.array_equal(phi, rows) and np.array_equal(sweep_totals, totals)
         # the two public routes give the same numbers on their own
         alone = variance_shapley(ds, rules, engine, 300, 7)
-        assert np.array_equal(alone.phi_var, want.phi)
-        assert np.array_equal(aggregate_squared_cs(ds, rules).per_subject, rows)
+        assert np.array_equal(alone.phi, want.phi)
+        agg = aggregate_squared_cs(ds, rules)
+        assert agg.method == "cs2-aggregate"
+        assert np.array_equal(agg.phi, rows.mean(axis=0))
+        assert agg.total == float(totals.mean())
         assert np.array_equal(make_var_game(ds, rules).value_table(), table)
         lone, none = global_attribution(ds, rules, engine, 300, 7)
-        assert none is None and np.array_equal(lone.phi_var, want.phi)
+        assert none is None and np.array_equal(lone.phi, want.phi)
 
 
 def test_disaggregation_identity_random():
     for seed in (1, 2, 3):
         ds = random_dataset(120, 5, seed=seed, n_binary=2)
         rules = [Identity(), Identity()] + [AbsoluteThreshold(0.7)] * 3
-        direct = variance_shapley(ds, rules)
+        direct, rows = global_attribution(ds, rules, per_subject=True)
         agg = aggregate_squared_cs(ds, rules)
-        budget = 1e-9 * max(direct.total_variance, 1e-12)
-        assert np.max(np.abs(direct.phi_var - agg.phi_var)) <= budget
-        assert agg.phi_var == pytest.approx(
-            agg.per_subject.mean(axis=0), abs=1e-12
-        )
+        budget = 1e-9 * max(direct.total, 1e-12)
+        assert np.max(np.abs(direct.phi - agg.phi)) <= budget
+        assert agg.phi == pytest.approx(rows.mean(axis=0), abs=1e-12)
 
 
 def test_val_var_identity_all_subsets(t8):
@@ -172,7 +181,7 @@ def test_val_var_identity_all_subsets(t8):
 
 
 def test_unsquared_cs_aggregates_to_zero_on_full_factorial(t8):
-    phi, _ = cs_attribution_sweep(t8, IDENT3, squared=False)
+    phi, _ = _cs_rows(t8, IDENT3, squared=False)
     sd = t8.y.std()
     assert np.abs(phi.mean(axis=0)).max() <= 1e-9 * sd
 

@@ -26,6 +26,15 @@ def run_cli(args):
     return main([str(a) for a in args])
 
 
+def _reject_constant(name):
+    raise ValueError(f"non-finite JSON constant {name}")
+
+
+def strict_json(path):
+    """The JSON file at ``path``, refusing Infinity and NaN."""
+    return json.loads(Path(path).read_text(), parse_constant=_reject_constant)
+
+
 @pytest.fixture
 def workdir(tmp_path, monkeypatch):
     shutil.copy(REPO / "data" / "t8.csv", tmp_path / "t8.csv")
@@ -157,7 +166,7 @@ def test_global_mc_reports_stderr_not_residual(workdir, capsys):
     )
     agg = aggregate_squared_cs(ds, [AbsoluteThreshold(1.0)] * 5)
     phi = np.array([payload["phi"][name] for name in names])
-    assert (np.abs(phi - agg.phi_var) <= 4 * stderr).all()
+    assert (np.abs(phi - agg.phi) <= 4 * stderr).all()
 
 
 def test_mc_rejects_non_finite_games(workdir, capsys):
@@ -234,7 +243,7 @@ def test_cube_command(workdir, capsys):
         encoding="utf-8",
     )
     assert run_cli(["cube", "--config", cfg_path]) == 0
-    payload = json.loads((workdir / "out" / "cube.json").read_text())
+    payload = strict_json(workdir / "out" / "cube.json")
     assert payload["phi_anchored"] == {"z1": 0.5, "z2": 0.5}
     assert payload["max_discrepancy"] <= 1e-12
     assert payload["anchored_components"] == [0.0, 0.0, 0.0, 1.0]
@@ -249,9 +258,38 @@ def test_cube_command_random_d8(workdir):
         encoding="utf-8",
     )
     assert run_cli(["cube", "--config", cfg_path]) == 0
-    payload = json.loads((workdir / "out" / "cube.json").read_text())
+    payload = strict_json(workdir / "out" / "cube.json")
     assert payload["d"] == 8
     assert payload["max_discrepancy"] <= 1e-9
+
+
+@pytest.mark.parametrize(
+    "values",
+    [[1.0, 1e308, -1e308, 5.0], [0.0, -1e308, -1e308, 1e308], [0.0, float("inf")],
+     "corners.txt"],
+    ids=["anova-overflow", "anchored-overflow", "infinite-corner", "nan-in-file"],
+)
+def test_cube_non_finite_exit_1(workdir, capsys, values):
+    # a non-finite corner value or decomposition is a runtime error, and no
+    # cube.json with Infinity or NaN in it is written
+    (workdir / "corners.txt").write_text("0.0\n1.0\nnan\n2.0\n", encoding="utf-8")
+    cfg_path = workdir / "cube.json"
+    cfg_path.write_text(json.dumps({"cube_values": values, "out": "out"}),
+                        encoding="utf-8")
+    assert run_cli(["cube", "--config", cfg_path]) == 1
+    err = capsys.readouterr().err
+    assert "finite" in err and "Traceback" not in err
+    assert not (workdir / "out" / "cube.json").exists()
+
+
+def test_cube_values_from_file(workdir):
+    (workdir / "corners.txt").write_text("0.0\n0.0\n0.0\n1.0\n", encoding="utf-8")
+    cfg_path = workdir / "cube.json"
+    cfg_path.write_text(json.dumps({"cube_values": "corners.txt", "out": "out"}),
+                        encoding="utf-8")
+    assert run_cli(["cube", "--config", cfg_path]) == 0
+    assert strict_json(workdir / "out" / "cube.json")["phi_exact"] == {
+        "z1": 0.5, "z2": 0.5}
 
 
 def test_config_errors_exit_2(workdir, capsys):
@@ -264,6 +302,8 @@ def test_config_errors_exit_2(workdir, capsys):
     assert run_cli(["local", "--config", cfg, "--method", "nope"]) == 2
     # missing config file
     assert run_cli(["local", "--config", "missing.json"]) == 2
+    # a target list that names no subject
+    assert run_cli(["local", "--config", cfg, "--targets", ","]) == 2
     # cube without values
     empty = workdir / "empty.json"
     empty.write_text("{}", encoding="utf-8")
@@ -344,6 +384,16 @@ def _wide_config(workdir, d=64, **extra):
                   "audit": {"cube_probs": [0.5, 0.5, 0.5]}}),
         ("global", {"method": "var", "audit": {"per_subject": "no"}}),
         ("global", {"d": 22, "audit": {"per_subject": True}}),
+        ("local", {"targets": []}),
+        ("local", {"targets": ","}),
+        ("audit", {"targets": []}),
+        ("cube", {"cube_values": {"a": 1}}),
+        ("cube", {"cube_values": [0.0, 1.0, 2.0]}),
+        ("cube", {"cube_values": [1.0]}),
+        ("cube", {"cube_values": []}),
+        ("cube", {"cube_values": ["a", "b"]}),
+        ("cube", {"cube_values": [0.0, True]}),
+        ("cube", {"cube_values": 4.0}),
     ],
     ids=["abs-no-delta", "linear-no-coefficients", "similarity-list",
          "delta-not-a-number", "local-d64-mc", "global-d64-mc", "audit-list-audit",
@@ -358,7 +408,10 @@ def _wide_config(workdir, d=64, **extra):
          "audit-relative-on-binary", "external-command-empty",
          "external-command-object", "audit-scale-negative", "audit-scale-nan",
          "cube-probs-str", "cube-probs-above-1", "cube-probs-wrong-length",
-         "per-subject-str", "per-subject-above-cap"],
+         "per-subject-str", "per-subject-above-cap", "targets-empty",
+         "targets-comma", "audit-targets-empty", "cube-values-object",
+         "cube-values-three", "cube-values-one", "cube-values-empty",
+         "cube-values-strings", "cube-values-bool", "cube-values-number"],
 )
 def test_config_holes_exit_2(workdir, capsys, command, extra):
     wide = "d" in extra

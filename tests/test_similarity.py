@@ -16,10 +16,12 @@ from cohortshap import (
     scale_rules,
     similarity_row,
 )
-from cohortshap import similarity
+from cohortshap import make_var_game, similarity
+from cohortshap.games import cohort_value_sweep
 from cohortshap.similarity import (
     cohort_value_tables,
     cohort_values,
+    match_code_chunks,
     match_codes,
     subset_int,
 )
@@ -191,6 +193,39 @@ def test_match_codes_row_blocks_equal_per_point_codes(monkeypatch):
             for i in range(ds.n):
                 want[i] |= int(bool(rule.close(ds.X[i, j], point[j]))) << j
         assert np.array_equal(codes[p], want)
+
+
+@pytest.mark.parametrize("n,d", [(200, 4), (50, 10)])
+def test_chunks_bound_codes_and_tables(monkeypatch, n, d):
+    # a target's codes (8n bytes) outweigh its table (8 * 2^d bytes) at
+    # (200, 4), and the table outweighs the codes at (50, 10)
+    ds = random_dataset(n, d, seed=n + d)
+    resolved = resolve_rules([AbsoluteThreshold(0.5)] * d, ds)
+    targets = np.arange(n)
+    want = cohort_value_sweep(ds, resolved, squared=True, rows=True, mean=True)
+    row = max(8 * n, 8 << d)
+    for budget in (3 * row + 5, row - 1):  # three targets a chunk, then one
+        monkeypatch.setattr(similarity, "CHUNK_BYTES", budget)
+        chunks = 0
+        for s, codes in match_code_chunks(ds, resolved, targets, 8 << d):
+            assert len(codes) == 1 or len(codes) * row <= budget
+            points = ds.X[s : s + len(codes)]
+            assert np.array_equal(codes, match_codes(ds.X, resolved, points))
+            chunks += 1
+        assert chunks == -(-n // max(1, budget // row))
+        got = cohort_value_sweep(ds, resolved, squared=True, rows=True, mean=True)
+        for a, b in zip(got, want):
+            np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
+
+
+def test_lazy_var_game_chunks_follow_the_budget(monkeypatch):
+    ds = random_dataset(40, 22, seed=8)
+    rules = [AbsoluteThreshold(0.8)] * 22
+    masks = np.random.default_rng(3).integers(0, 1 << 22, size=50)
+    want = make_var_game(ds, rules).values(masks)
+    monkeypatch.setattr(similarity, "CHUNK_BYTES", 8 * ds.n * 3)  # 14 chunks
+    got = make_var_game(ds, rules).values(masks)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
 def test_cohort_tables_match_masks():
