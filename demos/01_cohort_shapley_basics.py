@@ -15,11 +15,11 @@ from cohortshap import (
     Dataset,
     Identity,
     attach_predictions,
-    make_cs2_game,
-    make_cs_game,
+    make_game,
     shapley_exact,
     similarity_row,
 )
+from cohortshap.similarity import in_cohort
 
 X = np.array(list(itertools.product([0, 1], repeat=3)), dtype=float)[:, ::-1]
 y = 2.0 * X[:, 0] + X[:, 1]
@@ -31,18 +31,19 @@ print(f"target subject {target}: x = {X[target]}, prediction = {y[target]}")
 print(f"grand mean prediction: {y.mean()}")
 
 # Identity similarity: a subject is close on a predictor iff it matches the
-# target's value exactly. Row `target` of the matrix is all ones by
+# target's value exactly. Each subject's match code has bit j set when it is
+# close on predictor j; row `target` of the matrix is all ones by
 # construction.
 rules = [Identity()] * 3
-Z = similarity_row(rules, ds, target)
+codes = similarity_row(rules, ds, target)
 print("\nsimilarity matrix (subjects x predictors):")
-print(Z.dense.astype(int))
+print(codes[:, None] >> np.arange(3) & 1)
 
 # Cohorts for growing predictor sets. Refining can only shrink the cohort,
 # and the target never leaves it.
 print("\ncohort sizes and means while refining:")
 for u in ([], [0], [0, 1], [0, 1, 2]):
-    members = Z.cohort(u)
+    members = in_cohort(codes, sum(1 << j for j in u))
     print(
         f"  refined on {u or '{}'}: {members.sum()} subjects, "
         f"mean prediction {ds.y[members].mean():.3f}"
@@ -50,12 +51,12 @@ for u in ([], [0], [0, 1], [0, 1, 2]):
 
 # The cohort game values the set u by how far the refined cohort mean has
 # moved from the grand mean; the exact engine splits the total movement.
-game = make_cs_game(ds, Z, target)
+game = make_game("cs", ds, target, rules)
 att = shapley_exact(game)
 print(f"\ncohort Shapley: phi = {att.phi}, total = {att.total}")
 
 # The squared variant values movement regardless of sign; it is the
 # subject-level share of the variance decomposition that
 # cohortshap.variance_shapley aggregates over all subjects.
-att2 = shapley_exact(make_cs2_game(ds, Z, target))
+att2 = shapley_exact(make_game("cs2", ds, target, rules))
 print(f"squared cohort Shapley: phi = {att2.phi}, total = {att2.total}")

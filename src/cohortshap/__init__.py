@@ -3,19 +3,20 @@
 Local attributions (cohort, baseline, all-baseline Shapley and their squared
 versions), the global variance Shapley they aggregate into, binary-cube
 decomposition machinery, and a realism audit of synthetic-point methods.
+:func:`make_game` builds the game of every per-target method, and
+:func:`local_attributions` with :func:`make_panel` builds every panel.
 """
 
 from .aggregate import (
     Panel,
     aggregate_squared_cs,
-    export_panel,
     local_attributions,
+    make_panel,
     variance_shapley,
     write_panel_csv,
 )
 from .audit import (
     RealismReport,
-    RealismVerdict,
     SplitAttribution,
     bs_realism_split,
     is_realistic,
@@ -47,14 +48,8 @@ from .dataset import (
 )
 from .games import (
     EXACT_CAP,
-    BaselinePoint,
     Game,
     TableGame,
-    make_abs2_game,
-    make_abs_game,
-    make_bs2_game,
-    make_bs_game,
-    make_cs2_game,
     make_cs_game,
     make_game,
     make_var_game,
@@ -82,7 +77,6 @@ from .similarity import (
     RangeFraction,
     RelativeThreshold,
     SimilarityError,
-    SimilarityMatrix,
     resolve_rules,
     scale_rules,
     similarity_row,

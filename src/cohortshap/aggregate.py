@@ -1,5 +1,5 @@
 """Global sensitivity: variance Shapley, its per-subject disaggregation, and
-panel exports of per-subject attributions ordered by prediction.
+panels of per-subject attributions ordered by prediction.
 
 Every result is an :class:`Attribution`. The cohort tables of many targets
 come from one pass of :func:`games.cohort_value_sweep`:
@@ -7,7 +7,8 @@ come from one pass of :func:`games.cohort_value_sweep`:
 from one such sweep, the variance Shapley of the mean squared table (the
 direct route) and the per-subject squared cohort rows whose mean is the
 disaggregated route. :func:`local_attributions` is the one per-target
-builder: local runs and panels of every method and engine go through it.
+builder: local runs and panels of every method and engine go through it,
+and :func:`make_panel` orders its rows into a panel.
 """
 
 from __future__ import annotations
@@ -140,23 +141,6 @@ def make_panel(ds: Dataset, method: str, attributions) -> Panel:
         method=method,
         feature_names=tuple(ds.names),
     )
-
-
-def export_panel(
-    ds: Dataset,
-    rules=None,
-    method: str = "cs",
-    model=None,
-    baseline="mean",
-    engine: str = "exact",
-    permutations: int = 1000,
-    seed: int = 0,
-) -> Panel:
-    """Per-subject attributions for one method, ordered by prediction."""
-    atts = local_attributions(
-        ds, method, None, rules, model, baseline, engine, permutations, seed
-    )
-    return make_panel(ds, method, atts)
 
 
 def write_panel_csv(panel: Panel, path) -> None:

@@ -43,13 +43,6 @@ SCALE_ULPS = 8
 
 
 @dataclass(frozen=True)
-class RealismVerdict:
-    point: np.ndarray
-    realistic: bool
-    witness: int | None
-
-
-@dataclass(frozen=True)
 class RealismReport:
     """Realized realistic fractions per threshold scale, for marginal-product
     samples and for held-out rows at each holdout fraction."""
@@ -93,16 +86,13 @@ def sample_marginal_product(ds: Dataset, m: int, seed) -> np.ndarray:
     return out
 
 
-def is_realistic(point, ds: Dataset, rules) -> RealismVerdict:
-    """Scan for a subject similar to the point on all d predictors."""
+def is_realistic(point, ds: Dataset, rules) -> bool:
+    """Whether some subject is similar to the point on all d predictors."""
     point = np.asarray(point, dtype=float)
     if point.shape != (ds.d,):
         raise SimilarityError(f"point has shape {point.shape}, want ({ds.d},)")
     codes = match_codes(ds.X, resolve_rules(rules, ds), point)[0]
-    members = np.flatnonzero(in_cohort(codes, (1 << ds.d) - 1))
-    if len(members) == 0:
-        return RealismVerdict(point=point, realistic=False, witness=None)
-    return RealismVerdict(point=point, realistic=True, witness=int(members[0]))
+    return bool(in_cohort(codes, (1 << ds.d) - 1).any())
 
 
 def _hybrid_flags(X, resolved, x_t, baselines) -> np.ndarray:

@@ -1,4 +1,5 @@
-"""The seven coalition value functions, and the cohort sweep.
+"""Coalition value functions, built by one per-target factory
+(:func:`make_game`), and the cohort sweep.
 
 Cohort games (cs, cs2, var) average the cohort values of one target or of
 every subject, built from observed predictions by the kernels of
@@ -16,22 +17,19 @@ it has evaluated, and batches model calls.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .bits import EXACT_CAP
 from .dataset import Dataset, DatasetError
-from .models import ModelAdapter, predict
+from .models import predict
 from .shapley import _phi_from_tables
 from .similarity import (
-    SimilarityMatrix,
     cohort_table_chunks,
     cohort_value_tables,
     cohort_values,
     match_code_chunks,
-    match_codes,
     resolve_rules,
+    similarity_row,
     subset_int,
 )
 
@@ -185,36 +183,19 @@ def _cohort_game(ds: Dataset, method: str, target=None, codes=None, resolved=Non
     return TableGame(table, method, target)
 
 
-def make_cs_game(ds: Dataset, Z: SimilarityMatrix, t: int) -> Game:
-    """Cohort refinement values: mean prediction of C_{t,u} minus the grand mean."""
-    return make_game("cs", ds, t, rules=Z)
-
-
-def make_cs2_game(ds: Dataset, Z: SimilarityMatrix, t: int) -> Game:
-    """Squared cohort refinement values, the per-subject share of variance."""
-    return make_game("cs2", ds, t, rules=Z)
-
-
-@dataclass(frozen=True)
-class BaselinePoint:
-    """A d-vector of baseline predictor levels; need not be an observed row
-    (the mean of a binary column lands strictly between its levels)."""
-
-    values: tuple[float, ...]
-
-    @classmethod
-    def mean_of(cls, ds: Dataset) -> "BaselinePoint":
-        return cls(tuple(float(v) for v in ds.X.mean(axis=0)))
-
-    def array(self) -> np.ndarray:
-        return np.asarray(self.values, dtype=float)
+def make_cs_game(ds: Dataset, codes: np.ndarray, t: int) -> Game:
+    """The cs game of target t from its match ``codes`` (see
+    :func:`similarity.similarity_row`). It stays only for the benchmark's
+    explain path; every other caller uses :func:`make_game`."""
+    return _cohort_game(ds, "cs", t, codes)
 
 
 def _baseline_array(baseline, ds: Dataset) -> np.ndarray:
-    if isinstance(baseline, BaselinePoint):
-        arr = baseline.array()
-    elif isinstance(baseline, str) and baseline == "mean":
-        arr = BaselinePoint.mean_of(ds).array()
+    """The baseline point: "mean" for the column means, or d numbers; it
+    need not be an observed row (the mean of a binary column lands strictly
+    between its levels)."""
+    if isinstance(baseline, str) and baseline == "mean":
+        arr = ds.X.mean(axis=0)
     else:
         arr = np.asarray(baseline, dtype=float)
     if arr.shape != (ds.d,):
@@ -264,46 +245,21 @@ class _BaselineGame(Game):
         return np.concatenate([diff.mean(axis=1) for diff in self._diff_chunks(masks)])
 
 
-def make_bs_game(ds: Dataset, t: int, baseline, model: ModelAdapter) -> Game:
-    """Baseline values: model output at the target/baseline hybrid minus the
-    baseline prediction; one model call per coalition."""
-    return make_game("bs", ds, t, model=model, baseline=baseline)
-
-
-def make_bs2_game(ds: Dataset, t: int, baseline, model: ModelAdapter) -> Game:
-    """Squared per-coalition baseline differences."""
-    return make_game("bs2", ds, t, model=model, baseline=baseline)
-
-
-def make_abs_game(ds: Dataset, t: int, model: ModelAdapter) -> Game:
-    """Baseline values averaged over every observed row as the baseline."""
-    return make_game("abs", ds, t, model=model)
-
-
-def make_abs2_game(ds: Dataset, t: int, model: ModelAdapter) -> Game:
-    """Mean squared per-baseline differences over every observed row."""
-    return make_game("abs2", ds, t, model=model)
-
-
 def make_game(
     method: str, ds: Dataset, t: int, rules=None, model=None, baseline="mean"
 ) -> Game:
     """The game of a per-target method for target t.
 
-    Cohort methods (cs, cs2) need similarity ``rules``, or target t's
-    :class:`SimilarityMatrix` in their place; baseline-style methods (bs,
-    bs2, abs, abs2) need a ``model``, and bs/bs2 a ``baseline``.
+    Cohort methods (cs, cs2) need similarity ``rules``; baseline-style
+    methods (bs, bs2, abs, abs2) need a ``model``, and bs/bs2 a ``baseline``
+    ("mean" or d numbers).
     """
     if not 0 <= t < ds.n:
         raise DatasetError(f"target {t} outside 0..{ds.n - 1}")
     if method in COHORT_METHODS:
         if rules is None:
             raise DatasetError("cohort methods need similarity rules")
-        if isinstance(rules, SimilarityMatrix):
-            codes = rules.patterns()
-        else:
-            codes = match_codes(ds.X, resolve_rules(rules, ds), ds.X[t])[0]
-        return _cohort_game(ds, method, t, codes)
+        return _cohort_game(ds, method, t, similarity_row(rules, ds, t))
     if method in MODEL_METHODS:
         if model is None:
             raise DatasetError(f"method {method!r} needs a model")

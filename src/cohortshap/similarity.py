@@ -160,46 +160,20 @@ def resolve_rules(rules, ds: Dataset) -> list[SimilarityRule]:
     return resolved
 
 
-class SimilarityMatrix:
-    """Match patterns of every subject to one target (see :func:`match_codes`)."""
-
-    def __init__(self, target: int, codes: np.ndarray, d: int):
-        if codes.ndim != 1:
-            raise SimilarityError("a target's match codes must be 1-D")
-        self.target = target
-        self.d = d
-        self._codes = codes
-        self._codes.flags.writeable = False
-
-    @property
-    def dense(self) -> np.ndarray:
-        """n x d boolean indicators: bit j of each subject's pattern."""
-        dense = (self._codes[:, None] >> np.arange(self.d) & 1).astype(bool)
-        dense.flags.writeable = False
-        return dense
-
-    def patterns(self) -> np.ndarray:
-        """Per-subject subset integer of the features it matches the target on."""
-        return self._codes
-
-    def cohort(self, u) -> np.ndarray:
-        """Boolean membership of the cohort C_{t,u}: subjects similar to the
-        target on every feature in u (everyone for the empty set)."""
-        return in_cohort(self._codes, subset_int(u, self.d))
-
-
-def similarity_row(rules, ds: Dataset, t: int) -> SimilarityMatrix:
-    """Similarity of every subject to subject t under resolved rules."""
+def similarity_row(rules, ds: Dataset, t: int) -> np.ndarray:
+    """Read-only (n,) int64 match codes of every subject to subject t (see
+    :func:`match_codes`), under ``rules`` resolved against ``ds``."""
     if not 0 <= t < ds.n:
         raise SimilarityError(f"target {t} outside 0..{ds.n - 1}")
     codes = match_codes(ds.X, resolve_rules(rules, ds), ds.X[t])[0]
     if not in_cohort(codes[t], (1 << ds.d) - 1):
         raise SimilarityError("target row must be all-similar to itself")
-    return SimilarityMatrix(t, codes, ds.d)
+    codes.flags.writeable = False
+    return codes
 
 
 def in_cohort(codes: np.ndarray, u) -> np.ndarray:
-    """Subjects whose match pattern (see SimilarityMatrix.patterns) contains
+    """Subjects whose match pattern (a :func:`match_codes` entry) contains
     the subset integer u, i.e. the members of cohort u."""
     return (codes & u) == u
 

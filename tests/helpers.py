@@ -2,12 +2,28 @@
 
 Everything in this file is deliberately naive: exhaustive permutation
 enumeration and per-row python loops. None of it shares code with the
-library, so agreement between the two is meaningful evidence.
+library, so agreement between the two is meaningful evidence. The two
+exceptions, :func:`cohort` and :func:`dense`, are not oracles: they read one
+target's match codes (``similarity_row``) the way the tests ask about
+cohorts.
 """
 
 import itertools
 
 import numpy as np
+
+from cohortshap.similarity import in_cohort, subset_int
+
+
+def cohort(codes, u, d):
+    """Boolean membership of cohort u (a bitmask or feature indices) in one
+    target's match codes: everyone for the empty set."""
+    return in_cohort(codes, subset_int(u, d))
+
+
+def dense(codes, d):
+    """(n, d) boolean indicators: bit j of each subject's match code."""
+    return (codes[:, None] >> np.arange(d) & 1).astype(bool)
 
 
 def shapley_all_permutations(value, d):

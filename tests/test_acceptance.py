@@ -24,10 +24,7 @@ from cohortshap import (
     anchored_cube,
     attach_predictions,
     fit_logistic,
-    make_bs2_game,
-    make_bs_game,
-    make_cs2_game,
-    make_cs_game,
+    make_game,
     predict,
     realism_curve,
     resolve_rules,
@@ -169,31 +166,28 @@ def test_criterion_4_t8_fixture():
     ds = t8_dataset()
     t = t8_target(ds)
     rules = [Identity()] * 3
-    Z = similarity_row(rules, ds, t)
 
-    cs = shapley_exact(make_cs_game(ds, Z, t))
+    cs = shapley_exact(make_game("cs", ds, t, rules))
     assert cs.phi == pytest.approx([1.0, 0.5, 0.0], abs=1e-12)
-    cs2 = shapley_exact(make_cs2_game(ds, Z, t))
+    cs2 = shapley_exact(make_game("cs2", ds, t, rules))
     assert cs2.phi == pytest.approx([1.5, 0.75, 0.0], abs=1e-12)
     var = variance_shapley(ds, rules)
     assert var.phi == pytest.approx([1.0, 0.25, 0.0], abs=1e-12)
 
     model = LinearModel((2.0, 1.0, 0.0), 0.0)
-    from cohortshap import make_abs2_game
-
-    abs2_total = make_abs2_game(ds, t, model).total
-    cs2_total = make_cs2_game(ds, Z, t).total
+    abs2_total = make_game("abs2", ds, t, model=model).total
+    cs2_total = make_game("cs2", ds, t, rules).total
     assert abs2_total == pytest.approx(3.5, abs=1e-12)
     assert cs2_total == pytest.approx(2.25, abs=1e-12)
     assert abs2_total >= cs2_total
 
     # the same numbers through the committed exhaustive-permutation oracle
     phi_oracle, _ = shapley_all_permutations_table(
-        make_cs_game(ds, Z, t).value_table(), 3
+        make_game("cs", ds, t, rules).value_table(), 3
     )
     assert phi_oracle == pytest.approx([1.0, 0.5, 0.0], abs=1e-12)
     phi_oracle2, _ = shapley_all_permutations_table(
-        make_cs2_game(ds, Z, t).value_table(), 3
+        make_game("cs2", ds, t, rules).value_table(), 3
     )
     assert phi_oracle2 == pytest.approx([1.5, 0.75, 0.0], abs=1e-12)
     report(4, "T8 fixture values match the frozen oracle numbers")
@@ -273,11 +267,10 @@ def test_criterion_7_linear_model_properties():
     full = (1 << 5) - 1
     singles = 0
     for t in range(ds.n):
-        Z = similarity_row(rules, ds, t)
-        patterns = Z.patterns()
+        patterns = similarity_row(rules, ds, t)
         if (patterns == full).sum() == 1:
-            cs_total = make_cs_game(ds, Z, t).total
-            bs_total = make_bs_game(ds, t, "mean", model).total
+            cs_total = make_game("cs", ds, t, rules).total
+            bs_total = make_game("bs", ds, t, model=model, baseline="mean").total
             assert bs_total == pytest.approx(cs_total, rel=1e-10, abs=1e-10)
             singles += 1
     assert singles >= 50
@@ -291,10 +284,9 @@ def test_criterion_7_linear_model_properties():
     rules2 = [AbsoluteThreshold(0.4)] * 4
     saw_nonzero_cs = False
     for t in range(0, 60):
-        bs = shapley_exact(make_bs_game(ds2, t, "mean", model2))
+        bs = shapley_exact(make_game("bs", ds2, t, model=model2, baseline="mean"))
         assert bs.phi[3] == 0.0  # exactly: the increments are identically zero
-        Z = similarity_row(rules2, ds2, t)
-        cs = shapley_exact(make_cs_game(ds2, Z, t))
+        cs = shapley_exact(make_game("cs", ds2, t, rules2))
         if abs(cs.phi[3]) > 1e-3:
             saw_nonzero_cs = True
     assert saw_nonzero_cs
@@ -339,8 +331,7 @@ def test_criterion_9_performance_budget():
     assert np.isfinite(phi).all()
     # spot-check the sweep against the single-target path
     for t in (0, 512, 1044):
-        Z = similarity_row(TITANIC_RULES, ds, t)
-        att = shapley_exact(make_cs_game(ds, Z, t))
+        att = shapley_exact(make_game("cs", ds, t, TITANIC_RULES))
         assert phi[t] == pytest.approx(att.phi, abs=1e-10)
     assert elapsed <= 10.0
     report(9, f"CS for all 1045 subjects ({label}) in {elapsed:.2f}s")
@@ -357,6 +348,6 @@ def test_criterion_10_split_partition():
         split = bs_realism_split(ds, int(t), "mean", model, rules, method="bs")
         recombined = split.phi_realistic + split.phi_unrealistic
         assert np.array_equal(recombined, split.phi)  # bit-exact partition
-        engine = shapley_exact(make_bs_game(ds, int(t), "mean", model))
+        engine = shapley_exact(make_game("bs", ds, int(t), model=model, baseline="mean"))
         assert split.phi == pytest.approx(engine.phi, rel=1e-12, abs=1e-12)
     report(10, "realism split partitions 50 BS attributions bit-exactly")

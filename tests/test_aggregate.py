@@ -12,14 +12,13 @@ from cohortshap import (
     TableGame,
     aggregate_squared_cs,
     attach_predictions,
-    export_panel,
-    make_cs2_game,
-    make_cs_game,
+    local_attributions,
+    make_game,
+    make_panel,
     make_var_game,
     resolve_rules,
     shapley_engine,
     shapley_exact,
-    similarity_row,
     variance_shapley,
     write_panel_csv,
 )
@@ -76,11 +75,10 @@ def test_sweep_matches_per_target_games():
     phi, totals = _cs_rows(ds, rules, squared=False)
     phi2, _ = _cs_rows(ds, rules, squared=True)
     for t in (0, 7, 33, 59):
-        Z = similarity_row(rules, ds, t)
-        att = shapley_exact(make_cs_game(ds, Z, t))
+        att = shapley_exact(make_game("cs", ds, t, rules))
         assert phi[t] == pytest.approx(att.phi, abs=1e-10)
         assert totals[t] == pytest.approx(att.total, abs=1e-12)
-        att2 = shapley_exact(make_cs2_game(ds, Z, t))
+        att2 = shapley_exact(make_game("cs2", ds, t, rules))
         assert phi2[t] == pytest.approx(att2.phi, abs=1e-10)
 
 
@@ -175,8 +173,7 @@ def test_val_var_identity_all_subsets(t8):
     game = make_var_game(t8, IDENT3)
     per_target = np.zeros(8)
     for t in range(t8.n):
-        Z = similarity_row(IDENT3, t8, t)
-        per_target += make_cs2_game(t8, Z, t).value_table()
+        per_target += make_game("cs2", t8, t, IDENT3).value_table()
     assert game.value_table() == pytest.approx(per_target / t8.n, abs=1e-12)
 
 
@@ -187,7 +184,7 @@ def test_unsquared_cs_aggregates_to_zero_on_full_factorial(t8):
 
 
 def test_panel_cs(t8):
-    panel = export_panel(t8, IDENT3, method="cs")
+    panel = make_panel(t8, "cs", local_attributions(t8, "cs", rules=IDENT3))
     t = t8_target(t8)
     assert panel.bars[t] == pytest.approx([1.0, 0.5, 0.0], abs=1e-12)
     # ordering sorts predictions non-decreasingly
@@ -200,15 +197,16 @@ def test_panel_cs(t8):
 
 def test_panel_model_methods(t8):
     model = LinearModel((2.0, 1.0, 0.0), 0.0)
-    panel = export_panel(t8, method="bs", model=model, baseline="mean")
+    atts = local_attributions(t8, "bs", model=model, baseline="mean")
+    panel = make_panel(t8, "bs", atts)
     t = t8_target(t8)
     assert panel.bars[t].sum() == pytest.approx(3.0 - 1.5, abs=1e-10)
     with pytest.raises(Exception):
-        export_panel(t8, method="var")
+        local_attributions(t8, "var")
 
 
 def test_panel_csv_format(t8, tmp_path):
-    panel = export_panel(t8, IDENT3, method="cs")
+    panel = make_panel(t8, "cs", local_attributions(t8, "cs", rules=IDENT3))
     path = tmp_path / "panel.csv"
     write_panel_csv(panel, path)
     lines = path.read_text().strip().splitlines()
@@ -222,5 +220,6 @@ def test_panel_csv_format(t8, tmp_path):
 def test_panel_tie_break_stable():
     ds = random_dataset(12, 3, seed=2)
     ds = attach_predictions(ds, np.zeros(12))
-    panel = export_panel(ds, [AbsoluteThreshold(0.5)] * 3, method="cs")
+    atts = local_attributions(ds, "cs", rules=[AbsoluteThreshold(0.5)] * 3)
+    panel = make_panel(ds, "cs", atts)
     assert panel.ordering.tolist() == list(range(12))

@@ -14,8 +14,6 @@ from cohortshap import (
     attach_predictions,
     bs_realism_split,
     is_realistic,
-    make_abs_game,
-    make_bs_game,
     make_game,
     realism_curve,
     sample_marginal_product,
@@ -59,17 +57,14 @@ def test_is_realistic_observed_rows():
     ds = random_dataset(40, 3, seed=8)
     rules = [AbsoluteThreshold(0.2)] * 3
     for t in (0, 13, 39):
-        verdict = is_realistic(ds.X[t], ds, rules)
-        assert verdict.realistic and verdict.witness is not None
+        assert is_realistic(ds.X[t], ds, rules) is True
 
 
 def test_is_realistic_counterexample():
     ds = two_point_dataset()
     rules = [Identity(), Identity()]
-    bad = is_realistic(np.array([0.0, 1.0]), ds, rules)
-    assert not bad.realistic and bad.witness is None
-    good = is_realistic(np.array([1.0, 1.0]), ds, rules)
-    assert good.realistic and good.witness == 1
+    assert is_realistic(np.array([0.0, 1.0]), ds, rules) is False
+    assert is_realistic(np.array([1.0, 1.0]), ds, rules) is True
 
 
 def test_wide_threshold_everything_realistic():
@@ -77,7 +72,7 @@ def test_wide_threshold_everything_realistic():
     span = ds.X.max() - ds.X.min()
     rules = [AbsoluteThreshold(float(span) * 2)] * 2
     pts = sample_marginal_product(ds, 100, seed=0)
-    assert all(is_realistic(p, ds, rules).realistic for p in pts)
+    assert all(is_realistic(p, ds, rules) for p in pts)
 
 
 def test_min_witness_scale_matches_flags():
@@ -88,7 +83,7 @@ def test_min_witness_scale_matches_flags():
     min_scale = _min_witness_scale(pts, ds.X, resolved)
     for scale in (0.1, 0.4, 0.9):
         scaled = [Identity(), AbsoluteThreshold(scale), AbsoluteThreshold(scale)]
-        expect = [is_realistic(p, ds, scaled).realistic for p in pts]
+        expect = [is_realistic(p, ds, scaled) for p in pts]
         assert np.array_equal(min_scale <= scale, expect)
 
 
@@ -140,7 +135,7 @@ def test_witness_scan_bucket_edges():
 
 
 def _predicate_rate(points, ref: Dataset, rules) -> float:
-    return float(np.mean([is_realistic(p, ref, rules).realistic for p in points]))
+    return float(np.mean([is_realistic(p, ref, rules) for p in points]))
 
 
 def test_realism_curve_rates_are_predicate_rates():
@@ -180,7 +175,7 @@ def test_realism_curve_rates_are_predicate_rates():
             min_scale = _min_witness_scale(pts, source.X, resolved)
             for si, scale in enumerate(scales):
                 rules = scale_rules(resolved, scale)
-                flags = [is_realistic(p, source, rules).realistic for p in pts]
+                flags = [is_realistic(p, source, rules) for p in pts]
                 marginal[si] += np.mean(flags)
                 screen_misses += int(np.sum((min_scale <= scale) != flags))
             for fi, frac in enumerate(fractions):
@@ -248,7 +243,7 @@ def test_split_partition_exact(t8):
     rules = [Identity()] * 3
     t = t8_target(t8)
     split = bs_realism_split(t8, t, "mean", LINEAR, rules, method="bs")
-    full = shapley_exact(make_bs_game(t8, t, "mean", LINEAR))
+    full = shapley_exact(make_game("bs", t8, t, model=LINEAR, baseline="mean"))
     # same increments partitioned: parts recombine to the engine's phi
     assert np.array_equal(split.phi, split.phi_realistic + split.phi_unrealistic)
     assert split.phi == pytest.approx(full.phi, rel=1e-12, abs=1e-12)
@@ -275,7 +270,7 @@ def test_split_abs_method(t8):
     rules = [Identity()] * 3
     t = t8_target(t8)
     split = bs_realism_split(t8, t, "mean", LINEAR, rules, method="abs")
-    full = shapley_exact(make_abs_game(t8, t, LINEAR))
+    full = shapley_exact(make_game("abs", t8, t, model=LINEAR))
     assert split.phi == pytest.approx(full.phi, rel=1e-12, abs=1e-12)
     # hybrids of observed rows on a full factorial are observed rows
     assert np.abs(split.phi_unrealistic).max() == 0.0
@@ -324,7 +319,7 @@ def test_hybrid_flags_match_point_scan(method, baseline):
         for u in range(1 << ds.d):
             take = (u >> np.arange(ds.d) & 1).astype(bool)
             point = np.where(take, game.x_t, x_b)
-            assert flags[b, u] == is_realistic(point, ds, rules).realistic
+            assert flags[b, u] == is_realistic(point, ds, rules)
     assert flags.any() and not flags.all()
 
 

@@ -10,9 +10,19 @@ import json
 from pathlib import Path
 
 import numpy as np
+import pytest
 
+import cohortshap
 import cohortshap.cli  # noqa: F401  (loaded by the benchmark; holds emit hooks)
-from cohortshap import LinearModel, make_bs_game, shapley, shapley_permutation
+from cohortshap import (
+    AbsoluteThreshold,
+    Identity,
+    LinearModel,
+    make_game,
+    shapley,
+    shapley_exact,
+    shapley_permutation,
+)
 from cohortshap.games import Game
 from cohortshap.similarity import CHUNK_BYTES, MAX_CHUNK_TARGETS
 
@@ -52,7 +62,7 @@ def test_tracer_finds_every_hook_and_counts_mc_work():
     try:
         assert set(tracer.absent) <= KNOWN_ABSENT
         ds = t8_dataset()
-        game = make_bs_game(ds, 7, "mean", LinearModel((2.0, 1.0, 0.5), 0.0))
+        game = make_game("bs", ds, 7, model=LinearModel((2.0, 1.0, 0.5), 0.0))
         att = shapley_permutation(game, 37, seed=5)
     finally:
         tracer.uninstall()
@@ -65,6 +75,34 @@ def test_tracer_finds_every_hook_and_counts_mc_work():
     # every nonempty subset of 3 features, each evaluated once
     assert stats["games.coalitions_evaluated"] == 7
     assert stats["games._evaluate_many.calls"] == 1
+
+
+@pytest.mark.parametrize(
+    "d, n_binary, rule, explain",
+    [
+        (4, 0, AbsoluteThreshold(0.5), shapley_exact),
+        (21, 21, Identity(), lambda game: shapley_permutation(game, 50, seed=3)),
+    ],
+    ids=["dense-exact", "lazy-mc"],
+)
+def test_explain_call_matches_make_game(d, n_binary, rule, explain):
+    # the benchmark's explain_ms times this exact call shape
+    ds = random_dataset(40, d, seed=d, n_binary=n_binary)
+    rules, t = [rule] * d, 7
+    tracer = _tracing().Tracer()
+    tracer.install()
+    try:
+        game = cohortshap.make_cs_game(ds, cohortshap.similarity_row(rules, ds, t), t)
+        att = explain(game)
+        want = explain(make_game("cs", ds, t, rules))
+    finally:
+        tracer.uninstall()
+    stats = tracer.snapshot()
+    assert np.array_equal(att.phi, want.phi) and att.total == want.total
+    # one call from the explain path, one from make_game's cohort branch
+    assert stats["similarity.similarity_row.calls"] == 2
+    codes = cohortshap.similarity_row(rules, ds, t)
+    assert codes.shape == (ds.n,) and not codes.flags.writeable
 
 
 def test_global_sweeps_the_cohort_tables_once(tmp_path):

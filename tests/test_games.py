@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from cohortshap import (
     AbsoluteThreshold,
-    BaselinePoint,
     ColumnSchema,
     Dataset,
     DatasetError,
@@ -13,17 +12,12 @@ from cohortshap import (
     LinearModel,
     RelativeThreshold,
     attach_predictions,
-    make_abs2_game,
-    make_abs_game,
-    make_bs2_game,
-    make_bs_game,
-    make_cs2_game,
-    make_cs_game,
+    make_game,
     make_var_game,
     resolve_rules,
     similarity_row,
 )
-from cohortshap.games import TableGame, _LazyCohortGame
+from cohortshap.games import COHORT_METHODS, TableGame, _LazyCohortGame
 from cohortshap.similarity import cohort_value_tables, cohort_values, match_codes
 
 from .conftest import random_dataset, t8_target
@@ -34,14 +28,12 @@ IDENT3 = [Identity()] * 3
 
 @pytest.fixture
 def t8_games(t8):
-    t = t8_target(t8)
-    Z = similarity_row(IDENT3, t8, t)
-    return t8, Z, t
+    return t8, t8_target(t8)
 
 
 def test_cs_values(t8_games):
-    ds, Z, t = t8_games
-    g = make_cs_game(ds, Z, t)
+    ds, t = t8_games
+    g = make_game("cs", ds, t, IDENT3)
     assert g.value([]) == 0.0
     assert g.value([0]) == pytest.approx(1.0)
     assert g.value([1]) == pytest.approx(0.5)
@@ -52,8 +44,8 @@ def test_cs_values(t8_games):
 
 
 def test_cs2_values(t8_games):
-    ds, Z, t = t8_games
-    g = make_cs2_game(ds, Z, t)
+    ds, t = t8_games
+    g = make_game("cs2", ds, t, IDENT3)
     assert g.value([]) == 0.0
     assert g.value([0]) == pytest.approx(1.0)
     assert g.value([0, 1]) == pytest.approx(2.25)
@@ -63,39 +55,39 @@ def test_cs2_values(t8_games):
 
 
 def test_bs_values(t8_games):
-    ds, Z, t = t8_games
-    g = make_bs_game(ds, t, "mean", LINEAR)
+    ds, t = t8_games
+    g = make_game("bs", ds, t, model=LINEAR, baseline="mean")
     assert g.value([]) == 0.0
     assert g.value([0]) == pytest.approx(1.0)  # equals the CS value here
     assert g.total == pytest.approx(3.0 - 1.5)
-    explicit = make_bs_game(ds, t, BaselinePoint((0.5, 0.5, 0.5)), LINEAR)
+    explicit = make_game("bs", ds, t, model=LINEAR, baseline=[0.5, 0.5, 0.5])
     assert explicit.total == g.total
 
 
 def test_bs2_values(t8_games):
-    ds, Z, t = t8_games
-    g = make_bs2_game(ds, t, "mean", LINEAR)
+    ds, t = t8_games
+    g = make_game("bs2", ds, t, model=LINEAR, baseline="mean")
     assert g.value([]) == 0.0
     assert g.total == pytest.approx(2.25)
-    bs = make_bs_game(ds, t, "mean", LINEAR)
+    bs = make_game("bs", ds, t, model=LINEAR, baseline="mean")
     assert g.total == pytest.approx(bs.total**2)
 
 
 def test_abs_values(t8_games):
-    ds, Z, t = t8_games
-    g = make_abs_game(ds, t, LINEAR)
+    ds, t = t8_games
+    g = make_game("abs", ds, t, model=LINEAR)
     assert g.value([]) == 0.0
     assert g.value([0]) == pytest.approx(1.0)
     # decomposes the same total as CS: f(x_t) - grand mean
-    assert g.total == pytest.approx(make_cs_game(ds, Z, t).total)
+    assert g.total == pytest.approx(make_game("cs", ds, t, IDENT3).total)
 
 
 def test_abs2_values(t8_games):
-    ds, Z, t = t8_games
-    g = make_abs2_game(ds, t, LINEAR)
+    ds, t = t8_games
+    g = make_game("abs2", ds, t, model=LINEAR)
     assert g.value([]) == 0.0
     assert g.total == pytest.approx(3.5)
-    assert g.total >= make_cs2_game(ds, Z, t).total
+    assert g.total >= make_game("cs2", ds, t, IDENT3).total
 
 
 def test_abs2_dominates_cs2_on_random_data():
@@ -107,10 +99,9 @@ def test_abs2_dominates_cs2_on_random_data():
     ds = attach_predictions(ds, predict(model, ds.X))
     rules = [AbsoluteThreshold(0.4)] * 3
     for t in (0, 17, 42):
-        Z = similarity_row(rules, ds, t)
         assert (
-            make_abs2_game(ds, t, model).total
-            >= make_cs2_game(ds, Z, t).total - 1e-12
+            make_game("abs2", ds, t, model=model).total
+            >= make_game("cs2", ds, t, rules).total - 1e-12
         )
 
 
@@ -122,17 +113,16 @@ def test_var_values(t8):
     # subject-average of squared cohort games, coalition by coalition
     per_target = np.zeros(8)
     for t in range(t8.n):
-        Z = similarity_row(IDENT3, t8, t)
-        per_target += make_cs2_game(t8, Z, t).value_table()
+        per_target += make_game("cs2", t8, t, IDENT3).value_table()
     assert g.value_table() == pytest.approx(per_target / t8.n, abs=1e-12)
 
 
 def test_purity(t8_games):
-    ds, Z, t = t8_games
+    ds, t = t8_games
     for game in (
-        make_cs_game(ds, Z, t),
-        make_bs_game(ds, t, "mean", LINEAR),
-        make_abs_game(ds, t, LINEAR),
+        make_game("cs", ds, t, IDENT3),
+        make_game("bs", ds, t, model=LINEAR, baseline="mean"),
+        make_game("abs", ds, t, model=LINEAR),
     ):
         first = game.value([0, 2])
         again = game.value([0, 2])
@@ -169,9 +159,8 @@ def test_memo_evaluates_each_mask_once():
 
 def test_cs_needs_predictions(t8):
     bare = t8.__class__(schema=t8.schema, X=t8.X)
-    Z = similarity_row(IDENT3, t8, 0)
     with pytest.raises(DatasetError):
-        make_cs_game(bare, Z, 0)
+        make_game("cs", bare, 0, IDENT3)
 
 
 def test_table_game_guards():
@@ -190,8 +179,7 @@ def test_lazy_cohort_game_above_table_cap():
 
     ds = random_dataset(40, 21, seed=77, n_binary=21)
     rules = [Identity()] * 21
-    Z = similarity_row(rules, ds, 5)
-    g = make_cs_game(ds, Z, 5)
+    g = make_game("cs", ds, 5, rules)
     assert g._table is None
     grand = ds.y.mean()
     for u in ([], [0], [3, 17], list(range(21))):
@@ -231,10 +219,10 @@ def test_linear_mean_baseline_bs_equals_cs_total():
     rules = [AbsoluteThreshold(0.05)] * 4
     checked = 0
     for t in range(ds.n):
-        Z = similarity_row(rules, ds, t)
-        cs = make_cs_game(ds, Z, t)
-        if Z.patterns().max() == 15 and (Z.patterns() == 15).sum() == 1:
-            bs = make_bs_game(ds, t, "mean", model)
+        codes = similarity_row(rules, ds, t)
+        cs = make_game("cs", ds, t, rules)
+        if codes.max() == 15 and (codes == 15).sum() == 1:
+            bs = make_game("bs", ds, t, model=model, baseline="mean")
             assert bs.total == pytest.approx(cs.total, rel=1e-10)
             checked += 1
     assert checked > 10
@@ -276,9 +264,9 @@ def test_dense_and_lazy_cohort_games_agree(d, n, seed, rule_pool):
             rtol=1e-12,
             atol=1e-12,
         )
-    for method, make_game in (("cs", make_cs_game), ("cs2", make_cs2_game)):
+    for method in COHORT_METHODS:
         t = int(rng.integers(n))
-        dense = make_game(ds, similarity_row(rules, ds, t), t)
+        dense = make_game(method, ds, t, rules)
         lazy = _LazyCohortGame(ds, method, t, codes[t], None)
         assert lazy.values(masks) == pytest.approx(dense.value_table(), abs=1e-12)
     lazy_var = _LazyCohortGame(ds, "var", None, None, resolved)

@@ -1,14 +1,18 @@
 """The package's import graph: module-level imports between its modules form
-no cycle, so no module needs an import inside a function to break one."""
+no cycle, so no module needs an import inside a function to break one. And
+every package name the benchmark and the demos use still exists."""
 
 import ast
 import graphlib
+import importlib
 from pathlib import Path
 
 import cohortshap
 
 PACKAGE = Path(cohortshap.__file__).resolve().parent
 MODULES = {path.stem: path for path in PACKAGE.glob("*.py")}
+REPO = PACKAGE.parent.parent
+CALLERS = sorted([*REPO.glob("bench/*.py"), *REPO.glob("demos/*.py")])
 
 
 def _package_modules(node) -> set[str]:
@@ -82,3 +86,47 @@ def test_module_level_package_imports_are_acyclic():
 def test_no_function_imports_from_the_package():
     local = {name: found.local for name, found in _imports().items() if found.local}
     assert local == {}
+
+
+def _package_names(tree) -> set[tuple[str, str]]:
+    """(module, name) pairs a caller reads from the package: the attributes
+    of ``cohortshap.<name>`` and the names of ``from cohortshap[.mod] import``."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and not node.level:
+            module = node.module or ""
+            if module == "cohortshap" or module.startswith("cohortshap."):
+                found.update((module, alias.name) for alias in node.names)
+        elif (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "cohortshap"
+        ):
+            found.add(("cohortshap", node.attr))
+    return found
+
+
+def _resolves(module: str, name: str) -> bool:
+    if hasattr(importlib.import_module(module), name):
+        return True
+    try:  # a submodule the caller's import loads
+        importlib.import_module(f"{module}.{name}")
+    except ModuleNotFoundError:
+        return False
+    return True
+
+
+def test_bench_and_demo_names_resolve():
+    used = {}
+    for path in CALLERS:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for pair in _package_names(tree):
+            used.setdefault(pair, path.relative_to(REPO).as_posix())
+    # the benchmark's explain path is among the names read
+    assert ("cohortshap", "make_cs_game") in used
+    missing = sorted(
+        f"{where}: {module}.{name}"
+        for (module, name), where in used.items()
+        if not _resolves(module, name)
+    )
+    assert not missing, "names the package lacks: " + ", ".join(missing)

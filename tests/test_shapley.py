@@ -7,12 +7,10 @@ from hypothesis import strategies as st
 
 from cohortshap import (
     Identity,
-    make_cs2_game,
-    make_cs_game,
+    make_game,
     shapley_exact,
     shapley_permutation,
     shapley_weight_table,
-    similarity_row,
 )
 from cohortshap.games import TableGame
 from cohortshap.shapley import EXACT_CAP, _permutations
@@ -60,11 +58,10 @@ def test_hockey_stick_identity():
 
 def test_t8_cs_exact(t8):
     t = t8_target(t8)
-    Z = similarity_row([Identity()] * 3, t8, t)
-    att = shapley_exact(make_cs_game(t8, Z, t))
+    att = shapley_exact(make_game("cs", t8, t, [Identity()] * 3))
     assert att.phi == pytest.approx([1.0, 0.5, 0.0], abs=1e-12)
     assert att.total == pytest.approx(1.5)
-    att2 = shapley_exact(make_cs2_game(t8, Z, t))
+    att2 = shapley_exact(make_game("cs2", t8, t, [Identity()] * 3))
     assert att2.phi == pytest.approx([1.5, 0.75, 0.0], abs=1e-12)
     assert att2.total == pytest.approx(2.25)
 
@@ -145,8 +142,7 @@ def test_mc_needs_two_permutations():
 
 def test_mc_efficiency_and_convergence(t8):
     t = t8_target(t8)
-    Z = similarity_row([Identity()] * 3, t8, t)
-    game = make_cs_game(t8, Z, t)
+    game = make_game("cs", t8, t, [Identity()] * 3)
     att = shapley_permutation(game, 5000, seed=9)
     assert att.phi.sum() == pytest.approx(att.total, abs=1e-12)
     exact = shapley_exact(game)
@@ -189,7 +185,7 @@ def test_permutations_uniform_at_d3():
 
 def test_mc_total_is_full_minus_empty():
     ds = random_dataset(40, 21, seed=5, n_binary=21)
-    lazy = make_cs_game(ds, similarity_row([Identity()] * 21, ds, 3), 3)
+    lazy = make_game("cs", ds, 3, [Identity()] * 21)
     for game in (lazy, random_game(7, 9)):
         att = shapley_permutation(game, 16, seed=2)
         assert att.total == game.value(game.full_mask) - game.value(0)

@@ -27,7 +27,7 @@ from cohortshap.similarity import (
 )
 
 from .conftest import random_dataset, t8_target
-from .helpers import naive_cohort_members
+from .helpers import cohort, dense, naive_cohort_members
 
 
 def test_rule_validation():
@@ -94,43 +94,44 @@ def test_zero_threshold_equals_identity():
     for t in (0, 13, 59):
         zi = similarity_row([Identity()] * 3, ds, t)
         za = similarity_row([AbsoluteThreshold(0.0)] * 3, ds, t)
-        assert np.array_equal(zi.dense, za.dense)
+        assert np.array_equal(dense(zi, 3), dense(za, 3))
 
 
 def test_target_row_all_ones():
     ds = random_dataset(40, 4, seed=3)
     rules = [AbsoluteThreshold(0.2)] * 2 + [RelativeThreshold(0.1), Identity()]
     for t in (0, 17, 39):
-        Z = similarity_row(rules, ds, t)
-        assert Z.dense[t].all()
-        assert not Z.dense.flags.writeable  # derived from the stored codes
+        codes = similarity_row(rules, ds, t)
+        assert codes.shape == (ds.n,) and codes.dtype == np.int64
+        assert dense(codes, 4)[t].all()
+        assert not codes.flags.writeable
 
 
 def test_t8_cohort_counts(t8):
     t = t8_target(t8)
-    Z = similarity_row([Identity()] * 3, t8, t)
-    assert Z.cohort([]).sum() == 8
-    assert Z.cohort([0]).sum() == 4
-    assert Z.cohort([0, 1]).sum() == 2
-    assert Z.cohort([0, 1, 2]).sum() == 1
-    assert Z.cohort(0b101).sum() == 2
+    codes = similarity_row([Identity()] * 3, t8, t)
+    assert cohort(codes, [], 3).sum() == 8
+    assert cohort(codes, [0], 3).sum() == 4
+    assert cohort(codes, [0, 1], 3).sum() == 2
+    assert cohort(codes, [0, 1, 2], 3).sum() == 1
+    assert cohort(codes, 0b101, 3).sum() == 2
 
 
 def test_t8_cohort_means(t8):
     t = t8_target(t8)
-    Z = similarity_row([Identity()] * 3, t8, t)
-    assert t8.y[Z.cohort([0])].mean() == pytest.approx(2.5)
-    assert t8.y[Z.cohort([])].mean() == pytest.approx(1.5)
-    assert t8.y[Z.cohort([0, 1, 2])].mean() == t8.y[t]
+    codes = similarity_row([Identity()] * 3, t8, t)
+    assert t8.y[cohort(codes, [0], 3)].mean() == pytest.approx(2.5)
+    assert t8.y[cohort(codes, [], 3)].mean() == pytest.approx(1.5)
+    assert t8.y[cohort(codes, [0, 1, 2], 3)].mean() == t8.y[t]
 
 
 def test_refinement_associativity():
     ds = random_dataset(50, 4, seed=11)
-    Z = similarity_row([AbsoluteThreshold(0.5)] * 4, ds, 7)
+    codes = similarity_row([AbsoluteThreshold(0.5)] * 4, ds, 7)
     for u in range(1 << 4):
         for j in range(4):
-            left = Z.cohort(u) & Z.dense[:, j]
-            right = Z.cohort(u | (1 << j))
+            left = cohort(codes, u, 4) & dense(codes, 4)[:, j]
+            right = cohort(codes, u | (1 << j), 4)
             assert np.array_equal(left, right)
 
 
@@ -139,9 +140,9 @@ def test_refinement_associativity():
 def test_monotonicity_and_membership(seed, u, extra):
     ds = random_dataset(35, 4, seed=seed % 1000)
     t = seed % 35
-    Z = similarity_row([AbsoluteThreshold(0.4)] * 4, ds, t)
+    codes = similarity_row([AbsoluteThreshold(0.4)] * 4, ds, t)
     v = u | extra
-    mu, mv = Z.cohort(u), Z.cohort(v)
+    mu, mv = cohort(codes, u, 4), cohort(codes, v, 4)
     assert mv.sum() <= mu.sum()
     assert np.array_equal(mv & mu, mv)  # v-cohort inside u-cohort
     assert mu[t] and mv[t]
@@ -155,7 +156,7 @@ def test_bit_level_oracle_against_row_loop(seed):
     t = int(rng.integers(0, 30))
     delta = float(rng.uniform(0.05, 1.0))
     rules = [Identity(), AbsoluteThreshold(delta), RelativeThreshold(0.3)]
-    Z = similarity_row(rules, ds, t)
+    codes = similarity_row(rules, ds, t)
     fns = [
         lambda a, b: a == b,
         lambda a, b: abs(b - a) <= delta,
@@ -164,7 +165,7 @@ def test_bit_level_oracle_against_row_loop(seed):
     for u in range(8):
         feats = [j for j in range(3) if u >> j & 1]
         expected = naive_cohort_members(ds.X, ds.X[t], feats, fns)
-        assert np.flatnonzero(Z.cohort(u)).tolist() == expected
+        assert np.flatnonzero(cohort(codes, u, 3)).tolist() == expected
 
 
 def test_duplicated_columns_swap_invariance():
@@ -173,10 +174,10 @@ def test_duplicated_columns_swap_invariance():
     schema = tuple(ColumnSchema(f"c{j}", "numeric") for j in range(3))
     ds = attach_predictions(Dataset(schema=schema, X=X), base.y)
     rules = [AbsoluteThreshold(0.3)] * 3
-    Z = similarity_row(rules, ds, 11)
+    codes = similarity_row(rules, ds, 11)
     for u in range(8):
         swapped = (u & 0b100) | ((u & 1) << 1) | ((u >> 1) & 1)
-        assert Z.cohort(u).sum() == Z.cohort(swapped).sum()
+        assert cohort(codes, u, 3).sum() == cohort(codes, swapped, 3).sum()
 
 
 def test_match_codes_row_blocks_equal_per_point_codes(monkeypatch):
@@ -231,16 +232,16 @@ def test_lazy_var_game_chunks_follow_the_budget(monkeypatch):
 def test_cohort_tables_match_masks():
     ds = random_dataset(70, 4, seed=9)
     rules = [AbsoluteThreshold(0.6)] * 4
-    Z = similarity_row(rules, ds, 21)
+    row = similarity_row(rules, ds, 21)
     codes = match_codes(ds.X, resolve_rules(rules, ds), ds.X[21])
-    assert np.array_equal(codes[0], Z.patterns())
+    assert np.array_equal(codes[0], row)
     grand = ds.y.mean()
     for squared in (False, True):
         table = cohort_value_tables(codes, ds.y, 4, squared)[0]
         lazy = cohort_values(codes, ds.y, np.arange(16), squared)[0]
         assert table[0] == lazy[0] == 0.0
         for u in range(1, 1 << 4):
-            want = ds.y[Z.cohort(u)].mean() - grand
+            want = ds.y[cohort(row, u, 4)].mean() - grand
             want = want * want if squared else want
             assert table[u] == pytest.approx(want, rel=1e-12, abs=1e-14)
             assert lazy[u] == pytest.approx(want, rel=1e-12, abs=1e-14)
