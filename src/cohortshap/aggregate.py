@@ -22,12 +22,13 @@ from .dataset import Dataset, DatasetError
 from .games import (
     COHORT_METHODS,
     TableGame,
+    _cohort_game,
     cohort_value_sweep,
     make_game,
     make_var_game,
 )
 from .shapley import Attribution, shapley_engine
-from .similarity import resolve_rules
+from .similarity import resolve_rules, target_codes
 
 
 @dataclass(frozen=True)
@@ -100,31 +101,33 @@ def local_attributions(
     """Attributions of one per-target method for every target (all subjects
     when ``targets`` is None), in target order.
 
-    Exact cohort methods go through the chunked sweep; every other method
-    and engine evaluates one game per target.
+    Exact cohort methods go through the chunked sweep. Every other method
+    and engine evaluates one game per target; cohort rules are resolved
+    once per call, not once per target.
     """
     targets = range(ds.n) if targets is None else [int(t) for t in targets]
     for t in targets:
         if not 0 <= t < ds.n:
             raise DatasetError(f"target {t} outside 0..{ds.n - 1}")
-    if method in COHORT_METHODS and engine == "exact":
+    if method in COHORT_METHODS:
         if rules is None:
             raise DatasetError("cohort methods need similarity rules")
-        _, phi, totals = cohort_value_sweep(
-            ds, resolve_rules(rules, ds), targets, method == "cs2"
+        resolved = resolve_rules(rules, ds)
+        if engine == "exact":
+            _, phi, totals = cohort_value_sweep(ds, resolved, targets, method == "cs2")
+            if not np.isfinite(totals).all():
+                raise ValueError("game total is not finite")
+            return [
+                Attribution(phi=row, total=float(total), method=method, target=t)
+                for t, row, total in zip(targets, phi, totals)
+            ]
+        games = (
+            _cohort_game(ds, method, t, codes)
+            for t, codes in target_codes(ds, resolved, targets)
         )
-        if not np.isfinite(totals).all():
-            raise ValueError("game total is not finite")
-        return [
-            Attribution(phi=row, total=float(total), method=method, target=t)
-            for t, row, total in zip(targets, phi, totals)
-        ]
-    return [
-        shapley_engine(
-            make_game(method, ds, t, rules, model, baseline), engine, permutations, seed
-        )
-        for t in targets
-    ]
+    else:
+        games = (make_game(method, ds, t, rules, model, baseline) for t in targets)
+    return [shapley_engine(game, engine, permutations, seed) for game in games]
 
 
 def make_panel(ds: Dataset, method: str, attributions) -> Panel:

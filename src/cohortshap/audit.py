@@ -96,7 +96,7 @@ def is_realistic(point, ds: Dataset, rules) -> bool:
 
 
 def _hybrid_flags(X, resolved, x_t, baselines) -> np.ndarray:
-    """(k, 2^d) realism, witnesses from ``X``, of every hybrid that takes
+    """(2^d, k) realism, witnesses from ``X``, of every hybrid that takes
     ``x_t`` on the features in u and baseline row b elsewhere: subject i is
     close to it exactly on (code_t[i] & u) | (code_b[i] & ~u)."""
     d = X.shape[1]
@@ -104,12 +104,12 @@ def _hybrid_flags(X, resolved, x_t, baselines) -> np.ndarray:
     code_t = match_codes(X, resolved, x_t)
     code_b = match_codes(X, resolved, baselines)
     k, n = code_b.shape
-    flags = np.empty((k, 1 << d), dtype=bool)
+    flags = np.empty((1 << d, k), dtype=bool)
     step = max(1, MASK_BLOCK_BYTES // (8 * k * n))
     for s in range(0, 1 << d, step):
         u = np.arange(s, min(s + step, 1 << d), dtype=np.int64)[:, None, None]
         close = (code_t & u) | (code_b & ~u)
-        flags[:, s : s + len(u)] = in_cohort(close, full).any(axis=2).T
+        flags[s : s + len(u)] = in_cohort(close, full).any(axis=2)
     return flags
 
 
@@ -311,19 +311,19 @@ def bs_realism_split(
     game = make_game(method, ds, t, model=model, baseline=baseline)
     d = ds.d
     masks = np.arange(1 << d, dtype=np.int64)
-    # per-baseline differences and realism of every hybrid, (baselines, 2^d)
-    diffs = np.ascontiguousarray(game.baseline_diffs(masks).T)
+    # per-baseline differences and realism of every hybrid, (2^d, baselines)
+    diffs = game.baseline_diffs(masks)
     flags = _hybrid_flags(ds.X, resolve_rules(rules, ds), game.x_t, game.baselines)
 
     w = shapley_weight_table(d)
     sizes = subset_sizes(d)
-    k = len(diffs)
+    k = diffs.shape[1]
     phi_r = np.zeros(d)
     phi_u = np.zeros(d)
     for j in range(d):
         lo, hi = halves(diffs, d, j)
         ok_lo, ok_hi = halves(flags, d, j)
-        terms = w[halves(sizes, d, j)[0]] * (hi - lo) / k
+        terms = w[halves(sizes, d, j)[0]][..., None] * (hi - lo) / k
         pair_ok = ok_hi & ok_lo
         phi_r[j] = terms[pair_ok].sum()
         phi_u[j] = terms[~pair_ok].sum()

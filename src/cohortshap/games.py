@@ -142,11 +142,14 @@ def cohort_value_sweep(
     """One pass over the cohort tables of ``targets`` (every subject when
     None) under ``resolved`` rules: (mean table, phi rows, totals).
 
-    With ``mean``, each chunk's tables are summed into one 2^d table, chunk
-    after chunk in target order, which is divided by the target count at
-    the end. With ``rows``, each chunk is also contracted into the targets'
-    exact Shapley rows and their totals. What is not asked for is None.
-    Memory stays bounded by the chunk, not by targets x 2^d.
+    Each chunk of :func:`similarity.cohort_table_chunks` is one lattice-major
+    (2^d, B) table of B targets. With ``mean``, each chunk is summed along
+    its contiguous target axis into one 2^d table, chunk after chunk in
+    target order, which is divided by the target count at the end. With
+    ``rows``, each chunk is also contracted into the targets' (B, d) exact
+    Shapley rows, and its last lattice row (the full set) gives their
+    totals. What is not asked for is None. Memory stays bounded by the
+    chunk, not by targets x 2^d.
     """
     if ds.d > EXACT_CAP:
         raise DatasetError(f"d={ds.d} too large for the dense cohort sweep")
@@ -156,10 +159,10 @@ def cohort_value_sweep(
     totals = np.empty(len(targets)) if rows else None
     for s, tables in cohort_table_chunks(ds, resolved, targets, squared):
         if mean:
-            table += tables.sum(axis=0)
+            table += tables.sum(axis=1)
         if rows:
-            phi[s : s + len(tables)] = _phi_from_tables(tables, ds.d)
-            totals[s : s + len(tables)] = tables[:, -1]
+            phi[s : s + tables.shape[1]] = _phi_from_tables(tables, ds.d)
+            totals[s : s + tables.shape[1]] = tables[-1]
     if mean:
         table /= len(targets)
     return table, phi, totals

@@ -52,21 +52,22 @@ def shapley_weight_table(d: int) -> np.ndarray:
 def _phi_from_tables(tables: np.ndarray, d: int) -> np.ndarray:
     """Exact Shapley from coalition-value tables.
 
-    ``tables`` has subset-indexed values on the last axis (one row per game);
-    returns matching rows of d Shapley values. Feature j's value contracts
-    the increments v(u + j) - v(u) against the weights of the sets u.
+    ``tables`` is one lattice table (2^d,) or the lattice-major tables
+    (2^d, B) of B games; returns their (B, d) rows of Shapley values, B = 1
+    for one table. Feature j's value contracts the increments
+    v(u + j) - v(u) against the weights of the sets u.
     """
-    tables = np.ascontiguousarray(np.atleast_2d(tables))
-    if tables.shape[-1] != 1 << d:
+    tables = np.ascontiguousarray(tables)
+    if tables.shape[0] != 1 << d:
         raise ValueError("value table length does not match d")
+    tables = tables.reshape(1 << d, -1)
     w = shapley_weight_table(d)
     sizes = subset_sizes(d)
-    lead = tables.shape[:-1]
-    phi = np.empty(lead + (d,))
+    phi = np.empty((tables.shape[1], d))
     for j in range(d):
         lo, hi = halves(tables, d, j)
         weights = w[halves(sizes, d, j)[0]].reshape(-1)
-        phi[..., j] = (hi - lo).reshape(lead + (-1,)) @ weights
+        phi[:, j] = weights @ (hi - lo).reshape(len(weights), -1)
     return phi
 
 

@@ -172,6 +172,18 @@ def similarity_row(rules, ds: Dataset, t: int) -> np.ndarray:
     return codes
 
 
+def target_codes(ds: Dataset, resolved, targets):
+    """Yield (t, codes) for each of ``targets`` in order: the
+    :func:`similarity_row` codes of t under already ``resolved`` rules,
+    copied out of :func:`match_code_chunks`' reused buffer."""
+    targets = np.asarray(targets, dtype=np.intp)
+    for s, chunk in match_code_chunks(ds, resolved, targets, 0):
+        for t, codes in zip(targets[s : s + len(chunk)], chunk):
+            if not in_cohort(codes[t], (1 << ds.d) - 1):
+                raise SimilarityError("target row must be all-similar to itself")
+            yield int(t), codes.copy()
+
+
 def in_cohort(codes: np.ndarray, u) -> np.ndarray:
     """Subjects whose match pattern (a :func:`match_codes` entry) contains
     the subset integer u, i.e. the members of cohort u."""
@@ -216,15 +228,18 @@ def match_codes(X: np.ndarray, resolved, points: np.ndarray, out=None) -> np.nda
 
 def cohort_value_tables(codes: np.ndarray, y: np.ndarray, d: int, squared: bool):
     """All 2^d cohort values, optionally squared, from the match ``codes`` of
-    one target (subjects,) or of many (targets, subjects): shape (2^d,) or
-    (targets, 2^d). A pattern histogram is superset-summed, since a subject
-    is in cohort u exactly when its pattern contains u."""
-    shape = codes.shape[:-1] + (1 << d,)
-    if codes.ndim > 1:
-        codes = codes + (np.arange(len(codes), dtype=np.int64)[:, None] << d)
-        y = np.broadcast_to(y, codes.shape)
-    flat = codes.ravel()
+    one target (subjects,) or of many (targets, subjects): shape (2^d,) or,
+    lattice-major, (2^d, targets), whose column b is the table of target b
+    (see :mod:`bits`). A pattern histogram is superset-summed, since a
+    subject is in cohort u exactly when its pattern contains u."""
+    shape = (1 << d, *codes.shape[:-1])
     cells = math.prod(shape)
+    if codes.ndim > 1:
+        # Bin index code * B + b, built subject-major so consecutive entries
+        # land in nearby bins; each bin still sums its subjects in order.
+        codes = np.multiply(codes.T, shape[1], order="C")
+        codes += np.arange(shape[1], dtype=np.int64)
+    flat = codes.ravel()
     # A count never exceeds n, and the int32 superset sum is the faster one.
     # The int32 table is allocated before bincount's int64 one: the other
     # order raised the peak RSS of `local` then `global` in one process on a
@@ -232,14 +247,17 @@ def cohort_value_tables(codes: np.ndarray, y: np.ndarray, d: int, squared: bool)
     # the allocator's placement of later tables made the difference.
     counts = np.empty(shape, dtype=np.int32)
     counts[...] = np.bincount(flat, minlength=cells).reshape(shape)
-    dev = np.bincount(flat, weights=y.ravel(), minlength=cells).reshape(shape)
+    # The repeated y of many targets lives only through this call.
+    dev = np.bincount(
+        flat, weights=y if codes.ndim == 1 else np.repeat(y, shape[1]), minlength=cells
+    ).reshape(shape)
     bits.superset_sum_inplace(counts, d)
     bits.superset_sum_inplace(dev, d)
     dev /= counts
-    dev -= dev[..., :1].copy()  # numpy would copy an overlapping operand whole
+    dev -= dev[0].copy()  # numpy would copy the broadcast, overlapping row whole
     if squared:
         dev *= dev
-    dev[..., 0] = 0.0
+    dev[0] = 0.0
     return dev
 
 
@@ -284,8 +302,9 @@ def match_code_chunks(ds: Dataset, resolved, targets, row_bytes: int):
 def cohort_table_chunks(ds: Dataset, resolved, targets: np.ndarray, squared: bool):
     """Cohort value tables for many targets, yielded a chunk at a time.
 
-    Yields (chunk_offset, tables) with tables of shape (B, 2^d); row b holds
-    the :func:`cohort_value_tables` row of target targets[chunk_offset + b].
+    Yields (chunk_offset, tables) with lattice-major tables of shape
+    (2^d, B); column b holds the :func:`cohort_value_tables` table of target
+    targets[chunk_offset + b].
     Chunks follow :func:`match_code_chunks`, so a chunk's tables and codes
     stay within CHUNK_BYTES and memory is bounded for any number of targets.
     """

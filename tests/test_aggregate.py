@@ -8,6 +8,7 @@ from cohortshap import (
     Dataset,
     Identity,
     LinearModel,
+    RangeFraction,
     RelativeThreshold,
     TableGame,
     aggregate_squared_cs,
@@ -22,6 +23,7 @@ from cohortshap import (
     variance_shapley,
     write_panel_csv,
 )
+from cohortshap import aggregate, games, similarity
 from cohortshap.aggregate import global_attribution
 from cohortshap.games import cohort_value_sweep
 from cohortshap.shapley import _phi_from_tables
@@ -82,6 +84,50 @@ def test_sweep_matches_per_target_games():
         assert phi2[t] == pytest.approx(att2.phi, abs=1e-10)
 
 
+def test_dummy_features_get_exact_zeros_across_chunks():
+    # column 1 is constant and every pair is close on column 3, so both are
+    # dummies of every cohort game: each v(u + j) - v(u) is exactly 0, and so
+    # is their Shapley value on every row of every chunk, not a rounding
+    # residue of the contraction
+    ds = random_dataset(300, 5, seed=17)
+    assert ds.n > MAX_CHUNK_TARGETS
+    X = ds.X.copy()
+    X[:, 1] = 2.0
+    ds = attach_predictions(Dataset(schema=ds.schema, X=X), ds.y)
+    rules = [AbsoluteThreshold(0.5), Identity(), RelativeThreshold(0.3),
+             AbsoluteThreshold(1e6), AbsoluteThreshold(0.4)]
+    for method in ("cs", "cs2"):
+        phi = np.array([a.phi for a in local_attributions(ds, method, rules=rules)])
+        assert (phi[:, [1, 3]] == 0.0).all()
+        assert (phi[:, [0, 2, 4]] != 0.0).any(axis=0).all()
+    direct, rows = global_attribution(ds, rules, per_subject=True)
+    assert (rows[:, [1, 3]] == 0.0).all()
+    assert (direct.phi[[1, 3]] == 0.0).all()
+
+
+@pytest.mark.parametrize("d", [4, 21])
+def test_mc_cohort_panel_resolves_rules_once(monkeypatch, d):
+    # the quantile ranges of RangeFraction rules are pinned once per call,
+    # for the dense (d = 4) and the lazy (d = 21) games alike
+    ds = random_dataset(30, d, seed=23)
+    rules = [RangeFraction(0.3)] * d
+    want = [shapley_engine(make_game("cs", ds, t, rules), "mc", 20, 5) for t in range(30)]
+    calls = []
+
+    def counting(rules, ds):
+        calls.append(1)
+        return resolve_rules(rules, ds)
+
+    for module in (aggregate, games, similarity):
+        monkeypatch.setattr(module, "resolve_rules", counting)
+    got = local_attributions(ds, "cs", rules=rules, engine="mc", permutations=20, seed=5)
+    assert len(calls) == 1
+    assert [a.target for a in got] == list(range(30))
+    for a, b in zip(got, want):
+        assert np.array_equal(a.phi, b.phi) and np.array_equal(a.stderr, b.stderr)
+        assert a.total == b.total
+
+
 def test_sweep_memory_bounded_by_chunk():
     # the sweeps contract (and sum) each chunk as it is built, so their peaks
     # stay below a single targets x 2^d table of cohort values
@@ -112,13 +158,13 @@ def _two_pass(ds, rules, engine):
     step = min(MAX_CHUNK_TARGETS, max(1, CHUNK_BYTES // (8 << ds.d)))
     table = np.zeros(1 << ds.d)
     for s in range(0, ds.n, step):
-        table += tables[s : s + step].sum(axis=0)
+        table += tables[:, s : s + step].sum(axis=1)
     table /= ds.n
     direct = shapley_engine(TableGame(table, "var"), engine, 300, 7)
     rows = np.concatenate(
-        [_phi_from_tables(tables[s : s + step], ds.d) for s in range(0, ds.n, step)]
+        [_phi_from_tables(tables[:, s : s + step], ds.d) for s in range(0, ds.n, step)]
     )
-    return table, direct, rows, tables[:, -1]
+    return table, direct, rows, tables[-1]
 
 
 @pytest.mark.parametrize("engine", ["exact", "mc"])

@@ -314,12 +314,12 @@ def test_hybrid_flags_match_point_scan(method, baseline):
         baseline = ds.X[baseline]
     game = make_game(method, ds, 7, model=model, baseline=baseline)
     flags = _hybrid_flags(ds.X, resolve_rules(rules, ds), game.x_t, game.baselines)
-    assert flags.shape == (len(game.baselines), 1 << ds.d)
+    assert flags.shape == (1 << ds.d, len(game.baselines))
     for b, x_b in enumerate(game.baselines):
         for u in range(1 << ds.d):
             take = (u >> np.arange(ds.d) & 1).astype(bool)
             point = np.where(take, game.x_t, x_b)
-            assert flags[b, u] == is_realistic(point, ds, rules)
+            assert flags[u, b] == is_realistic(point, ds, rules)
     assert flags.any() and not flags.all()
 
 

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cohortshap import bits
+from cohortshap.shapley import _phi_from_tables
 
 from .helpers import anchored_components_naive
 
@@ -38,10 +39,31 @@ def test_superset_sum_counts_supersets():
 
 def test_transforms_work_on_stacked_tables():
     d = 2
-    stacked = np.array([[1.0, 2.0, 3.0, 4.0], [0.0, 1.0, 0.0, 1.0]])
+    stacked = np.array([[1.0, 2.0, 3.0, 4.0], [0.0, 1.0, 0.0, 1.0]]).T.copy()
     bits.superset_sum_inplace(stacked, d)
-    assert stacked[0] == pytest.approx([10.0, 6.0, 7.0, 4.0])
-    assert stacked[1] == pytest.approx([2.0, 2.0, 1.0, 1.0])
+    assert stacked[:, 0] == pytest.approx([10.0, 6.0, 7.0, 4.0])
+    assert stacked[:, 1] == pytest.approx([2.0, 2.0, 1.0, 1.0])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 8), st.integers(1, 5), st.integers(0, 2**32 - 1))
+def test_lattice_major_tables_match_their_columns(d, cols, seed):
+    # a (2^d, cols) table is cols lattice tables side by side: each column's
+    # superset sum is bit for bit its own 1-D sum, and each contracted row
+    # is its own 1-D contraction
+    rng = np.random.default_rng(seed)
+    values = rng.normal(size=(1 << d, cols))
+    counts = rng.integers(0, 1000, size=(1 << d, cols)).astype(np.int32)
+    for table in (values, counts):
+        summed = bits.superset_sum_inplace(table.copy(), d)
+        for c in range(cols):
+            alone = bits.superset_sum_inplace(table[:, c].copy(), d)
+            assert np.array_equal(summed[:, c], alone)
+    rows = _phi_from_tables(values, d)
+    assert rows.shape == (cols, d)
+    for c in range(cols):
+        alone = _phi_from_tables(values[:, c].copy(), d)
+        np.testing.assert_allclose(rows[c], alone[0], rtol=0, atol=1e-12)
 
 
 def test_non_contiguous_rejected():

@@ -260,7 +260,7 @@ def test_dense_and_lazy_cohort_games_agree(d, n, seed, rule_pool):
     for squared in (False, True):
         np.testing.assert_allclose(
             cohort_values(codes, ds.y, masks, squared),
-            cohort_value_tables(codes, ds.y, d, squared),
+            cohort_value_tables(codes, ds.y, d, squared).T,
             rtol=1e-12,
             atol=1e-12,
         )

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -219,6 +221,47 @@ def test_chunks_bound_codes_and_tables(monkeypatch, n, d):
             np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
 
 
+@settings(max_examples=25, deadline=None)
+@given(st.integers(1, 8), st.integers(1, 5), st.integers(0, 2**32 - 1), st.booleans())
+def test_sweep_tables_are_each_targets_table(d, count, seed, squared):
+    # column b of a lattice-major chunk is bit for bit the 1-D table of its
+    # target, and its last row that target's total
+    ds = random_dataset(40, d, seed=seed % 997)
+    resolved = resolve_rules([AbsoluteThreshold(0.7)] * d, ds)
+    targets = np.random.default_rng(seed).choice(ds.n, size=count, replace=False)
+    seen = 0
+    for s, tables in similarity.cohort_table_chunks(ds, resolved, targets, squared):
+        assert tables.shape[0] == 1 << d
+        for b in range(tables.shape[1]):
+            codes = match_codes(ds.X, resolved, ds.X[targets[s + b]])[0]
+            alone = cohort_value_tables(codes, ds.y, d, squared)
+            assert np.array_equal(tables[:, b], alone)
+            seen += 1
+    assert seen == count
+    _, _, totals = cohort_value_sweep(ds, resolved, targets, squared)
+    codes = match_codes(ds.X, resolved, ds.X[targets])
+    assert np.array_equal(totals, cohort_value_tables(codes, ds.y, d, squared)[-1])
+
+
+def test_cohort_tables_peak_near_their_own_size():
+    # the live tables peak at 12 bytes a cell (int32 counts, then an int64
+    # or a float64 table beside them); subtracting the first lattice row as
+    # a broadcast view instead of a copy made numpy copy the whole table
+    d = 12
+    ds = random_dataset(40, d, seed=4)
+    codes = match_codes(ds.X, resolve_rules([AbsoluteThreshold(0.7)] * d, ds), ds.X)
+    cells = len(codes) << d
+    want = cohort_value_tables(codes, ds.y, d, True)
+    tracemalloc.start()
+    try:
+        got = cohort_value_tables(codes, ds.y, d, True)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(got, want)
+    assert peak < 16 * cells
+
+
 def test_lazy_var_game_chunks_follow_the_budget(monkeypatch):
     ds = random_dataset(40, 22, seed=8)
     rules = [AbsoluteThreshold(0.8)] * 22
@@ -237,7 +280,7 @@ def test_cohort_tables_match_masks():
     assert np.array_equal(codes[0], row)
     grand = ds.y.mean()
     for squared in (False, True):
-        table = cohort_value_tables(codes, ds.y, 4, squared)[0]
+        table = cohort_value_tables(codes, ds.y, 4, squared)[:, 0]
         lazy = cohort_values(codes, ds.y, np.arange(16), squared)[0]
         assert table[0] == lazy[0] == 0.0
         for u in range(1, 1 << 4):
