@@ -23,11 +23,11 @@ from .games import (
     COHORT_METHODS,
     TableGame,
     _cohort_game,
+    baseline_games,
     cohort_value_sweep,
-    make_game,
     make_var_game,
 )
-from .shapley import Attribution, shapley_engine
+from .shapley import Attribution, engine_masks, shapley_engine
 from .similarity import resolve_rules, target_codes
 
 
@@ -101,9 +101,12 @@ def local_attributions(
     """Attributions of one per-target method for every target (all subjects
     when ``targets`` is None), in target order.
 
-    Exact cohort methods go through the chunked sweep. Every other method
-    and engine evaluates one game per target; cohort rules are resolved
-    once per call, not once per target.
+    Exact cohort methods go through the chunked cohort sweep; MC cohort
+    games resolve their rules once per call, not once per target. Baseline
+    methods (bs, bs2, abs, abs2) evaluate every target's coalitions of the
+    engine (all of them for exact, the same sampled orders for mc) in one
+    baseline sweep, whose model calls the targets share, and each game's
+    engine then reads its values from its memo.
     """
     targets = range(ds.n) if targets is None else [int(t) for t in targets]
     for t in targets:
@@ -126,7 +129,8 @@ def local_attributions(
             for t, codes in target_codes(ds, resolved, targets)
         )
     else:
-        games = (make_game(method, ds, t, rules, model, baseline) for t in targets)
+        masks = engine_masks(ds.d, engine, permutations, seed)
+        games = baseline_games(method, ds, targets, model, baseline, masks)
     return [shapley_engine(game, engine, permutations, seed) for game in games]
 
 

@@ -14,7 +14,9 @@ the predicate itself, so every rate is the share of points
 :func:`is_realistic` accepts, and sharing the draws across scales keeps the
 rates monotone in the threshold.
 The realism split of a baseline-style attribution reads the witnesses of
-every hybrid from the match codes of the target and of the baseline row.
+every hybrid from the match codes of the target and of the baseline row,
+and the splits of many targets take their differences from one baseline
+sweep, so they share its model calls.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import numpy as np
 
 from .bits import halves, subset_sizes
 from .dataset import Dataset, split_holdout
-from .games import EXACT_CAP, MODEL_METHODS, make_game
+from .games import EXACT_CAP, MODEL_METHODS, baseline_sweep, make_game
 from .shapley import shapley_weight_table
 from .similarity import (
     MASK_BLOCK_BYTES,
@@ -289,6 +291,58 @@ def write_realism_csv(report: RealismReport, path) -> None:
                 )
 
 
+def realism_splits(
+    ds: Dataset,
+    targets,
+    baseline,
+    model,
+    rules,
+    method: str = "bs",
+):
+    """Partition a baseline-style attribution of each of ``targets`` by
+    increment realism; yields one :class:`SplitAttribution` per target, in
+    order.
+
+    Every marginal increment of the exact allocation compares two synthetic
+    points; it counts as realistic only when both endpoints have a witness.
+    The two parts use the same increments, so they sum to the method's full
+    attribution by construction. The per-baseline differences of every
+    target come from one :func:`games.baseline_sweep`.
+    """
+    if ds.d > EXACT_CAP:
+        raise ValueError(f"d={ds.d} exceeds the exact cap {EXACT_CAP}")
+    if method not in MODEL_METHODS:
+        raise ValueError(f"realism split needs a baseline-style method, got {method!r}")
+    targets = [int(t) for t in targets]
+    if not targets:
+        return
+    game = make_game(method, ds, targets[0], model=model, baseline=baseline)
+    d = ds.d
+    k = len(game.baselines)
+    resolved = resolve_rules(rules, ds)
+    w = shapley_weight_table(d)
+    sizes = subset_sizes(d)
+    masks = np.arange(1, 1 << d, dtype=np.int64)
+    sweep = baseline_sweep(game, ds.X[targets], masks, per_baseline=True)
+    for t, swept in zip(targets, sweep):
+        # per-baseline differences and realism of every hybrid, (2^d, k); the
+        # empty set's hybrids are the baseline rows, so its differences are 0
+        diffs = np.concatenate([np.zeros((1, k)), swept])
+        flags = _hybrid_flags(ds.X, resolved, ds.X[t], game.baselines)
+        phi_r = np.zeros(d)
+        phi_u = np.zeros(d)
+        for j in range(d):
+            lo, hi = halves(diffs, d, j)
+            ok_lo, ok_hi = halves(flags, d, j)
+            terms = w[halves(sizes, d, j)[0]][..., None] * (hi - lo) / k
+            pair_ok = ok_hi & ok_lo
+            phi_r[j] = terms[pair_ok].sum()
+            phi_u[j] = terms[~pair_ok].sum()
+        yield SplitAttribution(
+            phi_realistic=phi_r, phi_unrealistic=phi_u, method=method, target=t
+        )
+
+
 def bs_realism_split(
     ds: Dataset,
     t: int,
@@ -297,37 +351,5 @@ def bs_realism_split(
     rules,
     method: str = "bs",
 ) -> SplitAttribution:
-    """Partition a baseline-style attribution by increment realism.
-
-    Every marginal increment of the exact allocation compares two synthetic
-    points; it counts as realistic only when both endpoints have a witness.
-    The two parts use the same increments, so they sum to the method's full
-    attribution by construction.
-    """
-    if ds.d > EXACT_CAP:
-        raise ValueError(f"d={ds.d} exceeds the exact cap {EXACT_CAP}")
-    if method not in MODEL_METHODS:
-        raise ValueError(f"realism split needs a baseline-style method, got {method!r}")
-    game = make_game(method, ds, t, model=model, baseline=baseline)
-    d = ds.d
-    masks = np.arange(1 << d, dtype=np.int64)
-    # per-baseline differences and realism of every hybrid, (2^d, baselines)
-    diffs = game.baseline_diffs(masks)
-    flags = _hybrid_flags(ds.X, resolve_rules(rules, ds), game.x_t, game.baselines)
-
-    w = shapley_weight_table(d)
-    sizes = subset_sizes(d)
-    k = diffs.shape[1]
-    phi_r = np.zeros(d)
-    phi_u = np.zeros(d)
-    for j in range(d):
-        lo, hi = halves(diffs, d, j)
-        ok_lo, ok_hi = halves(flags, d, j)
-        terms = w[halves(sizes, d, j)[0]][..., None] * (hi - lo) / k
-        pair_ok = ok_hi & ok_lo
-        phi_r[j] = terms[pair_ok].sum()
-        phi_u[j] = terms[~pair_ok].sum()
-
-    return SplitAttribution(
-        phi_realistic=phi_r, phi_unrealistic=phi_u, method=method, target=t
-    )
+    """The realism split (see :func:`realism_splits`) of target t alone."""
+    return next(realism_splits(ds, [t], baseline, model, rules, method))

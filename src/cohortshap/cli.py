@@ -23,7 +23,7 @@ from .aggregate import (
     make_panel,
     write_panel_csv,
 )
-from .audit import bs_realism_split, realism_curve, write_realism_csv
+from .audit import realism_curve, realism_splits, write_realism_csv
 from .config import ConfigError, RunConfig
 from .cube import (
     CubeFunction,
@@ -208,12 +208,10 @@ def cmd_audit(cfg: RunConfig) -> int:
         method = cfg.method if cfg.method in MODEL_METHODS else "bs"
         rules = cfg.rules_for(schema)
         with _phase(f"realism split x{len(targets)}"):
-            for t in targets:
-                split = bs_realism_split(
-                    ds, t, cfg.baseline, model, rules, method=method
-                )
+            splits = realism_splits(ds, targets, cfg.baseline, model, rules, method)
+            for split in splits:
                 _write_json(
-                    os.path.join(cfg.out, f"split_{method}_t{t}.json"),
+                    os.path.join(cfg.out, f"split_{method}_t{split.target}.json"),
                     {
                         "method": split.method,
                         "target": split.target,

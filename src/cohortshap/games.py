@@ -6,13 +6,16 @@ every subject, built from observed predictions by the kernels of
 :mod:`similarity`: a 2^d table up to EXACT_CAP features, else scored per
 requested subset. :func:`cohort_value_sweep` is the one pass over the
 cohort tables of many targets: it builds the var game's subject-mean table
-and the exact Shapley rows of many cs or cs2 games. One baseline game
-(bs, bs2, abs, abs2) queries a model at the hybrids of the target with k
+and the exact Shapley rows of many cs or cs2 games. A baseline game (bs,
+bs2, abs, abs2) queries a model at the hybrids of its target with k
 baseline rows: the configured baseline for bs/bs2, every observed row for
-abs/abs2. The baseline rows are the hybrids of the empty set, so they ride
-the game's first model call instead of a call of their own. Every game maps
-a feature-subset bitmask to a real value with value(empty) = 0, caches what
-it has evaluated, and batches model calls.
+abs/abs2. :func:`baseline_sweep` is the one builder of hybrid points: it
+evaluates a set of masks for the baseline games of many targets and packs
+their points into shared model calls, so a command starts one model process
+per call, not one per target. The baseline rows are the hybrids of the
+empty set, so they ride the first call of a command instead of a call of
+their own. Every game maps a feature-subset bitmask to a real value with
+value(empty) = 0 and caches what it has evaluated.
 """
 
 from __future__ import annotations
@@ -33,7 +36,8 @@ from .similarity import (
     subset_int,
 )
 
-# Batched model evaluations are chunked to roughly this many points.
+# Values (points x d) one model call may carry: a call sends at most
+# POINT_CHUNK // d hybrid points.
 POINT_CHUNK = 1 << 22
 
 COHORT_METHODS = ("cs", "cs2")
@@ -74,11 +78,15 @@ class Game:
         known = self._keys[np.minimum(at, len(self._keys) - 1)] == wanted
         if not known.all():
             missing = wanted[~known]
-            got = np.asarray(self._evaluate_many(missing), dtype=float)
-            self._keys = np.insert(self._keys, at[~known], missing)
-            self._vals = np.insert(self._vals, at[~known], got)
+            self._remember(missing, self._evaluate_many(missing))
             at = np.searchsorted(self._keys, wanted)
         return self._vals[at][inverse].reshape(masks.shape)
+
+    def _remember(self, masks: np.ndarray, values) -> None:
+        """Memoize the ``values`` of sorted ``masks`` the memo lacks."""
+        at = np.searchsorted(self._keys, masks)
+        self._keys = np.insert(self._keys, at, masks)
+        self._vals = np.insert(self._vals, at, np.asarray(values, dtype=float))
 
     def value_table(self) -> np.ndarray:
         """Values of every subset, indexed by bitmask. Requires d <= EXACT_CAP."""
@@ -219,33 +227,101 @@ class _BaselineGame(Game):
         self.baselines = baselines
         self.f_b: np.ndarray | None = None  # model at the baselines, once called
 
-    def _diff_chunks(self, masks):
-        """Per-baseline differences of ``masks``, one chunk of about
-        POINT_CHUNK hybrid points, hence one model call, at a time. Until
-        ``f_b`` is known, the first chunk leads with the empty set, whose
-        hybrids are the baseline rows."""
-        masks = np.asarray(masks, dtype=np.int64)
-        lead = self.f_b is None
-        if lead:
-            masks = np.concatenate([np.zeros(1, dtype=np.int64), masks])
-        k = len(self.baselines)
-        chunk = max(1, POINT_CHUNK // (k * self.d))
-        for s in range(0, len(masks), chunk):
-            block = masks[s : s + chunk]
-            take = (block[:, None] >> np.arange(self.d) & 1).astype(bool)
-            pts = np.where(take[:, None, :], self.x_t, self.baselines)
-            diff = predict(self.model, pts.reshape(-1, self.d)).reshape(len(block), k)
-            if lead:
-                self.f_b, diff, lead = diff[0].copy(), diff[1:], False
-            diff -= self.f_b
-            yield diff * diff if self.squared else diff
-
-    def baseline_diffs(self, masks) -> np.ndarray:
-        """(len(masks), k) per-baseline differences of nonempty ``masks``."""
-        return np.concatenate(list(self._diff_chunks(masks)))
-
     def _evaluate_many(self, masks: np.ndarray) -> np.ndarray:
-        return np.concatenate([diff.mean(axis=1) for diff in self._diff_chunks(masks)])
+        return next(baseline_sweep(self, self.x_t[None], masks))
+
+
+def _hybrid_block(X, masks, baselines: np.ndarray, lead: bool, start: int, stop: int):
+    """Points ``start:stop`` of a sweep's hybrid stream: the empty set's k
+    hybrids (the baseline rows) if ``lead``, then for each target row of
+    ``X`` and each of ``masks`` its k hybrids, the target on the mask's
+    features and baseline row b elsewhere. Whole masks are built, each
+    target's at once, and sliced to the block."""
+    k, d = baselines.shape
+    first = start // k
+    row = np.arange(first, -(-stop // k)) - lead  # -1 is the empty set
+    # the empty set's row rides with the first target's; it takes no feature
+    target, at = np.divmod(np.maximum(row, 0), len(masks) or 1)
+    u = np.zeros(len(row), dtype=np.int64)
+    u[row >= 0] = masks[at[row >= 0]]
+    take = (u[:, None] >> np.arange(d) & 1).astype(bool)
+    ts, cuts = np.unique(target, return_index=True)
+    parts = [
+        np.where(take[a:b, None, :], X[t], baselines)
+        for t, a, b in zip(ts, cuts, [*cuts[1:], len(row)])
+    ]
+    points = parts[0] if len(parts) == 1 else np.concatenate(parts)
+    return points.reshape(-1, d)[start - first * k : stop - first * k]
+
+
+def baseline_sweep(game: _BaselineGame, X, masks, per_baseline: bool = False):
+    """The values of the nonempty ``masks`` in the baseline games of every
+    target row of ``X`` that share ``game``'s method, model and k baseline
+    rows. Yields one (len(masks),) array per row of X, in order, or with
+    ``per_baseline`` its (len(masks), k) per-baseline differences.
+
+    The hybrid points of consecutive targets are packed into model calls of
+    at most POINT_CHUNK values, POINT_CHUNK // d points, so a target's
+    points may straddle two calls. Each call's points are built when it is
+    made, so one call's points are held, not every target's. While
+    ``game.f_b`` (the model at the baseline rows) is unknown, the first
+    call leads with the empty set, whose hybrids are the baseline rows, and
+    sets it once for every target. A difference is the model at a hybrid
+    minus the model at its baseline row, squared for bs2 and abs2, and a
+    value is the mean of a mask's k differences. A target's values are
+    yielded once its last point is predicted.
+    """
+    if not len(X):
+        return
+    masks = np.asarray(masks, dtype=np.int64)
+    k, d = game.baselines.shape
+    lead = game.f_b is None
+    total, size = k * (lead + len(X) * len(masks)), max(1, POINT_CHUNK // d)
+    blocks = (
+        _hybrid_block(X, masks, game.baselines, lead, s, min(s + size, total))
+        for s in range(0, total, size)
+    )
+    preds = np.empty(0)
+
+    def rows(n: int) -> np.ndarray:
+        """Up to n next whole rows of k predictions, calling the model while
+        less than one row is held."""
+        nonlocal preds
+        while len(preds) < k:
+            preds = np.concatenate([preds, predict(game.model, next(blocks))])
+        n = min(n, len(preds) // k)
+        out, preds = preds[: n * k].reshape(n, k), preds[n * k :]
+        return out
+
+    if lead:
+        game.f_b = rows(1)[0].copy()
+    for _ in range(len(X)):
+        out = np.empty((len(masks), k) if per_baseline else len(masks))
+        done = 0
+        while done < len(masks):
+            diff = rows(len(masks) - done) - game.f_b
+            if game.squared:
+                diff *= diff
+            out[done : done + len(diff)] = diff if per_baseline else diff.mean(axis=1)
+            done += len(diff)
+        yield out
+
+
+def baseline_games(method: str, ds: Dataset, targets, model, baseline, masks):
+    """The baseline games of ``targets``, in order, with the values of the
+    nonempty ``masks`` already known: one :func:`baseline_sweep` evaluates
+    them all in shared model calls, and each game is built once its values
+    are in."""
+    targets = [int(t) for t in targets]
+    if not targets:
+        return
+    first = make_game(method, ds, targets[0], model=model, baseline=baseline)
+    masks = np.asarray(masks, dtype=np.int64)
+    for t, values in zip(targets, baseline_sweep(first, ds.X[targets], masks)):
+        game = _BaselineGame(ds, method, t, first.baselines, model)
+        game.f_b = first.f_b
+        game._remember(masks, values)
+        yield game
 
 
 def make_game(

@@ -3,11 +3,15 @@
 The external-command protocol is line-oriented and order-preserving: the
 query points go to the child's standard input as CSV rows of d decimal
 fields (shortest round-trip ``repr``), EOF closes the stream, and the child
-answers with one decimal per line. The child runs in a session of its
-own; a call that runs past EXTERNAL_TIMEOUT_S kills that session's process
-group, so a wrapper command takes the model it started down with it. A
-nonzero exit status, a short/garbled reply, a non-finite value or a timeout
-is a model failure.
+answers with one decimal per line, a trailing newline allowed. Each call
+starts one child. The baseline methods send the hybrid points of all of a
+command's targets through :func:`games.baseline_sweep`, in calls of at most
+``games.POINT_CHUNK`` values, so a command starts one child per such call,
+not one per target. The child runs in a session of its own; a call that
+runs past EXTERNAL_TIMEOUT_S kills that session's process group, so a
+wrapper command takes the model it started down with it. A nonzero exit
+status, a short reply, a garbled one (a blank line or more than one token
+on a line), a non-finite value or a timeout is a model failure.
 """
 
 from __future__ import annotations
@@ -22,9 +26,11 @@ import numpy as np
 
 from .dataset import Dataset
 
-# Seconds one external call may take. A baseline game sends at most
-# games.POINT_CHUNK (4M) points per call, and a plain-Python child needs
-# about 13 us per point, so a full chunk takes about 55 s.
+# Seconds one external call may take. A baseline sweep sends at most
+# games.POINT_CHUNK (4M) values, POINT_CHUNK // d points, per call. With the
+# CSV formatting, a plain-Python linear child takes 1 to 2.3 us per value
+# on an AMD EPYC core (14 us per point at d = 14), so a full call takes
+# about 4 to 10 s.
 EXTERNAL_TIMEOUT_S = 600
 
 # Rows formatted per block, which bounds the intermediate strings.
@@ -116,15 +122,15 @@ def _run_external(model: ExternalCommand, points: np.ndarray) -> np.ndarray:
         raise ModelError(
             f"external model exited {proc.returncode}: {err.strip()[:200]}"
         )
-    lines = out.split()
-    if len(lines) != len(points):
-        raise ModelError(
-            f"external model returned {len(lines)} predictions for {len(points)} points"
-        )
+    # one prediction per line: a blank line or a second token fails float()
     try:
-        preds = np.array([float(s) for s in lines])
+        preds = np.array([float(line) for line in out.splitlines()])
     except ValueError as exc:
         raise ModelError(f"garbled external model output: {exc}") from None
+    if len(preds) != len(points):
+        raise ModelError(
+            f"external model returned {len(preds)} predictions for {len(points)} points"
+        )
     return preds
 
 

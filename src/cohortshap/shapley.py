@@ -71,13 +71,16 @@ def _phi_from_tables(tables: np.ndarray, d: int) -> np.ndarray:
     return phi
 
 
+def _check_exact_cap(d: int) -> None:
+    if d > EXACT_CAP:
+        raise ValueError(
+            f"d={d} exceeds the exact cap {EXACT_CAP}; use shapley_permutation instead"
+        )
+
+
 def shapley_exact(game: Game) -> Attribution:
     """Evaluate every coalition once and apply the exact allocation formula."""
-    if game.d > EXACT_CAP:
-        raise ValueError(
-            f"d={game.d} exceeds the exact cap {EXACT_CAP}; "
-            "use shapley_permutation instead"
-        )
+    _check_exact_cap(game.d)
     values = game.value_table()
     total = float(values[-1] - values[0])
     if not math.isfinite(total):
@@ -98,25 +101,31 @@ def _permutations(d: int, m: int, seed: int) -> np.ndarray:
     return np.argsort(keys, axis=1, kind="stable").astype(np.int64, copy=False)
 
 
+def permutation_masks(d: int, m: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """The first m orders of ``_permutations``' stream keyed by ``seed``, and
+    the (m, d + 1) coalitions along each: the empty set, then one more
+    feature at a time up to the full set."""
+    if m < 2:
+        raise ValueError("need at least two permutations for a standard error")
+    perms = _permutations(d, m, seed)
+    prefixes = np.bitwise_or.accumulate(np.int64(1) << perms, axis=1)
+    masks = np.concatenate([np.zeros((m, 1), dtype=np.int64), prefixes], axis=1)
+    return perms, masks
+
+
 def shapley_permutation(game: Game, m: int, seed: int) -> Attribution:
     """Monte Carlo Shapley from m sampled feature orders.
 
-    The orders are the first m rows of ``_permutations``' one stream keyed
-    by ``seed``: order k depends only on (seed, k), so the estimate is
-    reproducible and the orders of a smaller m are a prefix of those of a
-    larger one. All (d + 1) * m coalitions go to ``game.values`` in one
-    call; the total is read from those rows, which all start at the empty
-    set and end at the full one. Standard errors are per-feature sample
-    deviations of the increments.
+    The orders and their coalitions come from :func:`permutation_masks`:
+    order k depends only on (seed, k), so the estimate is reproducible and
+    the orders of a smaller m are a prefix of those of a larger one. All
+    (d + 1) * m coalitions go to ``game.values`` in one call; the total is
+    read from those rows, which all start at the empty set and end at the
+    full one. Standard errors are per-feature sample deviations of the
+    increments.
     """
-    if m < 2:
-        raise ValueError("need at least two permutations for a standard error")
     d = game.d
-    perms = _permutations(d, m, seed)
-    prefixes = np.bitwise_or.accumulate(
-        np.int64(1) << perms, axis=1
-    )  # (m, d) growing coalitions
-    masks = np.concatenate([np.zeros((m, 1), dtype=np.int64), prefixes], axis=1)
+    perms, masks = permutation_masks(d, m, seed)
     flat_values = game.values(masks.reshape(-1)).reshape(m, d + 1)
     increments = np.diff(flat_values, axis=1)
     samples = np.empty((m, d))
@@ -162,4 +171,21 @@ def shapley_engine(
         return shapley_exact(game)
     if engine == "mc":
         return shapley_permutation(game, permutations, seed)
+    raise ValueError(f"unknown engine {engine!r}")
+
+
+def engine_masks(
+    d: int, engine: str = "exact", permutations: int = 1000, seed: int = 0
+) -> np.ndarray:
+    """The sorted nonempty coalitions that :func:`shapley_engine` reads from a
+    d-feature game under the same arguments: every one for "exact", those
+    along the sampled orders for "mc"."""
+    if engine == "exact":
+        _check_exact_cap(d)
+        return np.arange(1, 1 << d, dtype=np.int64)
+    if engine == "mc":
+        # every order starts at the empty set, the smallest mask; a plain
+        # np.unique would import numpy.ma, which no command needs otherwise
+        masks = np.sort(permutation_masks(d, permutations, seed)[1], axis=None)
+        return masks[1:][masks[1:] != masks[:-1]]
     raise ValueError(f"unknown engine {engine!r}")

@@ -2,16 +2,19 @@
 
 Everything in this file is deliberately naive: exhaustive permutation
 enumeration and per-row python loops. None of it shares code with the
-library, so agreement between the two is meaningful evidence. The two
-exceptions, :func:`cohort` and :func:`dense`, are not oracles: they read one
+library, so agreement between the two is meaningful evidence. The
+exceptions are not oracles: :func:`cohort` and :func:`dense` read one
 target's match codes (``similarity_row``) the way the tests ask about
-cohorts.
+cohorts, and :class:`LoggingModel` is an external model that records what
+each of its processes received.
 """
 
 import itertools
+import sys
 
 import numpy as np
 
+from cohortshap import ExternalCommand, LinearModel
 from cohortshap.similarity import in_cohort, subset_int
 
 
@@ -182,3 +185,46 @@ def dense_min_witness_scale(points, ref_X, resolved):
             ratio *= 1.0 / radius
         np.fmax(need, ratio, out=need)
     return need.min(axis=1)
+
+
+LOGGING_SCRIPT = (
+    "import os, sys\n"
+    "log, fail = sys.argv[1], int(sys.argv[2])\n"
+    "coef = [float(c) for c in sys.argv[3:]]\n"
+    "text = sys.stdin.read()\n"
+    "spawn = len(os.listdir(log))\n"
+    "with open(os.path.join(log, str(spawn) + '.csv'), 'w') as fh:\n"
+    "    fh.write(text)\n"
+    "if spawn == fail:\n"
+    "    sys.exit(3)\n"
+    "for line in text.splitlines():\n"
+    "    print(repr(sum(c * float(v) for c, v in zip(coef, line.split(',')))))\n"
+)
+
+
+class LoggingModel:
+    """An external linear model whose child keeps what each spawn received;
+    the spawn numbered ``fail`` (from 0) exits 3 after logging."""
+
+    def __init__(self, tmp_path, coef, fail=-1):
+        script = tmp_path / "logging_model.py"
+        script.write_text(LOGGING_SCRIPT, encoding="utf-8")
+        self.log = tmp_path / "calls"
+        self.log.mkdir()
+        self.model = ExternalCommand(
+            (sys.executable, str(script), str(self.log), str(fail), *map(repr, coef))
+        )
+        self.linear = LinearModel(tuple(coef))
+
+    def received(self) -> list[str]:
+        return [(self.log / f"{i}.csv").read_text() for i in range(self.spawns)]
+
+    @property
+    def spawns(self) -> int:
+        return len(list(self.log.iterdir()))
+
+
+def points_csv(points) -> str:
+    """The per-value formatter the external protocol is defined by."""
+    lines = [",".join(repr(float(v)) for v in row) for row in points]
+    return "\n".join(lines) + "\n"

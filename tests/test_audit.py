@@ -20,8 +20,13 @@ from cohortshap import (
     shapley_exact,
     write_realism_csv,
 )
-from cohortshap import audit
-from cohortshap.audit import _derive_seed, _hybrid_flags, _min_witness_scale
+from cohortshap import audit, games
+from cohortshap.audit import (
+    _derive_seed,
+    _hybrid_flags,
+    _min_witness_scale,
+    realism_splits,
+)
 from cohortshap.dataset import split_holdout
 from cohortshap.similarity import resolve_rules, scale_rules
 
@@ -283,6 +288,20 @@ def test_split_squared_methods(t8):
         split = bs_realism_split(t8, t, "mean", LINEAR, rules, method=method)
         full = shapley_exact(make_game(method, t8, t, model=LINEAR))
         assert split.phi == pytest.approx(full.phi, rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize("method", ["bs", "bs2", "abs", "abs2"])
+def test_realism_splits_equal_one_target_splits(t8, monkeypatch, method):
+    rules = [Identity()] * 3
+    targets = [7, 2, 7]
+    want = [bs_realism_split(t8, t, "mean", LINEAR, rules, method) for t in targets]
+    # calls of 5 points split masks, and for abs a mask's 8 baselines
+    monkeypatch.setattr(games, "POINT_CHUNK", 5 * t8.d)
+    got = list(realism_splits(t8, targets, "mean", LINEAR, rules, method))
+    for a, b in zip(got, want, strict=True):
+        assert a.target == b.target
+        assert np.array_equal(a.phi_realistic, b.phi_realistic)
+        assert np.array_equal(a.phi_unrealistic, b.phi_unrealistic)
 
 
 def _mixed_rule_table():

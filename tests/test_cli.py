@@ -15,9 +15,12 @@ from cohortshap import (
     aggregate_squared_cs,
     attach_predictions,
     cli,
+    games,
     models,
 )
 from cohortshap.cli import main
+
+from .helpers import LoggingModel
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -441,6 +444,44 @@ def test_runtime_errors_exit_1(workdir, capsys):
         model={"kind": "external", "command": ["/nonexistent/model"]},
     )
     assert run_cli(["local", "--config", cfg]) == 1
+
+
+def _logging_config(workdir, logged, **extra):
+    command = list(logged.model.command)
+    return t8_config(workdir, method="bs", model={"kind": "external", "command": command},
+                     audit=SMALL_AUDIT, **extra)
+
+
+def test_multi_target_local_spawns_once(workdir):
+    logged = LoggingModel(workdir, (0.75, -1.5, 2.0))
+    cfg = _logging_config(workdir, logged)
+    assert run_cli(["local", "--config", cfg, "--targets", "0,3,7", "--out", "multi"]) == 0
+    assert logged.spawns == 1
+    for t in (0, 3, 7):
+        out = f"single{t}"
+        assert run_cli(["local", "--config", cfg, "--targets", str(t), "--out", out]) == 0
+        name = f"attribution_bs_t{t}.json"
+        assert (workdir / "multi" / name).read_bytes() == (workdir / out / name).read_bytes()
+
+
+def test_audit_splits_spawn_once(workdir):
+    logged = LoggingModel(workdir, (0.75, -1.5, 2.0))
+    cfg = _logging_config(workdir, logged)
+    assert run_cli(["audit", "--config", cfg, "--targets", "0,3,7"]) == 0
+    assert sorted(p.name for p in (workdir / "out").glob("split_*")) == [
+        "split_bs_t0.json", "split_bs_t3.json", "split_bs_t7.json"]
+    assert logged.spawns == 1
+
+
+def test_failure_mid_sweep_writes_nothing(workdir, capsys, monkeypatch):
+    logged = LoggingModel(workdir, (0.75, -1.5, 2.0), fail=1)
+    cfg = _logging_config(workdir, logged)
+    # 3 * 7 hybrids and the baseline row, in calls of 8 points
+    monkeypatch.setattr(games, "POINT_CHUNK", 8 * 3)
+    assert run_cli(["local", "--config", cfg, "--targets", "0,3,7"]) == 1
+    assert "error: external model exited 3" in capsys.readouterr().err
+    assert logged.spawns == 2
+    assert not (workdir / "out").exists()
 
 
 def _running(pid) -> bool:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,17 +12,24 @@ from cohortshap import (
     DatasetError,
     Identity,
     LinearModel,
+    ModelError,
     RelativeThreshold,
     attach_predictions,
+    games,
+    local_attributions,
     make_game,
     make_var_game,
+    predict,
     resolve_rules,
+    shapley_engine,
     similarity_row,
 )
-from cohortshap.games import COHORT_METHODS, TableGame, _LazyCohortGame
+from cohortshap.games import COHORT_METHODS, MODEL_METHODS, TableGame, _LazyCohortGame
+from cohortshap.shapley import engine_masks
 from cohortshap.similarity import cohort_value_tables, cohort_values, match_codes
 
 from .conftest import random_dataset, t8_target
+from .helpers import LoggingModel, points_csv
 
 LINEAR = LinearModel((2.0, 1.0, 0.0), 0.0)
 IDENT3 = [Identity()] * 3
@@ -272,3 +281,117 @@ def test_dense_and_lazy_cohort_games_agree(d, n, seed, rule_pool):
     lazy_var = _LazyCohortGame(ds, "var", None, None, resolved)
     dense_var = make_var_game(ds, rules).value_table()
     assert lazy_var.values(masks) == pytest.approx(dense_var, abs=1e-12)
+
+
+SWEEP_COEF = (0.75, -1.5, 2.0, 0.125)
+# one to five targets, with a repeated one
+TARGET_SETS = ([5], [0, 3], [2, 2, 7], [1, 4, 9, 2], [0, 1, 2, 3, 4])
+PERMS, SEED = 5, 9
+
+
+def _sweep_points(ds, method, targets, masks):
+    """The points a command's sweep must send, in order: the k baseline rows
+    once, then for each target, each mask and each baseline row the hybrid
+    taking the target on the mask's features."""
+    baselines = ds.X if method.startswith("abs") else ds.X.mean(axis=0)[None]
+    rows = list(baselines)
+    for t in targets:
+        for u in masks:
+            for b in baselines:
+                rows.append([ds.X[t, j] if u >> j & 1 else b[j] for j in range(ds.d)])
+    return np.array(rows)
+
+
+def _chunks(k, n_masks):
+    """Call sizes in points: one that splits inside a target, one that also
+    splits inside a mask's k points (for k > 1), and one below a mask's k
+    points (for k > 1; one point for k = 1)."""
+    return (k * (n_masks // 2 + 1), k * 2 + k // 2 + 1, max(1, k // 2))
+
+
+def _assert_same(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert (a.method, a.target, a.permutations_used) == (
+            b.method, b.target, b.permutations_used)
+        assert np.array_equal(a.phi, b.phi) and a.total == b.total
+        assert (a.stderr is None) == (b.stderr is None)
+        assert a.stderr is None or np.array_equal(a.stderr, b.stderr)
+
+
+def _grid_dataset(n, d, seed):
+    """Values on a grid of halves. With n a power of two (for the mean
+    baseline) and the dyadic SWEEP_COEF every inline prediction is exact, so
+    it does not depend on how BLAS groups the rows of a call; the
+    external-model test below covers inexact arithmetic."""
+    rng = np.random.default_rng(seed)
+    X = rng.integers(-4, 5, size=(n, d)) * 0.5
+    schema = tuple(ColumnSchema(f"c{j}", "numeric") for j in range(d))
+    return attach_predictions(Dataset(schema=schema, X=X), rng.normal(size=n))
+
+
+@pytest.mark.parametrize("engine", ["exact", "mc"])
+@pytest.mark.parametrize("method", MODEL_METHODS)
+def test_baseline_sweep_equals_per_target_games(monkeypatch, method, engine):
+    ds = _grid_dataset(16, 4, seed=21)
+    model = LinearModel(SWEEP_COEF, 0.25)
+    k = ds.n if method.startswith("abs") else 1
+    masks = engine_masks(ds.d, engine, PERMS, SEED)
+    for targets in TARGET_SETS:
+        want = [
+            shapley_engine(make_game(method, ds, t, model=model), engine, PERMS, SEED)
+            for t in targets
+        ]
+        stream = _sweep_points(ds, method, targets, masks)
+        for chunk in _chunks(k, len(masks)):
+            sent = []
+
+            def recording(model, points, sent=sent):
+                sent.append(np.array(points))
+                return predict(model, points)
+
+            with monkeypatch.context() as patch:
+                patch.setattr(games, "predict", recording)
+                patch.setattr(games, "POINT_CHUNK", chunk * ds.d)
+                got = local_attributions(
+                    ds, method, targets, model=model, engine=engine,
+                    permutations=PERMS, seed=SEED,
+                )
+            _assert_same(got, want)
+            assert len(sent) == math.ceil(stream.size / (chunk * ds.d))
+            assert np.array_equal(np.concatenate(sent), stream)
+
+
+@pytest.mark.parametrize("engine", ["exact", "mc"])
+@pytest.mark.parametrize("method", MODEL_METHODS)
+def test_baseline_sweep_with_an_external_model(tmp_path, monkeypatch, method, engine):
+    ds = random_dataset(10, 4, seed=22)
+    logged = LoggingModel(tmp_path, SWEEP_COEF)
+    targets = [2, 2, 7]
+    k = ds.n if method.startswith("abs") else 1
+    masks = engine_masks(ds.d, engine, PERMS, SEED)
+    chunk = k * (len(masks) // 2 + 1) + k // 2
+    stream = _sweep_points(ds, method, targets, masks)
+    with monkeypatch.context() as patch:
+        patch.setattr(games, "POINT_CHUNK", chunk * ds.d)
+        got = local_attributions(
+            ds, method, targets, model=logged.model, engine=engine,
+            permutations=PERMS, seed=SEED,
+        )
+    # the baseline rows went once, in the first call, ahead of every hybrid
+    assert "".join(logged.received()) == points_csv(stream)
+    assert logged.spawns == math.ceil(stream.size / (chunk * ds.d))
+    want = [
+        shapley_engine(make_game(method, ds, t, model=logged.model), engine, PERMS, SEED)
+        for t in targets
+    ]
+    _assert_same(got, want)
+
+
+def test_failure_mid_sweep_raises(tmp_path, monkeypatch):
+    ds = random_dataset(10, 4, seed=23)
+    logged = LoggingModel(tmp_path, SWEEP_COEF, fail=1)
+    monkeypatch.setattr(games, "POINT_CHUNK", 20 * ds.d)
+    with pytest.raises(ModelError, match="exited 3"):
+        local_attributions(ds, "bs", [1, 5, 8], model=logged.model)
+    assert logged.spawns == 2

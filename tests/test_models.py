@@ -22,6 +22,7 @@ from cohortshap import (
 )
 
 from .conftest import random_dataset, t8_dataset, titanic_shaped_surrogate
+from .helpers import LoggingModel, points_csv
 
 SUM_SCRIPT = (
     "import sys\n"
@@ -84,6 +85,21 @@ def test_external_command_failures(tmp_path):
     with pytest.raises(ModelError, match="garbled"):
         predict(ExternalCommand((sys.executable, str(garbled))), np.zeros((2, 2)))
 
+    # one prediction per line: a trailing newline is allowed, nothing more
+    def replying(name, reply):
+        script = tmp_path / f"{name}.py"
+        script.write_text(
+            f"import sys\nsys.stdin.read()\nsys.stdout.write({reply!r})\n",
+            encoding="utf-8",
+        )
+        return ExternalCommand((sys.executable, str(script)))
+
+    trailing = predict(replying("trailing", "0.5\n0.7\n"), np.zeros((2, 2)))
+    assert trailing.tolist() == [0.5, 0.7]
+    for name, reply in (("pair", "0.5 0.7\n\n"), ("blank", "0.5\n\n0.7\n")):
+        with pytest.raises(ModelError, match="garbled"):
+            predict(replying(name, reply), np.zeros((2, 2)))
+
     nonfinite = tmp_path / "inf.py"
     nonfinite.write_text(
         "import sys\nfor _ in sys.stdin:\n    print('inf')\n", encoding="utf-8"
@@ -129,12 +145,6 @@ def test_fit_iteration_cap():
     labels = (ds.y > 1.4).astype(float)
     with pytest.raises((ConvergenceError, PerfectSeparationError)):
         fit_logistic(ds, labels, iterations=1)
-
-
-def points_csv(points) -> str:
-    """The per-value formatter the external protocol is defined by."""
-    lines = [",".join(repr(float(v)) for v in row) for row in points]
-    return "\n".join(lines) + "\n"
 
 
 def check_csv_text(points) -> None:
@@ -189,38 +199,6 @@ def test_csv_text_memory_is_bounded():
     # four row blocks of all-distinct values
     points = np.random.default_rng(1).normal(size=(4 * models.ROW_BLOCK, 8))
     assert _peak_bytes(models._csv_text, points) <= _peak_bytes(points_csv, points)
-
-
-LOGGING_SCRIPT = (
-    "import os, sys\n"
-    "log, coef = sys.argv[1], [float(c) for c in sys.argv[2:]]\n"
-    "text = sys.stdin.read()\n"
-    "with open(os.path.join(log, str(len(os.listdir(log))) + '.csv'), 'w') as fh:\n"
-    "    fh.write(text)\n"
-    "for line in text.splitlines():\n"
-    "    print(repr(sum(c * float(v) for c, v in zip(coef, line.split(',')))))\n"
-)
-
-
-class LoggingModel:
-    """An external linear model whose child keeps what each spawn received."""
-
-    def __init__(self, tmp_path, coef):
-        script = tmp_path / "logging_model.py"
-        script.write_text(LOGGING_SCRIPT, encoding="utf-8")
-        self.log = tmp_path / "calls"
-        self.log.mkdir()
-        self.model = ExternalCommand(
-            (sys.executable, str(script), str(self.log), *map(repr, coef))
-        )
-        self.linear = LinearModel(tuple(coef))
-
-    def received(self) -> list[str]:
-        return [(self.log / f"{i}.csv").read_text() for i in range(self.spawns)]
-
-    @property
-    def spawns(self) -> int:
-        return len(list(self.log.iterdir()))
 
 
 COEF = (0.75, -1.5, 2.0, 0.125, -0.5, 1.25)
