@@ -18,9 +18,9 @@ from .aggregate import (
 from .audit import (
     RealismReport,
     SplitAttribution,
-    bs_realism_split,
     is_realistic,
     realism_curve,
+    realism_splits,
     sample_marginal_product,
     write_realism_csv,
 )

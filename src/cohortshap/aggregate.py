@@ -22,6 +22,7 @@ from .dataset import Dataset, DatasetError
 from .games import (
     COHORT_METHODS,
     TableGame,
+    _checked_targets,
     _cohort_game,
     baseline_games,
     cohort_value_sweep,
@@ -101,17 +102,15 @@ def local_attributions(
     """Attributions of one per-target method for every target (all subjects
     when ``targets`` is None), in target order.
 
-    Exact cohort methods go through the chunked cohort sweep; MC cohort
-    games resolve their rules once per call, not once per target. Baseline
-    methods (bs, bs2, abs, abs2) evaluate every target's coalitions of the
-    engine (all of them for exact, the same sampled orders for mc) in one
-    baseline sweep, whose model calls the targets share, and each game's
-    engine then reads its values from its memo.
+    Every target is checked first. Exact cohort methods go through the
+    chunked cohort sweep; MC cohort games resolve their rules once per
+    call, not once per target. Baseline methods (bs, bs2, abs, abs2)
+    evaluate every target's coalitions of the engine (all of them for
+    exact, the same sampled orders for mc) in one stateless baseline sweep,
+    whose model calls the targets share, and each game's engine then reads
+    its values from its memo.
     """
-    targets = range(ds.n) if targets is None else [int(t) for t in targets]
-    for t in targets:
-        if not 0 <= t < ds.n:
-            raise DatasetError(f"target {t} outside 0..{ds.n - 1}")
+    targets = range(ds.n) if targets is None else _checked_targets(ds, targets)
     if method in COHORT_METHODS:
         if rules is None:
             raise DatasetError("cohort methods need similarity rules")

@@ -14,9 +14,9 @@ the predicate itself, so every rate is the share of points
 :func:`is_realistic` accepts, and sharing the draws across scales keeps the
 rates monotone in the threshold.
 The realism split of a baseline-style attribution reads the witnesses of
-every hybrid from the match codes of the target and of the baseline row,
-and the splits of many targets take their differences from one baseline
-sweep, so they share its model calls.
+every hybrid from the match codes of the target and of the baseline rows,
+coded once per run of splits, and the splits of many targets take their
+differences from one baseline sweep, so they share its model calls.
 """
 
 from __future__ import annotations
@@ -28,7 +28,13 @@ import numpy as np
 
 from .bits import halves, subset_sizes
 from .dataset import Dataset, split_holdout
-from .games import EXACT_CAP, MODEL_METHODS, baseline_sweep, make_game
+from .games import (
+    EXACT_CAP,
+    MODEL_METHODS,
+    _checked_targets,
+    baseline_rows,
+    baseline_sweep,
+)
 from .shapley import shapley_weight_table
 from .similarity import (
     MASK_BLOCK_BYTES,
@@ -97,14 +103,14 @@ def is_realistic(point, ds: Dataset, rules) -> bool:
     return bool(in_cohort(codes, (1 << ds.d) - 1).any())
 
 
-def _hybrid_flags(X, resolved, x_t, baselines) -> np.ndarray:
+def _hybrid_flags(X, resolved, x_t, code_b) -> np.ndarray:
     """(2^d, k) realism, witnesses from ``X``, of every hybrid that takes
-    ``x_t`` on the features in u and baseline row b elsewhere: subject i is
-    close to it exactly on (code_t[i] & u) | (code_b[i] & ~u)."""
+    ``x_t`` on the features in u and baseline row b elsewhere, given the
+    (k, n) match codes ``code_b`` of the baseline rows: subject i is close
+    to it exactly on (code_t[i] & u) | (code_b[i] & ~u)."""
     d = X.shape[1]
     full = (1 << d) - 1
     code_t = match_codes(X, resolved, x_t)
-    code_b = match_codes(X, resolved, baselines)
     k, n = code_b.shape
     flags = np.empty((1 << d, k), dtype=bool)
     step = max(1, MASK_BLOCK_BYTES // (8 * k * n))
@@ -313,22 +319,22 @@ def realism_splits(
         raise ValueError(f"d={ds.d} exceeds the exact cap {EXACT_CAP}")
     if method not in MODEL_METHODS:
         raise ValueError(f"realism split needs a baseline-style method, got {method!r}")
-    targets = [int(t) for t in targets]
-    if not targets:
-        return
-    game = make_game(method, ds, targets[0], model=model, baseline=baseline)
-    d = ds.d
-    k = len(game.baselines)
+    targets = _checked_targets(ds, targets)
+    baselines = baseline_rows(method, ds, model, baseline)
+    d, k = ds.d, len(baselines)
     resolved = resolve_rules(rules, ds)
+    code_b = match_codes(ds.X, resolved, baselines)
     w = shapley_weight_table(d)
     sizes = subset_sizes(d)
     masks = np.arange(1, 1 << d, dtype=np.int64)
-    sweep = baseline_sweep(game, ds.X[targets], masks, per_baseline=True)
+    sweep = baseline_sweep(
+        model, baselines, method, ds.X[targets], masks, per_baseline=True
+    )
     for t, swept in zip(targets, sweep):
         # per-baseline differences and realism of every hybrid, (2^d, k); the
         # empty set's hybrids are the baseline rows, so its differences are 0
         diffs = np.concatenate([np.zeros((1, k)), swept])
-        flags = _hybrid_flags(ds.X, resolved, ds.X[t], game.baselines)
+        flags = _hybrid_flags(ds.X, resolved, ds.X[t], code_b)
         phi_r = np.zeros(d)
         phi_u = np.zeros(d)
         for j in range(d):
@@ -341,15 +347,3 @@ def realism_splits(
         yield SplitAttribution(
             phi_realistic=phi_r, phi_unrealistic=phi_u, method=method, target=t
         )
-
-
-def bs_realism_split(
-    ds: Dataset,
-    t: int,
-    baseline,
-    model,
-    rules,
-    method: str = "bs",
-) -> SplitAttribution:
-    """The realism split (see :func:`realism_splits`) of target t alone."""
-    return next(realism_splits(ds, [t], baseline, model, rules, method))

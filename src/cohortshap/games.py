@@ -7,15 +7,14 @@ every subject, built from observed predictions by the kernels of
 requested subset. :func:`cohort_value_sweep` is the one pass over the
 cohort tables of many targets: it builds the var game's subject-mean table
 and the exact Shapley rows of many cs or cs2 games. A baseline game (bs,
-bs2, abs, abs2) queries a model at the hybrids of its target with k
-baseline rows: the configured baseline for bs/bs2, every observed row for
-abs/abs2. :func:`baseline_sweep` is the one builder of hybrid points: it
-evaluates a set of masks for the baseline games of many targets and packs
-their points into shared model calls, so a command starts one model process
-per call, not one per target. The baseline rows are the hybrids of the
-empty set, so they ride the first call of a command instead of a call of
-their own. Every game maps a feature-subset bitmask to a real value with
-value(empty) = 0 and caches what it has evaluated.
+bs2, abs, abs2) queries a model at the hybrids of its target with the k
+rows of :func:`baseline_rows`. :func:`baseline_sweep`, a function of its
+arguments alone, is the one builder of hybrid points: it packs the points
+of many targets into shared model calls, so a command starts one model
+process per call, not one per target. Each sweep leads with the baseline
+rows, the hybrids of the empty set, so a game evaluated in two calls sends
+them twice. Every game maps a feature-subset bitmask in [0, 2^d) to a real
+value with value(empty) = 0 and caches what it has evaluated.
 """
 
 from __future__ import annotations
@@ -71,6 +70,9 @@ class Game:
 
     def values(self, masks) -> np.ndarray:
         masks = np.asarray(masks, dtype=np.int64)
+        # a mask outside [0, 2^d) has a bit at d or above: subset_int rejects it
+        if np.bitwise_or.reduce(masks, axis=None) >> self.d:
+            subset_int(int(masks[masks >> self.d != 0][0]), self.d)
         if self._table is not None:
             return self._table[masks]
         wanted, inverse = np.unique(masks, return_inverse=True)
@@ -201,17 +203,33 @@ def make_cs_game(ds: Dataset, codes: np.ndarray, t: int) -> Game:
     return _cohort_game(ds, "cs", t, codes)
 
 
-def _baseline_array(baseline, ds: Dataset) -> np.ndarray:
-    """The baseline point: "mean" for the column means, or d numbers; it
-    need not be an observed row (the mean of a binary column lands strictly
-    between its levels)."""
+def baseline_rows(method: str, ds: Dataset, model, baseline) -> np.ndarray:
+    """The (k, d) baseline rows of a baseline-style ``method``: every
+    observed row for abs/abs2, else the one ``baseline``, "mean" for the
+    column means or d numbers. A baseline need not be an observed row (the
+    mean of a binary column lands strictly between its levels)."""
+    if method not in MODEL_METHODS:
+        raise DatasetError(f"method {method!r} has no per-target game")
+    if model is None:
+        raise DatasetError(f"method {method!r} needs a model")
+    if method.startswith("abs"):
+        return ds.X
     if isinstance(baseline, str) and baseline == "mean":
         arr = ds.X.mean(axis=0)
     else:
         arr = np.asarray(baseline, dtype=float)
     if arr.shape != (ds.d,):
         raise DatasetError(f"baseline has shape {arr.shape}, want ({ds.d},)")
-    return arr
+    return arr[None, :]
+
+
+def _checked_targets(ds: Dataset, targets) -> list[int]:
+    """``targets`` as ints, each checked to be a row of ``ds``."""
+    targets = [int(t) for t in targets]
+    for t in targets:
+        if not 0 <= t < ds.n:
+            raise DatasetError(f"target {t} outside 0..{ds.n - 1}")
+    return targets
 
 
 class _BaselineGame(Game):
@@ -221,25 +239,24 @@ class _BaselineGame(Game):
 
     def __init__(self, ds: Dataset, method: str, t: int, baselines, model):
         super().__init__(ds.d, method, t)
-        self.squared = method.endswith("2")
         self.model = model
         self.x_t = ds.X[t].copy()
         self.baselines = baselines
-        self.f_b: np.ndarray | None = None  # model at the baselines, once called
 
     def _evaluate_many(self, masks: np.ndarray) -> np.ndarray:
-        return next(baseline_sweep(self, self.x_t[None], masks))
+        x = self.x_t[None]
+        return next(baseline_sweep(self.model, self.baselines, self.method, x, masks))
 
 
-def _hybrid_block(X, masks, baselines: np.ndarray, lead: bool, start: int, stop: int):
+def _hybrid_block(X, masks, baselines: np.ndarray, start: int, stop: int):
     """Points ``start:stop`` of a sweep's hybrid stream: the empty set's k
-    hybrids (the baseline rows) if ``lead``, then for each target row of
-    ``X`` and each of ``masks`` its k hybrids, the target on the mask's
-    features and baseline row b elsewhere. Whole masks are built, each
-    target's at once, and sliced to the block."""
+    hybrids (the baseline rows), then for each target row of ``X`` and each
+    of ``masks`` its k hybrids, the target on the mask's features and
+    baseline row b elsewhere. Whole masks are built, each target's at once,
+    and sliced to the block."""
     k, d = baselines.shape
     first = start // k
-    row = np.arange(first, -(-stop // k)) - lead  # -1 is the empty set
+    row = np.arange(first, -(-stop // k)) - 1  # -1 is the empty set
     # the empty set's row rides with the first target's; it takes no feature
     target, at = np.divmod(np.maximum(row, 0), len(masks) or 1)
     u = np.zeros(len(row), dtype=np.int64)
@@ -254,31 +271,29 @@ def _hybrid_block(X, masks, baselines: np.ndarray, lead: bool, start: int, stop:
     return points.reshape(-1, d)[start - first * k : stop - first * k]
 
 
-def baseline_sweep(game: _BaselineGame, X, masks, per_baseline: bool = False):
-    """The values of the nonempty ``masks`` in the baseline games of every
-    target row of ``X`` that share ``game``'s method, model and k baseline
-    rows. Yields one (len(masks),) array per row of X, in order, or with
+def baseline_sweep(model, baselines, method: str, X, masks, per_baseline: bool = False):
+    """The values of the nonempty ``masks`` in the ``method`` games of every
+    target row of ``X``, under ``model`` and the (k, d) ``baselines``.
+    Yields one (len(masks),) array per row of X, in order, or with
     ``per_baseline`` its (len(masks), k) per-baseline differences.
 
-    The hybrid points of consecutive targets are packed into model calls of
-    at most POINT_CHUNK values, POINT_CHUNK // d points, so a target's
-    points may straddle two calls. Each call's points are built when it is
-    made, so one call's points are held, not every target's. While
-    ``game.f_b`` (the model at the baseline rows) is unknown, the first
-    call leads with the empty set, whose hybrids are the baseline rows, and
-    sets it once for every target. A difference is the model at a hybrid
-    minus the model at its baseline row, squared for bs2 and abs2, and a
-    value is the mean of a mask's k differences. A target's values are
-    yielded once its last point is predicted.
+    The sweep leads with the empty set, whose hybrids are the baseline rows,
+    so the model at them rides the first call. The hybrid points of
+    consecutive targets are packed into model calls of at most POINT_CHUNK
+    values, POINT_CHUNK // d points, so a target's points may straddle two
+    calls. Each call's points are built when it is made, so one call's
+    points are held, not every target's. A difference is the model at a
+    hybrid minus the model at its baseline row, squared for bs2 and abs2,
+    and a value is the mean of a mask's k differences. A target's values
+    are yielded once its last point is predicted.
     """
     if not len(X):
         return
     masks = np.asarray(masks, dtype=np.int64)
-    k, d = game.baselines.shape
-    lead = game.f_b is None
-    total, size = k * (lead + len(X) * len(masks)), max(1, POINT_CHUNK // d)
+    k, d = baselines.shape
+    total, size = k * (1 + len(X) * len(masks)), max(1, POINT_CHUNK // d)
     blocks = (
-        _hybrid_block(X, masks, game.baselines, lead, s, min(s + size, total))
+        _hybrid_block(X, masks, baselines, s, min(s + size, total))
         for s in range(0, total, size)
     )
     preds = np.empty(0)
@@ -288,19 +303,18 @@ def baseline_sweep(game: _BaselineGame, X, masks, per_baseline: bool = False):
         less than one row is held."""
         nonlocal preds
         while len(preds) < k:
-            preds = np.concatenate([preds, predict(game.model, next(blocks))])
+            preds = np.concatenate([preds, predict(model, next(blocks))])
         n = min(n, len(preds) // k)
         out, preds = preds[: n * k].reshape(n, k), preds[n * k :]
         return out
 
-    if lead:
-        game.f_b = rows(1)[0].copy()
+    f_b = rows(1)[0].copy()
     for _ in range(len(X)):
         out = np.empty((len(masks), k) if per_baseline else len(masks))
         done = 0
         while done < len(masks):
-            diff = rows(len(masks) - done) - game.f_b
-            if game.squared:
+            diff = rows(len(masks) - done) - f_b
+            if method.endswith("2"):
                 diff *= diff
             out[done : done + len(diff)] = diff if per_baseline else diff.mean(axis=1)
             done += len(diff)
@@ -308,18 +322,13 @@ def baseline_sweep(game: _BaselineGame, X, masks, per_baseline: bool = False):
 
 
 def baseline_games(method: str, ds: Dataset, targets, model, baseline, masks):
-    """The baseline games of ``targets``, in order, with the values of the
-    nonempty ``masks`` already known: one :func:`baseline_sweep` evaluates
-    them all in shared model calls, and each game is built once its values
-    are in."""
-    targets = [int(t) for t in targets]
-    if not targets:
-        return
-    first = make_game(method, ds, targets[0], model=model, baseline=baseline)
-    masks = np.asarray(masks, dtype=np.int64)
-    for t, values in zip(targets, baseline_sweep(first, ds.X[targets], masks)):
-        game = _BaselineGame(ds, method, t, first.baselines, model)
-        game.f_b = first.f_b
+    """The baseline games of ``targets`` (rows of ``ds``), in order, with the
+    values of the sorted nonempty int64 ``masks`` already known: one
+    :func:`baseline_sweep` evaluates them all in shared model calls."""
+    baselines = baseline_rows(method, ds, model, baseline)
+    sweep = baseline_sweep(model, baselines, method, ds.X[targets], masks)
+    for t, values in zip(targets, sweep):
+        game = _BaselineGame(ds, method, t, baselines, model)
         game._remember(masks, values)
         yield game
 
@@ -333,21 +342,13 @@ def make_game(
     methods (bs, bs2, abs, abs2) need a ``model``, and bs/bs2 a ``baseline``
     ("mean" or d numbers).
     """
-    if not 0 <= t < ds.n:
-        raise DatasetError(f"target {t} outside 0..{ds.n - 1}")
+    (t,) = _checked_targets(ds, [t])
     if method in COHORT_METHODS:
         if rules is None:
             raise DatasetError("cohort methods need similarity rules")
         return _cohort_game(ds, method, t, similarity_row(rules, ds, t))
-    if method in MODEL_METHODS:
-        if model is None:
-            raise DatasetError(f"method {method!r} needs a model")
-        if method.startswith("abs"):
-            baselines = ds.X
-        else:
-            baselines = _baseline_array(baseline, ds)[None, :]
-        return _BaselineGame(ds, method, t, baselines, model)
-    raise DatasetError(f"method {method!r} has no per-target game")
+    baselines = baseline_rows(method, ds, model, baseline)
+    return _BaselineGame(ds, method, t, baselines, model)
 
 
 def make_var_game(ds: Dataset, rules) -> Game:

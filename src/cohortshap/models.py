@@ -5,9 +5,10 @@ query points go to the child's standard input as CSV rows of d decimal
 fields (shortest round-trip ``repr``), EOF closes the stream, and the child
 answers with one decimal per line, a trailing newline allowed. Each call
 starts one child. The baseline methods send the hybrid points of all of a
-command's targets through :func:`games.baseline_sweep`, in calls of at most
-``games.POINT_CHUNK`` values, so a command starts one child per such call,
-not one per target. The child runs in a session of its own; a call that
+command's targets through one :func:`games.baseline_sweep`, in calls of at
+most ``games.POINT_CHUNK`` values, so a command starts one child per such
+call, not one per target, and a sweep's first call leads with its k
+baseline rows. The child runs in a session of its own; a call that
 runs past EXTERNAL_TIMEOUT_S kills that session's process group, so a
 wrapper command takes the model it started down with it. A nonzero exit
 status, a short reply, a garbled one (a blank line or more than one token

@@ -10,6 +10,7 @@ each of its processes received.
 """
 
 import itertools
+import math
 import sys
 
 import numpy as np
@@ -157,6 +158,50 @@ def anova_sigma2_naive(g_values, probs):
         sigma2[u] = float(np.sum(weights * (effects[u] - m) ** 2))
     mean = float(np.sum(weights * g_values))
     return sigma2, mean, effects, weights
+
+
+def naive_baseline_value(f, x_t, baselines, u, squared):
+    """One baseline-game value by a per-point loop: the mean over baseline
+    rows b of f(hybrid) - f(b), squared when asked, where the hybrid takes
+    ``x_t`` on the features in bitmask u and b elsewhere. ``f`` maps a list
+    of d floats to a float."""
+    total = 0.0
+    for b in baselines:
+        hybrid = [x_t[j] if u >> j & 1 else b[j] for j in range(len(b))]
+        diff = f(hybrid) - f(list(b))
+        total += diff * diff if squared else diff
+    return total / len(baselines)
+
+
+def naive_realism_split(f, x_t, baselines, squared, realistic):
+    """(phi_realistic, phi_unrealistic) of a baseline game by a loop over
+    every baseline row b, feature j and subset s without j: the increment
+    w(|s|) * (g_b(s + j) - g_b(s)) / k, with g_b the f-difference of the
+    hybrid at b (squared when asked) and w the Shapley weight, is realistic
+    when ``realistic`` accepts both hybrids."""
+    d, k = len(x_t), len(baselines)
+    phi_r, phi_u = np.zeros(d), np.zeros(d)
+    for b in baselines:
+        points = [
+            [x_t[j] if u >> j & 1 else b[j] for j in range(d)] for u in range(1 << d)
+        ]
+        ok = [realistic(point) for point in points]
+        g = []
+        for point in points:
+            diff = f(point) - f(list(b))
+            g.append(diff * diff if squared else diff)
+        for j in range(d):
+            for s in range(1 << d):
+                if s >> j & 1:
+                    continue
+                size = bin(s).count("1")
+                w = math.factorial(size) * math.factorial(d - 1 - size)
+                term = w / math.factorial(d) * (g[s | 1 << j] - g[s]) / k
+                if ok[s] and ok[s | 1 << j]:
+                    phi_r[j] += term
+                else:
+                    phi_u[j] += term
+    return phi_r, phi_u
 
 
 def t8_rows():

@@ -35,7 +35,7 @@ from cohortshap import (
     variance_shapley,
 )
 from cohortshap.aggregate import global_attribution
-from cohortshap.audit import bs_realism_split
+from cohortshap.audit import realism_splits
 from cohortshap.games import TableGame, cohort_value_sweep
 
 from .conftest import (
@@ -345,7 +345,7 @@ def test_criterion_10_split_partition():
     rules = [Identity()] + [AbsoluteThreshold(0.5)] * 4
     targets = rng.choice(ds.n, size=50, replace=False)
     for t in targets:
-        split = bs_realism_split(ds, int(t), "mean", model, rules, method="bs")
+        split = next(realism_splits(ds, [int(t)], "mean", model, rules, method="bs"))
         recombined = split.phi_realistic + split.phi_unrealistic
         assert np.array_equal(recombined, split.phi)  # bit-exact partition
         engine = shapley_exact(make_game("bs", ds, int(t), model=model, baseline="mean"))

@@ -7,12 +7,12 @@ from cohortshap import (
     AbsoluteThreshold,
     ColumnSchema,
     Dataset,
+    DatasetError,
     Identity,
     LinearModel,
     RangeFraction,
     RelativeThreshold,
     attach_predictions,
-    bs_realism_split,
     is_realistic,
     make_game,
     realism_curve,
@@ -28,10 +28,10 @@ from cohortshap.audit import (
     realism_splits,
 )
 from cohortshap.dataset import split_holdout
-from cohortshap.similarity import resolve_rules, scale_rules
+from cohortshap.similarity import match_codes, resolve_rules, scale_rules
 
 from .conftest import random_dataset, t8_target
-from .helpers import dense_min_witness_scale
+from .helpers import LoggingModel, dense_min_witness_scale
 
 LINEAR = LinearModel((2.0, 1.0, 0.0), 0.0)
 
@@ -247,7 +247,7 @@ def test_realism_report_csv(tmp_path):
 def test_split_partition_exact(t8):
     rules = [Identity()] * 3
     t = t8_target(t8)
-    split = bs_realism_split(t8, t, "mean", LINEAR, rules, method="bs")
+    split = next(realism_splits(t8, [t], "mean", LINEAR, rules, method="bs"))
     full = shapley_exact(make_game("bs", t8, t, model=LINEAR, baseline="mean"))
     # same increments partitioned: parts recombine to the engine's phi
     assert np.array_equal(split.phi, split.phi_realistic + split.phi_unrealistic)
@@ -258,7 +258,7 @@ def test_split_all_realistic_when_baseline_observed(t8):
     rules = [Identity()] * 3
     t = t8_target(t8)
     # full factorial + identity similarity: every hybrid is an observed row
-    split = bs_realism_split(t8, t, t8.X[0], LINEAR, rules, method="bs")
+    split = next(realism_splits(t8, [t], t8.X[0], LINEAR, rules, method="bs"))
     assert np.abs(split.phi_unrealistic).max() == 0.0
 
 
@@ -267,14 +267,14 @@ def test_split_flags_mean_baseline_unrealistic(t8):
     t = t8_target(t8)
     # the averaged baseline (0.5, 0.5, 0.5) matches no binary row, so the
     # empty-side hybrids are unrealistic and some mass lands there
-    split = bs_realism_split(t8, t, "mean", LINEAR, rules, method="bs")
+    split = next(realism_splits(t8, [t], "mean", LINEAR, rules, method="bs"))
     assert np.abs(split.phi_unrealistic).sum() > 0.0
 
 
 def test_split_abs_method(t8):
     rules = [Identity()] * 3
     t = t8_target(t8)
-    split = bs_realism_split(t8, t, "mean", LINEAR, rules, method="abs")
+    split = next(realism_splits(t8, [t], "mean", LINEAR, rules, method="abs"))
     full = shapley_exact(make_game("abs", t8, t, model=LINEAR))
     assert split.phi == pytest.approx(full.phi, rel=1e-12, abs=1e-12)
     # hybrids of observed rows on a full factorial are observed rows
@@ -285,7 +285,7 @@ def test_split_squared_methods(t8):
     rules = [Identity()] * 3
     t = t8_target(t8)
     for method in ("bs2", "abs2"):
-        split = bs_realism_split(t8, t, "mean", LINEAR, rules, method=method)
+        split = next(realism_splits(t8, [t], "mean", LINEAR, rules, method=method))
         full = shapley_exact(make_game(method, t8, t, model=LINEAR))
         assert split.phi == pytest.approx(full.phi, rel=1e-12, abs=1e-12)
 
@@ -294,10 +294,21 @@ def test_split_squared_methods(t8):
 def test_realism_splits_equal_one_target_splits(t8, monkeypatch, method):
     rules = [Identity()] * 3
     targets = [7, 2, 7]
-    want = [bs_realism_split(t8, t, "mean", LINEAR, rules, method) for t in targets]
+    want = [
+        next(realism_splits(t8, [t], "mean", LINEAR, rules, method)) for t in targets
+    ]
     # calls of 5 points split masks, and for abs a mask's 8 baselines
     monkeypatch.setattr(games, "POINT_CHUNK", 5 * t8.d)
+    coded = []
+
+    def counting(X, resolved, points, out=None):
+        coded.append(len(np.atleast_2d(points)))
+        return match_codes(X, resolved, points, out)
+
+    monkeypatch.setattr(audit, "match_codes", counting)
     got = list(realism_splits(t8, targets, "mean", LINEAR, rules, method))
+    # the baseline rows are coded once per command, each target once
+    assert len(coded) == 1 + len(targets)
     for a, b in zip(got, want, strict=True):
         assert a.target == b.target
         assert np.array_equal(a.phi_realistic, b.phi_realistic)
@@ -332,7 +343,9 @@ def test_hybrid_flags_match_point_scan(method, baseline):
     if isinstance(baseline, int):
         baseline = ds.X[baseline]
     game = make_game(method, ds, 7, model=model, baseline=baseline)
-    flags = _hybrid_flags(ds.X, resolve_rules(rules, ds), game.x_t, game.baselines)
+    resolved = resolve_rules(rules, ds)
+    code_b = match_codes(ds.X, resolved, game.baselines)
+    flags = _hybrid_flags(ds.X, resolved, game.x_t, code_b)
     assert flags.shape == (1 << ds.d, len(game.baselines))
     for b, x_b in enumerate(game.baselines):
         for u in range(1 << ds.d):
@@ -342,6 +355,14 @@ def test_hybrid_flags_match_point_scan(method, baseline):
     assert flags.any() and not flags.all()
 
 
+def test_splits_check_every_target_before_a_model_call(t8, tmp_path):
+    logged = LoggingModel(tmp_path, (2.0, 1.0, 0.0))
+    splits = realism_splits(t8, [1, 99], "mean", logged.model, [Identity()] * 3)
+    with pytest.raises(DatasetError, match="target 99 outside 0..7"):
+        next(splits)
+    assert logged.spawns == 0
+
+
 def test_split_rejects_cohort_methods(t8):
     with pytest.raises(ValueError, match="baseline-style"):
-        bs_realism_split(t8, 0, "mean", LINEAR, [Identity()] * 3, method="cs")
+        next(realism_splits(t8, [0], "mean", LINEAR, [Identity()] * 3, method="cs"))

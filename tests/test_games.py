@@ -12,14 +12,18 @@ from cohortshap import (
     DatasetError,
     Identity,
     LinearModel,
+    LogisticModel,
     ModelError,
     RelativeThreshold,
+    SimilarityError,
     attach_predictions,
     games,
+    is_realistic,
     local_attributions,
     make_game,
     make_var_game,
     predict,
+    realism_splits,
     resolve_rules,
     shapley_engine,
     similarity_row,
@@ -29,7 +33,12 @@ from cohortshap.shapley import engine_masks
 from cohortshap.similarity import cohort_value_tables, cohort_values, match_codes
 
 from .conftest import random_dataset, t8_target
-from .helpers import LoggingModel, points_csv
+from .helpers import (
+    LoggingModel,
+    naive_baseline_value,
+    naive_realism_split,
+    points_csv,
+)
 
 LINEAR = LinearModel((2.0, 1.0, 0.0), 0.0)
 IDENT3 = [Identity()] * 3
@@ -179,6 +188,27 @@ def test_table_game_guards():
         TableGame(np.zeros(1), "cube")
     g = TableGame(np.array([5.0, 1.0]), "cube")
     assert g.value(0) == 0.0  # entry 0 forced to zero
+
+
+def test_values_reject_masks_outside_the_lattice(t8_games, monkeypatch):
+    ds, t = t8_games
+    lazy = random_dataset(30, 22, seed=79, n_binary=22)
+    monkeypatch.setattr(games, "predict", lambda *a: pytest.fail("model called"))
+    cases = [
+        (make_game("cs", ds, t, IDENT3), 3),
+        (make_game("cs", lazy, 3, [Identity()] * 22), 22),
+        (make_game("bs", ds, t, model=LINEAR), 3),
+    ]
+    for game, d in cases:
+        for masks, bad in ([-1], -1), ([3, 1 << d, 1], 1 << d), ([[1, 2], [-5, 0]], -5):
+            with pytest.raises(SimilarityError, match=f"mask {bad} outside the d={d}"):
+                game.values(masks)
+
+
+def test_local_attributions_reject_methods_without_a_game(t8):
+    for method in ("var", "nope"):
+        with pytest.raises(DatasetError, match="has no per-target game"):
+            local_attributions(t8, method, [1, 2], model=LINEAR)
 
 
 def test_lazy_cohort_game_above_table_cap():
@@ -386,6 +416,52 @@ def test_baseline_sweep_with_an_external_model(tmp_path, monkeypatch, method, en
         for t in targets
     ]
     _assert_same(got, want)
+
+
+@pytest.mark.parametrize("engine", ["exact", "mc"])
+@pytest.mark.parametrize("method", MODEL_METHODS)
+@pytest.mark.parametrize("d", range(1, 6))
+def test_baseline_games_match_a_naive_oracle(d, method, engine):
+    ds = _grid_dataset(7, d, seed=40 + d)
+    rng = np.random.default_rng(40 + d)
+    coef, intercept = rng.normal(size=d).tolist(), float(rng.normal())
+    logistic = d % 2 == 0
+    model = (LogisticModel if logistic else LinearModel)(tuple(coef), intercept)
+
+    def f(x):
+        eta = intercept + sum(c * v for c, v in zip(coef, x))
+        return 1.0 / (1.0 + math.exp(-eta)) if logistic else eta
+
+    rows = ds.X.tolist()
+    if method.startswith("abs"):
+        baselines = rows
+    else:
+        baselines = [[sum(column) / ds.n for column in zip(*rows)]]
+    squared = method.endswith("2")
+    targets = [4, 0, 4]
+    got = local_attributions(
+        ds, method, targets, model=model, engine=engine, permutations=PERMS, seed=SEED
+    )
+    for t, att in zip(targets, got, strict=True):
+        table = [
+            naive_baseline_value(f, rows[t], baselines, u, squared)
+            for u in range(1 << d)
+        ]
+        dense = make_game(method, ds, t, model=model).value_table()
+        np.testing.assert_allclose(dense, table, rtol=0, atol=1e-12)
+        want = shapley_engine(TableGame(table, method, t), engine, PERMS, SEED)
+        np.testing.assert_allclose(att.phi, want.phi, rtol=0, atol=1e-12)
+        assert att.total == pytest.approx(want.total, rel=0, abs=1e-12)
+    if engine == "mc":
+        return
+    rules = [AbsoluteThreshold(0.5)] * d
+    splits = realism_splits(ds, targets, "mean", model, rules, method)
+    for t, split in zip(targets, splits, strict=True):
+        phi_r, phi_u = naive_realism_split(
+            f, rows[t], baselines, squared, lambda point: is_realistic(point, ds, rules)
+        )
+        np.testing.assert_allclose(split.phi_realistic, phi_r, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(split.phi_unrealistic, phi_u, rtol=0, atol=1e-12)
 
 
 def test_failure_mid_sweep_raises(tmp_path, monkeypatch):

@@ -224,9 +224,9 @@ def test_mc_baseline_game_spawns_once_per_new_masks(tmp_path):
     assert logged.spawns == 1
     game.values([5, 7, 9])
     assert logged.spawns == 2
-    # the baseline row rode the first call only
+    # each call leads with the baseline row, then the masks it lacks
     assert len(logged.received()[0].splitlines()) == 4
-    assert len(logged.received()[1].splitlines()) == 2
+    assert len(logged.received()[1].splitlines()) == 3
 
 
 def test_external_rows_sent_in_order(tmp_path):
