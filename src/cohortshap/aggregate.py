@@ -8,7 +8,9 @@ from one such sweep, the variance Shapley of the mean squared table (the
 direct route) and the per-subject squared cohort rows whose mean is the
 disaggregated route. :func:`local_attributions` is the one per-target
 builder: local runs and panels of every method and engine go through it,
-and :func:`make_panel` orders its rows into a panel.
+and :func:`make_panel` orders its rows into a panel. Its Monte Carlo branch
+is one sweep too: one draw of orders serves every target, whose values at
+the orders' distinct coalitions come a chunk of targets at a time.
 """
 
 from __future__ import annotations
@@ -23,13 +25,23 @@ from .games import (
     COHORT_METHODS,
     TableGame,
     _checked_targets,
-    _cohort_game,
     baseline_games,
+    baseline_rows,
+    baseline_sweep,
+    cohort_value_chunks,
     cohort_value_sweep,
     make_var_game,
 )
-from .shapley import Attribution, engine_masks, shapley_engine
-from .similarity import resolve_rules, target_codes
+from .shapley import (
+    Attribution,
+    distinct_masks,
+    engine_masks,
+    permutation_masks,
+    shapley_engine,
+    shapley_exact,
+    shapley_from_orders,
+)
+from .similarity import resolve_rules
 
 
 @dataclass(frozen=True)
@@ -102,15 +114,19 @@ def local_attributions(
     """Attributions of one per-target method for every target (all subjects
     when ``targets`` is None), in target order.
 
-    Every target is checked first. Exact cohort methods go through the
-    chunked cohort sweep; MC cohort games resolve their rules once per
-    call, not once per target. Baseline methods (bs, bs2, abs, abs2)
-    evaluate every target's coalitions of the engine (all of them for
-    exact, the same sampled orders for mc) in one stateless baseline sweep,
-    whose model calls the targets share, and each game's engine then reads
-    its values from its memo.
+    Every target is checked first, and cohort rules are resolved once.
+    Exact cohort methods go through the chunked cohort sweep, and exact
+    baseline methods (bs, bs2, abs, abs2) through games whose memos one
+    baseline sweep fills, in model calls the targets share. Monte Carlo is
+    one sweep as well: the orders are drawn once, every target's values at
+    their distinct coalitions come a chunk of targets at a time (from
+    :func:`games.cohort_value_chunks` or :func:`games.baseline_sweep`), and
+    :func:`shapley.shapley_from_orders` turns each target's values into its
+    estimate, as :func:`shapley.shapley_permutation` does for one game.
     """
     targets = range(ds.n) if targets is None else _checked_targets(ds, targets)
+    if engine not in ("exact", "mc"):
+        raise ValueError(f"unknown engine {engine!r}")
     if method in COHORT_METHODS:
         if rules is None:
             raise DatasetError("cohort methods need similarity rules")
@@ -123,14 +139,27 @@ def local_attributions(
                 Attribution(phi=row, total=float(total), method=method, target=t)
                 for t, row, total in zip(targets, phi, totals)
             ]
-        games = (
-            _cohort_game(ds, method, t, codes)
-            for t, codes in target_codes(ds, resolved, targets)
-        )
-    else:
-        masks = engine_masks(ds.d, engine, permutations, seed)
+    elif engine == "exact":
+        masks = engine_masks(ds.d)
         games = baseline_games(method, ds, targets, model, baseline, masks)
-    return [shapley_engine(game, engine, permutations, seed) for game in games]
+        return [shapley_exact(game) for game in games]
+    perms, masks = permutation_masks(ds.d, permutations, seed)
+    distinct, inverse = distinct_masks(masks)
+    # every order starts at the empty set, the smallest mask, of value 0
+    nonempty = distinct[1:]
+    if method in COHORT_METHODS:
+        squared = method == "cs2"
+        chunks = cohort_value_chunks(ds, resolved, targets, nonempty, squared)
+    else:
+        baselines = baseline_rows(method, ds, model, baseline)
+        sweep = baseline_sweep(model, baselines, method, ds.X[targets], nonempty)
+        chunks = ((s, values[None]) for s, values in enumerate(sweep))
+    attributions = []
+    for s, chunk in chunks:
+        for t, values in zip(targets[s : s + len(chunk)], chunk):
+            values = np.concatenate(([0.0], values))[inverse].reshape(masks.shape)
+            attributions.append(shapley_from_orders(perms, values, method, t))
+    return attributions
 
 
 def make_panel(ds: Dataset, method: str, attributions) -> Panel:

@@ -111,19 +111,46 @@ def _parse_numeric(text: str, row: int, col: str) -> float:
     return v
 
 
-def _parse_column(cells: list[str], col: ColumnSchema):
-    """Parse one column of cell texts to floats plus an optional label table."""
+def _parse_floats(cells: list[str], col: str) -> np.ndarray:
+    """The floats of a numeric column: one ``float`` pass, checked for
+    finiteness once. A column that fails is parsed again cell by cell, so
+    the error names its first bad cell and that cell's row."""
+    try:
+        values = np.array([float(t) for t in cells])
+    except ValueError:
+        values = None
+    if values is None or not np.isfinite(values).all():
+        rows = enumerate(cells, start=1)
+        values = np.array([_parse_numeric(t, r, col) for r, t in rows])
+    return values
+
+
+def _check_present(cells: list[str], col: str) -> None:
     for r, text in enumerate(cells, start=1):
         if text.strip() == "":
-            raise DatasetError(f"missing value at row {r}, column {col.name!r}")
+            raise DatasetError(f"missing value at row {r}, column {col!r}")
+
+
+def _parse_column(cells: list[str], col: ColumnSchema):
+    """Parse one column of cell texts to floats plus an optional label table.
+
+    A missing value is reported before any other fault of its column. No
+    blank cell survives ``float``, so only a column that fails to parse is
+    searched for one.
+    """
     if col.kind == "numeric":
-        return [_parse_numeric(t, r, col.name) for r, t in enumerate(cells, start=1)], None
+        try:
+            return _parse_floats(cells, col.name), None
+        except DatasetError:
+            _check_present(cells, col.name)
+            raise
     # categorical / binary: keep numeric codes if every cell parses, else
     # intern the raw strings in order of first appearance
     try:
         values = [float(t) for t in cells]
         levels = None
     except ValueError:
+        _check_present(cells, col.name)
         interner: dict[str, int] = {}
         for t in cells:
             t = t.strip()
@@ -179,11 +206,8 @@ def load_csv(path, schema, prediction_column: str | None = None) -> Dataset:
         if prediction_column not in header:
             raise DatasetError(f"{path}: missing column {prediction_column!r}")
         p = header.index(prediction_column)
-        preds = [
-            _parse_numeric(rec[p], r, prediction_column)
-            for r, rec in enumerate(records, start=1)
-        ]
-        ds = attach_predictions(ds, np.array(preds), name=prediction_column)
+        preds = _parse_floats([rec[p] for rec in records], prediction_column)
+        ds = attach_predictions(ds, preds, name=prediction_column)
     return ds
 
 

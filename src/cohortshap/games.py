@@ -1,19 +1,23 @@
 """Coalition value functions, built by one per-target factory
-(:func:`make_game`), and the cohort sweep.
+(:func:`make_game`), and the sweeps over many targets.
 
 Cohort games (cs, cs2, var) average the cohort values of one target or of
 every subject, built from observed predictions by the kernels of
 :mod:`similarity`: a 2^d table up to EXACT_CAP features, else scored per
 requested subset. :func:`cohort_value_sweep` is the one pass over the
 cohort tables of many targets: it builds the var game's subject-mean table
-and the exact Shapley rows of many cs or cs2 games. A baseline game (bs,
-bs2, abs, abs2) queries a model at the hybrids of its target with the k
-rows of :func:`baseline_rows`. :func:`baseline_sweep`, a function of its
-arguments alone, is the one builder of hybrid points: it packs the points
-of many targets into shared model calls, so a command starts one model
-process per call, not one per target. Each sweep leads with the baseline
-rows, the hybrids of the empty set, so a game evaluated in two calls sends
-them twice. Every game maps a feature-subset bitmask in [0, 2^d) to a real
+and the exact Shapley rows of many cs or cs2 games.
+:func:`cohort_value_chunks` gives the values of many targets at one set of
+subsets, a chunk of targets at a time, by the same two kernels: the Monte
+Carlo sweep reads them without building a game per target.
+
+A baseline game (bs, bs2, abs, abs2) queries a model at the hybrids of its
+target with the k rows of :func:`baseline_rows`. :func:`baseline_sweep`, a
+function of its arguments alone, is the one builder of hybrid points: it
+packs the points of many targets into shared model calls, so a command
+starts one model process per call, not one per target. Each sweep leads
+with the baseline rows, the hybrids of the empty set, so a game evaluated
+in two calls sends them twice. Every game maps a feature-subset bitmask in [0, 2^d) to a real
 value with value(empty) = 0 and caches what it has evaluated.
 """
 
@@ -69,7 +73,11 @@ class Game:
         return float(self.values([subset_int(u, self.d)])[0])
 
     def values(self, masks) -> np.ndarray:
-        masks = np.asarray(masks, dtype=np.int64)
+        masks = np.asarray(masks)
+        if masks.dtype.kind not in "biu":
+            for u in masks.flat:  # a float is never truncated to a mask
+                subset_int(u, self.d)
+        masks = masks.astype(np.int64, copy=False)
         # a mask outside [0, 2^d) has a bit at d or above: subset_int rejects it
         if np.bitwise_or.reduce(masks, axis=None) >> self.d:
             subset_int(int(masks[masks >> self.d != 0][0]), self.d)
@@ -176,6 +184,25 @@ def cohort_value_sweep(
     if mean:
         table /= len(targets)
     return table, phi, totals
+
+
+def cohort_value_chunks(ds: Dataset, resolved, targets, masks, squared: bool):
+    """The cohort values (squared with ``squared``) of ``targets`` at the
+    sorted ``masks`` under ``resolved`` rules, a chunk of targets at a time.
+
+    Yields (chunk_offset, values): row b of the (B, len(masks)) ``values``
+    belongs to target targets[chunk_offset + b]. Up to EXACT_CAP features
+    they are gathered from the lattice-major tables of
+    :func:`similarity.cohort_table_chunks`, the tables a per-target game
+    holds; above it :func:`similarity.cohort_values` scores the masks on the
+    chunks of :func:`similarity.match_code_chunks`, sized for the values.
+    """
+    if ds.d <= EXACT_CAP:
+        for s, tables in cohort_table_chunks(ds, resolved, targets, squared):
+            yield s, tables[masks].T
+        return
+    for s, codes in match_code_chunks(ds, resolved, targets, 8 * len(masks)):
+        yield s, cohort_values(codes, ds.y, masks, squared)
 
 
 def _cohort_game(ds: Dataset, method: str, target=None, codes=None, resolved=None):

@@ -5,7 +5,10 @@ them against combinatorial weights. The Monte Carlo engine averages marginal
 increments over sampled feature orders, all drawn from one counter-based
 Philox stream keyed by the seed: order k is row k of that stream, so the
 first k orders are the same whatever the total count, and results do not
-depend on how the work is distributed.
+depend on how the work is distributed. :func:`shapley_from_orders` is the
+estimator, on one game's values along the orders: :func:`shapley_permutation`
+reads them from a game, and the sweep of ``aggregate.local_attributions``
+gives it the values of many targets from one draw.
 """
 
 from __future__ import annotations
@@ -119,26 +122,36 @@ def shapley_permutation(game: Game, m: int, seed: int) -> Attribution:
     The orders and their coalitions come from :func:`permutation_masks`:
     order k depends only on (seed, k), so the estimate is reproducible and
     the orders of a smaller m are a prefix of those of a larger one. All
-    (d + 1) * m coalitions go to ``game.values`` in one call; the total is
-    read from those rows, which all start at the empty set and end at the
-    full one. Standard errors are per-feature sample deviations of the
-    increments.
+    (d + 1) * m coalitions go to ``game.values`` in one call, and
+    :func:`shapley_from_orders` turns their values into the estimate.
     """
-    d = game.d
-    perms, masks = permutation_masks(d, m, seed)
-    flat_values = game.values(masks.reshape(-1)).reshape(m, d + 1)
-    increments = np.diff(flat_values, axis=1)
+    perms, masks = permutation_masks(game.d, m, seed)
+    values = game.values(masks.reshape(-1)).reshape(masks.shape)
+    return shapley_from_orders(perms, values, game.method, game.target)
+
+
+def shapley_from_orders(
+    perms: np.ndarray, values: np.ndarray, method: str, target: int | None = None
+) -> Attribution:
+    """The Monte Carlo estimate from m orders ``perms`` (m, d) and the
+    values (m, d + 1) of one game at the coalitions along each (see
+    :func:`permutation_masks`). Feature j's estimate is the mean of the
+    increments its arrivals add; the total is read from the first order,
+    which starts at the empty set and ends at the full one, and standard
+    errors are per-feature sample deviations of the increments."""
+    m, d = perms.shape
+    increments = np.diff(values, axis=1)
     samples = np.empty((m, d))
     np.put_along_axis(samples, perms, increments, axis=1)
     phi = samples.mean(axis=0)
-    total = float(flat_values[0, -1] - flat_values[0, 0])
+    total = float(values[0, -1] - values[0, 0])
     if not (math.isfinite(total) and np.isfinite(phi).all()):
         raise ValueError("game total is not finite")
     return Attribution(
         phi=phi,
         total=total,
-        method=game.method,
-        target=game.target,
+        method=method,
+        target=target,
         stderr=_stderr(samples),
         permutations_used=m,
     )
@@ -184,8 +197,16 @@ def engine_masks(
         _check_exact_cap(d)
         return np.arange(1, 1 << d, dtype=np.int64)
     if engine == "mc":
-        # every order starts at the empty set, the smallest mask; a plain
-        # np.unique would import numpy.ma, which no command needs otherwise
-        masks = np.sort(permutation_masks(d, permutations, seed)[1], axis=None)
-        return masks[1:][masks[1:] != masks[:-1]]
+        # every order starts at the empty set, the smallest mask
+        return distinct_masks(permutation_masks(d, permutations, seed)[1])[0][1:]
     raise ValueError(f"unknown engine {engine!r}")
+
+
+def distinct_masks(masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted distinct entries of ``masks`` and, for each entry in ravel
+    order, its index among them. A plain np.unique would import numpy.ma,
+    which no command needs otherwise."""
+    flat = masks.reshape(-1)
+    ordered = np.sort(flat)
+    distinct = ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
+    return distinct, np.searchsorted(distinct, flat)

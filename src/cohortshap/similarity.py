@@ -5,9 +5,13 @@ predictors it is close on; the cohort of a feature subset u holds the
 subjects whose pattern contains u, and its value is their mean prediction
 minus the grand mean. :func:`match_codes` builds the patterns,
 :func:`cohort_value_tables` all 2^d values by a pattern histogram plus a
-superset-sum transform, and :func:`cohort_values` only the subsets asked for.
-Each resolved rule type owns its closeness test (``close``) and the largest
-gap it accepts (``radius``); no other module knows the rule types.
+superset-sum transform, and :func:`cohort_values` only the subsets asked
+for: it packs each target's per-feature subject sets into 64-bit words and
+builds a cohort as the AND of a few table lookups, one per slice of the
+subset's bits. :func:`match_code_chunks` and :func:`cohort_table_chunks`
+walk many targets a bounded chunk at a time. Each resolved rule type owns
+its closeness test (``close``) and the largest gap it accepts (``radius``);
+no other module knows the rule types.
 """
 
 from __future__ import annotations
@@ -172,18 +176,6 @@ def similarity_row(rules, ds: Dataset, t: int) -> np.ndarray:
     return codes
 
 
-def target_codes(ds: Dataset, resolved, targets):
-    """Yield (t, codes) for each of ``targets`` in order: the
-    :func:`similarity_row` codes of t under already ``resolved`` rules,
-    copied out of :func:`match_code_chunks`' reused buffer."""
-    targets = np.asarray(targets, dtype=np.intp)
-    for s, chunk in match_code_chunks(ds, resolved, targets, 0):
-        for t, codes in zip(targets[s : s + len(chunk)], chunk):
-            if not in_cohort(codes[t], (1 << ds.d) - 1):
-                raise SimilarityError("target row must be all-similar to itself")
-            yield int(t), codes.copy()
-
-
 def in_cohort(codes: np.ndarray, u) -> np.ndarray:
     """Subjects whose match pattern (a :func:`match_codes` entry) contains
     the subset integer u, i.e. the members of cohort u."""
@@ -197,6 +189,8 @@ def subset_int(u, d: int) -> int:
         if not 0 <= mask < (1 << d):
             raise SimilarityError(f"subset mask {mask} outside the d={d} lattice")
         return mask
+    if not np.iterable(u):
+        raise SimilarityError(f"subset mask {u} is not an integer")
     mask = 0
     for j in u:
         if not 0 <= j < d:
@@ -263,21 +257,97 @@ def cohort_value_tables(codes: np.ndarray, y: np.ndarray, d: int, squared: bool)
 
 def cohort_values(codes: np.ndarray, y: np.ndarray, masks, squared: bool):
     """The columns ``masks`` of :func:`cohort_value_tables` without its 2^d
-    table: (targets, len(masks)), membership tested a block of subsets at a
-    time; the grand mean is ``y.mean()``."""
+    table: (targets, len(masks)) cohort values of the target rows of match
+    ``codes``; the grand mean is ``y.mean()``.
+
+    Each row's d subject sets ("close on j") are packed into ceil(n/64)
+    words, and a mask's cohort is the AND of one lookup per slice of its
+    bits, from tables of every AND within a slice; its size is a popcount
+    and its sum the float64 product of its unpacked members with y. Masks
+    go a block of MASK_BLOCK_BYTES // (8 n) at a time whatever the number
+    of rows, so a row's values do not depend on the rows beside it. Rows go
+    in blocks whose tables and cohorts stay within about MASK_BLOCK_BYTES,
+    and their float members in smaller blocks within the same budget.
+    """
     masks = np.asarray(masks, dtype=np.int64)
+    codes = np.ascontiguousarray(codes, dtype="<i8")
     rows, n = codes.shape
+    d = max(1, int(np.bitwise_or.reduce(masks, initial=0)).bit_length())
+    words = -(-n // 64)
+    width = _slice_width(d, len(masks), words)
+    cuts = range(0, d, width)
+    step = max(1, MASK_BLOCK_BYTES // (8 * n))
+    block_len = max(1, min(step, len(masks)))
+    member_rows = max(1, MASK_BLOCK_BYTES // (8 * n * block_len))
+    table_rows = max(
+        member_rows,
+        MASK_BLOCK_BYTES // (8 * words * max(block_len, len(cuts) << width)),
+    )
     out = np.empty((rows, len(masks)))
-    step = max(1, MASK_BLOCK_BYTES // (8 * rows * n))
-    for s in range(0, len(masks), step):
-        block = masks[s : s + step]
-        members = in_cohort(codes[:, None, :], block[:, None]).astype(float)
-        out[:, s : s + len(block)] = (members @ y) / members.sum(axis=2)
+    for r in range(0, rows, table_rows):
+        sets = _subject_sets(codes[r : r + table_rows], d)
+        tables = [_and_table(sets, lo, min(width, d - lo)) for lo in cuts]
+        for s in range(0, len(masks), step):
+            block = masks[s : s + step]
+            cohort = tables[0][:, block & (tables[0].shape[1] - 1)]
+            for lo, table in zip(cuts[1:], tables[1:]):
+                cohort &= table[:, block >> lo & (table.shape[1] - 1)]
+            sizes = np.bitwise_count(cohort).sum(axis=-1)
+            for q in range(0, len(cohort), member_rows):
+                members = np.unpackbits(
+                    cohort[q : q + member_rows].view(np.uint8),
+                    axis=-1,
+                    count=n,
+                    bitorder="little",
+                )
+                sums = members.astype(float) @ y
+                at = slice(r + q, r + q + len(sums))
+                out[at, s : s + len(block)] = sums / sizes[q : q + member_rows]
     out -= y.mean()
     if squared:
         out *= out
     out[:, masks == 0] = 0.0
     return out
+
+
+def _slice_width(d: int, count: int, words: int) -> int:
+    """Bits per mask slice for ``count`` masks over d bits: a slice's table
+    of 2^width subject sets costs no more to build than the ``count``
+    lookups it serves, and d such tables stay within MASK_BLOCK_BYTES. The
+    fewest slices that allows are then made as even as they go."""
+    cap = min(count, MASK_BLOCK_BYTES // (8 * words * d))
+    width = min(d, max(1, cap.bit_length() - 1))
+    slices = -(-d // width)
+    return -(-d // slices)
+
+
+def _subject_sets(codes: np.ndarray, d: int) -> np.ndarray:
+    """(rows, d, words) uint64: the subjects close to each target row on each
+    feature j < d, one bit per subject (bit i of byte q for subject 8q + i),
+    ceil(n/64) words per set with the bits past n clear."""
+    rows, n = codes.shape
+    low = codes.view(np.uint8).reshape(rows, n, 8)[:, :, : -(-d // 8)]
+    # byte q of the codes, subject-minor, unpacks into the rows of 8q..8q+7
+    low = np.ascontiguousarray(low.transpose(0, 2, 1))
+    flags = np.unpackbits(low, axis=1, bitorder="little")[:, :d]
+    packed = np.zeros((rows, d, 8 * -(-n // 64)), dtype=np.uint8)
+    packed[:, :, : -(-n // 8)] = np.packbits(flags, axis=-1, bitorder="little")
+    return packed.view(np.uint64)
+
+
+def _and_table(sets: np.ndarray, lo: int, width: int) -> np.ndarray:
+    """(rows, 2^width, words): entry v is the AND of the ``sets`` of the
+    features lo + k for the bits k of v. Entry 0 has every bit set, the
+    bits past n too: a nonzero mask ANDs in at least one set, where they are
+    clear, and :func:`cohort_values` sets the value of mask 0 itself."""
+    rows, _, words = sets.shape
+    table = np.empty((rows, 1 << width, words), dtype=np.uint64)
+    table[:, 0] = ~np.uint64(0)
+    for k in range(width):
+        np.bitwise_and(
+            table[:, : 1 << k], sets[:, lo + k, None], out=table[:, 1 << k : 2 << k]
+        )
+    return table
 
 
 def match_code_chunks(ds: Dataset, resolved, targets, row_bytes: int):

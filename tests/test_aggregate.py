@@ -23,7 +23,7 @@ from cohortshap import (
     variance_shapley,
     write_panel_csv,
 )
-from cohortshap import aggregate, games, similarity
+from cohortshap import aggregate, games, shapley, similarity
 from cohortshap.aggregate import global_attribution
 from cohortshap.games import cohort_value_sweep
 from cohortshap.shapley import _phi_from_tables
@@ -124,6 +124,75 @@ def test_mc_cohort_panel_resolves_rules_once(monkeypatch, d):
     assert len(calls) == 1
     assert [a.target for a in got] == list(range(30))
     for a, b in zip(got, want):
+        assert np.array_equal(a.phi, b.phi) and np.array_equal(a.stderr, b.stderr)
+        assert a.total == b.total
+
+
+# bs stays below d = 8, where an inline model's product does not depend on
+# how a call groups its rows (CHANGES.md, models.predict)
+@pytest.mark.parametrize(
+    "method, d", [("cs", 4), ("cs", 21), ("cs2", 4), ("cs2", 21), ("bs", 4)]
+)
+def test_mc_sweep_draws_the_orders_once(monkeypatch, method, d):
+    # one draw serves every target, a repeated one included, and each
+    # target's estimate is bit for bit that of its own game
+    ds = random_dataset(30, d, seed=24)
+    rules = [AbsoluteThreshold(0.8)] * d
+    model = LinearModel(tuple(np.linspace(-1.0, 1.0, d)), 0.5)
+    targets = [3, 17, 3, 29]
+    want = [
+        shapley_engine(make_game(method, ds, t, rules, model), "mc", 20, 5)
+        for t in targets
+    ]
+    draws, draw = [], shapley._permutations
+
+    def counting(d, m, seed):
+        draws.append(m)
+        return draw(d, m, seed)
+
+    monkeypatch.setattr(shapley, "_permutations", counting)
+    got = local_attributions(ds, method, targets, rules, model, engine="mc",
+                             permutations=20, seed=5)
+    assert draws == [20]
+    assert [a.target for a in got] == targets
+    for a, b in zip(got, want):
+        assert np.array_equal(a.phi, b.phi) and np.array_equal(a.stderr, b.stderr)
+        assert (a.total, a.method, a.permutations_used) == (b.total, b.method, 20)
+
+
+@pytest.mark.parametrize(
+    "d, chunk_bytes, max_targets, size",
+    [
+        (4, 480, MAX_CHUNK_TARGETS, 2),
+        # a row of coalition values takes more than 480 bytes at d = 21
+        (21, 480, MAX_CHUNK_TARGETS, 1),
+        (4, CHUNK_BYTES, 3, 3),
+        (21, CHUNK_BYTES, 3, 3),
+    ],
+)
+def test_chunked_mc_sweeps_equal_unchunked_ones(
+    monkeypatch, d, chunk_bytes, max_targets, size
+):
+    # a target's values depend neither on which chunk carries it nor on the
+    # targets beside it
+    ds = random_dataset(30, d, seed=25)
+    rules = [AbsoluteThreshold(0.8)] * d
+    sweep = dict(rules=rules, engine="mc", permutations=20, seed=6)
+    want = local_attributions(ds, "cs2", **sweep)
+    chunks, code_chunks = [], similarity.match_code_chunks
+
+    def counting(*args):
+        for chunk in code_chunks(*args):
+            chunks.append(len(chunk[1]))
+            yield chunk
+
+    for module in (games, similarity):
+        monkeypatch.setattr(module, "match_code_chunks", counting)
+    monkeypatch.setattr(similarity, "CHUNK_BYTES", chunk_bytes)
+    monkeypatch.setattr(similarity, "MAX_CHUNK_TARGETS", max_targets)
+    got = local_attributions(ds, "cs2", **sweep)
+    assert sum(chunks) == ds.n and max(chunks) == size
+    for a, b in zip(got, want, strict=True):
         assert np.array_equal(a.phi, b.phi) and np.array_equal(a.stderr, b.stderr)
         assert a.total == b.total
 

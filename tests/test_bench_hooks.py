@@ -105,10 +105,8 @@ def test_explain_call_matches_make_game(d, n_binary, rule, explain):
     assert codes.shape == (ds.n,) and not codes.flags.writeable
 
 
-def test_global_sweeps_the_cohort_tables_once(tmp_path):
-    # the direct and the disaggregated route share one pass over the
-    # squared cohort tables, read by the benchmark as the chunk count
-    ds = random_dataset(600, 5, seed=21)
+def _config(tmp_path, ds, **settings):
+    """A config file for ``ds``, written with its table under ``tmp_path``."""
     names = [col.name for col in ds.schema]
     rows = [",".join([*names, "pred"])]
     rows += [",".join(repr(float(v)) for v in (*x, p)) for x, p in zip(ds.X, ds.y)]
@@ -118,26 +116,53 @@ def test_global_sweeps_the_cohort_tables_once(tmp_path):
         "schema": {name: "numeric" for name in names},
         "prediction_column": "pred",
         "similarity": {"default": {"kind": "abs", "delta": 0.5}},
-        "engine": "exact",
-        "audit": {"per_subject": True},
         "out": str(tmp_path / "out"),
+        **settings,
     }
     config = tmp_path / "config.json"
     config.write_text(json.dumps(config_json), encoding="utf-8")
-    step = min(MAX_CHUNK_TARGETS, max(1, CHUNK_BYTES // (8 << ds.d)))
-    one_pass = -(-ds.n // step)
-    assert one_pass > 1
+    return config
+
+
+def _traced_main(argv):
+    """Exit code, stdout and tracer counters of one traced CLI command."""
     tracer = _tracing().Tracer()
     tracer.install()
     try:
         with contextlib.redirect_stdout(io.StringIO()) as stdout:
-            code = cohortshap.cli.main(["global", "--config", str(config)])
+            code = cohortshap.cli.main(argv)
     finally:
         tracer.uninstall()
-    stats = tracer.snapshot()
+    return code, stdout, tracer.snapshot()
+
+
+def test_global_sweeps_the_cohort_tables_once(tmp_path):
+    # the direct and the disaggregated route share one pass over the
+    # squared cohort tables, read by the benchmark as the chunk count
+    ds = random_dataset(600, 5, seed=21)
+    config = _config(tmp_path, ds, engine="exact", audit={"per_subject": True})
+    step = min(MAX_CHUNK_TARGETS, max(1, CHUNK_BYTES // (8 << ds.d)))
+    one_pass = -(-ds.n // step)
+    assert one_pass > 1
+    code, stdout, stats = _traced_main(["global", "--config", str(config)])
     assert code == 0
     assert "disaggregation residual" in stdout.getvalue()
     assert (tmp_path / "out" / "per_subject_cs2.csv").exists()
     assert stats["similarity.cohort_table_chunks.chunks"] == one_pass
     assert stats["similarity.cohort_table_chunks.cells"] == ds.n << ds.d
     assert stats["aggregate.cohort_value_sweep.calls"] == 1
+
+
+@pytest.mark.parametrize("d", [5, 21])
+def test_mc_local_draws_its_orders_once(tmp_path, d):
+    # the benchmark reads the orders a command draws as
+    # shapley._permutations.perms: m per command, not targets x m
+    ds = random_dataset(40, d, seed=22)
+    config = _config(tmp_path, ds)
+    code, _, stats = _traced_main([
+        "local", "--config", str(config), "--engine", "mc", "--permutations", "30",
+        "--seed", "4", "--targets", "1,7,7,30",
+    ])
+    assert code == 0
+    assert stats["shapley._permutations.perms"] == 30
+    assert stats["shapley._permutations.calls"] == 1

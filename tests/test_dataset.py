@@ -59,6 +59,41 @@ def test_load_errors(tmp_path):
         )
 
 
+@pytest.mark.parametrize("cell", ["inf", "nan", "1e999", "-Infinity"])
+@pytest.mark.parametrize("column", ["size", "score"])
+def test_non_finite_cells_name_their_row_and_column(tmp_path, cell, column):
+    rows = [
+        ["red", "1", "yes", "0.5"], ["blue", "2", "no", "0.25"], ["red", "3", "yes", "1"]
+    ]
+    rows[1][["color", "size", "flag", "score"].index(column)] = cell
+    text = "color,size,flag,score\n" + "".join(",".join(r) + "\n" for r in rows)
+    want = f"non-finite value '{cell}' at row 2, column '{column}'"
+    with pytest.raises(DatasetError, match=f"^{want}$"):
+        load_csv(write_file(tmp_path, text), SCHEMA, prediction_column="score")
+
+
+@pytest.mark.parametrize(
+    "cells, want",
+    [
+        (["1", "inf", "wide", "2"], "non-finite value 'inf' at row 2"),
+        (["1", "wide", "nan", "2"], "unparseable numeric cell 'wide' at row 2"),
+        (["wide", "1e999", "", "2"], "missing value at row 3"),
+        (["1", "2", "3", "1e999"], "non-finite value '1e999' at row 4"),
+    ],
+)
+@pytest.mark.parametrize("column", ["size", "score"])
+def test_a_column_with_several_faults_reports_its_first(tmp_path, cells, want, column):
+    # a blank cell is reported first in a predictor column; the prediction
+    # column has no such rule, and reports its first bad cell of any kind
+    if column == "score" and "missing" in want:
+        want = "unparseable numeric cell 'wide' at row 1"
+    row = "red,{},yes,0.5" if column == "size" else "red,1,yes,{}"
+    lines = [row.format(c) for c in cells]
+    text = "color,size,flag,score\n" + "\n".join(lines) + "\n"
+    with pytest.raises(DatasetError, match=f"^{want}, column '{column}'$"):
+        load_csv(write_file(tmp_path, text), SCHEMA, prediction_column="score")
+
+
 def test_quoted_fields(tmp_path):
     path = write_file(tmp_path, 'color,size,flag\n"red, deep",1.0,yes\n')
     ds = load_csv(path, SCHEMA)

@@ -203,6 +203,14 @@ def test_values_reject_masks_outside_the_lattice(t8_games, monkeypatch):
         for masks, bad in ([-1], -1), ([3, 1 << d, 1], 1 << d), ([[1, 2], [-5, 0]], -5):
             with pytest.raises(SimilarityError, match=f"mask {bad} outside the d={d}"):
                 game.values(masks)
+        # a float is rejected, never truncated to the mask below it
+        floats = ([1.7, 2.9], "1.7"), ([[1.0], [2.5]], "1.0"), ([np.nan], "nan")
+        for masks, bad in floats:
+            with pytest.raises(SimilarityError, match=f"mask {bad} is not an integer"):
+                game.values(masks)
+        with pytest.raises(SimilarityError, match="mask 1.5 is not an integer"):
+            game.value(1.5)
+        assert game.values([]).shape == (0,)
 
 
 def test_local_attributions_reject_methods_without_a_game(t8):

@@ -290,6 +290,63 @@ def test_cohort_tables_match_masks():
             assert lazy[u] == pytest.approx(want, rel=1e-12, abs=1e-14)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([1, 63, 64, 65, 129]),
+    st.integers(1, 63),
+    st.integers(1, 3),
+    st.integers(0, 2**32 - 1),
+    st.booleans(),
+)
+def test_cohort_values_match_a_plain_reference(n, d, rows, seed, squared):
+    # n on both sides of the 64-subject word edges, d up to 63 (masks with
+    # bit 62), and mask 0 and the full mask among random ones
+    rng = np.random.default_rng(seed)
+    full = np.int64((1 << d) - 1)
+    # each subject misses a feature with a small chance, so that cohorts of
+    # many features keep members
+    close = rng.random((rows, n, d)) >= rng.uniform(0.0, 0.3)
+    codes = np.where(close, np.int64(1) << np.arange(d), 0).sum(axis=-1)
+    # every row's target is close to itself, so no cohort is empty
+    codes[np.arange(rows), rng.integers(n, size=rows)] = full
+    y = rng.normal(size=n)
+    drawn = rng.random((int(rng.integers(1, 40)), d)) < rng.uniform(0.0, 1.0)
+    masks = np.concatenate(
+        [[0, full, np.int64(1) << (d - 1)], (drawn << np.arange(d)).sum(axis=-1)]
+    )
+    got = cohort_values(codes, y, masks, squared)
+    want = np.zeros((rows, len(masks)))
+    for r in range(rows):
+        for k, u in enumerate(masks):
+            v = y[(codes[r] & u) == u].mean() - y.mean()
+            want[r, k] = (v * v if squared else v) if u else 0.0
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+
+def test_cohort_values_peak_is_blocked():
+    # the float members of a block of rows and masks, and the subset tables
+    # of a block of rows, stay within about MASK_BLOCK_BYTES however many
+    # rows and masks a call scores; unblocked, the members of 256 rows x 8k
+    # masks would take 256 x 8192 x n x 8 bytes
+    rows, n, d = 256, 40, 22
+    ds = random_dataset(n, d, seed=6)
+    resolved = resolve_rules([AbsoluteThreshold(0.9)] * d, ds)
+    codes = match_codes(ds.X, resolved, ds.X[np.arange(rows) % n])
+    masks = np.sort(np.random.default_rng(2).choice(1 << d, size=8192, replace=False))
+    want = cohort_values(codes[:1], ds.y, masks, False)
+    tracemalloc.start()
+    try:
+        got = cohort_values(codes, ds.y, masks, False)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(got[0], want[0])
+    assert np.array_equal(got[n], want[0])
+    # the subset tables, the cohort words, one gather of them and the float
+    # members of a block each take about MASK_BLOCK_BYTES
+    assert peak < got.nbytes + 6 * similarity.MASK_BLOCK_BYTES
+
+
 def test_subset_int():
     assert subset_int([0, 2], 3) == 0b101
     assert subset_int(0b11, 2) == 3
