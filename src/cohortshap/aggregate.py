@@ -1,16 +1,18 @@
 """Global sensitivity: variance Shapley, its per-subject disaggregation, and
 panels of per-subject attributions ordered by prediction.
 
-Every result is an :class:`Attribution`. The cohort tables of many targets
-come from one pass of :func:`games.cohort_value_sweep`:
-:func:`global_attribution` takes both sides of the squared-cohort identity
-from one such sweep, the variance Shapley of the mean squared table (the
-direct route) and the per-subject squared cohort rows whose mean is the
-disaggregated route. :func:`local_attributions` is the one per-target
-builder: local runs and panels of every method and engine go through it,
-and :func:`make_panel` orders its rows into a panel. Its Monte Carlo branch
-is one sweep too: one draw of orders serves every target, whose values at
-the orders' distinct coalitions come a chunk of targets at a time.
+Every result is an :class:`Attribution`. :func:`global_attribution` takes
+both sides of the squared-cohort identity from one pass of
+:func:`games.cohort_value_sweep` over every subject's squared cohort table:
+the variance Shapley of the mean table (the direct route) and the
+per-subject squared cohort rows whose mean is the disaggregated route.
+:func:`local_attributions` is the one per-target builder: local runs and
+panels of every method and engine go through it, and :func:`make_panel`
+orders its rows into a panel. It is one loop over value chunks, a chunk of
+targets at a time, whether they come from the cohort tables or kernel or
+from the baseline sweep's model calls: an exact chunk is contracted whole
+into its targets' rows, and under Monte Carlo one draw of orders serves
+every target.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ from .games import (
     COHORT_METHODS,
     TableGame,
     _checked_targets,
-    baseline_games,
     baseline_rows,
     baseline_sweep,
     cohort_value_chunks,
@@ -34,11 +35,11 @@ from .games import (
 )
 from .shapley import (
     Attribution,
+    _phi_from_tables,
     distinct_masks,
     engine_masks,
     permutation_masks,
     shapley_engine,
-    shapley_exact,
     shapley_from_orders,
 )
 from .similarity import resolve_rules
@@ -114,15 +115,18 @@ def local_attributions(
     """Attributions of one per-target method for every target (all subjects
     when ``targets`` is None), in target order.
 
-    Every target is checked first, and cohort rules are resolved once.
-    Exact cohort methods go through the chunked cohort sweep, and exact
-    baseline methods (bs, bs2, abs, abs2) through games whose memos one
-    baseline sweep fills, in model calls the targets share. Monte Carlo is
-    one sweep as well: the orders are drawn once, every target's values at
-    their distinct coalitions come a chunk of targets at a time (from
-    :func:`games.cohort_value_chunks` or :func:`games.baseline_sweep`), and
-    :func:`shapley.shapley_from_orders` turns each target's values into its
-    estimate, as :func:`shapley.shapley_permutation` does for one game.
+    Every target is checked first, and cohort rules are resolved once. Every
+    method and engine is then one loop over value chunks, and no game is
+    built. The masks are every nonempty set (exact) or the distinct
+    coalitions of one draw of orders (mc). A chunk holds the values of its
+    targets at the empty set and the masks, one column per target, from
+    :func:`games.cohort_value_chunks` for cs and cs2, or one target wide
+    from :func:`games.baseline_sweep`, whose model calls the targets share,
+    for bs, bs2, abs and abs2. An exact chunk is the (2^d, B) tables of its
+    targets: one :func:`shapley._phi_from_tables` call contracts them, and
+    their last row holds the totals. Under mc each target's column, read
+    along the orders, goes to :func:`shapley.shapley_from_orders`, as
+    :func:`shapley.shapley_permutation` does for one game.
     """
     targets = range(ds.n) if targets is None else _checked_targets(ds, targets)
     if engine not in ("exact", "mc"):
@@ -131,34 +135,36 @@ def local_attributions(
         if rules is None:
             raise DatasetError("cohort methods need similarity rules")
         resolved = resolve_rules(rules, ds)
-        if engine == "exact":
-            _, phi, totals = cohort_value_sweep(ds, resolved, targets, method == "cs2")
-            if not np.isfinite(totals).all():
-                raise ValueError("game total is not finite")
-            return [
-                Attribution(phi=row, total=float(total), method=method, target=t)
-                for t, row, total in zip(targets, phi, totals)
-            ]
-    elif engine == "exact":
-        masks = engine_masks(ds.d)
-        games = baseline_games(method, ds, targets, model, baseline, masks)
-        return [shapley_exact(game) for game in games]
-    perms, masks = permutation_masks(ds.d, permutations, seed)
-    distinct, inverse = distinct_masks(masks)
-    # every order starts at the empty set, the smallest mask, of value 0
-    nonempty = distinct[1:]
-    if method in COHORT_METHODS:
-        squared = method == "cs2"
-        chunks = cohort_value_chunks(ds, resolved, targets, nonempty, squared)
     else:
         baselines = baseline_rows(method, ds, model, baseline)
-        sweep = baseline_sweep(model, baselines, method, ds.X[targets], nonempty)
-        chunks = ((s, values[None]) for s, values in enumerate(sweep))
+    if engine == "exact":
+        masks = engine_masks(ds.d)
+    else:
+        perms, orders = permutation_masks(ds.d, permutations, seed)
+        distinct, inverse = distinct_masks(orders)
+        # every order starts at the empty set, the smallest mask
+        masks = distinct[1:]
+    if method in COHORT_METHODS:
+        chunks = cohort_value_chunks(ds, resolved, targets, masks, method == "cs2")
+    else:
+        sweep = baseline_sweep(model, baselines, method, ds.X[targets], masks)
+        chunks = ((s, np.concatenate(([0.0], v))[:, None]) for s, v in enumerate(sweep))
     attributions = []
     for s, chunk in chunks:
-        for t, values in zip(targets[s : s + len(chunk)], chunk):
-            values = np.concatenate(([0.0], values))[inverse].reshape(masks.shape)
-            attributions.append(shapley_from_orders(perms, values, method, t))
+        chunk_targets = targets[s : s + chunk.shape[1]]
+        if engine == "mc":
+            for t, column in zip(chunk_targets, chunk.T):
+                # a contiguous copy first: the gather along the orders is random
+                values = np.ascontiguousarray(column)[inverse].reshape(orders.shape)
+                attributions.append(shapley_from_orders(perms, values, method, t))
+            continue
+        if not np.isfinite(chunk[-1]).all():
+            raise ValueError("game total is not finite")
+        phi = _phi_from_tables(chunk, ds.d)
+        attributions += [
+            Attribution(phi=row, total=float(total), method=method, target=t)
+            for t, row, total in zip(chunk_targets, phi, chunk[-1])
+        ]
     return attributions
 
 

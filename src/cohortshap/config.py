@@ -108,12 +108,13 @@ def model_from_json(obj):
     ):
         raise ConfigError("external command must be a non-empty argv list")
     try:
-        if kind == "linear":
-            return LinearModel(tuple(float(c) for c in obj["coefficients"]),
-                               float(obj.get("intercept", 0.0)))
-        if kind == "logistic":
-            return LogisticModel(tuple(float(c) for c in obj["coefficients"]),
-                                 float(obj.get("intercept", 0.0)))
+        if kind in ("linear", "logistic"):
+            coefficients = tuple(float(c) for c in obj["coefficients"])
+            intercept = float(obj.get("intercept", 0.0))
+            if not all(map(math.isfinite, (*coefficients, intercept))):
+                raise ValueError("coefficients and intercept must be finite")
+            model = LinearModel if kind == "linear" else LogisticModel
+            return model(coefficients, intercept)
         if kind == "external":
             return ExternalCommand(tuple(str(a) for a in obj["command"]))
     except (KeyError, TypeError, ValueError) as exc:
@@ -293,6 +294,8 @@ class RunConfig:
             _check_numbers("a baseline other than 'mean'", self.baseline)
             if len(self.baseline) != d:
                 raise ConfigError(f"baseline needs {d} numbers, got {self.baseline!r}")
+            if not all(map(math.isfinite, self.baseline)):
+                raise ConfigError(f"baseline must be finite, got {self.baseline!r}")
         model = self.parsed_model()  # raises early on a malformed spec
         if self.method in MODEL_METHODS and model is None:
             raise ConfigError(f"method {self.method!r} needs a predicting model")

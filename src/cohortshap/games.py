@@ -5,11 +5,12 @@ Cohort games (cs, cs2, var) average the cohort values of one target or of
 every subject, built from observed predictions by the kernels of
 :mod:`similarity`: a 2^d table up to EXACT_CAP features, else scored per
 requested subset. :func:`cohort_value_sweep` is the one pass over the
-cohort tables of many targets: it builds the var game's subject-mean table
-and the exact Shapley rows of many cs or cs2 games.
+cohort tables of every subject: it builds the var game's subject-mean table
+and every subject's exact cs or cs2 Shapley row.
 :func:`cohort_value_chunks` gives the values of many targets at one set of
-subsets, a chunk of targets at a time, by the same two kernels: the Monte
-Carlo sweep reads them without building a game per target.
+subsets, a chunk of targets at a time, by the same two kernels: the local
+sweep of ``aggregate.local_attributions`` reads them without building a
+game per target.
 
 A baseline game (bs, bs2, abs, abs2) queries a model at the hybrids of its
 target with the k rows of :func:`baseline_rows`. :func:`baseline_sweep`, a
@@ -17,8 +18,9 @@ function of its arguments alone, is the one builder of hybrid points: it
 packs the points of many targets into shared model calls, so a command
 starts one model process per call, not one per target. Each sweep leads
 with the baseline rows, the hybrids of the empty set, so a game evaluated
-in two calls sends them twice. Every game maps a feature-subset bitmask in [0, 2^d) to a real
-value with value(empty) = 0 and caches what it has evaluated.
+in two calls sends them twice. Every game maps a feature-subset bitmask in
+[0, 2^d) to a real value with value(empty) = 0 and caches what it has
+evaluated.
 """
 
 from __future__ import annotations
@@ -87,16 +89,11 @@ class Game:
         at = np.searchsorted(self._keys, wanted)
         known = self._keys[np.minimum(at, len(self._keys) - 1)] == wanted
         if not known.all():
-            missing = wanted[~known]
-            self._remember(missing, self._evaluate_many(missing))
+            missing, slots = wanted[~known], at[~known]
+            self._vals = np.insert(self._vals, slots, self._evaluate_many(missing))
+            self._keys = np.insert(self._keys, slots, missing)
             at = np.searchsorted(self._keys, wanted)
         return self._vals[at][inverse].reshape(masks.shape)
-
-    def _remember(self, masks: np.ndarray, values) -> None:
-        """Memoize the ``values`` of sorted ``masks`` the memo lacks."""
-        at = np.searchsorted(self._keys, masks)
-        self._keys = np.insert(self._keys, at, masks)
-        self._vals = np.insert(self._vals, at, np.asarray(values, dtype=float))
 
     def value_table(self) -> np.ndarray:
         """Values of every subset, indexed by bitmask. Requires d <= EXACT_CAP."""
@@ -152,57 +149,60 @@ class _LazyCohortGame(Game):
 def cohort_value_sweep(
     ds: Dataset,
     resolved,
-    targets=None,
     squared: bool = False,
     rows: bool = True,
     mean: bool = False,
 ):
-    """One pass over the cohort tables of ``targets`` (every subject when
-    None) under ``resolved`` rules: (mean table, phi rows, totals).
+    """One pass over the cohort tables of every subject under ``resolved``
+    rules: (mean table, phi rows, totals).
 
     Each chunk of :func:`similarity.cohort_table_chunks` is one lattice-major
-    (2^d, B) table of B targets. With ``mean``, each chunk is summed along
-    its contiguous target axis into one 2^d table, chunk after chunk in
-    target order, which is divided by the target count at the end. With
-    ``rows``, each chunk is also contracted into the targets' (B, d) exact
-    Shapley rows, and its last lattice row (the full set) gives their
-    totals. What is not asked for is None. Memory stays bounded by the
-    chunk, not by targets x 2^d.
+    (2^d, B) table of B subjects. With ``mean``, each chunk is summed along
+    its contiguous subject axis into one 2^d table, chunk after chunk in
+    subject order, which is divided by n at the end. With ``rows``, each
+    chunk is also contracted into the subjects' (B, d) exact Shapley rows,
+    and its last lattice row (the full set) gives their totals. What is not
+    asked for is None. Memory stays bounded by the chunk, not by n x 2^d.
     """
     if ds.d > EXACT_CAP:
         raise DatasetError(f"d={ds.d} too large for the dense cohort sweep")
-    targets = np.arange(ds.n) if targets is None else np.asarray(targets, np.intp)
     table = np.zeros(1 << ds.d) if mean else None
-    phi = np.empty((len(targets), ds.d)) if rows else None
-    totals = np.empty(len(targets)) if rows else None
-    for s, tables in cohort_table_chunks(ds, resolved, targets, squared):
+    phi = np.empty((ds.n, ds.d)) if rows else None
+    totals = np.empty(ds.n) if rows else None
+    for s, tables in cohort_table_chunks(ds, resolved, np.arange(ds.n), squared):
         if mean:
             table += tables.sum(axis=1)
         if rows:
             phi[s : s + tables.shape[1]] = _phi_from_tables(tables, ds.d)
             totals[s : s + tables.shape[1]] = tables[-1]
     if mean:
-        table /= len(targets)
+        table /= ds.n
     return table, phi, totals
 
 
 def cohort_value_chunks(ds: Dataset, resolved, targets, masks, squared: bool):
     """The cohort values (squared with ``squared``) of ``targets`` at the
-    sorted ``masks`` under ``resolved`` rules, a chunk of targets at a time.
+    empty set and the sorted nonempty ``masks`` under ``resolved`` rules, a
+    chunk of targets at a time.
 
-    Yields (chunk_offset, values): row b of the (B, len(masks)) ``values``
-    belongs to target targets[chunk_offset + b]. Up to EXACT_CAP features
-    they are gathered from the lattice-major tables of
-    :func:`similarity.cohort_table_chunks`, the tables a per-target game
-    holds; above it :func:`similarity.cohort_values` scores the masks on the
-    chunks of :func:`similarity.match_code_chunks`, sized for the values.
+    Yields (chunk_offset, values): column b of the (1 + len(masks), B)
+    ``values`` belongs to target targets[chunk_offset + b], and its row 0 is
+    the empty set's 0, row 1 + i the value at masks[i]. Up to EXACT_CAP
+    features the values come from the tables of
+    :func:`similarity.cohort_table_chunks`: when ``masks`` are every
+    nonempty set they are those lattice-major tables, else rows gathered
+    from them. Above it :func:`similarity.cohort_values` scores the masks on
+    the chunks of :func:`similarity.match_code_chunks`, sized for the
+    values.
     """
     if ds.d <= EXACT_CAP:
+        rows = None if len(masks) == (1 << ds.d) - 1 else np.concatenate(([0], masks))
         for s, tables in cohort_table_chunks(ds, resolved, targets, squared):
-            yield s, tables[masks].T
+            yield s, tables if rows is None else tables[rows]
         return
     for s, codes in match_code_chunks(ds, resolved, targets, 8 * len(masks)):
-        yield s, cohort_values(codes, ds.y, masks, squared)
+        values = cohort_values(codes, ds.y, masks, squared)
+        yield s, np.concatenate((np.zeros((len(codes), 1)), values), axis=1).T
 
 
 def _cohort_game(ds: Dataset, method: str, target=None, codes=None, resolved=None):
@@ -346,18 +346,6 @@ def baseline_sweep(model, baselines, method: str, X, masks, per_baseline: bool =
             out[done : done + len(diff)] = diff if per_baseline else diff.mean(axis=1)
             done += len(diff)
         yield out
-
-
-def baseline_games(method: str, ds: Dataset, targets, model, baseline, masks):
-    """The baseline games of ``targets`` (rows of ``ds``), in order, with the
-    values of the sorted nonempty int64 ``masks`` already known: one
-    :func:`baseline_sweep` evaluates them all in shared model calls."""
-    baselines = baseline_rows(method, ds, model, baseline)
-    sweep = baseline_sweep(model, baselines, method, ds.X[targets], masks)
-    for t, values in zip(targets, sweep):
-        game = _BaselineGame(ds, method, t, baselines, model)
-        game._remember(masks, values)
-        yield game
 
 
 def make_game(

@@ -161,6 +161,29 @@ def test_mc_sweep_draws_the_orders_once(monkeypatch, method, d):
 
 
 @pytest.mark.parametrize(
+    "d, engine",
+    [(4, "exact"), (4, "mc"), (21, "mc")],
+    ids=["d4-exact", "d4-mc", "d21-mc"],
+)
+@pytest.mark.parametrize("method", ["cs", "cs2", "bs", "bs2", "abs", "abs2"])
+def test_local_attributions_build_no_game(monkeypatch, method, d, engine):
+    # every method and engine reads value chunks: no per-target game
+    ds = random_dataset(12, d, seed=26)
+    rules = [AbsoluteThreshold(0.8)] * d
+    model = LinearModel(tuple(np.linspace(-1.0, 1.0, d)), 0.5)
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("local_attributions built a game")
+
+    monkeypatch.setattr(games.Game, "__init__", refuse)
+    targets = [3, 7, 3]
+    got = local_attributions(ds, method, targets, rules, model, engine=engine,
+                             permutations=10, seed=2)
+    assert [a.target for a in got] == targets
+    assert all(np.isfinite(a.phi).all() and a.method == method for a in got)
+
+
+@pytest.mark.parametrize(
     "d, chunk_bytes, max_targets, size",
     [
         (4, 480, MAX_CHUNK_TARGETS, 2),

@@ -62,6 +62,7 @@ def t8_config(workdir, **extra):
     return path
 
 
+NAN, INF = float("nan"), float("inf")
 LINEAR_SPEC = {"kind": "linear", "coefficients": [2.0, 1.0, 0.0], "intercept": 0.0}
 SMALL_AUDIT = {"scales": [0.5, 1.0], "fractions": [0.25], "runs": 2}
 
@@ -397,6 +398,14 @@ def _wide_config(workdir, d=64, **extra):
         ("cube", {"cube_values": ["a", "b"]}),
         ("cube", {"cube_values": [0.0, True]}),
         ("cube", {"cube_values": 4.0}),
+        ("local", {"method": "bs", "model": LINEAR_SPEC, "baseline": [0.5, NAN, 0.5]}),
+        ("local", {"method": "bs", "model": LINEAR_SPEC, "baseline": [0.5, 0.5, -INF]}),
+        ("local", {"method": "bs",
+                   "model": {"kind": "linear", "coefficients": [2.0, NAN, 0.0]}}),
+        ("local", {"method": "bs", "model": {"kind": "logistic",
+                                             "coefficients": [1.0, 1.0, 1.0],
+                                             "intercept": INF}}),
+        ("audit", {"model": LINEAR_SPEC, "baseline": [NAN, 0.5, 0.5]}),
     ],
     ids=["abs-no-delta", "linear-no-coefficients", "similarity-list",
          "delta-not-a-number", "local-d64-mc", "global-d64-mc", "audit-list-audit",
@@ -414,7 +423,9 @@ def _wide_config(workdir, d=64, **extra):
          "per-subject-str", "per-subject-above-cap", "targets-empty",
          "targets-comma", "audit-targets-empty", "cube-values-object",
          "cube-values-three", "cube-values-one", "cube-values-empty",
-         "cube-values-strings", "cube-values-bool", "cube-values-number"],
+         "cube-values-strings", "cube-values-bool", "cube-values-number",
+         "baseline-nan", "baseline-inf", "linear-coef-nan", "logistic-intercept-inf",
+         "audit-baseline-nan"],
 )
 def test_config_holes_exit_2(workdir, capsys, command, extra):
     wide = "d" in extra
@@ -422,6 +433,18 @@ def test_config_holes_exit_2(workdir, capsys, command, extra):
     assert run_cli([command, "--config", cfg]) == 2
     err = capsys.readouterr().err
     assert "config error" in err
+    assert "Traceback" not in err
+    assert not (workdir / "out").exists()
+
+
+def test_overflowing_baseline_exits_1(workdir, capsys):
+    # a finite baseline is a valid config; its prediction overflowing is a
+    # runtime error
+    cfg = t8_config(workdir, method="bs", model=LINEAR_SPEC, baseline=[1e308] * 3)
+    with np.errstate(over="ignore"):
+        assert run_cli(["local", "--config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert "error: model produced a non-finite prediction" in err
     assert "Traceback" not in err
 
 

@@ -14,6 +14,7 @@ from cohortshap import (
     RelativeThreshold,
     SimilarityError,
     attach_predictions,
+    local_attributions,
     resolve_rules,
     scale_rules,
     similarity_row,
@@ -227,7 +228,8 @@ def test_sweep_tables_are_each_targets_table(d, count, seed, squared):
     # column b of a lattice-major chunk is bit for bit the 1-D table of its
     # target, and its last row that target's total
     ds = random_dataset(40, d, seed=seed % 997)
-    resolved = resolve_rules([AbsoluteThreshold(0.7)] * d, ds)
+    rules = [AbsoluteThreshold(0.7)] * d
+    resolved = resolve_rules(rules, ds)
     targets = np.random.default_rng(seed).choice(ds.n, size=count, replace=False)
     seen = 0
     for s, tables in similarity.cohort_table_chunks(ds, resolved, targets, squared):
@@ -238,7 +240,8 @@ def test_sweep_tables_are_each_targets_table(d, count, seed, squared):
             assert np.array_equal(tables[:, b], alone)
             seen += 1
     assert seen == count
-    _, _, totals = cohort_value_sweep(ds, resolved, targets, squared)
+    method = "cs2" if squared else "cs"
+    totals = [att.total for att in local_attributions(ds, method, targets, rules)]
     codes = match_codes(ds.X, resolved, ds.X[targets])
     assert np.array_equal(totals, cohort_value_tables(codes, ds.y, d, squared)[-1])
 
