@@ -7,8 +7,12 @@ scan per run computes, per point, the smallest threshold scale at which a
 witness appears; it screens the point at every scale at once. A column
 whose radius is 0 at every point must match exactly at any scale, so the
 scan groups rows and points into exact-match buckets on those columns and
-pairs a point only with the rows of its bucket, in blocks of about
-``MASK_BLOCK_BYTES`` held in two buffers reused across blocks. A point whose
+pairs a point only with the rows of its bucket. The columns that share one
+radius at every point (an absolute or resolved range threshold) are scaled
+together: the largest gap over them is multiplied once by the reciprocal,
+which is exact because rounding a product by a positive number is monotone.
+The scan runs in point blocks whose three reused buffers share about
+``MASK_BLOCK_BYTES``, so a block stays in a core's L2 cache. A point whose
 scale lies within ``SCALE_ULPS`` ulps of a configured scale is decided by
 the predicate itself, so every rate is the share of points
 :func:`is_realistic` accepts, and sharing the draws across scales keeps the
@@ -145,12 +149,21 @@ def _min_witness_scale(points: np.ndarray, ref_X: np.ndarray, resolved) -> np.nd
     columns a pair needs ``|col - center| * (1 / radius)``, the largest over
     columns; a point's scale is the smallest need in its bucket: 0.0 when
     every column is a key column and the bucket has rows, +inf when it has
-    none. The scan runs in point blocks of about MASK_BLOCK_BYTES per
-    buffer. The ratios round differently from the predicate, so this is a
-    screen: near a scale, :func:`_realistic_at` asks ``match_codes``.
+    none. Columns that share one radius at every point are scanned as a
+    group: the largest gap over the group times the one reciprocal. That is
+    exact, since rounding ``gap * inv`` is monotone in the gap for inv > 0,
+    so the product of the largest gap is the largest product (an overflow
+    is inf either way, and at inv = inf a zero gap is the same skipped NaN).
+    The scan runs in point blocks whose three buffers share about
+    MASK_BLOCK_BYTES, so they stay in a core's L2 cache. The ratios round
+    differently from the predicate, so this is a screen: near a scale,
+    :func:`_realistic_at` asks ``match_codes``.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    radii = [rule.radius(points[:, j]) for j, rule in enumerate(resolved)]
+    radii = [
+        np.broadcast_to(rule.radius(points[:, j]), len(points))
+        for j, rule in enumerate(resolved)
+    ]
     is_key = [np.count_nonzero(r) == 0 for r in radii]
     keys = [j for j, k in enumerate(is_key) if k]
     scan = [j for j, k in enumerate(is_key) if not k]
@@ -166,28 +179,45 @@ def _min_witness_scale(points: np.ndarray, ref_X: np.ndarray, resolved) -> np.nd
     if scan:
         cols = ref_X[ref_order][:, scan].T.copy()
         centers = points[point_order][:, scan].T.copy()
-        rows = np.maximum(1, MASK_BLOCK_BYTES // (8 * np.maximum(width, 1)))
+        # scan positions by radius: the columns that share one radius at
+        # every point go together, and the columns whose radius varies by
+        # point are scaled one at a time
+        shared: dict = {}
+        varying = []
+        for c, j in enumerate(scan):
+            if (radii[j] == radii[j][0]).all():
+                shared.setdefault(radii[j][0], []).append(c)
+            else:
+                varying.append(c)
+        rows = np.maximum(1, MASK_BLOCK_BYTES // (3 * 8 * np.maximum(width, 1)))
         size = int((np.minimum(ends - starts, rows) * width).max())
-        need_buf, ratio_buf = np.empty(size), np.empty(size)
+        buf = np.empty((3, size))
         # gap / radius, by a reciprocal because a product is cheaper than a
         # quotient: x/0 is inf, and fmax skips the NaN of 0/0, an exact
         # match at radius 0, as it would skip a ratio of 0; a gap or ratio
         # past the float range is inf, beyond every scale
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            inv = np.stack([1.0 / np.broadcast_to(radii[j], len(points)) for j in scan])
-            inv = inv[:, point_order]
+            inv = (1.0 / np.stack([radii[j] for j in scan]))[:, point_order]
             for b in np.flatnonzero(width):
                 ref = cols[:, None, lo[b] : lo[b] + width[b]]
                 for s in range(starts[b], ends[b], rows[b]):
                     e = min(s + rows[b], ends[b])
-                    need = need_buf[: (e - s) * width[b]].reshape(e - s, width[b])
-                    ratio = ratio_buf[: need.size].reshape(need.shape)
+                    need, gap, tmp = buf[:, : (e - s) * width[b]].reshape(3, e - s, -1)
                     need.fill(0.0)
-                    for c in range(len(scan)):
-                        np.subtract(ref[c], centers[c, s:e, None], out=ratio)
-                        np.abs(ratio, out=ratio)
-                        np.multiply(ratio, inv[c, s:e, None], out=ratio)
-                        np.fmax(need, ratio, out=need)
+                    for group in shared.values():
+                        np.subtract(ref[group[0]], centers[group[0], s:e, None], out=gap)
+                        np.abs(gap, out=gap)
+                        for c in group[1:]:
+                            np.subtract(ref[c], centers[c, s:e, None], out=tmp)
+                            np.abs(tmp, out=tmp)
+                            np.fmax(gap, tmp, out=gap)
+                        np.multiply(gap, inv[group[0], 0], out=gap)
+                        np.fmax(need, gap, out=need)
+                    for c in varying:
+                        np.subtract(ref[c], centers[c, s:e, None], out=gap)
+                        np.abs(gap, out=gap)
+                        np.multiply(gap, inv[c, s:e, None], out=gap)
+                        np.fmax(need, gap, out=need)
                     need.min(axis=1, out=found[s:e])
     out = np.empty(len(points))
     out[point_order] = found

@@ -201,25 +201,28 @@ def cmd_audit(cfg: RunConfig) -> int:
             marginal_samples=audit_cfg.get("marginal_samples"),
             marginal_reference=audit_cfg.get("marginal_reference", "full"),
         )
-    os.makedirs(cfg.out, exist_ok=True)
-    write_realism_csv(report, os.path.join(cfg.out, "realism.csv"))
-
+    splits = []
     if model is not None:
         method = cfg.method if cfg.method in MODEL_METHODS else "bs"
         rules = cfg.rules_for(schema)
         with _phase(f"realism split x{len(targets)}"):
-            splits = realism_splits(ds, targets, cfg.baseline, model, rules, method)
-            for split in splits:
-                _write_json(
-                    os.path.join(cfg.out, f"split_{method}_t{split.target}.json"),
-                    {
-                        "method": split.method,
-                        "target": split.target,
-                        "phi_realistic": _named(ds.names, split.phi_realistic),
-                        "phi_unrealistic": _named(ds.names, split.phi_unrealistic),
-                        "phi": _named(ds.names, split.phi),
-                    },
-                )
+            # every split runs before any artifact is written, so a failed
+            # split leaves no partial output
+            splits = list(realism_splits(ds, targets, cfg.baseline, model, rules, method))
+    with _phase("emit"):
+        os.makedirs(cfg.out, exist_ok=True)
+        write_realism_csv(report, os.path.join(cfg.out, "realism.csv"))
+        for split in splits:
+            _write_json(
+                os.path.join(cfg.out, f"split_{split.method}_t{split.target}.json"),
+                {
+                    "method": split.method,
+                    "target": split.target,
+                    "phi_realistic": _named(ds.names, split.phi_realistic),
+                    "phi_unrealistic": _named(ds.names, split.phi_unrealistic),
+                    "phi": _named(ds.names, split.phi),
+                },
+            )
     return 0
 
 

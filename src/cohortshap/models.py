@@ -144,7 +144,9 @@ def predict(model: ModelAdapter, points) -> np.ndarray:
             raise ModelError(
                 f"points have {points.shape[1]} columns, model expects {len(coef)}"
             )
-        eta = points @ coef + model.intercept
+        # an overflow shows as a non-finite prediction, refused below
+        with np.errstate(over="ignore", invalid="ignore"):
+            eta = points @ coef + model.intercept
         preds = _sigmoid(eta) if isinstance(model, LogisticModel) else eta
     else:
         preds = _run_external(model, points)

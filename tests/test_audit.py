@@ -97,18 +97,26 @@ SCAN_RULES = {
     "zero": AbsoluteThreshold(0.0),
     "relative": RelativeThreshold(0.5),
     "range": RangeFraction(0.3),
+    "half": AbsoluteThreshold(0.5),
+    "quarter": AbsoluteThreshold(0.25),
 }
-# ties, signed zeros (zero relative centres on some points only) and a
-# value no reference row takes, so some query keys have no bucket
+# ties, signed zeros (zero relative centres on some points only), a value
+# no reference row takes, so some query keys have no bucket, and huge and
+# tiny values, so that gap * (1 / radius) overflows to inf on shared radii
+# (gaps near 1e308) and on relative columns (tiny centres); no gap itself
+# overflows
 SCAN_VALUES = st.one_of(
-    st.sampled_from([0.0, -0.0, 1.0, 2.0, -1.5]), st.floats(-4.0, 4.0)
+    st.sampled_from([0.0, -0.0, 1.0, 2.0, -1.5, 1e300, -1e300, 1e308, 1e-300]),
+    st.floats(-4.0, 4.0),
 )
 
 
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
 def test_bucketed_scan_equals_dense_scan(data):
-    d = data.draw(st.integers(1, 4))
+    # up to six columns, so that one radius is shared by several columns
+    # and several shared radii sit side by side
+    d = data.draw(st.integers(1, 6))
     kinds = data.draw(st.lists(st.sampled_from(sorted(SCAN_RULES)), min_size=d, max_size=d))
     n = data.draw(st.integers(1, 23))
     m = data.draw(st.integers(1, 37))

@@ -3,6 +3,7 @@ import os
 import shutil
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -439,13 +440,29 @@ def test_config_holes_exit_2(workdir, capsys, command, extra):
 
 def test_overflowing_baseline_exits_1(workdir, capsys):
     # a finite baseline is a valid config; its prediction overflowing is a
-    # runtime error
+    # runtime error, reported once and without numpy's raw overflow warning
     cfg = t8_config(workdir, method="bs", model=LINEAR_SPEC, baseline=[1e308] * 3)
-    with np.errstate(over="ignore"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         assert run_cli(["local", "--config", cfg]) == 1
     err = capsys.readouterr().err
     assert "error: model produced a non-finite prediction" in err
+    assert "RuntimeWarning" not in err
     assert "Traceback" not in err
+
+
+def test_failed_audit_split_writes_nothing(workdir, capsys):
+    # the realism curve succeeds and the split's prediction overflows: no
+    # realism.csv may be left behind
+    cfg = t8_config(workdir, method="bs", model=LINEAR_SPEC, baseline=[1e308] * 3,
+                    audit=SMALL_AUDIT)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli(["audit", "--config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert "error: model produced a non-finite prediction" in err
+    assert "RuntimeWarning" not in err
+    assert not (workdir / "out").exists()
 
 
 def test_threads_flag_removed(workdir, capsys):
