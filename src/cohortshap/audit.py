@@ -119,7 +119,7 @@ def _hybrid_flags(X, resolved, x_t, code_b) -> np.ndarray:
     flags = np.empty((1 << d, k), dtype=bool)
     step = max(1, MASK_BLOCK_BYTES // (8 * k * n))
     for s in range(0, 1 << d, step):
-        u = np.arange(s, min(s + step, 1 << d), dtype=np.int64)[:, None, None]
+        u = np.arange(s, min(s + step, 1 << d), dtype=code_t.dtype)[:, None, None]
         close = (code_t & u) | (code_b & ~u)
         flags[s : s + len(u)] = in_cohort(close, full).any(axis=2)
     return flags

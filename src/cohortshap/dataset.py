@@ -226,15 +226,20 @@ def write_csv(ds: Dataset, path) -> None:
             writer.writerow(row)
 
 
-def quantile(ds: Dataset, column: int, p: float) -> float:
-    """Order-statistic quantile with linear interpolation."""
+def quantile(ds: Dataset, column: int, p):
+    """Order-statistic quantile with linear interpolation. ``p`` is one
+    probability, or a sequence of them for a tuple of quantiles from one
+    pass over the column, each equal to its own one-probability call."""
     if ds.kind(column) != "numeric":
         raise DatasetError(
             f"quantile needs a numeric column, got {ds.kind(column)!r}"
         )
-    if not 0.0 <= p <= 1.0:
-        raise DatasetError(f"quantile probability {p} outside [0, 1]")
-    return float(np.quantile(ds.X[:, column], p, method="linear"))
+    probs = np.asarray(p, dtype=float)
+    for q in probs.ravel():
+        if not 0.0 <= q <= 1.0:
+            raise DatasetError(f"quantile probability {q} outside [0, 1]")
+    values = np.quantile(ds.X[:, column], probs, method="linear")
+    return float(values) if values.ndim == 0 else tuple(map(float, values))
 
 
 def split_holdout(ds: Dataset, fraction: float, seed: int) -> tuple[Dataset, Dataset]:

@@ -3,15 +3,18 @@
 A subject's match pattern to a target is the subset integer of the
 predictors it is close on; the cohort of a feature subset u holds the
 subjects whose pattern contains u, and its value is their mean prediction
-minus the grand mean. :func:`match_codes` builds the patterns,
-:func:`cohort_value_tables` all 2^d values by a pattern histogram plus a
-superset-sum transform, and :func:`cohort_values` only the subsets asked
-for: it packs each target's per-feature subject sets into 64-bit words and
-builds a cohort as the AND of a few table lookups, one per slice of the
-subset's bits. :func:`match_code_chunks` and :func:`cohort_table_chunks`
-walk many targets a bounded chunk at a time. Each resolved rule type owns
-its closeness test (``close``) and the largest gap it accepts (``radius``);
-no other module knows the rule types.
+minus the grand mean. :func:`match_codes` builds the patterns, in the
+narrowest signed integer type that holds d bits (:func:`code_dtype`), with
+one broadcast test per rule type over all the columns of that type;
+:func:`cohort_value_tables` builds all 2^d values by a pattern histogram
+plus a superset-sum transform, and :func:`cohort_values` only the subsets
+asked for: it packs each target's per-feature subject sets into 64-bit
+words and builds a cohort as the AND of a few table lookups, one per slice
+of the subset's bits. :func:`match_code_chunks` and
+:func:`cohort_table_chunks` walk many targets a bounded chunk at a time.
+Each resolved rule type owns its closeness test (``close_stack`` over a
+stack of its columns, ``close`` over one) and the largest gap it accepts
+(``radius``); no other module knows the rule types.
 """
 
 from __future__ import annotations
@@ -39,8 +42,27 @@ class SimilarityError(ValueError):
     """Raised for invalid similarity rules or rule/column mismatches."""
 
 
+class _Rule:
+    """Every rule type tests a stack of columns under rules of that type at
+    once: ``close_stack(rules, columns, centers, out, gap)`` compares
+    ``columns`` (k, ..., n) with ``centers`` (k, m, 1), row r of each under
+    rules[r], writing to the bool ``out`` when given and using ``gap``, a
+    float buffer of the result's shape, as scratch (:func:`match_codes`).
+    The test of one rule, ``close(column, center)``, is its type's
+    ``close_stack`` on one column."""
+
+    def close(self, column, center):
+        return self.close_stack((self,), column, center)
+
+
+def _per_rule(values, ndim: int) -> np.ndarray:
+    """One value per stacked rule, shaped to broadcast along the leading
+    (rule) axis of an ndim-dimensional test; a 0-d value for ndim 0."""
+    return np.reshape(values, (len(values),)[:ndim] + (1,) * (ndim - 1))
+
+
 @dataclass(frozen=True)
-class Identity:
+class Identity(_Rule):
     """Close exactly when equal; the only rule a categorical column takes."""
 
     kinds: ClassVar[tuple[str, ...]] = ("numeric", "binary", "categorical")
@@ -48,15 +70,16 @@ class Identity:
     def scaled(self, factor: float) -> "Identity":
         return self
 
-    def close(self, column, center):
-        return column == center
+    @staticmethod
+    def close_stack(rules, columns, centers, out=None, gap=None):
+        return np.equal(columns, centers, out=out)
 
     def radius(self, center):
         return 0.0
 
 
 @dataclass(frozen=True)
-class AbsoluteThreshold:
+class AbsoluteThreshold(_Rule):
     """|x_ij - x_tj| <= delta."""
 
     delta: float
@@ -69,15 +92,18 @@ class AbsoluteThreshold:
     def scaled(self, factor: float) -> "AbsoluteThreshold":
         return AbsoluteThreshold(self.delta * factor)
 
-    def close(self, column, center):
-        return np.abs(column - center) <= self.delta
+    @staticmethod
+    def close_stack(rules, columns, centers, out=None, gap=None):
+        gap = np.abs(np.subtract(columns, centers, out=gap), out=gap)
+        delta = _per_rule([r.delta for r in rules], np.ndim(gap))
+        return np.less_equal(gap, delta, out=out)
 
     def radius(self, center):
         return self.delta
 
 
 @dataclass(frozen=True)
-class RangeFraction:
+class RangeFraction(_Rule):
     """Absolute threshold of frac * (quantile(hi_q) - quantile(lo_q)); it has
     no closeness until :func:`resolve_rules` pins it to a dataset."""
 
@@ -95,15 +121,18 @@ class RangeFraction:
     def scaled(self, factor: float) -> "RangeFraction":
         return RangeFraction(self.frac * factor, self.lo_q, self.hi_q)
 
-    def close(self, column, center):
-        raise SimilarityError(f"unresolved rule {self!r}; call resolve_rules first")
+    @staticmethod
+    def close_stack(rules, columns, centers, out=None, gap=None):
+        raise SimilarityError(
+            f"unresolved rule {rules[0]!r}; call resolve_rules first"
+        )
 
     def radius(self, center):
         return self.close(None, center)
 
 
 @dataclass(frozen=True)
-class RelativeThreshold:
+class RelativeThreshold(_Rule):
     """|x_ij - x_tj| <= delta * |x_tj|; not symmetric in i and t."""
 
     delta: float
@@ -116,8 +145,11 @@ class RelativeThreshold:
     def scaled(self, factor: float) -> "RelativeThreshold":
         return RelativeThreshold(self.delta * factor)
 
-    def close(self, column, center):
-        return np.abs(column - center) <= self.delta * np.abs(center)
+    @staticmethod
+    def close_stack(rules, columns, centers, out=None, gap=None):
+        gap = np.abs(np.subtract(columns, centers, out=gap), out=gap)
+        delta = _per_rule([r.delta for r in rules], np.ndim(gap))
+        return np.less_equal(gap, delta * np.abs(centers), out=out)
 
     def radius(self, center):
         return self.delta * np.abs(center)
@@ -148,16 +180,18 @@ def resolve_rules(rules, ds: Dataset) -> list[SimilarityRule]:
     """Validate rules against the dataset and pin quantile ranges to thresholds.
 
     Returns one of Identity / AbsoluteThreshold / RelativeThreshold per
-    column; RangeFraction is materialized against this dataset's quantiles.
-    Each resolved rule's ``close(column, center)`` is the closeness test and
-    ``radius(center)`` the largest gap it accepts.
+    column; RangeFraction is materialized against this dataset's quantiles,
+    both ends of its range from one quantile call. Each resolved rule's
+    ``close(column, center)`` is the closeness test and ``radius(center)``
+    the largest gap it accepts.
     """
     rules = list(rules)
     check_rules(rules, ds.schema)
     resolved: list[SimilarityRule] = []
     for j, rule in enumerate(rules):
         if isinstance(rule, RangeFraction):
-            width = quantile(ds, j, rule.hi_q) - quantile(ds, j, rule.lo_q)
+            lo, hi = quantile(ds, j, (rule.lo_q, rule.hi_q))
+            width = hi - lo
             resolved.append(AbsoluteThreshold(rule.frac * width))
         else:
             resolved.append(rule)
@@ -169,7 +203,7 @@ def similarity_row(rules, ds: Dataset, t: int) -> np.ndarray:
     :func:`match_codes`), under ``rules`` resolved against ``ds``."""
     if not 0 <= t < ds.n:
         raise SimilarityError(f"target {t} outside 0..{ds.n - 1}")
-    codes = match_codes(ds.X, resolve_rules(rules, ds), ds.X[t])[0]
+    codes = match_codes(ds.X, resolve_rules(rules, ds), ds.X[t])[0].astype(np.int64)
     if not in_cohort(codes[t], (1 << ds.d) - 1):
         raise SimilarityError("target row must be all-similar to itself")
     codes.flags.writeable = False
@@ -199,24 +233,63 @@ def subset_int(u, d: int) -> int:
     return mask
 
 
-def match_codes(X: np.ndarray, resolved, points: np.ndarray, out=None) -> np.ndarray:
-    """(points, subjects) int64 match patterns: bit j of entry (p, i) is set
-    when subject row i of ``X`` is close to point p on predictor j.
+def code_dtype(d: int) -> np.dtype:
+    """The integer type of d-bit match codes: int8 for d <= 7, int16 for
+    d <= 15, int32 for d <= 31, else int64. Signed, with the sign bit never
+    set, so a code ANDed with an int64 mask stays int64 (a uint64 one would
+    promote to float64)."""
+    for t in (np.int8, np.int16, np.int32):
+        if d < 8 * np.dtype(t).itemsize:
+            return np.dtype(t)
+    return np.dtype(np.int64)
 
-    The codes are filled in blocks of points of about MASK_BLOCK_BYTES, so
-    each per-column temporary (the rule's gap, its test, the shifted bits)
-    stays within that budget whatever the number of points. ``out``, an
-    int64 array of the result's shape, receives the codes instead of a new
-    array, so a caller looping over chunks can reuse one."""
+
+def match_codes(X: np.ndarray, resolved, points: np.ndarray, out=None) -> np.ndarray:
+    """(points, subjects) match patterns of type ``code_dtype(d)``: bit j of
+    entry (p, i) is set when subject row i of ``X`` is close to point p on
+    predictor j.
+
+    The columns are grouped by rule type, and for each block of points each
+    group makes one test of its stacked columns (k, 1, n) against the
+    points' centres (k, block, 1). Bit j is set by a multiply by 2^j (numpy
+    has no vector loop for an int8 shift), and one OR over the stacked
+    columns writes the block. A block holds MASK_BLOCK_BYTES // (8 n d)
+    points, so its float gaps stay within MASK_BLOCK_BYTES; the buffers are
+    allocated once per call. ``out``, an array of the result's shape and
+    type, receives the codes instead of a new array, so a caller looping
+    over chunks can reuse one."""
     points = np.atleast_2d(points)
-    codes = np.empty((len(points), len(X)), dtype=np.int64) if out is None else out
-    codes.fill(0)
-    step = max(1, MASK_BLOCK_BYTES // (8 * len(X)))
+    n, d = len(X), len(resolved)
+    dtype = code_dtype(d)
+    codes = np.empty((len(points), n), dtype=dtype) if out is None else out
+    groups: dict[type, list[int]] = {}
+    for j, rule in enumerate(resolved):
+        groups.setdefault(type(rule), []).append(j)
+    order = [j for cols in groups.values() for j in cols]
+    columns = X.T[order][:, None, :]
+    weights = (np.int64(1) << np.array(order)).astype(dtype)[:, None, None]
+    step = max(1, MASK_BLOCK_BYTES // (8 * n * d))
+    width = min(step, len(points))
+    k = max(len(cols) for cols in groups.values())
+    gap = np.empty((k, width, n))
+    close = np.empty((k, width, n), dtype=bool)
+    bits = np.empty((d, width, n), dtype=dtype)
     for s in range(0, len(points), step):
-        block = codes[s : s + step]
-        for j, rule in enumerate(resolved):
-            close = rule.close(X[None, :, j], points[s : s + step, j][:, None])
-            block |= close.astype(np.int64) << j
+        centers = points[s : s + step, order].T[:, :, None]
+        m = centers.shape[1]
+        lo = 0
+        for kind, cols in groups.items():
+            hi = lo + len(cols)
+            kind.close_stack(
+                [resolved[j] for j in cols],
+                columns[lo:hi],
+                centers[lo:hi],
+                out=close[: hi - lo, :m],
+                gap=gap[: hi - lo, :m],
+            )
+            np.multiply(close[: hi - lo, :m], weights[lo:hi], out=bits[lo:hi, :m])
+            lo = hi
+        np.bitwise_or.reduce(bits[:, :m], axis=0, out=codes[s : s + m])
     return codes
 
 
@@ -230,8 +303,9 @@ def cohort_value_tables(codes: np.ndarray, y: np.ndarray, d: int, squared: bool)
     cells = math.prod(shape)
     if codes.ndim > 1:
         # Bin index code * B + b, built subject-major so consecutive entries
-        # land in nearby bins; each bin still sums its subjects in order.
-        codes = np.multiply(codes.T, shape[1], order="C")
+        # land in nearby bins; each bin still sums its subjects in order. It
+        # is widened here, once: the product overflows a narrow code.
+        codes = np.multiply(codes.T, shape[1], dtype=np.int64, order="C")
         codes += np.arange(shape[1], dtype=np.int64)
     flat = codes.ravel()
     # A count never exceeds n, and the int32 superset sum is the faster one.
@@ -270,7 +344,7 @@ def cohort_values(codes: np.ndarray, y: np.ndarray, masks, squared: bool):
     and their float members in smaller blocks within the same budget.
     """
     masks = np.asarray(masks, dtype=np.int64)
-    codes = np.ascontiguousarray(codes, dtype="<i8")
+    codes = np.ascontiguousarray(codes, dtype=codes.dtype.newbyteorder("<"))
     rows, n = codes.shape
     d = max(1, int(np.bitwise_or.reduce(masks, initial=0)).bit_length())
     words = -(-n // 64)
@@ -323,10 +397,11 @@ def _slice_width(d: int, count: int, words: int) -> int:
 
 def _subject_sets(codes: np.ndarray, d: int) -> np.ndarray:
     """(rows, d, words) uint64: the subjects close to each target row on each
-    feature j < d, one bit per subject (bit i of byte q for subject 8q + i),
-    ceil(n/64) words per set with the bits past n clear."""
+    feature j < d of little-endian ``codes`` of any width, one bit per
+    subject (bit i of byte q for subject 8q + i), ceil(n/64) words per set
+    with the bits past n clear."""
     rows, n = codes.shape
-    low = codes.view(np.uint8).reshape(rows, n, 8)[:, :, : -(-d // 8)]
+    low = codes.view(np.uint8).reshape(rows, n, codes.itemsize)[:, :, : -(-d // 8)]
     # byte q of the codes, subject-minor, unpacks into the rows of 8q..8q+7
     low = np.ascontiguousarray(low.transpose(0, 2, 1))
     flags = np.unpackbits(low, axis=1, bitorder="little")[:, :d]
@@ -354,16 +429,20 @@ def match_code_chunks(ds: Dataset, resolved, targets, row_bytes: int):
     """Match codes of many targets against every subject, a chunk at a time.
 
     Yields (chunk_offset, codes): row b of ``codes`` holds the
-    :func:`match_codes` row of target targets[chunk_offset + b]. A chunk
-    holds at most MAX_CHUNK_TARGETS targets, and its codes and the
-    ``row_bytes`` per target a caller builds from them each stay within
-    CHUNK_BYTES (one target at least). Every chunk is written into one
-    buffer, valid until the next chunk: a multi-MB array allocated afresh
-    per chunk was served from new, page-faulting memory each time.
+    :func:`match_codes` row of target targets[chunk_offset + b], in
+    ``code_dtype(d)``. A chunk holds at most MAX_CHUNK_TARGETS targets, and
+    the codes and the ``row_bytes`` per target a caller builds from them
+    each stay within CHUNK_BYTES (one target at least). The step budgets 8
+    bytes a code whatever its width: callers widen the codes to int64 (the
+    bin index of :func:`cohort_value_tables`), and the chunk boundaries,
+    and with them the summation order of the mean tables, stay those of
+    int64 codes. Every chunk is written into one narrow buffer, valid until
+    the next chunk: a multi-MB array allocated afresh per chunk was served
+    from new, page-faulting memory each time.
     """
     step = min(MAX_CHUNK_TARGETS, max(1, CHUNK_BYTES // max(8 * ds.n, row_bytes)))
     targets = np.asarray(targets, dtype=np.intp)
-    codes = np.empty((min(step, len(targets)), ds.n), dtype=np.int64)
+    codes = np.empty((min(step, len(targets)), ds.n), dtype=code_dtype(ds.d))
     for s in range(0, len(targets), step):
         chunk = targets[s : s + step]
         yield s, match_codes(ds.X, resolved, ds.X[chunk], out=codes[: len(chunk)])

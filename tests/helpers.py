@@ -15,7 +15,13 @@ import sys
 
 import numpy as np
 
-from cohortshap import ExternalCommand, LinearModel
+from cohortshap import (
+    AbsoluteThreshold,
+    ExternalCommand,
+    Identity,
+    LinearModel,
+    RelativeThreshold,
+)
 from cohortshap.similarity import in_cohort, subset_int
 
 
@@ -73,6 +79,28 @@ def shapley_all_permutations_table(values, d):
     samples = np.empty_like(increments)
     np.put_along_axis(samples, perms, increments, axis=1)
     return samples.mean(axis=0), float(values[-1] - values[0])
+
+
+def scalar_match_codes(X, resolved, points):
+    """(points, subjects) int64 match codes, one Python-float test per
+    (point, subject, feature): bit j is set when the subject is close to
+    the point on feature j under rule j (identity, absolute or relative)."""
+    codes = np.zeros((len(points), len(X)), dtype=np.int64)
+    for p, point in enumerate(points):
+        for i, row in enumerate(X):
+            code = 0
+            for j, rule in enumerate(resolved):
+                x, c = float(row[j]), float(point[j])
+                if isinstance(rule, Identity):
+                    close = x == c
+                elif isinstance(rule, AbsoluteThreshold):
+                    close = abs(x - c) <= rule.delta
+                else:
+                    assert isinstance(rule, RelativeThreshold)
+                    close = abs(x - c) <= rule.delta * abs(c)
+                code |= int(close) << j
+            codes[p, i] = code
+    return codes
 
 
 def naive_cohort_members(X, target_row, u, rule_fns):

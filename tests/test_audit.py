@@ -363,6 +363,25 @@ def test_hybrid_flags_match_point_scan(method, baseline):
     assert flags.any() and not flags.all()
 
 
+@pytest.mark.parametrize("d", [7, 8])
+def test_hybrid_flags_equal_a_dense_int64_reference(d):
+    # narrow codes (int8 at d = 7, int16 at d = 8) give every hybrid the
+    # realism of the same codes widened to int64
+    ds = random_dataset(30, d, seed=d)
+    resolved = resolve_rules([AbsoluteThreshold(1.2)] * d, ds)
+    baselines = np.vstack([ds.X.mean(axis=0), ds.X[3], ds.X[11] + 0.3])
+    code_b = match_codes(ds.X, resolved, baselines)
+    x_t = ds.X[5]
+    flags = _hybrid_flags(ds.X, resolved, x_t, code_b)
+    code_t = match_codes(ds.X, resolved, x_t).astype(np.int64)
+    u = np.arange(1 << d, dtype=np.int64)[:, None, None]
+    close = (code_t & u) | (code_b.astype(np.int64) & ~u)
+    full = (1 << d) - 1
+    want = ((close & full) == full).any(axis=2)
+    assert np.array_equal(flags, want)
+    assert want.any() and not want.all()
+
+
 def test_splits_check_every_target_before_a_model_call(t8, tmp_path):
     logged = LoggingModel(tmp_path, (2.0, 1.0, 0.0))
     splits = realism_splits(t8, [1, 99], "mean", logged.model, [Identity()] * 3)

@@ -137,6 +137,9 @@ def test_quantile_examples():
     cat = Dataset(schema=(ColumnSchema("v", "categorical"),), X=np.array([[0.0]]))
     with pytest.raises(DatasetError):
         quantile(cat, 0, 0.5)
+    assert quantile(ds, 0, (0.0, 0.5)) == (1.0, 3.0)
+    with pytest.raises(DatasetError, match="probability 1.5 outside"):
+        quantile(ds, 0, (0.0, 1.5))
 
 
 @settings(max_examples=30, deadline=None)
@@ -151,6 +154,8 @@ def test_quantile_monotone_in_p(values, probs):
     )
     qs = [quantile(ds, 0, p) for p in sorted(probs)]
     assert all(a <= b + 1e-12 for a, b in zip(qs, qs[1:]))
+    # one call for many probabilities equals one call each
+    assert quantile(ds, 0, sorted(probs)) == tuple(qs)
 
 
 def test_split_holdout_partition():

@@ -23,6 +23,7 @@ from cohortshap import make_var_game, similarity
 from cohortshap.games import cohort_value_sweep
 from cohortshap.similarity import (
     cohort_value_tables,
+    code_dtype,
     cohort_values,
     match_code_chunks,
     match_codes,
@@ -30,7 +31,7 @@ from cohortshap.similarity import (
 )
 
 from .conftest import random_dataset, t8_target
-from .helpers import cohort, dense, naive_cohort_members
+from .helpers import cohort, dense, naive_cohort_members, scalar_match_codes
 
 
 def test_rule_validation():
@@ -183,20 +184,77 @@ def test_duplicated_columns_swap_invariance():
         assert cohort(codes, u, 3).sum() == cohort(codes, swapped, 3).sum()
 
 
-def test_match_codes_row_blocks_equal_per_point_codes(monkeypatch):
-    ds = random_dataset(37, 4, seed=6, n_binary=1)
-    base = [Identity(), AbsoluteThreshold(0.3), RelativeThreshold(0.4), RangeFraction(0.2)]
-    resolved = resolve_rules(base, ds)
-    pts = np.vstack([ds.X, ds.X[:9] + 0.1, np.zeros((1, 4))])  # 47 points
-    # 5 points per block: ten blocks, the last one ragged
-    monkeypatch.setattr(similarity, "MASK_BLOCK_BYTES", 8 * 37 * 5 + 7)
-    codes = match_codes(ds.X, resolved, pts)
-    for p, point in enumerate(pts):
-        want = np.zeros(ds.n, dtype=np.int64)
-        for j, rule in enumerate(resolved):
-            for i in range(ds.n):
-                want[i] |= int(bool(rule.close(ds.X[i, j], point[j]))) << j
-        assert np.array_equal(codes[p], want)
+# every resolved rule type, with two thresholds for each type that has one,
+# so that a stacked group mixes thresholds
+MIXED_RULES = [
+    Identity(),
+    AbsoluteThreshold(0.5),
+    RelativeThreshold(0.5),
+    AbsoluteThreshold(1.0),
+    RelativeThreshold(0.25),
+]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.sampled_from([1, 7, 8, 15, 16, 31, 32, 33, 63]),
+    st.integers(1, 9),
+    st.integers(1, 7),
+    st.sampled_from([1, 2, 3, None]),
+    st.integers(0, 2**32 - 1),
+)
+def test_match_codes_row_blocks_equal_per_point_codes(d, n, m, per_block, seed):
+    # d on both sides of each code width's edge; rule types interleaved,
+    # identity first and last; blocks of one point, ragged blocks of two or
+    # three, or one block; a half grid gives ties, zeros and gaps equal to
+    # a threshold
+    rng = np.random.default_rng(seed)
+    resolved = [MIXED_RULES[k] for k in rng.integers(len(MIXED_RULES), size=d)]
+    if d >= 3:
+        resolved[1] = RelativeThreshold(0.5)
+    resolved[0] = resolved[-1] = Identity()
+    grid = rng.integers(-3, 4, size=(n + m, d)) * 0.5
+    values = np.where(rng.random(grid.shape) < 0.8, grid, rng.normal(size=grid.shape))
+    X, points = values[:n], values[n:]
+    want = scalar_match_codes(X, resolved, points)
+    with pytest.MonkeyPatch.context() as mp:
+        if per_block is not None:
+            mp.setattr(similarity, "MASK_BLOCK_BYTES", 8 * n * d * per_block + 7)
+        got = match_codes(X, resolved, points)
+        assert got.dtype == code_dtype(d)
+        assert np.array_equal(got.astype(np.int64), want)
+        # a reused buffer is overwritten whole
+        out = np.full((m, n), -1, dtype=code_dtype(d))
+        assert match_codes(X, resolved, points, out=out) is out
+        assert np.array_equal(out.astype(np.int64), want)
+
+
+def test_code_dtype_is_the_narrowest_signed_type():
+    widths = {d: code_dtype(d) for d in (1, 7, 8, 15, 16, 31, 32, 63)}
+    assert widths == {
+        1: np.int8,
+        7: np.int8,
+        8: np.int16,
+        15: np.int16,
+        16: np.int32,
+        31: np.int32,
+        32: np.int64,
+        63: np.int64,
+    }
+
+
+@pytest.mark.parametrize("d", [7, 8])
+@pytest.mark.parametrize("squared", [False, True])
+def test_narrow_code_tables_equal_int64_code_tables(d, squared):
+    # 256 targets: code * 256 overflows an int8 code at d = 7 and an int16
+    # one at d = 8, so the bin index must be widened before its multiply
+    ds = random_dataset(40, d, seed=d)
+    resolved = resolve_rules([AbsoluteThreshold(1.5)] * d, ds)
+    codes = match_codes(ds.X, resolved, ds.X[np.arange(256) % ds.n])
+    assert codes.dtype == code_dtype(d) and codes.max() >= 1 << (d - 1)
+    got = cohort_value_tables(codes, ds.y, d, squared)
+    want = cohort_value_tables(codes.astype(np.int64), ds.y, d, squared)
+    assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("n,d", [(200, 4), (50, 10)])
@@ -318,6 +376,9 @@ def test_cohort_values_match_a_plain_reference(n, d, rows, seed, squared):
         [[0, full, np.int64(1) << (d - 1)], (drawn << np.arange(d)).sum(axis=-1)]
     )
     got = cohort_values(codes, y, masks, squared)
+    # the narrow codes match_codes writes read the same
+    narrow = codes.astype(code_dtype(d))
+    assert np.array_equal(cohort_values(narrow, y, masks, squared), got)
     want = np.zeros((rows, len(masks)))
     for r in range(rows):
         for k, u in enumerate(masks):
