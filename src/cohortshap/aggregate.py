@@ -184,16 +184,23 @@ def make_panel(ds: Dataset, method: str, attributions) -> Panel:
     )
 
 
+def write_rows(fh, columns, newline: str) -> None:
+    """Write one CSV line per entry of the equal-length 1-D number
+    ``columns``, each line one template of %r cells. The ``repr`` of an int
+    or a float holds no comma, quote or newline, so no cell needs the
+    quoting of :mod:`csv`."""
+    template = ",".join(["%r"] * len(columns)) + newline
+    rows = zip(*(c.tolist() for c in columns), strict=True)
+    fh.writelines(map(template.__mod__, rows))
+
+
 def write_panel_csv(panel: Panel, path) -> None:
+    """The panel as CSV, one line per subject in prediction order: rank,
+    subject, its bars and its overlay. The header goes through
+    :func:`csv.writer`, which quotes names that need it."""
+    order = panel.ordering
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["rank", "subject", *panel.feature_names, "overlay"])
-        for rank, subject in enumerate(panel.ordering):
-            writer.writerow(
-                [
-                    rank,
-                    int(subject),
-                    *(repr(float(v)) for v in panel.bars[subject]),
-                    repr(float(panel.overlay[subject])),
-                ]
-            )
+        columns = [np.arange(len(order)), order, *panel.bars[order].T, panel.overlay[order]]
+        write_rows(fh, columns, writer.dialect.lineterminator)

@@ -3,7 +3,16 @@
 Every command reads one JSON config plus flag overrides, validates before
 touching data or models, and emits JSON/CSV artifacts with shortest
 round-trip decimals so identical runs produce byte-identical files.
-Phase timings go to standard error.
+Every artifact is written in the ``emit`` phase, and phase timings go to
+standard error.
+
+JSON artifacts, the panel and the per-subject CSV are written from one
+%-template per record, with a %r for each number: the template holds the
+layout and the escaped names, and a record is one ``%`` of Python floats
+and ints from ``ndarray.tolist()``. The bytes are those of
+``json.dump(indent=2)`` and of a ``csv.writer`` of ``repr`` cells; a
+non-finite float is written in JSON as json writes it (``NaN``,
+``Infinity``, ``-Infinity``) and in CSV by ``repr``.
 """
 
 from __future__ import annotations
@@ -11,9 +20,11 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import math
 import os
 import sys
 import time
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -22,6 +33,7 @@ from .aggregate import (
     local_attributions,
     make_panel,
     write_panel_csv,
+    write_rows,
 )
 from .audit import realism_curve, realism_splits, write_realism_csv
 from .config import ConfigError, RunConfig
@@ -35,7 +47,7 @@ from .cube import (
 from .dataset import DatasetError, attach_predictions, load_csv
 from .games import MODEL_METHODS, TableGame
 from .models import ModelError, predict
-from .shapley import Attribution, shapley_exact
+from .shapley import shapley_exact
 from .similarity import SimilarityError
 
 
@@ -46,36 +58,118 @@ def _phase(name: str):
     print(f"[timing] {name}: {time.perf_counter() - start:.3f}s", file=sys.stderr)
 
 
-def _json_ready(value):
-    if isinstance(value, np.ndarray):
-        return [float(v) for v in value]
-    if isinstance(value, (np.floating, np.integer)):
-        return value.item()
-    return value
+class _Token(str):
+    """Text that %r writes as it is."""
+
+    def __repr__(self) -> str:
+        return str.__str__(self)
 
 
-def _write_json(path, payload) -> None:
+# json's spellings of the floats that %r writes as nan, inf and -inf
+_NON_FINITE = {repr(v): _Token(json.dumps(v)) for v in (math.nan, math.inf, -math.inf)}
+
+
+def _text(text: str) -> str:
+    """``text`` as a JSON string in a %-template: escaped as ``json.dumps``
+    escapes it (``ensure_ascii``), with each % doubled."""
+    return encode_basestring_ascii(text).replace("%", "%%")
+
+
+def _layout(value, level: int, columns: list) -> str:
+    """``value`` laid out as ``json.dump(indent=2)`` writes it at nesting
+    ``level``, as a %-template. Strings are written in; each number leaf, a
+    column with one entry per record, becomes a %r, as json writes ints and
+    floats by ``repr``, and is appended to ``columns``."""
+    if isinstance(value, dict):
+        brackets = "{}"
+        items = [f"{_text(key)}: {_layout(v, level + 1, columns)}" for key, v in value.items()]
+    elif isinstance(value, list):
+        brackets = "[]"
+        items = [_layout(v, level + 1, columns) for v in value]
+    elif isinstance(value, str):
+        return _text(value)
+    else:
+        columns.append(value if isinstance(value, np.ndarray) else np.array([value]))
+        return "%r"
+    if not items:
+        return brackets
+    pad = "\n" + "  " * (level + 1)
+    return f"{brackets[0]}{pad}{(',' + pad).join(items)}\n{'  ' * level}{brackets[1]}"
+
+
+def _json_number(value):
+    """``value``, or json's token for a non-finite float."""
+    return value if math.isfinite(value) else _NON_FINITE[repr(value)]
+
+
+def _json_values(column: np.ndarray) -> list:
+    """``column`` as Python numbers, with json's tokens for non-finite floats."""
+    values = column.tolist()
+    if not all(map(math.isfinite, values)):
+        values = list(map(_json_number, values))
+    return values
+
+
+def _write_json(path, payload, many: bool = False) -> None:
+    """Write one record, or with ``many`` a list of records, as
+    ``json.dump(..., indent=2)`` and a newline would.
+
+    ``payload`` is the record's layout, each number leaf of which is a
+    column: one value, or with ``many`` one value per record. Every record
+    fills the one template from :func:`_layout`, so no encoder runs per
+    value.
+    """
+    columns: list = []
+    template = _layout(payload, int(many), columns)
+    rows = zip(*map(_json_values, columns), strict=True)
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, default=_json_ready)
-        fh.write("\n")
+        if many:
+            fh.write("[\n  " + template % next(rows))
+            fh.writelines(map((",\n  " + template).__mod__, rows))
+            fh.write("\n]\n")
+        else:
+            fh.write(template % next(rows) + "\n")
 
 
-def _named(names, values) -> dict:
-    return {name: float(v) for name, v in zip(names, values)}
+def _named(names, rows) -> dict:
+    """One column per name, from one record's values or a (records, d) table."""
+    return dict(zip(names, np.reshape(rows, (-1, len(names))).T))
 
 
-def _attribution_payload(att: Attribution, names) -> dict:
+def _attribution_payload(atts, names) -> dict:
+    """The attributions ``atts`` of one method and engine as a payload of
+    columns, one entry per attribution."""
+    att = atts[0]
     payload = {"method": att.method}
     if att.target is not None:
-        payload["target"] = att.target
-    payload["phi"] = _named(names, att.phi)
-    payload["total"] = float(att.total)
+        payload["target"] = np.array([a.target for a in atts])
+    payload["phi"] = _named(names, [a.phi for a in atts])
+    payload["total"] = np.array([a.total for a in atts], dtype=float)
     if att.stderr is not None:
-        payload["stderr"] = _named(names, att.stderr)
+        payload["stderr"] = _named(names, [a.stderr for a in atts])
     if att.permutations_used is not None:
-        payload["permutations"] = att.permutations_used
+        payload["permutations"] = np.array([a.permutations_used for a in atts])
     return payload
+
+
+def _split_payload(split, names) -> dict:
+    return {
+        "method": split.method,
+        "target": split.target,
+        "phi_realistic": _named(names, split.phi_realistic),
+        "phi_unrealistic": _named(names, split.phi_unrealistic),
+        "phi": _named(names, split.phi),
+    }
+
+
+def _write_per_subject_csv(path, names, rows) -> None:
+    """The (n, d) per-subject squared cohort rows, one line a subject after
+    a header of plain names."""
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(",".join(["subject", *names]) + "\n")
+        write_rows(fh, [np.arange(len(rows)), *rows.T], "\n")
 
 
 def _load_dataset(cfg: RunConfig):
@@ -127,7 +221,8 @@ def cmd_local(cfg: RunConfig) -> int:
         if everyone:
             _write_json(
                 os.path.join(cfg.out, f"attributions_{cfg.method}.json"),
-                [_attribution_payload(a, ds.names) for a in attributions],
+                _attribution_payload(attributions, ds.names),
+                many=True,
             )
             panel = make_panel(ds, cfg.method, attributions)
             write_panel_csv(panel, os.path.join(cfg.out, f"panel_{cfg.method}.csv"))
@@ -137,7 +232,7 @@ def cmd_local(cfg: RunConfig) -> int:
                     os.path.join(
                         cfg.out, f"attribution_{cfg.method}_t{att.target}.json"
                     ),
-                    _attribution_payload(att, ds.names),
+                    _attribution_payload([att], ds.names),
                 )
     return 0
 
@@ -156,7 +251,7 @@ def cmd_global(cfg: RunConfig) -> int:
         direct, cs2_rows = global_attribution(
             ds, rules, cfg.engine, cfg.permutations, cfg.seed, per_subject=rows
         )
-    payload = _attribution_payload(direct, ds.names)
+    payload = _attribution_payload([direct], ds.names)
     if cfg.engine == "exact":
         residual = float(np.max(np.abs(direct.phi - cs2_rows.mean(axis=0))))
         print(
@@ -164,15 +259,11 @@ def cmd_global(cfg: RunConfig) -> int:
             f"(budget {1e-9 * max(direct.total, 1e-300)!r})"
         )
         payload["disaggregation_residual"] = residual
-    if per_subject:
-        path = os.path.join(cfg.out, "per_subject_cs2.csv")
-        os.makedirs(cfg.out, exist_ok=True)
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(",".join(["subject", *ds.names]) + "\n")
-            for t in range(ds.n):
-                row = ",".join(repr(float(v)) for v in cs2_rows[t])
-                fh.write(f"{t},{row}\n")
     with _phase("emit"):
+        if per_subject:
+            _write_per_subject_csv(
+                os.path.join(cfg.out, "per_subject_cs2.csv"), ds.names, cs2_rows
+            )
         _write_json(os.path.join(cfg.out, "global_var.json"), payload)
     return 0
 
@@ -215,13 +306,7 @@ def cmd_audit(cfg: RunConfig) -> int:
         for split in splits:
             _write_json(
                 os.path.join(cfg.out, f"split_{split.method}_t{split.target}.json"),
-                {
-                    "method": split.method,
-                    "target": split.target,
-                    "phi_realistic": _named(ds.names, split.phi_realistic),
-                    "phi_unrealistic": _named(ds.names, split.phi_unrealistic),
-                    "phi": _named(ds.names, split.phi),
-                },
+                _split_payload(split, ds.names),
             )
     return 0
 
@@ -248,19 +333,20 @@ def cmd_cube(cfg: RunConfig) -> int:
         raise ValueError("cube decompositions overflow: an output is not finite")
     print(f"two-route max discrepancy: {discrepancy!r}")
     names = [f"z{j + 1}" for j in range(g.d)]
-    _write_json(
-        os.path.join(cfg.out, "cube.json"),
-        {
-            "d": g.d,
-            "anchored_components": [float(v) for v in dec.components],
-            "anova_sigma2": [float(v) for v in anova.sigma2],
-            "anova_mean": float(anova.mean),
-            "phi_anchored": _named(names, via_anchored.phi),
-            "phi_exact": _named(names, direct.phi),
-            "phi_variance": _named(names, effects.phi),
-            "max_discrepancy": discrepancy,
-        },
-    )
+    with _phase("emit"):
+        _write_json(
+            os.path.join(cfg.out, "cube.json"),
+            {
+                "d": g.d,
+                "anchored_components": list(dec.components),
+                "anova_sigma2": list(anova.sigma2),
+                "anova_mean": float(anova.mean),
+                "phi_anchored": _named(names, via_anchored.phi),
+                "phi_exact": _named(names, direct.phi),
+                "phi_variance": _named(names, effects.phi),
+                "max_discrepancy": discrepancy,
+            },
+        )
     return 0
 
 

@@ -299,6 +299,11 @@ class RunConfig:
         model = self.parsed_model()  # raises early on a malformed spec
         if self.method in MODEL_METHODS and model is None:
             raise ConfigError(f"method {self.method!r} needs a predicting model")
+        if command == "audit" and model is not None and d > EXACT_CAP:
+            raise ConfigError(
+                f"d={d} exceeds the exact cap {EXACT_CAP}: the realistic/unrealistic "
+                f"split of an audit with a model needs d <= {EXACT_CAP}"
+            )
         has_predictions = (
             self.prediction_column is not None
             or self.model is not None

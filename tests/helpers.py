@@ -6,10 +6,13 @@ library, so agreement between the two is meaningful evidence. The
 exceptions are not oracles: :func:`cohort` and :func:`dense` read one
 target's match codes (``similarity_row``) the way the tests ask about
 cohorts, and :class:`LoggingModel` is an external model that records what
-each of its processes received.
+each of its processes received. The artifact encoders at the end are the
+library's former writers, kept as references for its template writers.
 """
 
+import csv
 import itertools
+import json
 import math
 import sys
 
@@ -301,3 +304,71 @@ def points_csv(points) -> str:
     """The per-value formatter the external protocol is defined by."""
     lines = [",".join(repr(float(v)) for v in row) for row in points]
     return "\n".join(lines) + "\n"
+
+
+def _json_ready(value):
+    if isinstance(value, np.ndarray):
+        return [float(v) for v in value]
+    if isinstance(value, (np.floating, np.integer)):
+        return value.item()
+    return value
+
+
+def reference_json(path, payload) -> None:
+    """The JSON artifact encoder the template writer must equal byte for byte."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=2, default=_json_ready)
+        fh.write("\n")
+
+
+def reference_named(names, values) -> dict:
+    return {name: float(v) for name, v in zip(names, values)}
+
+
+def reference_attribution_payload(att, names) -> dict:
+    """One attribution as the dict the reference encoder writes."""
+    payload = {"method": att.method}
+    if att.target is not None:
+        payload["target"] = att.target
+    payload["phi"] = reference_named(names, att.phi)
+    payload["total"] = float(att.total)
+    if att.stderr is not None:
+        payload["stderr"] = reference_named(names, att.stderr)
+    if att.permutations_used is not None:
+        payload["permutations"] = att.permutations_used
+    return payload
+
+
+def reference_split_payload(split, names) -> dict:
+    return {
+        "method": split.method,
+        "target": split.target,
+        "phi_realistic": reference_named(names, split.phi_realistic),
+        "phi_unrealistic": reference_named(names, split.phi_unrealistic),
+        "phi": reference_named(names, split.phi),
+    }
+
+
+def reference_panel_csv(panel, path) -> None:
+    """The panel CSV encoder, one :mod:`csv` row of ``repr`` cells a subject."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["rank", "subject", *panel.feature_names, "overlay"])
+        for rank, subject in enumerate(panel.ordering):
+            writer.writerow(
+                [
+                    rank,
+                    int(subject),
+                    *(repr(float(v)) for v in panel.bars[subject]),
+                    repr(float(panel.overlay[subject])),
+                ]
+            )
+
+
+def reference_per_subject_csv(names, rows, path) -> None:
+    """The per-subject squared cohort rows, one ``repr`` join a subject."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(",".join(["subject", *names]) + "\n")
+        for t in range(len(rows)):
+            row = ",".join(repr(float(v)) for v in rows[t])
+            fh.write(f"{t},{row}\n")

@@ -465,6 +465,31 @@ def test_failed_audit_split_writes_nothing(workdir, capsys):
     assert not (workdir / "out").exists()
 
 
+def test_audit_split_above_the_exact_cap_exits_2(workdir, capsys, monkeypatch):
+    # the realistic/unrealistic split needs the model at d <= 20; a model at
+    # d = 22 is refused before the realism curve spends its work
+    names = [f"c{j}" for j in range(22)]
+    X = np.random.default_rng(22).normal(size=(60, 22))
+    rows = [",".join([*names, "pred"])]
+    rows += [",".join(repr(float(v)) for v in (*x, x.sum())) for x in X]
+    (workdir / "w22.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
+    cfg = t8_config(
+        workdir, data="w22.csv", schema={name: "numeric" for name in names},
+        similarity={"default": {"kind": "abs", "delta": 0.5}}, engine="mc",
+        permutations=4, model={"kind": "linear", "coefficients": [1.0] * 22},
+    )
+
+    def curve(*args, **kwargs):
+        raise AssertionError("realism_curve ran")
+
+    monkeypatch.setattr(cli, "realism_curve", curve)
+    assert run_cli(["audit", "--config", cfg]) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("config error: d=22 exceeds the exact cap 20")
+    assert "realistic/unrealistic split" in line and "d <= 20" in line
+    assert not (workdir / "out").exists()
+
+
 def test_threads_flag_removed(workdir, capsys):
     cfg = t8_config(workdir, threads=2)
     assert run_cli(["local", "--config", cfg]) == 2

@@ -1,0 +1,284 @@
+"""The artifact writers against the encoders they replace.
+
+``cli._write_json``, ``aggregate.write_panel_csv`` and the per-subject CSV
+fill one %-template per record. Their bytes must equal those of
+``json.dump(indent=2)`` and of the per-cell ``csv.writer`` loop, kept in
+``tests/helpers.py`` as references, for every value json and ``repr`` can
+write and for names that need escaping or quoting.
+"""
+
+import contextlib
+import json
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cohortshap import (
+    Attribution,
+    CubeFunction,
+    Panel,
+    SplitAttribution,
+    TableGame,
+    anchored_cube,
+    anova_cube,
+    cli,
+    local_attributions,
+    make_panel,
+    realism_splits,
+    shapley_effects_independent,
+    shapley_exact,
+    shapley_from_anchored,
+    write_panel_csv,
+)
+from cohortshap.aggregate import global_attribution
+from cohortshap.config import RunConfig
+
+from .helpers import (
+    reference_attribution_payload,
+    reference_json,
+    reference_named,
+    reference_panel_csv,
+    reference_per_subject_csv,
+    reference_split_payload,
+)
+from .test_cli import LINEAR_SPEC, SMALL_AUDIT, run_cli, t8_config, workdir  # noqa: F401
+
+EDGE_FLOATS = [
+    math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -5e-324, 1e16, 1e-5, 1 / 3,
+    -1 / 3, 1.7976931348623157e308, 123456789.0, 0.1,
+]
+FLOATS = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats())
+EDGE_NAMES = ['q"uote', "back\\slash", "com,ma", "new\nline", "café ☃", " ", "50%",
+              "%r%d", "\x00ctl\t", "x1"]
+NAMES = st.lists(st.one_of(st.sampled_from(EDGE_NAMES), st.text(min_size=1, max_size=5)),
+                 min_size=1, max_size=6, unique=True)
+
+
+def _floats(draw, *shape):
+    return np.array(draw(st.lists(FLOATS, min_size=math.prod(shape),
+                                  max_size=math.prod(shape)))).reshape(shape)
+
+
+@st.composite
+def attribution_lists(draw):
+    """Names and 1-5 attributions of one method and engine: exact (no
+    stderr) or mc (stderr and a permutation count), with or without
+    targets."""
+    names = draw(NAMES)
+    d, records = len(names), draw(st.integers(1, 5))
+    method = draw(st.sampled_from(["cs", "cs2", "bs", "var", 'odd"%s']))
+    mc, targeted = draw(st.booleans()), draw(st.booleans())
+    phi, totals, stderr = (_floats(draw, records, d), _floats(draw, records),
+                           _floats(draw, records, d))
+    targets = draw(st.lists(st.integers(0, 10**6), min_size=records, max_size=records))
+    perms = draw(st.integers(2, 10**9))
+    atts = [
+        Attribution(phi[i], float(totals[i]), method, targets[i] if targeted else None,
+                    stderr[i] if mc else None, perms if mc else None)
+        for i in range(records)
+    ]
+    return names, atts
+
+
+def _same_bytes(tmp_path_factory, write, write_reference) -> None:
+    # fresh files: truncating and rewriting an existing one can flush to disk
+    tmp = tmp_path_factory.mktemp("emit")
+    new, ref = tmp / "new", tmp / "ref"
+    write(new)
+    write_reference(ref)
+    assert new.read_bytes() == ref.read_bytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(attribution_lists(), FLOATS)
+def test_attribution_payloads_equal_json_dump(tmp_path_factory, case, residual):
+    names, atts = case
+    # the list form, as local --targets all writes it
+    _same_bytes(
+        tmp_path_factory,
+        lambda p: cli._write_json(p, cli._attribution_payload(atts, names), many=True),
+        lambda p: reference_json(p, [reference_attribution_payload(a, names) for a in atts]),
+    )
+    # the single form, as a local target and the global payload write it
+    att = atts[0]
+    payload = cli._attribution_payload([att], names)
+    reference = reference_attribution_payload(att, names)
+    _same_bytes(tmp_path_factory, lambda p: cli._write_json(p, payload),
+                lambda p: reference_json(p, reference))
+    payload["disaggregation_residual"] = residual
+    reference["disaggregation_residual"] = residual
+    _same_bytes(tmp_path_factory, lambda p: cli._write_json(p, payload),
+                lambda p: reference_json(p, reference))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_split_payloads_equal_json_dump(tmp_path_factory, data):
+    names = data.draw(NAMES)
+    d = len(names)
+    split = SplitAttribution(_floats(data.draw, d), _floats(data.draw, d),
+                             data.draw(st.sampled_from(["bs", "abs2"])),
+                             data.draw(st.integers(0, 10**6)))
+    # the parts' sum, split.phi, may overflow to inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        _same_bytes(tmp_path_factory,
+                    lambda p: cli._write_json(p, cli._split_payload(split, names)),
+                    lambda p: reference_json(p, reference_split_payload(split, names)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_panel_and_per_subject_csv_equal_csv_writer(tmp_path_factory, data):
+    names = data.draw(NAMES)
+    n, d = data.draw(st.integers(1, 6)), len(names)
+    bars = _floats(data.draw, n, d)
+    ordering = np.array(data.draw(st.permutations(range(n))))
+    panel = Panel(ordering, bars, _floats(data.draw, n), "cs", tuple(names))
+    _same_bytes(tmp_path_factory, lambda p: write_panel_csv(panel, p),
+                lambda p: reference_panel_csv(panel, p))
+    _same_bytes(tmp_path_factory, lambda p: cli._write_per_subject_csv(p, names, bars),
+                lambda p: reference_per_subject_csv(names, bars, p))
+
+
+# -- the CLI on t8 against the reference encoders --------------------------
+
+
+def _reference_files(tmp_path, artifacts: dict) -> dict:
+    """Write ``{name: (writer, payload)}`` with the reference writers and read
+    back the bytes."""
+    out = {}
+    for name, (write, payload) in artifacts.items():
+        path = tmp_path / f"ref_{name}"
+        write(path, payload)
+        out[name] = path.read_bytes()
+    return out
+
+
+def _written(out_dir) -> dict:
+    return {p.name: p.read_bytes() for p in sorted(out_dir.iterdir())}
+
+
+def test_cli_artifacts_equal_reference_encoders(workdir):
+    cfg_path = t8_config(workdir, targets="all", model=LINEAR_SPEC,
+                         audit={**SMALL_AUDIT, "per_subject": True})
+    cfg = RunConfig.load(str(cfg_path), {})
+    ds, model = cli._load_dataset(cfg)
+    rules = cfg.rules_for(ds.schema)
+    names = ds.names
+
+    def attribution_list(method, engine, perms, seed):
+        atts = local_attributions(ds, method, None, rules, None, "mean", engine, perms, seed)
+        return {
+            f"attributions_{method}.json": (
+                reference_json, [reference_attribution_payload(a, names) for a in atts]
+            ),
+            f"panel_{method}.csv": (
+                lambda p, panel: reference_panel_csv(panel, p), make_panel(ds, method, atts)
+            ),
+        }
+
+    # local --targets all, exact cs and mc cs2
+    assert run_cli(["local", "--config", cfg_path, "--out", "cs"]) == 0
+    assert _written(workdir / "cs") == _reference_files(
+        workdir, attribution_list("cs", "exact", cfg.permutations, cfg.seed))
+    mc = ["--method", "cs2", "--engine", "mc", "--permutations", "40", "--seed", "3"]
+    assert run_cli(["local", "--config", cfg_path, *mc, "--out", "cs2"]) == 0
+    assert _written(workdir / "cs2") == _reference_files(
+        workdir, attribution_list("cs2", "mc", 40, 3))
+
+    # local --method bs on three targets: one file a target
+    argv = ["local", "--config", cfg_path, "--method", "bs", "--targets", "0,3,7"]
+    assert run_cli([*argv, "--out", "bs"]) == 0
+    atts = local_attributions(ds, "bs", [0, 3, 7], rules, model, "mean", "exact")
+    assert _written(workdir / "bs") == _reference_files(workdir, {
+        f"attribution_bs_t{a.target}.json": (reference_json,
+                                              reference_attribution_payload(a, names))
+        for a in atts
+    })
+
+    # global with per-subject rows
+    assert run_cli(["global", "--config", cfg_path, "--method", "var", "--out", "var"]) == 0
+    direct, rows = global_attribution(ds, rules, "exact", cfg.permutations, cfg.seed,
+                                      per_subject=True)
+    payload = reference_attribution_payload(direct, names)
+    payload["disaggregation_residual"] = float(np.max(np.abs(direct.phi - rows.mean(axis=0))))
+    assert _written(workdir / "var") == _reference_files(workdir, {
+        "global_var.json": (reference_json, payload),
+        "per_subject_cs2.csv": (lambda p, r: reference_per_subject_csv(names, r, p), rows),
+    })
+
+    # audit with two split targets (realism.csv keeps its csv.writer loop)
+    assert run_cli(["audit", "--config", cfg_path, "--targets", "3,7", "--out", "audit"]) == 0
+    written = _written(workdir / "audit")
+    assert written.pop("realism.csv")
+    splits = realism_splits(ds, [3, 7], "mean", model, rules, "bs")
+    assert written == _reference_files(workdir, {
+        f"split_bs_t{s.target}.json": (reference_json, reference_split_payload(s, names))
+        for s in splits
+    })
+
+    # cube
+    values = [0.0, 1.5, -2.25, 1 / 3, 7.0, 0.1, 1e-5, 3.0]
+    cube_cfg = workdir / "cube.json"
+    cube_cfg.write_text(json.dumps({"cube_values": values, "out": "cube"}), encoding="utf-8")
+    assert run_cli(["cube", "--config", cube_cfg]) == 0
+    g = CubeFunction(np.array(values))
+    dec = anchored_cube(g)
+    anova = anova_cube(g, np.full(g.d, 0.5))
+    via_anchored = shapley_from_anchored(dec)
+    direct = shapley_exact(TableGame(g.values - g.values[0], "cube"))
+    z = [f"z{j + 1}" for j in range(g.d)]
+    assert _written(workdir / "cube") == _reference_files(workdir, {"cube.json": (
+        reference_json,
+        {
+            "d": g.d,
+            "anchored_components": [float(v) for v in dec.components],
+            "anova_sigma2": [float(v) for v in anova.sigma2],
+            "anova_mean": float(anova.mean),
+            "phi_anchored": reference_named(z, via_anchored.phi),
+            "phi_exact": reference_named(z, direct.phi),
+            "phi_variance": reference_named(z, shapley_effects_independent(anova).phi),
+            "max_discrepancy": float(np.max(np.abs(via_anchored.phi - direct.phi))),
+        },
+    )})
+
+
+@pytest.mark.parametrize("argv", [
+    ["local", "--targets", "all"],
+    ["local", "--targets", "0,3"],
+    ["global", "--method", "var"],
+    ["audit", "--targets", "3,7"],
+    ["cube"],
+])
+def test_every_artifact_is_written_in_the_emit_phase(workdir, monkeypatch, argv):
+    phases = []
+
+    @contextlib.contextmanager
+    def phase(name):
+        phases.append(name)
+        yield
+        phases.append(None)
+
+    opened = []
+    real_open = open
+
+    def recording_open(file, mode="r", *args, **kwargs):
+        if "w" in mode:
+            opened.append((str(file), phases[-1] if phases else None))
+        return real_open(file, mode, *args, **kwargs)
+
+    if argv[0] == "cube":
+        cfg = workdir / "cube.json"
+        cfg.write_text(json.dumps({"cube_values": [0.0, 0.0, 0.0, 1.0], "out": "out"}))
+    else:
+        cfg = t8_config(workdir, model=LINEAR_SPEC, audit={**SMALL_AUDIT, "per_subject": True})
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "_phase", phase)
+        patch.setattr("builtins.open", recording_open)
+        assert run_cli([argv[0], "--config", cfg, *argv[1:]]) == 0
+    written = sorted(p.name for p in (workdir / "out").iterdir())
+    assert written and sorted(name.rpartition("/")[2] for name, _ in opened) == written
+    assert {phase for _, phase in opened} == {"emit"}
