@@ -58,7 +58,9 @@ def _phi_from_tables(tables: np.ndarray, d: int) -> np.ndarray:
     ``tables`` is one lattice table (2^d,) or the lattice-major tables
     (2^d, B) of B games; returns their (B, d) rows of Shapley values, B = 1
     for one table. Feature j's value contracts the increments
-    v(u + j) - v(u) against the weights of the sets u.
+    v(u + j) - v(u) against the weights of the sets u: one GEMV of the
+    weights with the (2^(d-1), B) increments, which every feature writes
+    into the same half-table buffer, allocated once per call.
     """
     tables = np.ascontiguousarray(tables)
     if tables.shape[0] != 1 << d:
@@ -67,10 +69,12 @@ def _phi_from_tables(tables: np.ndarray, d: int) -> np.ndarray:
     w = shapley_weight_table(d)
     sizes = subset_sizes(d)
     phi = np.empty((tables.shape[1], d))
+    increments = np.empty((1 << (d - 1), tables.shape[1]))
     for j in range(d):
         lo, hi = halves(tables, d, j)
         weights = w[halves(sizes, d, j)[0]].reshape(-1)
-        phi[:, j] = weights @ (hi - lo).reshape(len(weights), -1)
+        np.subtract(hi, lo, out=increments.reshape(lo.shape))
+        phi[:, j] = weights @ increments
     return phi
 
 

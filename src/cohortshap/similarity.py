@@ -7,11 +7,14 @@ minus the grand mean. :func:`match_codes` builds the patterns, in the
 narrowest signed integer type that holds d bits (:func:`code_dtype`), with
 one broadcast test per rule type over all the columns of that type;
 :func:`cohort_value_tables` builds all 2^d values by a pattern histogram
-plus a superset-sum transform, and :func:`cohort_values` only the subsets
+plus a superset-sum transform, its cohort sizes in the narrowest type that
+holds n (:func:`count_dtype`), and :func:`cohort_values` only the subsets
 asked for: it packs each target's per-feature subject sets into 64-bit
 words and builds a cohort as the AND of a few table lookups, one per slice
 of the subset's bits. :func:`match_code_chunks` and
-:func:`cohort_table_chunks` walk many targets a bounded chunk at a time.
+:func:`cohort_table_chunks` walk many targets a bounded chunk at a time;
+a table chunk is charged everything it holds while it is built and
+contracted, not its float tables alone.
 Each resolved rule type owns its closeness test (``close_stack`` over a
 stack of its columns, ``close`` over one) and the largest gap it accepts
 (``radius``); no other module knows the rule types.
@@ -244,6 +247,15 @@ def code_dtype(d: int) -> np.dtype:
     return np.dtype(np.int64)
 
 
+def count_dtype(n: int) -> np.dtype:
+    """The integer type of cohort sizes over n subjects: uint8 for n < 2^8,
+    int16 for n < 2^15, else int32. No cohort holds more than n subjects,
+    so no superset sum of the counts overflows."""
+    if n < 1 << 8:
+        return np.dtype(np.uint8)
+    return np.dtype(np.int16 if n < 1 << 15 else np.int32)
+
+
 def match_codes(X: np.ndarray, resolved, points: np.ndarray, out=None) -> np.ndarray:
     """(points, subjects) match patterns of type ``code_dtype(d)``: bit j of
     entry (p, i) is set when subject row i of ``X`` is close to point p on
@@ -300,7 +312,7 @@ def cohort_value_tables(codes: np.ndarray, y: np.ndarray, d: int, squared: bool)
     (see :mod:`bits`). A pattern histogram is superset-summed, since a
     subject is in cohort u exactly when its pattern contains u."""
     shape = (1 << d, *codes.shape[:-1])
-    cells = math.prod(shape)
+    cells, n = math.prod(shape), codes.shape[-1]
     if codes.ndim > 1:
         # Bin index code * B + b, built subject-major so consecutive entries
         # land in nearby bins; each bin still sums its subjects in order. It
@@ -308,12 +320,14 @@ def cohort_value_tables(codes: np.ndarray, y: np.ndarray, d: int, squared: bool)
         codes = np.multiply(codes.T, shape[1], dtype=np.int64, order="C")
         codes += np.arange(shape[1], dtype=np.int64)
     flat = codes.ravel()
-    # A count never exceeds n, and the int32 superset sum is the faster one.
-    # The int32 table is allocated before bincount's int64 one: the other
-    # order raised the peak RSS of `local` then `global` in one process on a
-    # 160x14 table by about 10% although the peak of live arrays fell, so
-    # the allocator's placement of later tables made the difference.
-    counts = np.empty(shape, dtype=np.int32)
+    # A count never exceeds n, so the counts are kept, and superset-summed,
+    # in count_dtype(n): half of bincount's int64 output or less, and that
+    # output lives only for the copy. The count table is allocated before
+    # bincount's one: the other order raised the peak RSS of `local` then
+    # `global` in one process on a 160x14 table by about 10% although the
+    # peak of live arrays fell, so the allocator's placement of later tables
+    # made the difference.
+    counts = np.empty(shape, dtype=count_dtype(n))
     counts[...] = np.bincount(flat, minlength=cells).reshape(shape)
     # The repeated y of many targets lives only through this call.
     dev = np.bincount(
@@ -430,15 +444,15 @@ def match_code_chunks(ds: Dataset, resolved, targets, row_bytes: int):
 
     Yields (chunk_offset, codes): row b of ``codes`` holds the
     :func:`match_codes` row of target targets[chunk_offset + b], in
-    ``code_dtype(d)``. A chunk holds at most MAX_CHUNK_TARGETS targets, and
-    the codes and the ``row_bytes`` per target a caller builds from them
-    each stay within CHUNK_BYTES (one target at least). The step budgets 8
-    bytes a code whatever its width: callers widen the codes to int64 (the
-    bin index of :func:`cohort_value_tables`), and the chunk boundaries,
-    and with them the summation order of the mean tables, stay those of
-    int64 codes. Every chunk is written into one narrow buffer, valid until
-    the next chunk: a multi-MB array allocated afresh per chunk was served
-    from new, page-faulting memory each time.
+    ``code_dtype(d)``. A chunk holds at least one target, at most
+    MAX_CHUNK_TARGETS, and as many as fit CHUNK_BYTES when each is charged
+    the larger of its codes and ``row_bytes``, what the caller holds per
+    target while it works on the chunk (:func:`cohort_table_chunks`
+    charges a table's whole working set). Codes are charged 8 bytes each
+    whatever their width, the int64 they widen to in the bin index of
+    :func:`cohort_value_tables`. Every chunk is written into one narrow
+    buffer, valid until the next chunk: a multi-MB array allocated afresh
+    per chunk was served from new, page-faulting memory each time.
     """
     step = min(MAX_CHUNK_TARGETS, max(1, CHUNK_BYTES // max(8 * ds.n, row_bytes)))
     targets = np.asarray(targets, dtype=np.intp)
@@ -454,8 +468,23 @@ def cohort_table_chunks(ds: Dataset, resolved, targets: np.ndarray, squared: boo
     Yields (chunk_offset, tables) with lattice-major tables of shape
     (2^d, B); column b holds the :func:`cohort_value_tables` table of target
     targets[chunk_offset + b].
-    Chunks follow :func:`match_code_chunks`, so a chunk's tables and codes
-    stay within CHUNK_BYTES and memory is bounded for any number of targets.
+
+    Chunks follow :func:`match_code_chunks`, and each target is charged its
+    whole working set, 16n + 24 * 2^d bytes: its int64 bin index and
+    repeated y (8n bytes each), and per cell at most 4 bytes of counts, 8
+    of float table, 8 of bincount's int64 output and 4 of the half table
+    :func:`shapley._phi_from_tables` subtracts into. So a chunk's build and
+    contraction stay within about CHUNK_BYTES, an L3 cache's size, for any
+    number of targets. The charge is capped at CHUNK_BYTES // 8, a floor of
+    8 targets a chunk wherever their float tables alone fit: in a narrower
+    chunk the superset sum's pass over bit 0 moves runs of fewer than 8
+    floats, shorter than a cache line, and over 160 subjects d = 18 and 20
+    ran about 23% and 35% slower. Where the cap binds a chunk holds more
+    than CHUNK_BYTES, 1.5 times as much at d = 18 over 160 subjects. The
+    charge never falls below a float table's 8 * 2^d bytes, so at d = 20 a
+    chunk of 4 targets holds about 3 * CHUNK_BYTES.
     """
-    for s, codes in match_code_chunks(ds, resolved, targets, 8 << ds.d):
-        yield s, cohort_value_tables(codes, ds.y, ds.d, squared)
+    d, n = ds.d, ds.n
+    row_bytes = max(8 << d, min(16 * n + (24 << d), CHUNK_BYTES // 8))
+    for s, codes in match_code_chunks(ds, resolved, targets, row_bytes):
+        yield s, cohort_value_tables(codes, ds.y, d, squared)

@@ -106,6 +106,29 @@ def scalar_match_codes(X, resolved, points):
     return codes
 
 
+def int64_count_tables(codes, y, d, squared):
+    """The tables of ``similarity.cohort_value_tables`` with every count kept
+    in bincount's int64: the same histograms, the same superset-sum order,
+    written out here, so the floats are bit for bit the library's whatever
+    the library's count type."""
+    codes = np.asarray(codes, dtype=np.int64)
+    cols = math.prod(codes.shape[:-1])
+    index = (codes.reshape(cols, -1).T * cols + np.arange(cols)).ravel()
+    counts = np.bincount(index, minlength=cols << d).reshape(1 << d, cols)
+    sums = np.bincount(index, weights=np.repeat(y, cols), minlength=cols << d)
+    sums = sums.reshape(1 << d, cols)
+    for table in (counts, sums):
+        for j in range(d):
+            pairs = table.reshape(1 << (d - 1 - j), 2, 1 << j, cols)
+            pairs[:, 0] += pairs[:, 1]
+    means = sums / counts
+    means -= means[0].copy()
+    if squared:
+        means *= means
+    means[0] = 0.0
+    return means.reshape((1 << d, *codes.shape[:-1]))
+
+
 def naive_cohort_members(X, target_row, u, rule_fns):
     """Row-by-row cohort scan.
 

@@ -30,6 +30,7 @@ from cohortshap.shapley import _phi_from_tables
 from cohortshap.similarity import (
     CHUNK_BYTES,
     MAX_CHUNK_TARGETS,
+    cohort_table_chunks,
     cohort_value_tables,
     match_codes,
 )
@@ -244,18 +245,18 @@ def test_sweep_memory_bounded_by_chunk():
 def _two_pass(ds, rules, engine):
     """The direct and disaggregated routes as two separate passes over the
     squared cohort tables, summed and contracted in the sweep's chunks."""
-    tables = cohort_value_tables(
-        match_codes(ds.X, resolve_rules(rules, ds), ds.X), ds.y, ds.d, squared=True
-    )
-    step = min(MAX_CHUNK_TARGETS, max(1, CHUNK_BYTES // (8 << ds.d)))
+    resolved = resolve_rules(rules, ds)
+    tables = cohort_value_tables(match_codes(ds.X, resolved, ds.X), ds.y, ds.d, True)
+    chunks = [
+        tables[:, s : s + chunk.shape[1]]
+        for s, chunk in cohort_table_chunks(ds, resolved, np.arange(ds.n), True)
+    ]
     table = np.zeros(1 << ds.d)
-    for s in range(0, ds.n, step):
-        table += tables[:, s : s + step].sum(axis=1)
+    for chunk in chunks:
+        table += chunk.sum(axis=1)
     table /= ds.n
     direct = shapley_engine(TableGame(table, "var"), engine, 300, 7)
-    rows = np.concatenate(
-        [_phi_from_tables(tables[:, s : s + step], ds.d) for s in range(0, ds.n, step)]
-    )
+    rows = np.concatenate([_phi_from_tables(chunk, ds.d) for chunk in chunks])
     return table, direct, rows, tables[-1]
 
 

@@ -19,12 +19,13 @@ from cohortshap import (
     Identity,
     LinearModel,
     make_game,
+    resolve_rules,
     shapley,
     shapley_exact,
     shapley_permutation,
 )
 from cohortshap.games import Game
-from cohortshap.similarity import CHUNK_BYTES, MAX_CHUNK_TARGETS
+from cohortshap.similarity import cohort_table_chunks
 
 from .conftest import random_dataset, t8_dataset
 
@@ -141,8 +142,8 @@ def test_global_sweeps_the_cohort_tables_once(tmp_path):
     # squared cohort tables, read by the benchmark as the chunk count
     ds = random_dataset(600, 5, seed=21)
     config = _config(tmp_path, ds, engine="exact", audit={"per_subject": True})
-    step = min(MAX_CHUNK_TARGETS, max(1, CHUNK_BYTES // (8 << ds.d)))
-    one_pass = -(-ds.n // step)
+    resolved = resolve_rules([AbsoluteThreshold(0.5)] * ds.d, ds)
+    one_pass = sum(1 for _ in cohort_table_chunks(ds, resolved, range(ds.n), True))
     assert one_pass > 1
     code, stdout, stats = _traced_main(["global", "--config", str(config)])
     assert code == 0

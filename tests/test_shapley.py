@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,14 +10,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cohortshap import (
+    AbsoluteThreshold,
+    ColumnSchema,
+    Dataset,
     Identity,
+    attach_predictions,
     make_game,
+    resolve_rules,
     shapley_exact,
     shapley_permutation,
     shapley_weight_table,
 )
+from cohortshap.bits import halves, subset_sizes
 from cohortshap.games import TableGame
-from cohortshap.shapley import EXACT_CAP, _permutations
+from cohortshap.shapley import EXACT_CAP, _permutations, _phi_from_tables
+from cohortshap.similarity import cohort_table_chunks, cohort_value_tables, match_codes
 
 from .conftest import random_dataset, t8_target
 from .helpers import shapley_all_permutations
@@ -189,3 +200,67 @@ def test_mc_total_is_full_minus_empty():
     for game in (lazy, random_game(7, 9)):
         att = shapley_permutation(game, 16, seed=2)
         assert att.total == game.value(game.full_mask) - game.value(0)
+
+
+# Contracts a saved lattice-major table whole and in the two chunks given,
+# with BLAS on one thread.
+_CONTRACT_CHILD = """
+import sys
+import numpy as np
+from cohortshap.shapley import _phi_from_tables
+tables, d, cut = np.load(sys.argv[1]), int(sys.argv[2]), int(sys.argv[3])
+whole = _phi_from_tables(tables, d)
+split = np.concatenate([_phi_from_tables(tables[:, :cut], d),
+                        _phi_from_tables(tables[:, cut:], d)])
+np.save(sys.argv[4], np.stack([whole, split]))
+"""
+
+
+def _fsum_rows(tables, d):
+    """(B, d) Shapley rows of lattice-major ``tables``, each an exactly
+    rounded sum of its weighted increments."""
+    w, sizes = shapley_weight_table(d), subset_sizes(d)
+    rows = np.empty((tables.shape[1], d))
+    for j in range(d):
+        lo, hi = halves(tables, d, j)
+        weights = w[halves(sizes, d, j)[0]].reshape(-1, 1)
+        terms = weights * (hi - lo).reshape(len(weights), -1)
+        rows[:, j] = [math.fsum(t) for t in terms.T.tolist()]
+    return rows
+
+
+def test_contraction_rows_do_not_depend_on_the_chunk(tmp_path):
+    # the squared cohort tables of the wide workload's frozen 160 x 14
+    # Gaussian table, which the table chunks cut into 84 + 76 targets
+    n, d = 160, 14
+    rng = np.random.default_rng([191100467, 2, d])
+    X = 0.6 * rng.normal(size=(n, 1)) + rng.normal(size=(n, d))
+    y = X @ rng.normal(size=d) + float(rng.normal())
+    schema = tuple(ColumnSchema(f"c{j}", "numeric") for j in range(d))
+    ds = attach_predictions(Dataset(schema=schema, X=X), y)
+    resolved = resolve_rules([AbsoluteThreshold(0.5)] * d, ds)
+    chunks = cohort_table_chunks(ds, resolved, np.arange(n), True)
+    assert [tables.shape[1] for _, tables in chunks] == [84, 76]
+    tables = cohort_value_tables(match_codes(X, resolved, X), y, d, True)
+    # A threaded GEMV splits the targets among its threads, and which kernel
+    # path a row takes depends on where the split falls; the benchmark and
+    # the byte-identical artifacts run BLAS on one thread, and so does this.
+    np.save(tmp_path / "tables.npy", tables)
+    src = Path(__file__).resolve().parent.parent / "src"
+    one_thread = dict.fromkeys(
+        ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1"
+    )
+    env = dict(os.environ, PYTHONPATH=str(src), **one_thread)
+    argv = [tmp_path / "tables.npy", d, 84, tmp_path / "rows.npy"]
+    proc = subprocess.run(
+        [sys.executable, "-c", _CONTRACT_CHILD, *map(str, argv)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    whole, split = np.load(tmp_path / "rows.npy")
+    assert np.array_equal(whole, split)
+    # the GEMV adds 2^13 increments one after another; measured 1.0e-13
+    # here with |phi| up to 28.8
+    exact = _fsum_rows(tables, d)
+    for rows in (whole, _phi_from_tables(tables, d)):
+        np.testing.assert_allclose(rows, exact, rtol=0, atol=2e-13)

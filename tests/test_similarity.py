@@ -24,6 +24,7 @@ from cohortshap.games import cohort_value_sweep
 from cohortshap.similarity import (
     cohort_value_tables,
     code_dtype,
+    count_dtype,
     cohort_values,
     match_code_chunks,
     match_codes,
@@ -31,7 +32,13 @@ from cohortshap.similarity import (
 )
 
 from .conftest import random_dataset, t8_target
-from .helpers import cohort, dense, naive_cohort_members, scalar_match_codes
+from .helpers import (
+    cohort,
+    dense,
+    int64_count_tables,
+    naive_cohort_members,
+    scalar_match_codes,
+)
 
 
 def test_rule_validation():
@@ -243,6 +250,40 @@ def test_code_dtype_is_the_narrowest_signed_type():
     }
 
 
+def test_count_dtype_holds_every_count_up_to_n():
+    widths = {n: count_dtype(n) for n in (1, 255, 256, 32767, 32768, 1 << 31)}
+    assert widths == {
+        1: np.uint8,
+        255: np.uint8,
+        256: np.int16,
+        32767: np.int16,
+        32768: np.int32,
+        1 << 31: np.int32,
+    }
+
+
+@pytest.mark.parametrize(
+    "n, targets", [(255, 1), (255, 2), (256, 1), (256, 2), (32767, 1), (32768, 1)]
+)
+@pytest.mark.parametrize("squared", [False, True])
+def test_narrow_count_tables_equal_int64_count_tables(n, targets, squared):
+    # n on both sides of the uint8 and int16 edges of count_dtype: the empty
+    # set's count is n in every table, and with every subject close on every
+    # feature so is every count
+    d = 5
+    rng = np.random.default_rng(n + targets)
+    y = rng.normal(size=n) + 3.0
+    full = np.full((targets, n), (1 << d) - 1, dtype=code_dtype(d))
+    drawn = rng.integers(0, 1 << d, size=(targets, n)).astype(code_dtype(d))
+    for codes in (drawn, full):
+        want = int64_count_tables(codes, y, d, squared)
+        if targets == 1:
+            got = cohort_value_tables(codes[0], y, d, squared)
+            assert np.array_equal(got, want[:, 0])
+        got = cohort_value_tables(codes, y, d, squared)
+        assert got.shape == want.shape and np.array_equal(got, want)
+
+
 @pytest.mark.parametrize("d", [7, 8])
 @pytest.mark.parametrize("squared", [False, True])
 def test_narrow_code_tables_equal_int64_code_tables(d, squared):
@@ -305,9 +346,11 @@ def test_sweep_tables_are_each_targets_table(d, count, seed, squared):
 
 
 def test_cohort_tables_peak_near_their_own_size():
-    # the live tables peak at 12 bytes a cell (int32 counts, then an int64
-    # or a float64 table beside them); subtracting the first lattice row as
-    # a broadcast view instead of a copy made numpy copy the whole table
+    # the live tables peak at about 10.3 bytes a cell: uint8 counts (n = 40)
+    # beside an int64 or a float64 table, and the temporary numpy makes for
+    # the overlapping halves of the float superset sum (1.2 bytes a cell
+    # here); subtracting the first lattice row as a broadcast view instead
+    # of a copy made numpy copy the whole table
     d = 12
     ds = random_dataset(40, d, seed=4)
     codes = match_codes(ds.X, resolve_rules([AbsoluteThreshold(0.7)] * d, ds), ds.X)
@@ -320,7 +363,29 @@ def test_cohort_tables_peak_near_their_own_size():
     finally:
         tracemalloc.stop()
     assert np.array_equal(got, want)
-    assert peak < 16 * cells
+    assert peak < 11 * cells
+
+
+def test_sweep_peak_stays_within_the_chunk_budget(monkeypatch):
+    # a table chunk is charged everything it holds while it is built and
+    # contracted, so the sweep's live set stays within CHUNK_BYTES besides
+    # its outputs; charged its float table alone, a chunk held about three
+    # times its budget: int32 counts beside bincount's int64 table, then the
+    # float tables beside the contraction's half
+    d, budget = 12, 1 << 20
+    ds = random_dataset(120, d, seed=12)
+    resolved = resolve_rules([AbsoluteThreshold(0.7)] * d, ds)
+    want = cohort_value_sweep(ds, resolved, squared=True, rows=True, mean=True)
+    monkeypatch.setattr(similarity, "CHUNK_BYTES", budget)
+    tracemalloc.start()
+    try:
+        got = cohort_value_sweep(ds, resolved, squared=True, rows=True, mean=True)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    for a, b in zip(got, want):
+        np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
+    assert peak < budget + sum(out.nbytes for out in got)
 
 
 def test_lazy_var_game_chunks_follow_the_budget(monkeypatch):
