@@ -354,8 +354,8 @@ def realism_splits(
     d, k = ds.d, len(baselines)
     resolved = resolve_rules(rules, ds)
     code_b = match_codes(ds.X, resolved, baselines)
-    w = shapley_weight_table(d)
-    sizes = subset_sizes(d)
+    # the weights of the sets without j, in halves order for every j
+    weights = shapley_weight_table(d)[subset_sizes(d - 1)]
     masks = np.arange(1, 1 << d, dtype=np.int64)
     sweep = baseline_sweep(
         model, baselines, method, ds.X[targets], masks, per_baseline=True
@@ -370,7 +370,7 @@ def realism_splits(
         for j in range(d):
             lo, hi = halves(diffs, d, j)
             ok_lo, ok_hi = halves(flags, d, j)
-            terms = w[halves(sizes, d, j)[0]][..., None] * (hi - lo) / k
+            terms = weights.reshape(lo.shape[:2])[..., None] * (hi - lo) / k
             pair_ok = ok_hi & ok_lo
             phi_r[j] = terms[pair_ok].sum()
             phi_u[j] = terms[~pair_ok].sum()

@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .bits import EXACT_CAP, halves, subset_sizes
+from .bits import EXACT_CAP, halves, pass_ufunc, subset_sizes
 
 if TYPE_CHECKING:
     from .games import Game
@@ -58,22 +58,23 @@ def _phi_from_tables(tables: np.ndarray, d: int) -> np.ndarray:
     ``tables`` is one lattice table (2^d,) or the lattice-major tables
     (2^d, B) of B games; returns their (B, d) rows of Shapley values, B = 1
     for one table. Feature j's value contracts the increments
-    v(u + j) - v(u) against the weights of the sets u: one GEMV of the
-    weights with the (2^(d-1), B) increments, which every feature writes
-    into the same half-table buffer, allocated once per call.
+    v(u + j) - v(u) against the weights of the sets u without j: one GEMV
+    of the weights with the (2^(d-1), B) increments, which every feature
+    writes into the same half-table buffer, allocated once per call, with
+    :func:`bits.pass_ufunc`. The sets without j have the popcounts of the
+    (d-1)-bit lattice in the buffer's order whatever j is (see :mod:`bits`),
+    so one weight vector, built once per call, serves every feature.
     """
     tables = np.ascontiguousarray(tables)
     if tables.shape[0] != 1 << d:
         raise ValueError("value table length does not match d")
     tables = tables.reshape(1 << d, -1)
-    w = shapley_weight_table(d)
-    sizes = subset_sizes(d)
+    weights = shapley_weight_table(d)[subset_sizes(d - 1)]
     phi = np.empty((tables.shape[1], d))
     increments = np.empty((1 << (d - 1), tables.shape[1]))
     for j in range(d):
         lo, hi = halves(tables, d, j)
-        weights = w[halves(sizes, d, j)[0]].reshape(-1)
-        np.subtract(hi, lo, out=increments.reshape(lo.shape))
+        pass_ufunc(np.subtract, hi, lo, increments.reshape(lo.shape))
         phi[:, j] = weights @ increments
     return phi
 

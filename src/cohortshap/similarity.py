@@ -476,13 +476,19 @@ def cohort_table_chunks(ds: Dataset, resolved, targets: np.ndarray, squared: boo
     :func:`shapley._phi_from_tables` subtracts into. So a chunk's build and
     contraction stay within about CHUNK_BYTES, an L3 cache's size, for any
     number of targets. The charge is capped at CHUNK_BYTES // 8, a floor of
-    8 targets a chunk wherever their float tables alone fit: in a narrower
-    chunk the superset sum's pass over bit 0 moves runs of fewer than 8
-    floats, shorter than a cache line, and over 160 subjects d = 18 and 20
-    ran about 23% and 35% slower. Where the cap binds a chunk holds more
-    than CHUNK_BYTES, 1.5 times as much at d = 18 over 160 subjects. The
-    charge never falls below a float table's 8 * 2^d bytes, so at d = 20 a
-    chunk of 4 targets holds about 3 * CHUNK_BYTES.
+    8 targets a chunk wherever their float tables alone fit. Where the cap
+    binds a chunk holds more than CHUNK_BYTES, 1.5 times as much at d = 18
+    over 160 subjects. The charge never falls below a float table's
+    8 * 2^d bytes, so at d = 20 a chunk of 4 targets holds about
+    3 * CHUNK_BYTES. Narrow chunks no longer pay for short runs, since the
+    lattice passes walk those across their blocks (:func:`bits.pass_ufunc`),
+    and the cap is mostly a cost: over 160
+    subjects, uncapped chunks of 5 targets ran d = 18 about 9% slower, but
+    chunks of 1 ran d = 20 in about half the time and half the peak RSS.
+    It stays because chunk widths decide the last bits of the phi rows that
+    :func:`shapley._phi_from_tables` contracts, so dropping it would move
+    the results of every sweep where it binds, as at d >= 18 over 160
+    subjects.
     """
     d, n = ds.d, ds.n
     row_bytes = max(8 << d, min(16 * n + (24 << d), CHUNK_BYTES // 8))

@@ -168,6 +168,44 @@ def anchored_components_naive(g_values, d):
     return comps
 
 
+def plain_lattice_transform(table, d, kind):
+    """A copy of ``table`` (2^d,) or (2^d, columns) after the library's
+    in-place lattice transform ``kind`` done as plain passes: for each bit
+    j, over the views of the sets without j (lo) and with j (hi),
+    ``lo += hi`` ("superset"), ``hi += lo`` ("subset") or ``hi -= lo``
+    ("mobius")."""
+    table = table.copy()
+    for j in range(d):
+        v = table.reshape(1 << (d - 1 - j), 2, 1 << j, *table.shape[1:])
+        lo, hi = v[:, 0], v[:, 1]
+        if kind == "superset":
+            lo += hi
+        elif kind == "subset":
+            hi += lo
+        else:
+            hi -= lo
+    return table
+
+
+def per_bit_gather_contraction(tables, d):
+    """(B, d) exact Shapley rows of lattice-major ``tables`` (2^d, B) as the
+    library computed them before it built one weight vector a call: each
+    bit's weights gathered from the popcounts of its sets without j, then
+    one GEMV of them with the (2^(d-1), B) increments."""
+    tables = np.ascontiguousarray(tables).reshape(1 << d, -1)
+    w = np.array([1.0 / (d * math.comb(d - 1, s)) for s in range(d)])
+    sizes = np.bitwise_count(np.arange(1 << d, dtype=np.uint32)).astype(np.int64)
+    phi = np.empty((tables.shape[1], d))
+    increments = np.empty((1 << (d - 1), tables.shape[1]))
+    for j in range(d):
+        v = tables.reshape(1 << (d - 1 - j), 2, 1 << j, tables.shape[1])
+        lo, hi = v[:, 0], v[:, 1]
+        weights = w[sizes.reshape(1 << (d - 1 - j), 2, 1 << j)[:, 0]].reshape(-1)
+        np.subtract(hi, lo, out=increments.reshape(lo.shape))
+        phi[:, j] = weights @ increments
+    return phi
+
+
 def anova_sigma2_naive(g_values, probs):
     """Variance components by brute-force conditional expectations.
 

@@ -1,12 +1,18 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cohortshap import bits
 from cohortshap.shapley import _phi_from_tables
 
-from .helpers import anchored_components_naive
+from .helpers import anchored_components_naive, plain_lattice_transform
+
+TRANSFORMS = {
+    "superset": bits.superset_sum_inplace,
+    "subset": bits.subset_sum_inplace,
+    "mobius": bits.mobius_inplace,
+}
 
 
 def test_subset_sizes():
@@ -64,6 +70,47 @@ def test_lattice_major_tables_match_their_columns(d, cols, seed):
     for c in range(cols):
         alone = _phi_from_tables(values[:, c].copy(), d)
         np.testing.assert_allclose(rows[c], alone[0], rtol=0, atol=1e-12)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from(sorted(TRANSFORMS)),
+    st.integers(1, 14),
+    st.integers(0, 9),
+    st.sampled_from(["float64", "uint8", "int16", "int32"]),
+    st.integers(0, 2**32 - 1),
+)
+# shapes whose low bits are walked across the blocks
+@example("superset", 14, 0, "float64", 0)
+@example("superset", 14, 2, "uint8", 1)
+@example("subset", 12, 3, "int16", 2)
+@example("mobius", 10, 9, "int32", 3)
+@example("mobius", 13, 5, "float64", 4)
+def test_transforms_equal_plain_passes(kind, d, columns, dtype, seed):
+    # columns 0 is a 1-D table. Every transform gives each entry the same
+    # additions in the same order as plain passes over the halves, whichever
+    # way it walks a pass; float normals show a change of order, and the
+    # integer tables wrap the same way on overflow.
+    rng = np.random.default_rng(seed)
+    shape = (1 << d, columns) if columns else (1 << d,)
+    if dtype == "float64":
+        table = rng.normal(size=shape)
+    else:
+        info = np.iinfo(dtype)
+        table = rng.integers(info.min, info.max, size=shape, endpoint=True, dtype=dtype)
+    expected = plain_lattice_transform(table, d, kind)
+    got = TRANSFORMS[kind](table.copy(), d)
+    assert got.dtype == expected.dtype
+    assert np.array_equal(got, expected)
+
+
+def test_lo_half_popcounts_are_the_smaller_lattice():
+    # the sets without j, in halves order, are the (d-1)-bit integers with a
+    # 0 inserted at bit j: one weight vector serves every bit's pass
+    for d in range(1, bits.EXACT_CAP + 1):
+        sizes, smaller = bits.subset_sizes(d), bits.subset_sizes(d - 1)
+        for j in range(d):
+            assert np.array_equal(bits.halves(sizes, d, j)[0].ravel(), smaller)
 
 
 def test_non_contiguous_rejected():

@@ -27,7 +27,7 @@ from cohortshap.shapley import EXACT_CAP, _permutations, _phi_from_tables
 from cohortshap.similarity import cohort_table_chunks, cohort_value_tables, match_codes
 
 from .conftest import random_dataset, t8_target
-from .helpers import shapley_all_permutations
+from .helpers import per_bit_gather_contraction, shapley_all_permutations
 
 
 def random_game(d: int, seed: int) -> TableGame:
@@ -200,6 +200,30 @@ def test_mc_total_is_full_minus_empty():
     for game in (lazy, random_game(7, 9)):
         att = shapley_permutation(game, 16, seed=2)
         assert att.total == game.value(game.full_mask) - game.value(0)
+
+
+@pytest.mark.parametrize("columns", [1, 2, 3, 5, 8, 84])
+def test_contraction_equals_the_per_bit_gather(columns):
+    # one weight vector a call and the strided walk of short runs give the
+    # GEMV the same weights and increments as a gather per bit
+    rng = np.random.default_rng([21, columns])
+    for d in range(1, 15):
+        tables = rng.normal(size=(1 << d, columns))
+        expected = per_bit_gather_contraction(tables, d)
+        assert np.array_equal(_phi_from_tables(tables, d), expected)
+        if columns == 1:
+            assert np.array_equal(_phi_from_tables(tables[:, 0].copy(), d), expected)
+
+
+@pytest.mark.parametrize("d,columns", [(1, 1), (6, 3), (10, 2), (14, 1), (14, 5)])
+def test_dummy_feature_gets_exact_zero_in_every_table(d, columns):
+    base = np.random.default_rng([d, columns]).normal(size=(1 << (d - 1), columns))
+    u = np.arange(1 << d)
+    for j in range(d):
+        # every table's value at u reads u with bit j dropped
+        without_j = (u >> (j + 1) << j) | (u & ((1 << j) - 1))
+        phi = _phi_from_tables(base[without_j], d)
+        assert np.all(phi[:, j] == 0.0)
 
 
 # Contracts a saved lattice-major table whole and in the two chunks given,

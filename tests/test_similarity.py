@@ -347,9 +347,10 @@ def test_sweep_tables_are_each_targets_table(d, count, seed, squared):
 
 def test_cohort_tables_peak_near_their_own_size():
     # the live tables peak at about 10.3 bytes a cell: uint8 counts (n = 40)
-    # beside an int64 or a float64 table, and the temporary numpy makes for
-    # the overlapping halves of the float superset sum (1.2 bytes a cell
-    # here); subtracting the first lattice row as a broadcast view instead
+    # beside an int64 or a float64 table, and the three 8192-entry buffers
+    # numpy's ufunc iterator allocates for a pass of the float superset sum
+    # over runs of 40 or more (192 KB whatever the table size, 1.2 bytes a
+    # cell here); subtracting the first lattice row as a broadcast view instead
     # of a copy made numpy copy the whole table
     d = 12
     ds = random_dataset(40, d, seed=4)
