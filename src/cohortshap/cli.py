@@ -368,7 +368,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--data", help="dataset CSV path")
         p.add_argument("--method", help="cs|cs2|bs|bs2|abs|abs2|var")
         p.add_argument("--engine", help="exact|mc")
-        p.add_argument("--permutations", type=int, help="mc permutation count")
+        p.add_argument(
+            "--permutations",
+            type=int,
+            help="mc order count; orders come in pairs, each drawn order "
+                 "followed by its reverse",
+        )
         p.add_argument("--seed", type=int, help="mc / audit seed")
         p.add_argument("--out", help="output directory")
         p.add_argument("--targets", help="'all' or comma-separated row indices")

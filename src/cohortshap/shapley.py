@@ -2,13 +2,17 @@
 
 The exact engine materializes the 2^d coalition values once and contracts
 them against combinatorial weights. The Monte Carlo engine averages marginal
-increments over sampled feature orders, all drawn from one counter-based
-Philox stream keyed by the seed: order k is row k of that stream, so the
+increments over sampled feature orders in antithetic pairs: order 2i ranks
+block i of one counter-based Philox stream keyed by the seed, and order
+2i + 1 is order 2i reversed. Order k thus depends only on (seed, k), so the
 first k orders are the same whatever the total count, and results do not
-depend on how the work is distributed. :func:`shapley_from_orders` is the
-estimator, on one game's values along the orders: :func:`shapley_permutation`
-reads them from a game, and the sweep of ``aggregate.local_attributions``
-gives it the values of many targets from one draw.
+depend on how the work is distributed. A reversed pair averages to the exact
+Shapley value on any game of main effects and pairwise interactions, so
+standard errors are taken over the pair means (see :func:`_stderr`).
+:func:`shapley_from_orders` is the estimator, on one game's values along the
+orders: :func:`shapley_permutation` reads them from a game, and the sweep of
+``aggregate.local_attributions`` gives it the values of many targets from
+one draw.
 """
 
 from __future__ import annotations
@@ -98,21 +102,27 @@ def shapley_exact(game: Game) -> Attribution:
 
 
 def _permutations(d: int, m: int, seed: int) -> np.ndarray:
-    """m uniform orders of range(d) as an (m, d) int64 array.
+    """m orders of range(d) in antithetic pairs, as an (m, d) int64 array.
 
-    Row k ranks the k-th block of d uniforms from one Philox stream keyed
-    by ``seed``, so it depends only on (seed, k). A stable sort fixes the
-    order of the (measure-zero) ties.
+    Row 2i ranks the i-th block of d uniforms from one Philox stream keyed
+    by ``seed``, so it is a uniform order; row 2i + 1 is row 2i reversed.
+    Row k depends only on (seed, k), and an odd m ends on an unpaired row.
+    A stable sort fixes the order of the (measure-zero) ties.
     """
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    keys = rng.random((m, d))
-    return np.argsort(keys, axis=1, kind="stable").astype(np.int64, copy=False)
+    keys = rng.random((-(-m // 2), d))
+    ranked = np.argsort(keys, axis=1, kind="stable")
+    perms = np.empty((2 * len(ranked), d), dtype=np.int64)
+    perms[0::2] = ranked
+    perms[1::2] = ranked[:, ::-1]
+    return perms[:m]
 
 
 def permutation_masks(d: int, m: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """The first m orders of ``_permutations``' stream keyed by ``seed``, and
-    the (m, d + 1) coalitions along each: the empty set, then one more
-    feature at a time up to the full set."""
+    """The first m orders of ``_permutations``' stream keyed by ``seed``,
+    each even one followed by its reverse, and the (m, d + 1) coalitions
+    along each: the empty set, then one more feature at a time up to the
+    full set."""
     if m < 2:
         raise ValueError("need at least two permutations for a standard error")
     perms = _permutations(d, m, seed)
@@ -125,9 +135,10 @@ def shapley_permutation(game: Game, m: int, seed: int) -> Attribution:
     """Monte Carlo Shapley from m sampled feature orders.
 
     The orders and their coalitions come from :func:`permutation_masks`:
-    order k depends only on (seed, k), so the estimate is reproducible and
-    the orders of a smaller m are a prefix of those of a larger one. All
-    (d + 1) * m coalitions go to ``game.values`` in one call, and
+    order 2i is drawn and order 2i + 1 is its reverse, and order k depends
+    only on (seed, k), so the estimate is reproducible and the orders of a
+    smaller m are a prefix of those of a larger one. All (d + 1) * m
+    coalitions go to ``game.values`` in one call, and
     :func:`shapley_from_orders` turns their values into the estimate.
     """
     perms, masks = permutation_masks(game.d, m, seed)
@@ -138,17 +149,19 @@ def shapley_permutation(game: Game, m: int, seed: int) -> Attribution:
 def shapley_from_orders(
     perms: np.ndarray, values: np.ndarray, method: str, target: int | None = None
 ) -> Attribution:
-    """The Monte Carlo estimate from m orders ``perms`` (m, d) and the
-    values (m, d + 1) of one game at the coalitions along each (see
-    :func:`permutation_masks`). Feature j's estimate is the mean of the
-    increments its arrivals add; the total is read from the first order,
-    which starts at the empty set and ends at the full one, and standard
-    errors are per-feature sample deviations of the increments."""
+    """The Monte Carlo estimate from m orders ``perms`` (m, d), laid out in
+    reversed pairs by :func:`permutation_masks`, and the values (m, d + 1)
+    of one game at the coalitions along each. Feature j's estimate is the
+    mean of the increments its arrivals add; the total is read from the
+    first order, which starts at the empty set and ends at the full one.
+    Standard errors come from :func:`_stderr`, over the pair means."""
     m, d = perms.shape
-    increments = np.diff(values, axis=1)
+    # np.diff and np.mean by hand, bit for bit: on a few orders their
+    # Python wrappers cost a measurable share of a target's estimate
+    increments = values[:, 1:] - values[:, :-1]
     samples = np.empty((m, d))
     np.put_along_axis(samples, perms, increments, axis=1)
-    phi = samples.mean(axis=0)
+    phi = samples.sum(axis=0) / m
     total = float(values[0, -1] - values[0, 0])
     if not (math.isfinite(total) and np.isfinite(phi).all()):
         raise ValueError("game total is not finite")
@@ -163,22 +176,52 @@ def shapley_from_orders(
 
 
 def _stderr(samples: np.ndarray) -> np.ndarray:
-    """Per-feature standard error of the mean of the (m, d) increments.
+    """Per-feature standard error of the mean of the (m, d) increments of
+    orders in reversed pairs (rows 2i and 2i + 1).
+
+    The two orders of a pair are not independent, so with p = m // 2 >= 2
+    pairs the variance of the sum is 4p times the sample variance of the
+    pair means, plus, for odd m, the sample variance of all m increments
+    for the unpaired last order; the standard error is its root over m.
+    For even m that is the pair means' deviation over sqrt(p). With m of 2
+    or 3 there is one pair, which has no deviation, and the per-order
+    deviation over sqrt(m) stands in.
 
     Squares of increments near the float limit overflow although their
-    deviation does not; such a feature's deviation is taken on its samples
-    scaled by their largest magnitude."""
-    m = len(samples)
+    deviation does not; such a feature's error is taken on its samples
+    scaled by their largest magnitude, which the error scales with."""
     with np.errstate(over="ignore", invalid="ignore"):
-        stderr = samples.std(axis=0, ddof=1) / math.sqrt(m)
+        stderr = _raw_stderr(samples)
         bad = ~np.isfinite(stderr)
         if bad.any():
             scale = np.abs(samples[:, bad]).max(axis=0)
-            deviation = (samples[:, bad] / scale).std(axis=0, ddof=1)
-            stderr[bad] = deviation / math.sqrt(m) * scale
+            stderr[bad] = _raw_stderr(samples[:, bad] / scale) * scale
     if not np.isfinite(stderr).all():
         raise ValueError("Monte Carlo standard error is not finite")
     return stderr
+
+
+def _raw_stderr(samples: np.ndarray) -> np.ndarray:
+    """:func:`_stderr` without its guard against overflow."""
+    m = len(samples)
+    p = m // 2
+    if p < 2:
+        return samples.std(axis=0, ddof=1) / math.sqrt(m)
+    pairs = 0.5 * samples[0 : 2 * p : 2]
+    pairs += 0.5 * samples[1 : 2 * p : 2]
+    var = _squared_deviations(pairs) * (4 * p / (p - 1))
+    if m % 2:
+        var += _squared_deviations(samples) / (m - 1)
+    return np.sqrt(var) / m
+
+
+def _squared_deviations(x: np.ndarray) -> np.ndarray:
+    """Per-column sums of the squared deviations of ``x`` from its column
+    means, without np.var's Python wrapper, a measurable share of the
+    standard error of a few orders."""
+    deviations = x - x.sum(axis=0) / len(x)
+    deviations *= deviations
+    return deviations.sum(axis=0)
 
 
 def shapley_engine(

@@ -346,7 +346,8 @@ def cohort_value_tables(codes: np.ndarray, y: np.ndarray, d: int, squared: bool)
 def cohort_values(codes: np.ndarray, y: np.ndarray, masks, squared: bool):
     """The columns ``masks`` of :func:`cohort_value_tables` without its 2^d
     table: (targets, len(masks)) cohort values of the target rows of match
-    ``codes``; the grand mean is ``y.mean()``.
+    ``codes``; the grand mean is ``y.mean()``, and a cohort of all n subjects
+    scores exactly 0, as on the dense path.
 
     Each row's d subject sets ("close on j") are packed into ceil(n/64)
     words, and a mask's cohort is the AND of one lookup per slice of its
@@ -372,6 +373,7 @@ def cohort_values(codes: np.ndarray, y: np.ndarray, masks, squared: bool):
         MASK_BLOCK_BYTES // (8 * words * max(block_len, len(cuts) << width)),
     )
     out = np.empty((rows, len(masks)))
+    grand = y.mean()
     for r in range(0, rows, table_rows):
         sets = _subject_sets(codes[r : r + table_rows], d)
         tables = [_and_table(sets, lo, min(width, d - lo)) for lo in cuts]
@@ -391,7 +393,10 @@ def cohort_values(codes: np.ndarray, y: np.ndarray, masks, squared: bool):
                 sums = members.astype(float) @ y
                 at = slice(r + q, r + q + len(sums))
                 out[at, s : s + len(block)] = sums / sizes[q : q + member_rows]
-    out -= y.mean()
+            # the mean of all subjects is the grand mean itself, so that it
+            # scores exactly 0 whatever the product's rounding
+            out[r : r + len(cohort), s : s + len(block)][sizes == n] = grand
+    out -= grand
     if squared:
         out *= out
     out[:, masks == 0] = 0.0

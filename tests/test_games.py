@@ -29,7 +29,7 @@ from cohortshap import (
     similarity_row,
 )
 from cohortshap.games import COHORT_METHODS, MODEL_METHODS, TableGame, _LazyCohortGame
-from cohortshap.shapley import engine_masks
+from cohortshap.shapley import engine_masks, permutation_masks
 from cohortshap.similarity import cohort_value_tables, cohort_values, match_codes
 
 from .conftest import random_dataset, t8_target
@@ -252,6 +252,20 @@ def test_lazy_var_game_above_table_cap():
         acc += (ds.y[sel].mean() - grand) ** 2
     assert g.value(u) == pytest.approx(acc / ds.n, abs=1e-12)
     assert g.value([]) == 0.0
+
+
+def test_lazy_constant_column_adds_exact_zero_first():
+    # every subject is close on column 5, so an order that starts with it
+    # reaches the cohort of all subjects, which scores exactly 0
+    for seed in range(3):
+        ds = random_dataset(300, 22, seed=seed)
+        X = ds.X.copy()
+        X[:, 5] = 1.5
+        ds = attach_predictions(Dataset(schema=ds.schema, X=X), ds.y)
+        game = make_game("cs", ds, 7, [AbsoluteThreshold(1.0)] * 22)
+        perms, masks = permutation_masks(22, 200, seed)
+        first = masks[perms[:, 0] == 5, 1]
+        assert len(first) and not game.values(first).any()
 
 
 def test_linear_mean_baseline_bs_equals_cs_total():

@@ -453,6 +453,18 @@ def test_cohort_values_match_a_plain_reference(n, d, rows, seed, squared):
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
 
+@pytest.mark.parametrize("n", [1, 63, 300])
+def test_all_subject_cohort_scores_exactly_zero(n):
+    # every subject is close on every feature, so every cohort is all n
+    # subjects; its mean, a product with y over n, may round off y.mean()
+    codes = np.full((3, n), (1 << 22) - 1, dtype=np.int64)
+    masks = np.arange(1 << 10) << 12
+    for seed in range(5):
+        y = np.random.default_rng([n, seed]).normal(size=n)
+        for squared in (False, True):
+            assert not cohort_values(codes, y, masks, squared).any()
+
+
 def test_cohort_values_peak_is_blocked():
     # the float members of a block of rows and masks, and the subset tables
     # of a block of rows, stay within about MASK_BLOCK_BYTES however many
