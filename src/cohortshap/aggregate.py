@@ -12,7 +12,7 @@ orders its rows into a panel. It is one loop over value chunks, a chunk of
 targets at a time, whether they come from the cohort tables or kernel or
 from the baseline sweep's model calls: an exact chunk is contracted whole
 into its targets' rows, and under Monte Carlo one draw of orders serves
-every target.
+every target, with one estimate for each block of a chunk's targets.
 """
 
 from __future__ import annotations
@@ -36,13 +36,15 @@ from .games import (
 from .shapley import (
     Attribution,
     _phi_from_tables,
+    arrival_rows,
     distinct_masks,
     engine_masks,
+    gather_increments,
     permutation_masks,
     shapley_engine,
     shapley_from_orders,
 )
-from .similarity import resolve_rules
+from .similarity import MASK_BLOCK_BYTES, resolve_rules
 
 
 @dataclass(frozen=True)
@@ -124,9 +126,14 @@ def local_attributions(
     from :func:`games.baseline_sweep`, whose model calls the targets share,
     for bs, bs2, abs and abs2. An exact chunk is the (2^d, B) tables of its
     targets: one :func:`shapley._phi_from_tables` call contracts them, and
-    their last row holds the totals. Under mc each target's column, read
-    along the orders, goes to :func:`shapley.shapley_from_orders`, as
-    :func:`shapley.shapley_permutation` does for one game.
+    their last row holds the totals, and a chunk whose totals or values
+    overflow raises ValueError. Under mc the chunk goes a block of columns
+    at a time to :func:`shapley.gather_increments` and then to
+    :func:`shapley.shapley_from_orders`, one estimate a block, as
+    :func:`shapley.shapley_permutation` gives it one game's increments. A
+    block's increments, d per order and target, take at most about
+    MASK_BLOCK_BYTES, and the chunk rows where the draw's features join its
+    orders (:func:`shapley.arrival_rows`) are found once per call.
     """
     targets = range(ds.n) if targets is None else _checked_targets(ds, targets)
     if engine not in ("exact", "mc"):
@@ -144,27 +151,38 @@ def local_attributions(
         distinct, inverse = distinct_masks(orders)
         # every order starts at the empty set, the smallest mask
         masks = distinct[1:]
+        arrived = arrival_rows(perms, inverse.reshape(orders.shape))
+        # numpy sums one column (d = 1) pairwise and several in order, so
+        # a one-feature block holds one target, as one game's estimate does
+        block = max(1, MASK_BLOCK_BYTES // (8 * perms.size)) if ds.d > 1 else 1
     if method in COHORT_METHODS:
         chunks = cohort_value_chunks(ds, resolved, targets, masks, method == "cs2")
     else:
         sweep = baseline_sweep(model, baselines, method, ds.X[targets], masks)
         chunks = ((s, np.concatenate(([0.0], v))[:, None]) for s, v in enumerate(sweep))
     attributions = []
-    for s, chunk in chunks:
-        chunk_targets = targets[s : s + chunk.shape[1]]
-        if engine == "mc":
-            for t, column in zip(chunk_targets, chunk.T):
-                # a contiguous copy first: the gather along the orders is random
-                values = np.ascontiguousarray(column)[inverse].reshape(orders.shape)
-                attributions.append(shapley_from_orders(perms, values, method, t))
-            continue
-        if not np.isfinite(chunk[-1]).all():
-            raise ValueError("game total is not finite")
-        phi = _phi_from_tables(chunk, ds.d)
-        attributions += [
-            Attribution(phi=row, total=float(total), method=method, target=t)
-            for t, row, total in zip(chunk_targets, phi, chunk[-1])
-        ]
+    # an overflow shows as a non-finite total or phi, refused below and by
+    # the estimator
+    with np.errstate(over="ignore", invalid="ignore"):
+        for s, chunk in chunks:
+            chunk_targets = targets[s : s + chunk.shape[1]]
+            if engine == "mc":
+                for b in range(0, chunk.shape[1], block):
+                    # a contiguous copy of the block first: the gathers
+                    # along the orders are random
+                    values = np.ascontiguousarray(chunk[:, b : b + block])
+                    samples, totals = gather_increments(arrived, values)
+                    attributions += shapley_from_orders(
+                        samples, totals, method, chunk_targets[b : b + block]
+                    )
+                continue
+            phi = _phi_from_tables(chunk, ds.d)
+            if not (np.isfinite(chunk[-1]).all() and np.isfinite(phi).all()):
+                raise ValueError("game total is not finite")
+            attributions += [
+                Attribution(phi=row, total=float(total), method=method, target=t)
+                for t, row, total in zip(chunk_targets, phi, chunk[-1])
+            ]
     return attributions
 
 
@@ -185,19 +203,21 @@ def make_panel(ds: Dataset, method: str, attributions) -> Panel:
 
 
 def write_rows(fh, columns, newline: str) -> None:
-    """Write one CSV line per entry of the equal-length 1-D number
-    ``columns``, each line one template of %r cells. The ``repr`` of an int
-    or a float holds no comma, quote or newline, so no cell needs the
-    quoting of :mod:`csv`."""
-    template = ",".join(["%r"] * len(columns)) + newline
+    """Write one CSV line per entry of the equal-length 1-D ``columns``,
+    each line one template of cells: a %r for a column of numbers, a %s for
+    a column of text (an object array of their ``repr``). The ``repr`` of
+    an int or a float holds no comma, quote or newline, so no cell needs
+    the quoting of :mod:`csv`."""
+    template = ",".join(["%s" if c.dtype == object else "%r" for c in columns]) + newline
     rows = zip(*(c.tolist() for c in columns), strict=True)
     fh.writelines(map(template.__mod__, rows))
 
 
 def write_panel_csv(panel: Panel, path) -> None:
     """The panel as CSV, one line per subject in prediction order: rank,
-    subject, its bars and its overlay. The header goes through
-    :func:`csv.writer`, which quotes names that need it."""
+    subject, its bars and its overlay. Bars already formatted, as an object
+    array of their ``repr``, are written as they are. The header goes
+    through :func:`csv.writer`, which quotes names that need it."""
     order = panel.ordering
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)

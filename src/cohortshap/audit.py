@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bits import halves, subset_sizes
+from .bits import halves
 from .dataset import Dataset, split_holdout
 from .games import (
     EXACT_CAP,
@@ -39,7 +39,7 @@ from .games import (
     baseline_rows,
     baseline_sweep,
 )
-from .shapley import shapley_weight_table
+from .shapley import _halves_weights
 from .similarity import (
     MASK_BLOCK_BYTES,
     SimilarityError,
@@ -354,8 +354,7 @@ def realism_splits(
     d, k = ds.d, len(baselines)
     resolved = resolve_rules(rules, ds)
     code_b = match_codes(ds.X, resolved, baselines)
-    # the weights of the sets without j, in halves order for every j
-    weights = shapley_weight_table(d)[subset_sizes(d - 1)]
+    weights = _halves_weights(d)
     masks = np.arange(1, 1 << d, dtype=np.int64)
     sweep = baseline_sweep(
         model, baselines, method, ds.X[targets], masks, per_baseline=True

@@ -12,13 +12,18 @@ layout and the escaped names, and a record is one ``%`` of Python floats
 and ints from ``ndarray.tolist()``. The bytes are those of
 ``json.dump(indent=2)`` and of a ``csv.writer`` of ``repr`` cells; a
 non-finite float is written in JSON as json writes it (``NaN``,
-``Infinity``, ``-Infinity``) and in CSV by ``repr``.
+``Infinity``, ``-Infinity``) and in CSV by ``repr``. A panel's phi floats
+are formatted once, by ``repr``, and that text goes through a %s into
+both the attribution list and the panel CSV. Only a finite float can be
+shared so, since json and CSV spell the others differently, and
+``local_attributions`` refuses a non-finite phi.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import json
 import math
 import os
@@ -89,8 +94,9 @@ def _layout(value, level: int, columns: list) -> str:
     elif isinstance(value, str):
         return _text(value)
     else:
-        columns.append(value if isinstance(value, np.ndarray) else np.array([value]))
-        return "%r"
+        column = value if isinstance(value, np.ndarray) else np.array([value])
+        columns.append(column)
+        return "%s" if column.dtype == object else "%r"
     if not items:
         return brackets
     pad = "\n" + "  " * (level + 1)
@@ -103,9 +109,10 @@ def _json_number(value):
 
 
 def _json_values(column: np.ndarray) -> list:
-    """``column`` as Python numbers, with json's tokens for non-finite floats."""
+    """``column`` as Python numbers, with json's tokens for non-finite
+    floats, or a column of text as it is."""
     values = column.tolist()
-    if not all(map(math.isfinite, values)):
+    if column.dtype != object and not all(map(math.isfinite, values)):
         values = list(map(_json_number, values))
     return values
 
@@ -115,9 +122,10 @@ def _write_json(path, payload, many: bool = False) -> None:
     ``json.dump(..., indent=2)`` and a newline would.
 
     ``payload`` is the record's layout, each number leaf of which is a
-    column: one value, or with ``many`` one value per record. Every record
-    fills the one template from :func:`_layout`, so no encoder runs per
-    value.
+    column: one value, or with ``many`` one value per record. A column of
+    text, an object array of the numbers' ``repr``, is written as it is
+    through a %s. Every record fills the one template from :func:`_layout`,
+    so no encoder runs per value.
     """
     columns: list = []
     template = _layout(payload, int(many), columns)
@@ -137,20 +145,29 @@ def _named(names, rows) -> dict:
     return dict(zip(names, np.reshape(rows, (-1, len(names))).T))
 
 
-def _attribution_payload(atts, names) -> dict:
+def _attribution_payload(atts, names, phi=None) -> dict:
     """The attributions ``atts`` of one method and engine as a payload of
-    columns, one entry per attribution."""
+    columns, one entry per attribution; ``phi``, their (records, d) phi
+    rows as text from :func:`_repr_table`, stands in for their floats."""
     att = atts[0]
     payload = {"method": att.method}
     if att.target is not None:
         payload["target"] = np.array([a.target for a in atts])
-    payload["phi"] = _named(names, [a.phi for a in atts])
+    payload["phi"] = _named(names, [a.phi for a in atts] if phi is None else phi)
     payload["total"] = np.array([a.total for a in atts], dtype=float)
     if att.stderr is not None:
         payload["stderr"] = _named(names, [a.stderr for a in atts])
     if att.permutations_used is not None:
         payload["permutations"] = np.array([a.permutations_used for a in atts])
     return payload
+
+
+def _repr_table(values: np.ndarray) -> np.ndarray:
+    """The ``repr`` of each float of ``values``, as an object array of
+    their shape."""
+    text = np.empty(values.size, dtype=object)
+    text[:] = list(map(repr, values.ravel().tolist()))
+    return text.reshape(values.shape)
 
 
 def _split_payload(split, names) -> dict:
@@ -219,12 +236,14 @@ def cmd_local(cfg: RunConfig) -> int:
 
     with _phase("emit"):
         if everyone:
+            # each phi float is formatted once, for the list and the panel
+            panel = make_panel(ds, cfg.method, attributions)
+            panel = dataclasses.replace(panel, bars=_repr_table(panel.bars))
             _write_json(
                 os.path.join(cfg.out, f"attributions_{cfg.method}.json"),
-                _attribution_payload(attributions, ds.names),
+                _attribution_payload(attributions, ds.names, panel.bars),
                 many=True,
             )
-            panel = make_panel(ds, cfg.method, attributions)
             write_panel_csv(panel, os.path.join(cfg.out, f"panel_{cfg.method}.csv"))
         else:
             for att in attributions:

@@ -169,12 +169,15 @@ def cohort_value_sweep(
     table = np.zeros(1 << ds.d) if mean else None
     phi = np.empty((ds.n, ds.d)) if rows else None
     totals = np.empty(ds.n) if rows else None
-    for s, tables in cohort_table_chunks(ds, resolved, np.arange(ds.n), squared):
-        if mean:
-            table += tables.sum(axis=1)
-        if rows:
-            phi[s : s + tables.shape[1]] = _phi_from_tables(tables, ds.d)
-            totals[s : s + tables.shape[1]] = tables[-1]
+    # overflowing cohort values make the table and rows non-finite, which
+    # the engines refuse
+    with np.errstate(over="ignore", invalid="ignore"):
+        for s, tables in cohort_table_chunks(ds, resolved, np.arange(ds.n), squared):
+            if mean:
+                table += tables.sum(axis=1)
+            if rows:
+                phi[s : s + tables.shape[1]] = _phi_from_tables(tables, ds.d)
+                totals[s : s + tables.shape[1]] = tables[-1]
     if mean:
         table /= ds.n
     return table, phi, totals

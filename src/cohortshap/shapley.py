@@ -9,14 +9,22 @@ first k orders are the same whatever the total count, and results do not
 depend on how the work is distributed. A reversed pair averages to the exact
 Shapley value on any game of main effects and pairwise interactions, so
 standard errors are taken over the pair means (see :func:`_stderr`).
-:func:`shapley_from_orders` is the estimator, on one game's values along the
-orders: :func:`shapley_permutation` reads them from a game, and the sweep of
-``aggregate.local_attributions`` gives it the values of many targets from
-one draw.
+:func:`shapley_from_orders` is the one estimator, on the increments that
+each feature's arrivals add to one game or to a block of games.
+:func:`shapley_permutation` takes one game's values along the orders and
+scatters their increments to the arriving features with one flat-index
+assignment (:func:`arrival_slots`). The sweep of
+``aggregate.local_attributions`` gives a block of targets' value columns at
+a time to :func:`gather_increments`, which gathers the whole block's
+increments at the rows where each feature joins each order
+(:func:`arrival_rows`, found once per draw). A block's increments are laid
+out one order a row, so the estimator's sums run along rows of every
+feature of every game in the block.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -56,6 +64,17 @@ def shapley_weight_table(d: int) -> np.ndarray:
     return np.array([1.0 / (d * math.comb(d - 1, s)) for s in range(d)])
 
 
+@functools.cache
+def _halves_weights(d: int) -> np.ndarray:
+    """The weights of the sets u without feature j, in the order of the low
+    half of :func:`bits.halves` whatever j is: those sets have the popcounts
+    of the (d-1)-bit lattice there (see :mod:`bits`). Built once per d and
+    read-only, since every contraction shares it."""
+    weights = shapley_weight_table(d)[subset_sizes(d - 1)]
+    weights.flags.writeable = False
+    return weights
+
+
 def _phi_from_tables(tables: np.ndarray, d: int) -> np.ndarray:
     """Exact Shapley from coalition-value tables.
 
@@ -65,15 +84,14 @@ def _phi_from_tables(tables: np.ndarray, d: int) -> np.ndarray:
     v(u + j) - v(u) against the weights of the sets u without j: one GEMV
     of the weights with the (2^(d-1), B) increments, which every feature
     writes into the same half-table buffer, allocated once per call, with
-    :func:`bits.pass_ufunc`. The sets without j have the popcounts of the
-    (d-1)-bit lattice in the buffer's order whatever j is (see :mod:`bits`),
-    so one weight vector, built once per call, serves every feature.
+    :func:`bits.pass_ufunc`. One weight vector, :func:`_halves_weights`,
+    serves every feature.
     """
     tables = np.ascontiguousarray(tables)
     if tables.shape[0] != 1 << d:
         raise ValueError("value table length does not match d")
     tables = tables.reshape(1 << d, -1)
-    weights = shapley_weight_table(d)[subset_sizes(d - 1)]
+    weights = _halves_weights(d)
     phi = np.empty((tables.shape[1], d))
     increments = np.empty((1 << (d - 1), tables.shape[1]))
     for j in range(d):
@@ -91,13 +109,16 @@ def _check_exact_cap(d: int) -> None:
 
 
 def shapley_exact(game: Game) -> Attribution:
-    """Evaluate every coalition once and apply the exact allocation formula."""
+    """Evaluate every coalition once and apply the exact allocation formula.
+    A game whose total or Shapley values overflow raises ValueError."""
     _check_exact_cap(game.d)
     values = game.value_table()
-    total = float(values[-1] - values[0])
-    if not math.isfinite(total):
+    # an overflow shows as a non-finite total or phi, refused below
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = float(values[-1] - values[0])
+        phi = _phi_from_tables(values, game.d)[0]
+    if not (math.isfinite(total) and np.isfinite(phi).all()):
         raise ValueError("game total is not finite")
-    phi = _phi_from_tables(values, game.d)[0]
     return Attribution(phi=phi, total=total, method=game.method, target=game.target)
 
 
@@ -138,46 +159,91 @@ def shapley_permutation(game: Game, m: int, seed: int) -> Attribution:
     order 2i is drawn and order 2i + 1 is its reverse, and order k depends
     only on (seed, k), so the estimate is reproducible and the orders of a
     smaller m are a prefix of those of a larger one. All (d + 1) * m
-    coalitions go to ``game.values`` in one call, and
-    :func:`shapley_from_orders` turns their values into the estimate.
+    coalitions go to ``game.values`` in one call. One subtract takes the
+    increments along each order, one flat-index assignment scatters them to
+    the features that arrive with them, and :func:`shapley_from_orders`
+    turns them into the estimate; the total is read from the first order,
+    which starts at the empty set and ends at the full one.
     """
     perms, masks = permutation_masks(game.d, m, seed)
     values = game.values(masks.reshape(-1)).reshape(masks.shape)
-    return shapley_from_orders(perms, values, game.method, game.target)
+    samples = np.empty((*perms.shape, 1))
+    # an overflow shows as a non-finite total or phi, refused by the estimator
+    with np.errstate(over="ignore", invalid="ignore"):
+        increments = values[:, 1:] - values[:, :-1]
+        totals = values[0, -1:] - values[0, :1]
+    samples.reshape(-1)[arrival_slots(perms)] = increments.reshape(-1)
+    return shapley_from_orders(samples, totals, game.method, [game.target])[0]
+
+
+def arrival_slots(perms: np.ndarray) -> np.ndarray:
+    """The flat index i * d + perms[i, k] of the k-th arrival of order i
+    among the (m, d) per-feature increments of the (m, d) orders ``perms``."""
+    m, d = perms.shape
+    return (perms + d * np.arange(m)[:, None]).reshape(-1)
+
+
+def arrival_rows(perms: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The (2, m, d) rows, in a table of coalition values, of the
+    coalitions just before and just after feature j joins order i of the
+    (m, d) orders ``perms``, placed by :func:`arrival_slots`; ``rows``
+    (m, d + 1) holds the table rows of the coalitions along each order."""
+    slots = arrival_slots(perms)
+    arrived = np.empty((2, *perms.shape), dtype=np.intp)
+    arrived[0].reshape(-1)[slots] = rows[:, :-1].reshape(-1)
+    arrived[1].reshape(-1)[slots] = rows[:, 1:].reshape(-1)
+    return arrived
+
+
+def gather_increments(arrived: np.ndarray, values: np.ndarray):
+    """The (m, d, B) increments that each feature's arrivals add to B
+    games, and their (B,) totals, from the (R, B) table ``values`` of the
+    games' coalition values, one column a game, whose first row is the
+    empty set and last row the full one, and the :func:`arrival_rows`
+    ``arrived`` into it. Two gathers and a subtract take the whole block,
+    and a game's total is its last value less its first."""
+    # an overflow shows as a non-finite total or phi, refused by the estimator
+    with np.errstate(over="ignore", invalid="ignore"):
+        samples = np.take(values, arrived[1].reshape(-1), axis=0)
+        samples -= np.take(values, arrived[0].reshape(-1), axis=0)
+        return samples.reshape(*arrived.shape[1:], -1), values[-1] - values[0]
 
 
 def shapley_from_orders(
-    perms: np.ndarray, values: np.ndarray, method: str, target: int | None = None
-) -> Attribution:
-    """The Monte Carlo estimate from m orders ``perms`` (m, d), laid out in
-    reversed pairs by :func:`permutation_masks`, and the values (m, d + 1)
-    of one game at the coalitions along each. Feature j's estimate is the
-    mean of the increments its arrivals add; the total is read from the
-    first order, which starts at the empty set and ends at the full one.
-    Standard errors come from :func:`_stderr`, over the pair means."""
-    m, d = perms.shape
-    # np.diff and np.mean by hand, bit for bit: on a few orders their
-    # Python wrappers cost a measurable share of a target's estimate
-    increments = values[:, 1:] - values[:, :-1]
-    samples = np.empty((m, d))
-    np.put_along_axis(samples, perms, increments, axis=1)
-    phi = samples.sum(axis=0) / m
-    total = float(values[0, -1] - values[0, 0])
-    if not (math.isfinite(total) and np.isfinite(phi).all()):
-        raise ValueError("game total is not finite")
-    return Attribution(
-        phi=phi,
-        total=total,
-        method=method,
-        target=target,
-        stderr=_stderr(samples),
-        permutations_used=m,
-    )
+    samples: np.ndarray, totals: np.ndarray, method: str, targets
+) -> list[Attribution]:
+    """The Monte Carlo estimates of B games from the (m, d, B) increments
+    ``samples`` that the arrivals of each feature add along m orders in
+    reversed pairs (:func:`permutation_masks`), with the games' (B,)
+    ``totals`` and their B ``targets``.
+
+    Feature j's estimate is the mean of its increments, and standard errors
+    come from :func:`_stderr`, over the pair means. A non-finite total,
+    estimate or standard error raises ValueError.
+    """
+    m = len(samples)
+    with np.errstate(over="ignore", invalid="ignore"):
+        # np.mean by hand, bit for bit: on a few orders its Python wrapper
+        # costs a measurable share of an estimate
+        phi = samples.sum(axis=0) / m
+        if not (np.isfinite(totals).all() and np.isfinite(phi).all()):
+            raise ValueError("game total is not finite")
+        stderr = _stderr(samples)
+    return [
+        Attribution(phi=row, total=total, method=method, target=t, stderr=error,
+                    permutations_used=m)
+        for row, total, t, error in zip(
+            np.ascontiguousarray(phi.T), totals.tolist(), targets,
+            np.ascontiguousarray(stderr.T),
+        )
+    ]
 
 
 def _stderr(samples: np.ndarray) -> np.ndarray:
-    """Per-feature standard error of the mean of the (m, d) increments of
-    orders in reversed pairs (rows 2i and 2i + 1).
+    """Per-feature standard errors (d, B) of the means of the (m, d, B)
+    increments of B games along m orders in reversed pairs (orders 2i and
+    2i + 1), under the caller's ``np.errstate``; ValueError if one is not
+    finite.
 
     The two orders of a pair are not independent, so with p = m // 2 >= 2
     pairs the variance of the sum is 4p times the sample variance of the
@@ -188,21 +254,25 @@ def _stderr(samples: np.ndarray) -> np.ndarray:
     deviation over sqrt(m) stands in.
 
     Squares of increments near the float limit overflow although their
-    deviation does not; such a feature's error is taken on its samples
-    scaled by their largest magnitude, which the error scales with."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        stderr = _raw_stderr(samples)
-        bad = ~np.isfinite(stderr)
-        if bad.any():
-            scale = np.abs(samples[:, bad]).max(axis=0)
-            stderr[bad] = _raw_stderr(samples[:, bad] / scale) * scale
+    deviation does not; such a feature's error is taken, game by game, on
+    its samples scaled by their largest magnitude, which the error scales
+    with."""
+    stderr = _raw_stderr(samples)
+    if np.isfinite(stderr).all():
+        return stderr
+    bad = ~np.isfinite(stderr)
+    for b in np.flatnonzero(bad.any(axis=0)):
+        columns = samples[:, bad[:, b], b]
+        scale = np.abs(columns).max(axis=0)
+        stderr[bad[:, b], b] = _raw_stderr(columns / scale) * scale
     if not np.isfinite(stderr).all():
         raise ValueError("Monte Carlo standard error is not finite")
     return stderr
 
 
 def _raw_stderr(samples: np.ndarray) -> np.ndarray:
-    """:func:`_stderr` without its guard against overflow."""
+    """:func:`_stderr` without its guard against overflow, over the orders
+    of ``samples``, its first axis."""
     m = len(samples)
     p = m // 2
     if p < 2:
@@ -216,8 +286,8 @@ def _raw_stderr(samples: np.ndarray) -> np.ndarray:
 
 
 def _squared_deviations(x: np.ndarray) -> np.ndarray:
-    """Per-column sums of the squared deviations of ``x`` from its column
-    means, without np.var's Python wrapper, a measurable share of the
+    """Sums along the first axis of the squared deviations of ``x`` from
+    their means, without np.var's Python wrapper, a measurable share of the
     standard error of a few orders."""
     deviations = x - x.sum(axis=0) / len(x)
     deviations *= deviations

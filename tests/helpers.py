@@ -426,6 +426,19 @@ def reference_panel_csv(panel, path) -> None:
             )
 
 
+def reference_rows(columns, newline, path) -> None:
+    """CSV lines of text and number cells by :mod:`csv`: a text cell as it
+    is, an int by ``str``, a float by ``repr``."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator=newline)
+        for row in zip(*columns):
+            writer.writerow([
+                cell if isinstance(cell, str)
+                else repr(float(cell)) if isinstance(cell, np.floating) else int(cell)
+                for cell in row
+            ])
+
+
 def reference_per_subject_csv(names, rows, path) -> None:
     """The per-subject squared cohort rows, one ``repr`` join a subject."""
     with open(path, "w", encoding="utf-8") as fh:

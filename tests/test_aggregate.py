@@ -2,6 +2,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cohortshap import (
     AbsoluteThreshold,
@@ -20,6 +22,7 @@ from cohortshap import (
     resolve_rules,
     shapley_engine,
     shapley_exact,
+    shapley_permutation,
     variance_shapley,
     write_panel_csv,
 )
@@ -219,6 +222,108 @@ def test_chunked_mc_sweeps_equal_unchunked_ones(
     for a, b in zip(got, want, strict=True):
         assert np.array_equal(a.phi, b.phi) and np.array_equal(a.stderr, b.stderr)
         assert a.total == b.total
+
+
+def _with_outliers(ds, huge: float):
+    """``ds`` with subject 0 at +10 and subject 1 at -10 on every column,
+    predicting +huge and -huge: under AbsoluteThreshold(0.8) rules only a
+    subject's own cohorts hold it, so the grand mean stays small and only
+    targets 0 and 1 have increments near ``huge``."""
+    X, y = ds.X.copy(), ds.y.copy()
+    X[0], X[1] = 10.0, -10.0
+    y[0], y[1] = huge, -huge
+    return attach_predictions(Dataset(schema=ds.schema, X=X), y)
+
+
+# predictions whose increments (cs) or squared values (cs2) come near 1e200
+# and 1e300: their squares in the standard error overflow
+HUGE = {"cs": 1e200, "cs2": 1e150}
+
+
+def _assert_blocks_equal_games(ds, method, targets, m, seed, per_block, chunk_targets,
+                               one_target_chunks=False):
+    """local_attributions under mc, with blocks of ``per_block`` targets and
+    chunks of at most ``chunk_targets``, equals each target's own game bit
+    for bit; returns its attributions."""
+    rules = [AbsoluteThreshold(0.8)] * ds.d
+    want = [shapley_permutation(make_game(method, ds, t, rules), m, seed) for t in targets]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(aggregate, "MASK_BLOCK_BYTES", 8 * m * ds.d * per_block)
+        mp.setattr(similarity, "MAX_CHUNK_TARGETS", chunk_targets)
+        if one_target_chunks:
+            mp.setattr(similarity, "CHUNK_BYTES", 8)
+        got = local_attributions(ds, method, targets, rules, engine="mc",
+                                 permutations=m, seed=seed)
+    assert [a.target for a in got] == list(targets)
+    for a, b in zip(got, want, strict=True):
+        assert np.array_equal(a.phi, b.phi) and np.array_equal(a.stderr, b.stderr)
+        assert (a.total, a.method, a.permutations_used) == (b.total, b.method, m)
+    return got
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_block_estimates_equal_per_target_games(data):
+    # each block of a chunk's targets is one estimate; every target's phi,
+    # stderr and total must be bit for bit those of its own game, whatever
+    # the chunk and the block that carry it and the targets beside it
+    lazy = data.draw(st.booleans(), label="lazy")
+    d = data.draw(st.integers(21, 22) if lazy else st.integers(2, 8), label="d")
+    n = data.draw(st.integers(8, 14) if lazy else st.integers(6, 30), label="n")
+    method = data.draw(st.sampled_from(["cs", "cs2"]), label="method")
+    m = data.draw(st.sampled_from([2, 3, 4, 5, 10, 41]), label="m")
+    seed = data.draw(st.integers(0, 2**16), label="seed")
+    ds = random_dataset(n, d, seed=seed)
+    targets = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=10),
+                        label="targets")
+    if data.draw(st.booleans(), label="outliers"):
+        # target 0's increments are near the float limit, in a block with
+        # ordinary targets
+        ds = _with_outliers(ds, HUGE[method])
+        targets = [0, *targets]
+    _assert_blocks_equal_games(
+        ds, method, targets, m, seed,
+        per_block=data.draw(st.integers(1, 4), label="targets per block"),
+        chunk_targets=data.draw(st.integers(1, 6), label="targets per chunk"),
+        one_target_chunks=data.draw(st.booleans(), label="one-target chunks"),
+    )
+
+
+@pytest.mark.parametrize("d", [5, 21])
+@pytest.mark.parametrize("method", ["cs", "cs2"])
+def test_stderr_fallback_in_a_mixed_block(method, d):
+    # target 0's raw standard errors overflow and take the scaled fallback
+    # in the one block it shares with two ordinary targets
+    ds = _with_outliers(random_dataset(12, d, seed=31), HUGE[method])
+    got = _assert_blocks_equal_games(ds, method, [3, 0, 5], 10, 4, per_block=3,
+                                     chunk_targets=3)
+    assert np.isfinite(got[1].stderr).all() and got[1].stderr.max() > 1e140
+    assert max(got[0].stderr.max(), got[2].stderr.max()) < 1e10
+
+
+def test_mc_blocks_bound_memory():
+    # 256 targets x 2000 orders at d = 14: unblocked, one target's samples
+    # (2000 x 14 floats) times a chunk's targets would take tens of MB; in
+    # blocks the estimates hold a few MASK_BLOCK_BYTES beyond the chunk
+    ds = random_dataset(256, 14, seed=9)
+    rules = [AbsoluteThreshold(0.5)] * 14
+    m = 2000
+    _, orders = shapley.permutation_masks(14, m, 3)
+    masks = shapley.distinct_masks(orders)[0][1:]
+    resolved = resolve_rules(rules, ds)
+    tracemalloc.start()
+    try:
+        for _ in games.cohort_value_chunks(ds, resolved, range(ds.n), masks, False):
+            pass
+        _, chunk_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        got = local_attributions(ds, "cs", rules=rules, engine="mc", permutations=m,
+                                 seed=3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(got) == 256 and all(np.isfinite(a.stderr).all() for a in got)
+    assert peak < chunk_peak + 8 * similarity.MASK_BLOCK_BYTES
 
 
 def test_sweep_memory_bounded_by_chunk():

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import shutil
 import sys
@@ -13,13 +14,17 @@ from cohortshap import (
     AbsoluteThreshold,
     ColumnSchema,
     Dataset,
+    TableGame,
     aggregate_squared_cs,
     attach_predictions,
     cli,
     games,
+    make_game,
     models,
+    shapley_exact,
 )
 from cohortshap.cli import main
+from cohortshap.config import RunConfig
 
 from .helpers import LoggingModel
 
@@ -195,6 +200,58 @@ def test_mc_rejects_non_finite_games(workdir, capsys):
                 assert "error: game total is not finite" in err
                 assert "Traceback" not in err
     assert not list(workdir.glob("out_*/*"))
+
+
+# Full factorials of t8's x1, x2, x3 whose exact totals are finite but
+# whose cohort values overflow: with +-1.7e308 predictions of opposite sign
+# on x1 = 0 and x1 = 1 the grand mean is 0, yet the four subjects of a cohort
+# fixing x1 sum past the float limit; with one prediction of 1e155 the
+# squared deviation of a two-subject cohort holding it overflows, while
+# targets 2 and 7, which share such a cohort with it, keep finite totals.
+HUGE_TABLES = {
+    "cs": [1.7e308 if i % 2 == 0 else -1.7e308 for i in range(8)],
+    "cs2": [1e155 if i == 6 else float(i) for i in range(8)],
+}
+
+
+def _huge_t8(workdir, method) -> str:
+    rows = ["x1,x2,x3,pred"]
+    for i, pred in enumerate(HUGE_TABLES[method]):
+        rows.append(f"{i % 2}.0,{i // 2 % 2}.0,{i // 4 % 2}.0,{pred!r}")
+    (workdir / "huge8.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
+    return "huge8.csv"
+
+
+@pytest.mark.parametrize("method", ["cs", "cs2"])
+def test_exact_rejects_non_finite_phi(workdir, capsys, method):
+    # finite totals but overflowing phi: the exact engine exits 1 as mc and
+    # global do, with no NaN or Infinity in an artifact and no raw numpy
+    # warning (the test configuration turns a RuntimeWarning into an error)
+    cfg = t8_config(workdir, data=_huge_t8(workdir, method), method=method)
+    for argv in (["local", "--targets", "all"], ["local", "--targets", "2,7"],
+                 ["global", "--method", "var"]):
+        assert run_cli([*argv, "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert "error: game total is not finite" in err and "Traceback" not in err
+    assert not (workdir / "out").exists()
+
+
+@pytest.mark.parametrize("method", ["cs", "cs2"])
+def test_shapley_exact_rejects_non_finite_phi(workdir, method):
+    cfg = RunConfig.load(str(t8_config(workdir, data=_huge_t8(workdir, method))), {})
+    ds, _ = cli._load_dataset(cfg)
+    rules = cfg.rules_for(ds.schema)
+    for t in (2, 7):
+        # numpy warns of the overflow in the game's cohort table
+        with np.errstate(over="ignore", invalid="ignore"):
+            game = make_game(method, ds, t, rules)
+        assert math.isfinite(game.value_table()[-1])
+        with pytest.raises(ValueError, match="game total is not finite"):
+            shapley_exact(game)
+    # a hand table: a finite total of 1.7e308, an increment of 3.4e308
+    game = TableGame(np.array([0.0, 0.0, -1.7e308, 1.7e308]), "cs")
+    with pytest.raises(ValueError, match="game total is not finite"):
+        shapley_exact(game)
 
 
 def test_mc_stderr_of_huge_increments_is_strict_json(workdir):

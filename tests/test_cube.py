@@ -6,15 +6,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cohortshap import (
+    ColumnSchema,
     CubeFunction,
+    Dataset,
+    Identity,
     anchored_cube,
     anova_cube,
     anova_effect_tables,
+    attach_predictions,
     reconstruct_cube,
     shapley_effects_independent,
     shapley_from_anchored,
     shapley_exact,
+    variance_shapley,
 )
+from cohortshap.aggregate import global_attribution
 from cohortshap.bits import subset_sizes
 from cohortshap.games import TableGame
 
@@ -191,3 +197,34 @@ def test_variance_effects_match_exhaustive_shapley_on_var_game():
     att = shapley_effects_independent(anova_cube(g, probs))
     assert att.phi == pytest.approx(phi, abs=1e-9)
     assert att.total == pytest.approx(total, abs=1e-10)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.integers(1, 6).flatmap(lambda d: st.lists(st.integers(1, 3), min_size=d, max_size=d)),
+    st.integers(0, 2**32 - 1),
+)
+def test_cohort_variance_shapley_equals_shapley_effects(grid, seed):
+    # the paper's GSA bridge: with identity rules on a table that realises a
+    # product measure on {0,1}^d, the var game is the closed Sobol' index,
+    # so variance Shapley and the subject mean of the squared cohort Shapley
+    # rows both equal the Shapley effects of the ANOVA. P(z_j = 1) = k_j / 4
+    # is realised by repeating corner u prod_j (k_j or 4 - k_j) times.
+    d = len(grid)
+    k = np.array(grid)
+    g = random_cube(d, seed)
+    corners = np.arange(1 << d)
+    bits = (corners[:, None] >> np.arange(d) & 1).astype(bool)
+    rows = np.repeat(corners, np.where(bits, k, 4 - k).prod(axis=1))
+    schema = tuple(ColumnSchema(f"z{j + 1}", "binary") for j in range(d))
+    X = (rows[:, None] >> np.arange(d) & 1).astype(float)
+    ds = attach_predictions(Dataset(schema=schema, X=X), g.values[rows])
+    assert ds.n == 4**d
+    effects = shapley_effects_independent(anova_cube(g, k / 4))
+    rules = [Identity()] * d
+    budget = 1e-12 * effects.total
+    direct = variance_shapley(ds, rules)
+    assert abs(direct.total - effects.total) <= budget
+    assert np.abs(direct.phi - effects.phi).max() <= budget
+    _, cs2_rows = global_attribution(ds, rules, per_subject=True)
+    assert np.abs(cs2_rows.mean(axis=0) - effects.phi).max() <= budget

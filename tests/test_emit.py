@@ -4,7 +4,10 @@
 fill one %-template per record. Their bytes must equal those of
 ``json.dump(indent=2)`` and of the per-cell ``csv.writer`` loop, kept in
 ``tests/helpers.py`` as references, for every value json and ``repr`` can
-write and for names that need escaping or quoting.
+write and for names that need escaping or quoting. A panel's phi floats are
+formatted once and shared as text by its attribution list and its CSV; the
+panels of a lazy (d = 21) Monte Carlo run and of a titanic-shaped exact run
+are checked against the references too.
 """
 
 import contextlib
@@ -33,7 +36,7 @@ from cohortshap import (
     shapley_from_anchored,
     write_panel_csv,
 )
-from cohortshap.aggregate import global_attribution
+from cohortshap.aggregate import global_attribution, write_rows
 from cohortshap.config import RunConfig
 
 from .helpers import (
@@ -42,8 +45,10 @@ from .helpers import (
     reference_named,
     reference_panel_csv,
     reference_per_subject_csv,
+    reference_rows,
     reference_split_payload,
 )
+from .conftest import random_dataset, titanic_shaped_surrogate
 from .test_cli import LINEAR_SPEC, SMALL_AUDIT, run_cli, t8_config, workdir  # noqa: F401
 
 EDGE_FLOATS = [
@@ -143,7 +148,31 @@ def test_panel_and_per_subject_csv_equal_csv_writer(tmp_path_factory, data):
                 lambda p: reference_per_subject_csv(names, bars, p))
 
 
-# -- the CLI on t8 against the reference encoders --------------------------
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_rows_of_text_and_numbers_equal_csv_writer(tmp_path_factory, data):
+    # a column of text, such as a panel's preformatted phi, is written as it
+    # is beside columns of ints and floats
+    n = data.draw(st.integers(1, 6))
+    columns = []
+    for kind in data.draw(st.lists(st.sampled_from(["text", "float", "int"]),
+                                   min_size=1, max_size=5)):
+        if kind == "int":
+            ints = data.draw(st.lists(st.integers(-10**9, 10**9), min_size=n, max_size=n))
+            columns.append(np.array(ints, dtype=np.int64))
+        else:
+            floats = _floats(data.draw, n)
+            columns.append(cli._repr_table(floats) if kind == "text" else floats)
+    newline = data.draw(st.sampled_from(["\n", "\r\n"]))
+
+    def write(path):
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            write_rows(fh, columns, newline)
+
+    _same_bytes(tmp_path_factory, write, lambda p: reference_rows(columns, newline, p))
+
+
+# -- the CLI against the reference encoders --------------------------------
 
 
 def _reference_files(tmp_path, artifacts: dict) -> dict:
@@ -244,6 +273,55 @@ def test_cli_artifacts_equal_reference_encoders(workdir):
             "max_discrepancy": float(np.max(np.abs(via_anchored.phi - direct.phi))),
         },
     )})
+
+
+def _panel_config(workdir, ds, similarity, engine) -> str:
+    """A ``local --targets all`` config of cs on ``ds``, written as CSV."""
+    rows = [",".join([*ds.names, "pred"])]
+    rows += [",".join(map(repr, [*x, p])) for x, p in zip(ds.X.tolist(), ds.y.tolist())]
+    (workdir / "table.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
+    cfg = {
+        "data": "table.csv",
+        "schema": {c.name: c.kind for c in ds.schema},
+        "prediction_column": "pred",
+        "similarity": similarity,
+        "method": "cs",
+        "engine": engine,
+        "permutations": 10,
+        "seed": 3,
+        "targets": "all",
+        "out": "panel",
+    }
+    (workdir / "panel.json").write_text(json.dumps(cfg), encoding="utf-8")
+    return "panel.json"
+
+
+@pytest.mark.parametrize("case", ["lazy-mc", "titanic-exact"])
+def test_panel_artifacts_equal_reference_encoders(workdir, case):
+    # the attribution list and the panel CSV share each phi's text
+    range_fraction = {"kind": "range_fraction", "frac": 0.1, "lo_q": 0.0, "hi_q": 1.0}
+    if case == "lazy-mc":
+        ds = random_dataset(40, 21, seed=11)
+        cfg_path = _panel_config(workdir, ds, {"default": {"kind": "abs", "delta": 0.8}},
+                                 "mc")
+    else:
+        ds, _ = titanic_shaped_surrogate()
+        similarity = {"default": {"kind": "identity"}, "age": range_fraction,
+                      "fare": range_fraction}
+        cfg_path = _panel_config(workdir, ds, similarity, "exact")
+    assert run_cli(["local", "--config", cfg_path]) == 0
+    cfg = RunConfig.load(str(cfg_path), {})
+    ds, _ = cli._load_dataset(cfg)
+    atts = local_attributions(ds, "cs", None, cfg.rules_for(ds.schema), None, "mean",
+                              cfg.engine, cfg.permutations, cfg.seed)
+    assert _written(workdir / "panel") == _reference_files(workdir, {
+        "attributions_cs.json": (
+            reference_json, [reference_attribution_payload(a, ds.names) for a in atts]
+        ),
+        "panel_cs.csv": (
+            lambda p, panel: reference_panel_csv(panel, p), make_panel(ds, "cs", atts)
+        ),
+    })
 
 
 @pytest.mark.parametrize("argv", [
