@@ -52,7 +52,6 @@ from .games import (
     TableGame,
     make_cs_game,
     make_game,
-    make_var_game,
 )
 from .models import (
     ConvergenceError,

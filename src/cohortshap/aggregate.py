@@ -1,18 +1,19 @@
 """Global sensitivity: variance Shapley, its per-subject disaggregation, and
 panels of per-subject attributions ordered by prediction.
 
-Every result is an :class:`Attribution`. :func:`global_attribution` takes
-both sides of the squared-cohort identity from one pass of
-:func:`games.cohort_value_sweep` over every subject's squared cohort table:
-the variance Shapley of the mean table (the direct route) and the
-per-subject squared cohort rows whose mean is the disaggregated route.
-:func:`local_attributions` is the one per-target builder: local runs and
-panels of every method and engine go through it, and :func:`make_panel`
-orders its rows into a panel. It is one loop over value chunks, a chunk of
-targets at a time, whether they come from the cohort tables or kernel or
-from the baseline sweep's model calls: an exact chunk is contracted whole
-into its targets' rows, and under Monte Carlo one draw of orders serves
-every target, with one estimate for each block of a chunk's targets.
+Every result is an :class:`Attribution`, and every one comes from one loop
+over value chunks, a chunk of targets at a time. :func:`local_attributions`
+is the one per-target builder: local runs and panels of every method and
+engine go through it, and :func:`make_panel` orders its rows into a panel.
+Its chunks come from the cohort tables or kernel or from the baseline
+sweep's model calls. :func:`global_attribution` reads the squared cohort
+values of every subject the same way: it sums each chunk into the subject
+mean, the var game, whose attribution is the variance Shapley, and with
+``per_subject`` contracts each chunk into the squared cohort rows whose
+mean is the disaggregated route. Both share one choice of masks and one
+contraction: an exact chunk is contracted whole into its targets' rows, and
+under Monte Carlo one draw of orders serves every target, with one estimate
+for each block of a chunk's targets.
 """
 
 from __future__ import annotations
@@ -22,16 +23,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bits import EXACT_CAP
 from .dataset import Dataset, DatasetError
 from .games import (
     COHORT_METHODS,
-    TableGame,
     _checked_targets,
     baseline_rows,
     baseline_sweep,
     cohort_value_chunks,
-    cohort_value_sweep,
-    make_var_game,
 )
 from .shapley import (
     Attribution,
@@ -41,7 +40,6 @@ from .shapley import (
     engine_masks,
     gather_increments,
     permutation_masks,
-    shapley_engine,
     shapley_from_orders,
 )
 from .similarity import MASK_BLOCK_BYTES, resolve_rules
@@ -66,16 +64,19 @@ def variance_shapley(
     seed: int = 0,
 ) -> Attribution:
     """Shapley split of the variance explained by refining on each feature:
-    the attribution of the var game, with the Monte Carlo standard errors
-    and permutation count under ``engine`` "mc"."""
-    return shapley_engine(make_var_game(ds, rules), engine, permutations, seed)
+    the attribution of the var game, the subject mean of the squared cohort
+    values, with the Monte Carlo standard errors and permutation count under
+    ``engine`` "mc". It is :func:`global_attribution` without the rows."""
+    return global_attribution(ds, rules, engine, permutations, seed)[0]
 
 
 def aggregate_squared_cs(ds: Dataset, rules) -> Attribution:
-    """The subject mean of every subject's squared cohort Shapley row, and of
-    their totals; by additivity this reproduces the variance Shapley feature
-    by feature."""
-    _, phi, totals = cohort_value_sweep(ds, resolve_rules(rules, ds), squared=True)
+    """The subject mean of every subject's exact squared cohort Shapley row
+    (:func:`local_attributions` of cs2), and of their totals; by additivity
+    this reproduces the variance Shapley feature by feature."""
+    attributions = local_attributions(ds, "cs2", rules=rules)
+    phi = np.array([att.phi for att in attributions])
+    totals = np.array([att.total for att in attributions])
     return Attribution(phi.mean(axis=0), float(totals.mean()), "cs2-aggregate")
 
 
@@ -87,20 +88,102 @@ def global_attribution(
     seed: int = 0,
     per_subject: bool = False,
 ) -> tuple[Attribution, np.ndarray | None]:
-    """The variance Shapley and, with ``per_subject``, the (n, d) squared
-    cohort Shapley rows of every subject, from one sweep of the squared
-    cohort tables.
+    """The variance Shapley and, with ``per_subject``, the (n, d) exact
+    squared cohort Shapley rows of every subject, from one sweep of the
+    squared cohort values of every subject.
 
-    The attribution is :func:`variance_shapley` by ``engine`` on the mean
-    table, and the rows' mean is :func:`aggregate_squared_cs`, each bit for
-    bit. Without ``per_subject`` the rows are None.
+    The masks and the contraction are those of :func:`local_attributions`.
+    Each chunk of :func:`games.cohort_value_chunks` is summed along its
+    subjects into one mean column, chunk after chunk in subject order, which
+    is divided by n and contracted by ``engine`` as the var game, with
+    ``target`` None. With ``per_subject`` the sweep reads every nonempty
+    set, and each chunk is also contracted into its subjects' exact rows,
+    whose mean is :func:`aggregate_squared_cs` bit for bit; under mc the
+    draw's rows are then gathered from the mean column. Without
+    ``per_subject`` the rows are None. Memory stays bounded by the chunk,
+    not by n x 2^d.
     """
-    if not per_subject:
-        return variance_shapley(ds, rules, engine, permutations, seed), None
-    table, phi, _ = cohort_value_sweep(
-        ds, resolve_rules(rules, ds), squared=True, rows=True, mean=True
-    )
-    return shapley_engine(TableGame(table, "var"), engine, permutations, seed), phi
+    if per_subject and ds.d > EXACT_CAP:
+        raise DatasetError(
+            f"d={ds.d}: per-subject rows need all 2^d cohort values, "
+            f"capped at d={EXACT_CAP}"
+        )
+    masks, draw = _mask_choice(ds.d, engine, permutations, seed)
+    swept = engine_masks(ds.d) if per_subject and draw is not None else masks
+    rows = np.empty((ds.n, ds.d)) if per_subject else None
+    mean = np.zeros(1 + len(swept))
+    chunks = cohort_value_chunks(ds, resolve_rules(rules, ds), range(ds.n), swept, True)
+    # an overflow shows as a non-finite total or phi, refused by the
+    # contraction
+    with np.errstate(over="ignore", invalid="ignore"):
+        for s, chunk in chunks:
+            mean += chunk.sum(axis=1)
+            if per_subject:
+                rows[s : s + chunk.shape[1]] = _exact_phi(chunk, ds.d)
+        mean /= ds.n
+        if swept is not masks:
+            mean = mean[np.concatenate(([0], masks))]
+        (direct,) = _contract(mean[:, None], ds.d, draw, "var", [None])
+    return direct, rows
+
+
+def _mask_choice(d: int, engine: str, permutations: int, seed: int):
+    """The sorted nonempty masks a sweep reads under ``engine``, and the draw
+    that contracts their values: every nonempty set and None for "exact"; for
+    "mc" the distinct coalitions of one draw of orders, and (arrived, block),
+    the rows where the draw's features join its orders in a table of the
+    empty set and those masks (:func:`shapley.arrival_rows`), and the
+    targets a block of increments holds, about MASK_BLOCK_BYTES of them."""
+    if engine == "exact":
+        return engine_masks(d), None
+    if engine != "mc":
+        raise ValueError(f"unknown engine {engine!r}")
+    perms, orders = permutation_masks(d, permutations, seed)
+    distinct, inverse = distinct_masks(orders)
+    arrived = arrival_rows(perms, inverse.reshape(orders.shape))
+    # numpy sums one column (d = 1) pairwise and several in order, so a
+    # one-feature block holds one target, as one game's estimate does
+    block = max(1, MASK_BLOCK_BYTES // (8 * perms.size)) if d > 1 else 1
+    # every order starts at the empty set, the smallest mask
+    return distinct[1:], (arrived, block)
+
+
+def _exact_phi(tables: np.ndarray, d: int) -> np.ndarray:
+    """The (B, d) exact Shapley rows of the lattice-major (2^d, B) ``tables``
+    by one :func:`shapley._phi_from_tables` call; ValueError where a total,
+    a table's last row, or a row is not finite."""
+    phi = _phi_from_tables(tables, d)
+    if not (np.isfinite(tables[-1]).all() and np.isfinite(phi).all()):
+        raise ValueError("game total is not finite")
+    return phi
+
+
+def _contract(chunk: np.ndarray, d: int, draw, method: str, targets) -> list[Attribution]:
+    """The attributions of the games of ``targets``, one a column of
+    ``chunk``, their values at the empty set and the masks of
+    :func:`_mask_choice`, whose ``draw`` they follow.
+
+    Exact, the chunk is the games' tables, contracted whole by
+    :func:`_exact_phi`, and their last row holds the totals. Under mc it goes
+    a block of columns at a time to :func:`shapley.gather_increments` and
+    then to :func:`shapley.shapley_from_orders`, one estimate a block, as
+    :func:`shapley.shapley_permutation` gives it one game's increments.
+    """
+    if draw is None:
+        phi = _exact_phi(chunk, d)
+        return [
+            Attribution(phi=row, total=float(total), method=method, target=t)
+            for t, row, total in zip(targets, phi, chunk[-1])
+        ]
+    arrived, block = draw
+    attributions = []
+    for b in range(0, chunk.shape[1], block):
+        # a contiguous copy of the block first: the gathers along the orders
+        # are random
+        values = np.ascontiguousarray(chunk[:, b : b + block])
+        samples, totals = gather_increments(arrived, values)
+        attributions += shapley_from_orders(samples, totals, method, targets[b : b + block])
+    return attributions
 
 
 def local_attributions(
@@ -117,72 +200,37 @@ def local_attributions(
     """Attributions of one per-target method for every target (all subjects
     when ``targets`` is None), in target order.
 
-    Every target is checked first, and cohort rules are resolved once. Every
-    method and engine is then one loop over value chunks, and no game is
-    built. The masks are every nonempty set (exact) or the distinct
-    coalitions of one draw of orders (mc). A chunk holds the values of its
-    targets at the empty set and the masks, one column per target, from
+    Every target and the engine are checked first, and cohort rules are
+    resolved once. Every method and engine is then one loop over value
+    chunks, and no game is built. The masks are every nonempty set (exact)
+    or the distinct coalitions of one draw of orders (mc), chosen once per
+    call by :func:`_mask_choice`. A chunk holds the values of its targets at
+    the empty set and the masks, one column per target, from
     :func:`games.cohort_value_chunks` for cs and cs2, or one target wide
     from :func:`games.baseline_sweep`, whose model calls the targets share,
-    for bs, bs2, abs and abs2. An exact chunk is the (2^d, B) tables of its
-    targets: one :func:`shapley._phi_from_tables` call contracts them, and
-    their last row holds the totals, and a chunk whose totals or values
-    overflow raises ValueError. Under mc the chunk goes a block of columns
-    at a time to :func:`shapley.gather_increments` and then to
-    :func:`shapley.shapley_from_orders`, one estimate a block, as
-    :func:`shapley.shapley_permutation` gives it one game's increments. A
-    block's increments, d per order and target, take at most about
-    MASK_BLOCK_BYTES, and the chunk rows where the draw's features join its
-    orders (:func:`shapley.arrival_rows`) are found once per call.
+    for bs, bs2, abs and abs2. :func:`_contract` turns each chunk into its
+    targets' attributions, and a chunk whose exact totals or values
+    overflow raises ValueError.
     """
     targets = range(ds.n) if targets is None else _checked_targets(ds, targets)
-    if engine not in ("exact", "mc"):
-        raise ValueError(f"unknown engine {engine!r}")
+    masks, draw = _mask_choice(ds.d, engine, permutations, seed)
     if method in COHORT_METHODS:
         if rules is None:
             raise DatasetError("cohort methods need similarity rules")
         resolved = resolve_rules(rules, ds)
-    else:
-        baselines = baseline_rows(method, ds, model, baseline)
-    if engine == "exact":
-        masks = engine_masks(ds.d)
-    else:
-        perms, orders = permutation_masks(ds.d, permutations, seed)
-        distinct, inverse = distinct_masks(orders)
-        # every order starts at the empty set, the smallest mask
-        masks = distinct[1:]
-        arrived = arrival_rows(perms, inverse.reshape(orders.shape))
-        # numpy sums one column (d = 1) pairwise and several in order, so
-        # a one-feature block holds one target, as one game's estimate does
-        block = max(1, MASK_BLOCK_BYTES // (8 * perms.size)) if ds.d > 1 else 1
-    if method in COHORT_METHODS:
         chunks = cohort_value_chunks(ds, resolved, targets, masks, method == "cs2")
     else:
+        baselines = baseline_rows(method, ds, model, baseline)
         sweep = baseline_sweep(model, baselines, method, ds.X[targets], masks)
         chunks = ((s, np.concatenate(([0.0], v))[:, None]) for s, v in enumerate(sweep))
     attributions = []
-    # an overflow shows as a non-finite total or phi, refused below and by
-    # the estimator
+    # an overflow shows as a non-finite total or phi, refused by the
+    # contraction
     with np.errstate(over="ignore", invalid="ignore"):
         for s, chunk in chunks:
-            chunk_targets = targets[s : s + chunk.shape[1]]
-            if engine == "mc":
-                for b in range(0, chunk.shape[1], block):
-                    # a contiguous copy of the block first: the gathers
-                    # along the orders are random
-                    values = np.ascontiguousarray(chunk[:, b : b + block])
-                    samples, totals = gather_increments(arrived, values)
-                    attributions += shapley_from_orders(
-                        samples, totals, method, chunk_targets[b : b + block]
-                    )
-                continue
-            phi = _phi_from_tables(chunk, ds.d)
-            if not (np.isfinite(chunk[-1]).all() and np.isfinite(phi).all()):
-                raise ValueError("game total is not finite")
-            attributions += [
-                Attribution(phi=row, total=float(total), method=method, target=t)
-                for t, row, total in zip(chunk_targets, phi, chunk[-1])
-            ]
+            attributions += _contract(
+                chunk, ds.d, draw, method, targets[s : s + chunk.shape[1]]
+            )
     return attributions
 
 

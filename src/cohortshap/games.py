@@ -1,16 +1,14 @@
 """Coalition value functions, built by one per-target factory
 (:func:`make_game`), and the sweeps over many targets.
 
-Cohort games (cs, cs2, var) average the cohort values of one target or of
-every subject, built from observed predictions by the kernels of
-:mod:`similarity`: a 2^d table up to EXACT_CAP features, else scored per
-requested subset. :func:`cohort_value_sweep` is the one pass over the
-cohort tables of every subject: it builds the var game's subject-mean table
-and every subject's exact cs or cs2 Shapley row.
+A cohort game (cs, cs2) holds the cohort values of one target, squared for
+cs2, built from observed predictions by the kernels of :mod:`similarity`: a
+2^d table up to EXACT_CAP features, else scored per requested subset.
 :func:`cohort_value_chunks` gives the values of many targets at one set of
-subsets, a chunk of targets at a time, by the same two kernels: the local
-sweep of ``aggregate.local_attributions`` reads them without building a
-game per target.
+subsets, a chunk of targets at a time, by the same two kernels: the sweeps
+of ``aggregate.local_attributions`` and ``aggregate.global_attribution``
+read them without building a game per target, and the var game of
+``global`` is their subject mean.
 
 A baseline game (bs, bs2, abs, abs2) queries a model at the hybrids of its
 target with the k rows of :func:`baseline_rows`. :func:`baseline_sweep`, a
@@ -30,13 +28,11 @@ import numpy as np
 from .bits import EXACT_CAP
 from .dataset import Dataset, DatasetError
 from .models import predict
-from .shapley import _phi_from_tables
 from .similarity import (
     cohort_table_chunks,
     cohort_value_tables,
     cohort_values,
     match_code_chunks,
-    resolve_rules,
     similarity_row,
     subset_int,
 )
@@ -125,62 +121,15 @@ class TableGame(Game):
 
 class _LazyCohortGame(Game):
     """A cohort game above EXACT_CAP: each requested subset is scored
-    against the match codes of the game's targets, a block at a time."""
+    against the match codes of the game's target."""
 
-    def __init__(self, ds: Dataset, method: str, target, codes, resolved):
+    def __init__(self, ds: Dataset, method: str, target, codes):
         super().__init__(ds.d, method, target)
-        self.ds = ds
-        self._codes = codes
-        self._resolved = resolved
+        self._y = ds.y
+        self._codes = codes[None]
 
     def _evaluate_many(self, masks: np.ndarray) -> np.ndarray:
-        if self._codes is not None:
-            chunks = [(0, self._codes[None])]
-        else:
-            chunks = match_code_chunks(self.ds, self._resolved, range(self.ds.n), 0)
-        total = np.zeros(len(masks))
-        targets = 0
-        for _, codes in chunks:
-            total += cohort_values(codes, self.ds.y, masks, self.method != "cs").sum(0)
-            targets += len(codes)
-        return total / targets
-
-
-def cohort_value_sweep(
-    ds: Dataset,
-    resolved,
-    squared: bool = False,
-    rows: bool = True,
-    mean: bool = False,
-):
-    """One pass over the cohort tables of every subject under ``resolved``
-    rules: (mean table, phi rows, totals).
-
-    Each chunk of :func:`similarity.cohort_table_chunks` is one lattice-major
-    (2^d, B) table of B subjects. With ``mean``, each chunk is summed along
-    its contiguous subject axis into one 2^d table, chunk after chunk in
-    subject order, which is divided by n at the end. With ``rows``, each
-    chunk is also contracted into the subjects' (B, d) exact Shapley rows,
-    and its last lattice row (the full set) gives their totals. What is not
-    asked for is None. Memory stays bounded by the chunk, not by n x 2^d.
-    """
-    if ds.d > EXACT_CAP:
-        raise DatasetError(f"d={ds.d} too large for the dense cohort sweep")
-    table = np.zeros(1 << ds.d) if mean else None
-    phi = np.empty((ds.n, ds.d)) if rows else None
-    totals = np.empty(ds.n) if rows else None
-    # overflowing cohort values make the table and rows non-finite, which
-    # the engines refuse
-    with np.errstate(over="ignore", invalid="ignore"):
-        for s, tables in cohort_table_chunks(ds, resolved, np.arange(ds.n), squared):
-            if mean:
-                table += tables.sum(axis=1)
-            if rows:
-                phi[s : s + tables.shape[1]] = _phi_from_tables(tables, ds.d)
-                totals[s : s + tables.shape[1]] = tables[-1]
-    if mean:
-        table /= ds.n
-    return table, phi, totals
+        return cohort_values(self._codes, self._y, masks, self.method != "cs")[0]
 
 
 def cohort_value_chunks(ds: Dataset, resolved, targets, masks, squared: bool):
@@ -208,22 +157,14 @@ def cohort_value_chunks(ds: Dataset, resolved, targets, masks, squared: bool):
         yield s, np.concatenate((np.zeros((len(codes), 1)), values), axis=1).T
 
 
-def _cohort_game(ds: Dataset, method: str, target=None, codes=None, resolved=None):
-    """The cohort game of ``method``: the cohort values (squared for cs2 and
-    var) of the one target whose match ``codes`` are given, or their average
-    over every subject under ``resolved`` rules."""
+def _cohort_game(ds: Dataset, method: str, target: int, codes: np.ndarray) -> Game:
+    """The cohort game of ``method`` for the one target whose match ``codes``
+    are given: its cohort values, squared for cs2."""
     if ds.predictions is None:
         raise DatasetError(f"the {method} game needs predictions attached")
-    squared = method != "cs"
     if ds.d > EXACT_CAP:
-        return _LazyCohortGame(ds, method, target, codes, resolved)
-    if codes is not None:
-        table = cohort_value_tables(codes, ds.y, ds.d, squared)
-    else:
-        table, _, _ = cohort_value_sweep(
-            ds, resolved, squared=squared, rows=False, mean=True
-        )
-    return TableGame(table, method, target)
+        return _LazyCohortGame(ds, method, target, codes)
+    return TableGame(cohort_value_tables(codes, ds.y, ds.d, method != "cs"), method, target)
 
 
 def make_cs_game(ds: Dataset, codes: np.ndarray, t: int) -> Game:
@@ -367,8 +308,3 @@ def make_game(
         return _cohort_game(ds, method, t, similarity_row(rules, ds, t))
     baselines = baseline_rows(method, ds, model, baseline)
     return _BaselineGame(ds, method, t, baselines, model)
-
-
-def make_var_game(ds: Dataset, rules) -> Game:
-    """Explained-variance values: the subject average of squared cohort values."""
-    return _cohort_game(ds, "var", resolved=resolve_rules(rules, ds))

@@ -5,7 +5,8 @@ enumeration and per-row python loops. None of it shares code with the
 library, so agreement between the two is meaningful evidence. The
 exceptions are not oracles: :func:`cohort` and :func:`dense` read one
 target's match codes (``similarity_row``) the way the tests ask about
-cohorts, and :class:`LoggingModel` is an external model that records what
+cohorts, :class:`ReferenceVarGame` averages the library's per-target cs2
+games, and :class:`LoggingModel` is an external model that records what
 each of its processes received. The artifact encoders at the end are the
 library's former writers, kept as references for its template writers.
 """
@@ -24,7 +25,9 @@ from cohortshap import (
     Identity,
     LinearModel,
     RelativeThreshold,
+    make_game,
 )
+from cohortshap.games import Game
 from cohortshap.similarity import in_cohort, subset_int
 
 
@@ -37,6 +40,19 @@ def cohort(codes, u, d):
 def dense(codes, d):
     """(n, d) boolean indicators: bit j of each subject's match code."""
     return (codes[:, None] >> np.arange(d) & 1).astype(bool)
+
+
+class ReferenceVarGame(Game):
+    """The var game by its definition: at each mask, the mean over subjects
+    of their cs2 games' values (:func:`make_game`). It shares no sweep with
+    the library, only the per-target games."""
+
+    def __init__(self, ds, rules):
+        super().__init__(ds.d, "var")
+        self.games = [make_game("cs2", ds, t, rules) for t in range(ds.n)]
+
+    def _evaluate_many(self, masks):
+        return np.mean([game.values(masks) for game in self.games], axis=0)
 
 
 def shapley_all_permutations(value, d):

@@ -24,10 +24,10 @@ from cohortshap import (
     anchored_cube,
     attach_predictions,
     fit_logistic,
+    local_attributions,
     make_game,
     predict,
     realism_curve,
-    resolve_rules,
     shapley_exact,
     shapley_from_anchored,
     shapley_permutation,
@@ -36,7 +36,7 @@ from cohortshap import (
 )
 from cohortshap.aggregate import global_attribution
 from cohortshap.audit import realism_splits
-from cohortshap.games import TableGame, cohort_value_sweep
+from cohortshap.games import TableGame
 
 from .conftest import (
     load_boston,
@@ -325,8 +325,9 @@ def test_criterion_9_performance_budget():
         label = "surrogate with the titanic shape (1045 x 6)"
     assert ds.n == 1045 and ds.d == 6
     start = time.perf_counter()
-    _, phi, totals = cohort_value_sweep(ds, resolve_rules(TITANIC_RULES, ds))
+    atts = local_attributions(ds, "cs", rules=TITANIC_RULES)
     elapsed = time.perf_counter() - start
+    phi = np.array([att.phi for att in atts])
     assert phi.shape == (1045, 6)
     assert np.isfinite(phi).all()
     # spot-check the sweep against the single-target path

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from cohortshap import (
     AbsoluteThreshold,
     Dataset,
+    DatasetError,
     Identity,
     LinearModel,
     RangeFraction,
@@ -18,7 +19,6 @@ from cohortshap import (
     local_attributions,
     make_game,
     make_panel,
-    make_var_game,
     resolve_rules,
     shapley_engine,
     shapley_exact,
@@ -28,8 +28,7 @@ from cohortshap import (
 )
 from cohortshap import aggregate, games, shapley, similarity
 from cohortshap.aggregate import global_attribution
-from cohortshap.games import cohort_value_sweep
-from cohortshap.shapley import _phi_from_tables
+from cohortshap.shapley import _phi_from_tables, engine_masks
 from cohortshap.similarity import (
     CHUNK_BYTES,
     MAX_CHUNK_TARGETS,
@@ -39,14 +38,30 @@ from cohortshap.similarity import (
 )
 
 from .conftest import random_dataset, t8_target
+from .helpers import ReferenceVarGame
 
 IDENT3 = [Identity()] * 3
 
 
 def _cs_rows(ds, rules, squared):
     """Exact cohort Shapley rows of every subject: (phi matrix, totals)."""
-    _, phi, totals = cohort_value_sweep(ds, resolve_rules(rules, ds), squared=squared)
-    return phi, totals
+    atts = local_attributions(ds, "cs2" if squared else "cs", rules=rules)
+    return np.array([att.phi for att in atts]), np.array([att.total for att in atts])
+
+
+def _var_columns(monkeypatch):
+    """The value columns that global_attribution contracts as the var game,
+    one a call, recorded as they go."""
+    seen = []
+    contract = aggregate._contract
+
+    def recording(chunk, d, draw, method, targets):
+        if method == "var":
+            seen.append(chunk[:, 0].copy())
+        return contract(chunk, d, draw, method, targets)
+
+    monkeypatch.setattr(aggregate, "_contract", recording)
+    return seen
 
 
 def test_t8_variance_shapley(t8):
@@ -122,8 +137,10 @@ def test_mc_cohort_panel_resolves_rules_once(monkeypatch, d):
         calls.append(1)
         return resolve_rules(rules, ds)
 
+    # games binds no resolve_rules of its own today; one bound there later
+    # would be counted too
     for module in (aggregate, games, similarity):
-        monkeypatch.setattr(module, "resolve_rules", counting)
+        monkeypatch.setattr(module, "resolve_rules", counting, raising=False)
     got = local_attributions(ds, "cs", rules=rules, engine="mc", permutations=20, seed=5)
     assert len(calls) == 1
     assert [a.target for a in got] == list(range(30))
@@ -367,7 +384,7 @@ def _two_pass(ds, rules, engine):
 
 @pytest.mark.parametrize("engine", ["exact", "mc"])
 @pytest.mark.parametrize("n", [40, 300])
-def test_one_sweep_matches_two_passes_bit_for_bit(engine, n):
+def test_one_sweep_matches_two_passes_bit_for_bit(monkeypatch, engine, n):
     # identity, absolute, relative and constant columns; 300 subjects take
     # two chunks at d = 6
     for seed in (5, 6):
@@ -378,6 +395,7 @@ def test_one_sweep_matches_two_passes_bit_for_bit(engine, n):
         rules = [Identity(), AbsoluteThreshold(0.5), AbsoluteThreshold(0.0),
                  RelativeThreshold(0.3), RelativeThreshold(0.0), AbsoluteThreshold(0.2)]
         table, want, rows, totals = _two_pass(ds, rules, engine)
+        var_columns = _var_columns(monkeypatch)
         direct, cs2_rows = global_attribution(
             ds, rules, engine, 300, 7, per_subject=True
         )
@@ -397,9 +415,53 @@ def test_one_sweep_matches_two_passes_bit_for_bit(engine, n):
         assert agg.method == "cs2-aggregate"
         assert np.array_equal(agg.phi, rows.mean(axis=0))
         assert agg.total == float(totals.mean())
-        assert np.array_equal(make_var_game(ds, rules).value_table(), table)
         lone, none = global_attribution(ds, rules, engine, 300, 7)
         assert none is None and np.array_equal(lone.phi, want.phi)
+        # the var game's values: the whole mean table, or under mc the rows
+        # of the draw's coalitions, whether the sweep read every set or them
+        draw = np.concatenate(([0], engine_masks(ds.d, engine, 300, 7)))
+        assert len(var_columns) == 3
+        for column in var_columns:
+            assert np.array_equal(column, table[draw])
+        monkeypatch.undo()
+
+
+def test_mc_var_game_does_not_depend_on_per_subject():
+    # 7 orders at d = 10 reach few of the 1023 nonempty sets: per-subject
+    # rows make the sweep read them all, and the draw's rows are then
+    # gathered from the mean table
+    ds = random_dataset(50, 10, seed=41)
+    rules = [AbsoluteThreshold(0.6)] * 10
+    assert len(engine_masks(10, "mc", 7, 2)) < 100
+    lone, none = global_attribution(ds, rules, "mc", 7, 2)
+    direct, rows = global_attribution(ds, rules, "mc", 7, 2, per_subject=True)
+    assert none is None
+    assert np.array_equal(direct.phi, lone.phi) and direct.total == lone.total
+    assert np.array_equal(direct.stderr, lone.stderr)
+    _, exact_rows = global_attribution(ds, rules, per_subject=True)
+    assert np.array_equal(rows, exact_rows)
+
+
+@pytest.mark.parametrize("d", [5, 21])
+def test_global_refuses_a_bad_engine_before_any_chunk(monkeypatch, d):
+    ds = random_dataset(30, d, seed=31, n_binary=d)
+    rules = [Identity()] * d
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a chunk was built")
+
+    for module, name in ((aggregate, "cohort_value_chunks"),
+                         (games, "cohort_table_chunks"), (games, "match_code_chunks")):
+        monkeypatch.setattr(module, name, refuse)
+    with pytest.raises(ValueError, match="unknown engine 'bogus'"):
+        variance_shapley(ds, rules, "bogus")
+    with pytest.raises(ValueError, match="unknown engine 'bogus'"):
+        global_attribution(ds, rules, "bogus", per_subject=d <= games.EXACT_CAP)
+    if d > games.EXACT_CAP:
+        # per-subject rows need the dense tables whatever the engine
+        for engine in ("exact", "mc"):
+            with pytest.raises(DatasetError, match="per-subject rows need all 2\\^d"):
+                global_attribution(ds, rules, engine, 20, per_subject=True)
 
 
 def test_disaggregation_identity_random():
@@ -413,12 +475,17 @@ def test_disaggregation_identity_random():
         assert agg.phi == pytest.approx(rows.mean(axis=0), abs=1e-12)
 
 
-def test_val_var_identity_all_subsets(t8):
-    game = make_var_game(t8, IDENT3)
+def test_val_var_identity_all_subsets(t8, monkeypatch):
+    var_columns = _var_columns(monkeypatch)
+    variance_shapley(t8, IDENT3)
     per_target = np.zeros(8)
     for t in range(t8.n):
         per_target += make_game("cs2", t8, t, IDENT3).value_table()
-    assert game.value_table() == pytest.approx(per_target / t8.n, abs=1e-12)
+    (table,) = var_columns
+    assert table == pytest.approx(per_target / t8.n, abs=1e-12)
+    assert ReferenceVarGame(t8, IDENT3).values(np.arange(8)) == pytest.approx(
+        table, abs=1e-12
+    )
 
 
 def test_unsquared_cs_aggregates_to_zero_on_full_factorial(t8):

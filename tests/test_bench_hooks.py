@@ -34,7 +34,9 @@ TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
 # Hooks the tracer still names although the code behind them is gone; the
 # benchmark drops them at its next change.
 KNOWN_ABSENT = {
+    "aggregate.cohort_value_sweep",
     "audit.realism_flags",
+    "games.make_var_game",
     "similarity._column_close",
 }
 
@@ -151,7 +153,20 @@ def test_global_sweeps_the_cohort_tables_once(tmp_path):
     assert (tmp_path / "out" / "per_subject_cs2.csv").exists()
     assert stats["similarity.cohort_table_chunks.chunks"] == one_pass
     assert stats["similarity.cohort_table_chunks.cells"] == ds.n << ds.d
-    assert stats["aggregate.cohort_value_sweep.calls"] == 1
+
+
+@pytest.mark.parametrize("d, engine", [(5, "exact"), (21, "mc")])
+def test_global_builds_no_game(tmp_path, d, engine):
+    # the var game is the subject mean of one sweep's chunks, so no global
+    # command asks a Game for a value, dense with per-subject rows or lazy
+    ds = random_dataset(60, d, seed=23, n_binary=d)
+    audit = {"per_subject": True} if engine == "exact" else {}
+    config = _config(tmp_path, ds, engine=engine, permutations=20, audit=audit)
+    code, _, stats = _traced_main(["global", "--config", str(config)])
+    assert code == 0
+    assert (tmp_path / "out" / "global_var.json").exists()
+    assert stats.get("games.values.calls", 0) == 0
+    assert stats.get("games.coalitions_requested", 0) == 0
 
 
 @pytest.mark.parametrize("d", [5, 21])

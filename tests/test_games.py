@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,12 +22,14 @@ from cohortshap import (
     is_realistic,
     local_attributions,
     make_game,
-    make_var_game,
     predict,
     realism_splits,
     resolve_rules,
     shapley_engine,
+    shapley_exact,
+    shapley_permutation,
     similarity_row,
+    variance_shapley,
 )
 from cohortshap.games import COHORT_METHODS, MODEL_METHODS, TableGame, _LazyCohortGame
 from cohortshap.shapley import engine_masks, permutation_masks
@@ -35,6 +38,7 @@ from cohortshap.similarity import cohort_value_tables, cohort_values, match_code
 from .conftest import random_dataset, t8_target
 from .helpers import (
     LoggingModel,
+    ReferenceVarGame,
     naive_baseline_value,
     naive_realism_split,
     points_csv,
@@ -124,15 +128,17 @@ def test_abs2_dominates_cs2_on_random_data():
 
 
 def test_var_values(t8):
-    g = make_var_game(t8, IDENT3)
+    g = ReferenceVarGame(t8, IDENT3)
     assert g.value([]) == 0.0
     assert g.value([0, 1, 2]) == pytest.approx(1.25)
     assert g.value([0]) == pytest.approx(1.0)
-    # subject-average of squared cohort games, coalition by coalition
-    per_target = np.zeros(8)
-    for t in range(t8.n):
-        per_target += make_game("cs2", t8, t, IDENT3).value_table()
-    assert g.value_table() == pytest.approx(per_target / t8.n, abs=1e-12)
+    # the library's var game is the same subject average, coalition by
+    # coalition: its exact Shapley values and total are the reference's
+    want = shapley_exact(g)
+    got = variance_shapley(t8, IDENT3)
+    assert got.method == "var" and got.target is None
+    assert got.total == pytest.approx(want.total, abs=1e-12)
+    assert got.phi == pytest.approx(want.phi, abs=1e-12)
 
 
 def test_purity(t8_games):
@@ -150,7 +156,7 @@ def test_purity(t8_games):
 def test_memo_evaluates_each_mask_once():
     ds = random_dataset(30, 6, seed=12)
     codes = match_codes(ds.X, resolve_rules([AbsoluteThreshold(0.5)] * 6, ds), ds.X)
-    game = _LazyCohortGame(ds, "cs", 4, codes[4], None)
+    game = _LazyCohortGame(ds, "cs", 4, codes[4])
     seen = []
     evaluate = game._evaluate_many
 
@@ -222,8 +228,6 @@ def test_local_attributions_reject_methods_without_a_game(t8):
 def test_lazy_cohort_game_above_table_cap():
     # d beyond the dense-table cap exercises the pattern-filter path; the
     # values must agree with a thin replica of the definition
-    from cohortshap import shapley_permutation
-
     ds = random_dataset(40, 21, seed=77, n_binary=21)
     rules = [Identity()] * 21
     g = make_game("cs", ds, 5, rules)
@@ -241,7 +245,8 @@ def test_lazy_cohort_game_above_table_cap():
 
 def test_lazy_var_game_above_table_cap():
     ds = random_dataset(25, 21, seed=78, n_binary=21)
-    g = make_var_game(ds, [Identity()] * 21)
+    rules = [Identity()] * 21
+    g = ReferenceVarGame(ds, rules)
     grand = ds.y.mean()
     u = [2, 9]
     acc = 0.0
@@ -252,6 +257,12 @@ def test_lazy_var_game_above_table_cap():
         acc += (ds.y[sel].mean() - grand) ** 2
     assert g.value(u) == pytest.approx(acc / ds.n, abs=1e-12)
     assert g.value([]) == 0.0
+    # the library's lazy var game reads the same values along the orders
+    want = shapley_permutation(g, 8, seed=1)
+    got = variance_shapley(ds, rules, "mc", 8, 1)
+    assert got.total == pytest.approx(want.total, abs=1e-12)
+    assert got.phi == pytest.approx(want.phi, abs=1e-12)
+    assert got.stderr == pytest.approx(want.stderr, abs=1e-12)
 
 
 def test_lazy_constant_column_adds_exact_zero_first():
@@ -328,11 +339,16 @@ def test_dense_and_lazy_cohort_games_agree(d, n, seed, rule_pool):
     for method in COHORT_METHODS:
         t = int(rng.integers(n))
         dense = make_game(method, ds, t, rules)
-        lazy = _LazyCohortGame(ds, method, t, codes[t], None)
+        lazy = _LazyCohortGame(ds, method, t, codes[t])
         assert lazy.values(masks) == pytest.approx(dense.value_table(), abs=1e-12)
-    lazy_var = _LazyCohortGame(ds, "var", None, None, resolved)
-    dense_var = make_var_game(ds, rules).value_table()
-    assert lazy_var.values(masks) == pytest.approx(dense_var, abs=1e-12)
+    # the var game's subject mean, by the sweep's dense tables and, with the
+    # table cap lowered below d, by its lazy kernel
+    dense_var = ReferenceVarGame(ds, rules).value_table()
+    for cap in (games.EXACT_CAP, 0):
+        with mock.patch.object(games, "EXACT_CAP", cap):
+            chunks = games.cohort_value_chunks(ds, resolved, range(n), masks[1:], True)
+            var = sum(chunk.sum(axis=1) for _, chunk in chunks) / n
+        assert var == pytest.approx(dense_var, abs=1e-12)
 
 
 SWEEP_COEF = (0.75, -1.5, 2.0, 0.125)

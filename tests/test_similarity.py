@@ -19,8 +19,9 @@ from cohortshap import (
     scale_rules,
     similarity_row,
 )
-from cohortshap import make_var_game, similarity
-from cohortshap.games import cohort_value_sweep
+from cohortshap import games, similarity
+from cohortshap.aggregate import global_attribution
+from cohortshap.shapley import engine_masks
 from cohortshap.similarity import (
     cohort_value_tables,
     code_dtype,
@@ -298,6 +299,13 @@ def test_narrow_code_tables_equal_int64_code_tables(d, squared):
     assert np.array_equal(got, want)
 
 
+def _swept(ds, rules):
+    """The outputs of global's one sweep with per-subject rows: the var
+    game's phi and total, and every subject's cs2 row."""
+    direct, rows = global_attribution(ds, rules, per_subject=True)
+    return direct.phi, direct.total, rows
+
+
 @pytest.mark.parametrize("n,d", [(200, 4), (50, 10)])
 def test_chunks_bound_codes_and_tables(monkeypatch, n, d):
     # a target's codes (8n bytes) outweigh its table (8 * 2^d bytes) at
@@ -305,7 +313,7 @@ def test_chunks_bound_codes_and_tables(monkeypatch, n, d):
     ds = random_dataset(n, d, seed=n + d)
     resolved = resolve_rules([AbsoluteThreshold(0.5)] * d, ds)
     targets = np.arange(n)
-    want = cohort_value_sweep(ds, resolved, squared=True, rows=True, mean=True)
+    want = _swept(ds, [AbsoluteThreshold(0.5)] * d)
     row = max(8 * n, 8 << d)
     for budget in (3 * row + 5, row - 1):  # three targets a chunk, then one
         monkeypatch.setattr(similarity, "CHUNK_BYTES", budget)
@@ -316,7 +324,7 @@ def test_chunks_bound_codes_and_tables(monkeypatch, n, d):
             assert np.array_equal(codes, match_codes(ds.X, resolved, points))
             chunks += 1
         assert chunks == -(-n // max(1, budget // row))
-        got = cohort_value_sweep(ds, resolved, squared=True, rows=True, mean=True)
+        got = _swept(ds, [AbsoluteThreshold(0.5)] * d)
         for a, b in zip(got, want):
             np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
 
@@ -375,28 +383,42 @@ def test_sweep_peak_stays_within_the_chunk_budget(monkeypatch):
     # float tables beside the contraction's half
     d, budget = 12, 1 << 20
     ds = random_dataset(120, d, seed=12)
-    resolved = resolve_rules([AbsoluteThreshold(0.7)] * d, ds)
-    want = cohort_value_sweep(ds, resolved, squared=True, rows=True, mean=True)
+    rules = [AbsoluteThreshold(0.7)] * d
+    want = _swept(ds, rules)
     monkeypatch.setattr(similarity, "CHUNK_BYTES", budget)
     tracemalloc.start()
     try:
-        got = cohort_value_sweep(ds, resolved, squared=True, rows=True, mean=True)
+        got = _swept(ds, rules)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     for a, b in zip(got, want):
         np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
-    assert peak < budget + sum(out.nbytes for out in got)
+    # the outputs: the rows, and the var game's mean table, summed beside
+    # the chunks
+    assert peak < budget + got[2].nbytes + (8 << d)
 
 
 def test_lazy_var_game_chunks_follow_the_budget(monkeypatch):
     ds = random_dataset(40, 22, seed=8)
     rules = [AbsoluteThreshold(0.8)] * 22
-    masks = np.random.default_rng(3).integers(0, 1 << 22, size=50)
-    want = make_var_game(ds, rules).values(masks)
-    monkeypatch.setattr(similarity, "CHUNK_BYTES", 8 * ds.n * 3)  # 14 chunks
-    got = make_var_game(ds, rules).values(masks)
-    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+    want, _ = global_attribution(ds, rules, "mc", 50, 3)
+    # a target is charged its values at the draw's masks, so three a chunk
+    masks = engine_masks(ds.d, "mc", 50, 3)
+    monkeypatch.setattr(similarity, "CHUNK_BYTES", 8 * len(masks) * 3)  # 14 chunks
+    chunks = []
+    sweep = similarity.match_code_chunks
+
+    def counting(*args):
+        for chunk in sweep(*args):
+            chunks.append(len(chunk[1]))
+            yield chunk
+
+    monkeypatch.setattr(games, "match_code_chunks", counting)
+    got, _ = global_attribution(ds, rules, "mc", 50, 3)
+    assert len(chunks) == 14
+    for a, b in ((got.phi, want.phi), (got.stderr, want.stderr), (got.total, want.total)):
+        np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
 
 
 def test_cohort_tables_match_masks():
