@@ -10,10 +10,12 @@ sweep's model calls. :func:`global_attribution` reads the squared cohort
 values of every subject the same way: it sums each chunk into the subject
 mean, the var game, whose attribution is the variance Shapley, and with
 ``per_subject`` contracts each chunk into the squared cohort rows whose
-mean is the disaggregated route. Both share one choice of masks and one
-contraction: an exact chunk is contracted whole into its targets' rows, and
-under Monte Carlo one draw of orders serves every target, with one estimate
-for each block of a chunk's targets.
+mean is the disaggregated route. Both read their masks from
+``shapley._mask_choice`` and contract their chunks by ``shapley._contract``,
+the one contraction the single-game API uses too: an exact chunk is
+contracted whole into its targets' rows, and under Monte Carlo one draw of
+orders serves every target, with one estimate for each block of a chunk's
+targets.
 """
 
 from __future__ import annotations
@@ -32,17 +34,8 @@ from .games import (
     baseline_sweep,
     cohort_value_chunks,
 )
-from .shapley import (
-    Attribution,
-    _phi_from_tables,
-    arrival_rows,
-    distinct_masks,
-    engine_masks,
-    gather_increments,
-    permutation_masks,
-    shapley_from_orders,
-)
-from .similarity import MASK_BLOCK_BYTES, resolve_rules
+from .shapley import Attribution, _contract, _exact_phi, _mask_choice
+from .similarity import resolve_rules
 
 
 @dataclass(frozen=True)
@@ -92,12 +85,12 @@ def global_attribution(
     squared cohort Shapley rows of every subject, from one sweep of the
     squared cohort values of every subject.
 
-    The masks and the contraction are those of :func:`local_attributions`.
-    Each chunk of :func:`games.cohort_value_chunks` is summed along its
-    subjects into one mean column, chunk after chunk in subject order, which
-    is divided by n and contracted by ``engine`` as the var game, with
-    ``target`` None. With ``per_subject`` the sweep reads every nonempty
-    set, and each chunk is also contracted into its subjects' exact rows,
+    The masks and the contraction are those of :mod:`shapley`, as in
+    :func:`local_attributions`. Each chunk of
+    :func:`games.cohort_value_chunks` is summed along its subjects into one
+    mean column, chunk after chunk in subject order, which is divided by n
+    and contracted by ``engine`` as the var game, with ``target`` None. With ``per_subject`` the sweep reads every set (masks
+    None), and each chunk is also contracted into its subjects' exact rows,
     whose mean is :func:`aggregate_squared_cs` bit for bit; under mc the
     draw's rows are then gathered from the mean column. Without
     ``per_subject`` the rows are None. Memory stays bounded by the chunk,
@@ -109,9 +102,10 @@ def global_attribution(
             f"capped at d={EXACT_CAP}"
         )
     masks, draw = _mask_choice(ds.d, engine, permutations, seed)
-    swept = engine_masks(ds.d) if per_subject and draw is not None else masks
+    # per-subject rows need every set, which None reads
+    swept = None if per_subject else masks
     rows = np.empty((ds.n, ds.d)) if per_subject else None
-    mean = np.zeros(1 + len(swept))
+    mean = np.zeros(1 << ds.d if swept is None else 1 + len(swept))
     chunks = cohort_value_chunks(ds, resolve_rules(rules, ds), range(ds.n), swept, True)
     # an overflow shows as a non-finite total or phi, refused by the
     # contraction
@@ -125,65 +119,6 @@ def global_attribution(
             mean = mean[np.concatenate(([0], masks))]
         (direct,) = _contract(mean[:, None], ds.d, draw, "var", [None])
     return direct, rows
-
-
-def _mask_choice(d: int, engine: str, permutations: int, seed: int):
-    """The sorted nonempty masks a sweep reads under ``engine``, and the draw
-    that contracts their values: every nonempty set and None for "exact"; for
-    "mc" the distinct coalitions of one draw of orders, and (arrived, block),
-    the rows where the draw's features join its orders in a table of the
-    empty set and those masks (:func:`shapley.arrival_rows`), and the
-    targets a block of increments holds, about MASK_BLOCK_BYTES of them."""
-    if engine == "exact":
-        return engine_masks(d), None
-    if engine != "mc":
-        raise ValueError(f"unknown engine {engine!r}")
-    perms, orders = permutation_masks(d, permutations, seed)
-    distinct, inverse = distinct_masks(orders)
-    arrived = arrival_rows(perms, inverse.reshape(orders.shape))
-    # numpy sums one column (d = 1) pairwise and several in order, so a
-    # one-feature block holds one target, as one game's estimate does
-    block = max(1, MASK_BLOCK_BYTES // (8 * perms.size)) if d > 1 else 1
-    # every order starts at the empty set, the smallest mask
-    return distinct[1:], (arrived, block)
-
-
-def _exact_phi(tables: np.ndarray, d: int) -> np.ndarray:
-    """The (B, d) exact Shapley rows of the lattice-major (2^d, B) ``tables``
-    by one :func:`shapley._phi_from_tables` call; ValueError where a total,
-    a table's last row, or a row is not finite."""
-    phi = _phi_from_tables(tables, d)
-    if not (np.isfinite(tables[-1]).all() and np.isfinite(phi).all()):
-        raise ValueError("game total is not finite")
-    return phi
-
-
-def _contract(chunk: np.ndarray, d: int, draw, method: str, targets) -> list[Attribution]:
-    """The attributions of the games of ``targets``, one a column of
-    ``chunk``, their values at the empty set and the masks of
-    :func:`_mask_choice`, whose ``draw`` they follow.
-
-    Exact, the chunk is the games' tables, contracted whole by
-    :func:`_exact_phi`, and their last row holds the totals. Under mc it goes
-    a block of columns at a time to :func:`shapley.gather_increments` and
-    then to :func:`shapley.shapley_from_orders`, one estimate a block, as
-    :func:`shapley.shapley_permutation` gives it one game's increments.
-    """
-    if draw is None:
-        phi = _exact_phi(chunk, d)
-        return [
-            Attribution(phi=row, total=float(total), method=method, target=t)
-            for t, row, total in zip(targets, phi, chunk[-1])
-        ]
-    arrived, block = draw
-    attributions = []
-    for b in range(0, chunk.shape[1], block):
-        # a contiguous copy of the block first: the gathers along the orders
-        # are random
-        values = np.ascontiguousarray(chunk[:, b : b + block])
-        samples, totals = gather_increments(arrived, values)
-        attributions += shapley_from_orders(samples, totals, method, targets[b : b + block])
-    return attributions
 
 
 def local_attributions(
@@ -204,12 +139,12 @@ def local_attributions(
     resolved once. Every method and engine is then one loop over value
     chunks, and no game is built. The masks are every nonempty set (exact)
     or the distinct coalitions of one draw of orders (mc), chosen once per
-    call by :func:`_mask_choice`. A chunk holds the values of its targets at
-    the empty set and the masks, one column per target, from
+    call by :func:`shapley._mask_choice`. A chunk holds the values of its
+    targets at the empty set and the masks, one column per target, from
     :func:`games.cohort_value_chunks` for cs and cs2, or one target wide
     from :func:`games.baseline_sweep`, whose model calls the targets share,
-    for bs, bs2, abs and abs2. :func:`_contract` turns each chunk into its
-    targets' attributions, and a chunk whose exact totals or values
+    for bs, bs2, abs and abs2. :func:`shapley._contract` turns each chunk
+    into its targets' attributions, and a chunk whose exact totals or values
     overflow raises ValueError.
     """
     targets = range(ds.n) if targets is None else _checked_targets(ds, targets)

@@ -134,13 +134,13 @@ class _LazyCohortGame(Game):
 
 def cohort_value_chunks(ds: Dataset, resolved, targets, masks, squared: bool):
     """The cohort values (squared with ``squared``) of ``targets`` at the
-    empty set and the sorted nonempty ``masks`` under ``resolved`` rules, a
-    chunk of targets at a time.
+    empty set and the sorted nonempty ``masks``, every one when None, under
+    ``resolved`` rules, a chunk of targets at a time.
 
     Yields (chunk_offset, values): column b of the (1 + len(masks), B)
     ``values`` belongs to target targets[chunk_offset + b], and its row 0 is
-    the empty set's 0, row 1 + i the value at masks[i]. Up to EXACT_CAP
-    features the values come from the tables of
+    the empty set's 0, row 1 + i the value at masks[i] (at mask i + 1 for
+    None). Up to EXACT_CAP features the values come from the tables of
     :func:`similarity.cohort_table_chunks`: when ``masks`` are every
     nonempty set they are those lattice-major tables, else rows gathered
     from them. Above it :func:`similarity.cohort_values` scores the masks on
@@ -148,7 +148,8 @@ def cohort_value_chunks(ds: Dataset, resolved, targets, masks, squared: bool):
     values.
     """
     if ds.d <= EXACT_CAP:
-        rows = None if len(masks) == (1 << ds.d) - 1 else np.concatenate(([0], masks))
+        every = masks is None or len(masks) == (1 << ds.d) - 1
+        rows = None if every else np.concatenate(([0], masks))
         for s, tables in cohort_table_chunks(ds, resolved, targets, squared):
             yield s, tables if rows is None else tables[rows]
         return
@@ -243,8 +244,9 @@ def _hybrid_block(X, masks, baselines: np.ndarray, start: int, stop: int):
 
 
 def baseline_sweep(model, baselines, method: str, X, masks, per_baseline: bool = False):
-    """The values of the nonempty ``masks`` in the ``method`` games of every
-    target row of ``X``, under ``model`` and the (k, d) ``baselines``.
+    """The values of the nonempty ``masks`` (every one when None) in the
+    ``method`` games of every target row of ``X``, under ``model`` and the
+    (k, d) ``baselines``.
     Yields one (len(masks),) array per row of X, in order, or with
     ``per_baseline`` its (len(masks), k) per-baseline differences.
 
@@ -260,8 +262,8 @@ def baseline_sweep(model, baselines, method: str, X, masks, per_baseline: bool =
     """
     if not len(X):
         return
-    masks = np.asarray(masks, dtype=np.int64)
     k, d = baselines.shape
+    masks = np.asarray(np.arange(1, 1 << d) if masks is None else masks, dtype=np.int64)
     total, size = k * (1 + len(X) * len(masks)), max(1, POINT_CHUNK // d)
     blocks = (
         _hybrid_block(X, masks, baselines, s, min(s + size, total))

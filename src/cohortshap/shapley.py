@@ -1,25 +1,22 @@
-"""Shapley engines: exact lattice evaluation and permutation Monte Carlo.
+"""Shapley engines, exact and permutation Monte Carlo, with one choice of
+masks (:func:`_mask_choice`) and one contraction (:func:`_contract`). The
+single-game API hands the contraction one game's values as one column, and
+the sweeps of :mod:`aggregate` a chunk of targets' columns at a time.
 
-The exact engine materializes the 2^d coalition values once and contracts
-them against combinatorial weights. The Monte Carlo engine averages marginal
+The exact engine contracts all 2^d coalition values against combinatorial
+weights (:func:`_phi_from_tables`). The Monte Carlo engine averages marginal
 increments over sampled feature orders in antithetic pairs: order 2i ranks
 block i of one counter-based Philox stream keyed by the seed, and order
 2i + 1 is order 2i reversed. Order k thus depends only on (seed, k), so the
 first k orders are the same whatever the total count, and results do not
 depend on how the work is distributed. A reversed pair averages to the exact
 Shapley value on any game of main effects and pairwise interactions, so
-standard errors are taken over the pair means (see :func:`_stderr`).
-:func:`shapley_from_orders` is the one estimator, on the increments that
-each feature's arrivals add to one game or to a block of games.
-:func:`shapley_permutation` takes one game's values along the orders and
-scatters their increments to the arriving features with one flat-index
-assignment (:func:`arrival_slots`). The sweep of
-``aggregate.local_attributions`` gives a block of targets' value columns at
-a time to :func:`gather_increments`, which gathers the whole block's
-increments at the rows where each feature joins each order
-(:func:`arrival_rows`, found once per draw). A block's increments are laid
-out one order a row, so the estimator's sums run along rows of every
-feature of every game in the block.
+standard errors are taken over the pair means (see :func:`_stderr`). A draw's empty set and distinct
+coalitions are each read once, and the last draw is kept (:func:`_draw`).
+:func:`gather_increments` takes a block of games' increments at the rows
+where each feature joins each order (:func:`arrival_rows`), one order a
+row, and :func:`shapley_from_orders`, the one estimator, sums them along
+rows of every feature of every game in the block.
 """
 
 from __future__ import annotations
@@ -32,6 +29,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .bits import EXACT_CAP, halves, pass_ufunc, subset_sizes
+from .similarity import MASK_BLOCK_BYTES
 
 if TYPE_CHECKING:
     from .games import Game
@@ -108,20 +106,6 @@ def _check_exact_cap(d: int) -> None:
         )
 
 
-def shapley_exact(game: Game) -> Attribution:
-    """Evaluate every coalition once and apply the exact allocation formula.
-    A game whose total or Shapley values overflow raises ValueError."""
-    _check_exact_cap(game.d)
-    values = game.value_table()
-    # an overflow shows as a non-finite total or phi, refused below
-    with np.errstate(over="ignore", invalid="ignore"):
-        total = float(values[-1] - values[0])
-        phi = _phi_from_tables(values, game.d)[0]
-    if not (math.isfinite(total) and np.isfinite(phi).all()):
-        raise ValueError("game total is not finite")
-    return Attribution(phi=phi, total=total, method=game.method, target=game.target)
-
-
 def _permutations(d: int, m: int, seed: int) -> np.ndarray:
     """m orders of range(d) in antithetic pairs, as an (m, d) int64 array.
 
@@ -152,47 +136,125 @@ def permutation_masks(d: int, m: int, seed: int) -> tuple[np.ndarray, np.ndarray
     return perms, masks
 
 
-def shapley_permutation(game: Game, m: int, seed: int) -> Attribution:
-    """Monte Carlo Shapley from m sampled feature orders.
-
-    The orders and their coalitions come from :func:`permutation_masks`:
-    order 2i is drawn and order 2i + 1 is its reverse, and order k depends
-    only on (seed, k), so the estimate is reproducible and the orders of a
-    smaller m are a prefix of those of a larger one. All (d + 1) * m
-    coalitions go to ``game.values`` in one call. One subtract takes the
-    increments along each order, one flat-index assignment scatters them to
-    the features that arrive with them, and :func:`shapley_from_orders`
-    turns them into the estimate; the total is read from the first order,
-    which starts at the empty set and ends at the full one.
-    """
-    perms, masks = permutation_masks(game.d, m, seed)
-    values = game.values(masks.reshape(-1)).reshape(masks.shape)
-    samples = np.empty((*perms.shape, 1))
-    # an overflow shows as a non-finite total or phi, refused by the estimator
-    with np.errstate(over="ignore", invalid="ignore"):
-        increments = values[:, 1:] - values[:, :-1]
-        totals = values[0, -1:] - values[0, :1]
-    samples.reshape(-1)[arrival_slots(perms)] = increments.reshape(-1)
-    return shapley_from_orders(samples, totals, game.method, [game.target])[0]
-
-
-def arrival_slots(perms: np.ndarray) -> np.ndarray:
-    """The flat index i * d + perms[i, k] of the k-th arrival of order i
-    among the (m, d) per-feature increments of the (m, d) orders ``perms``."""
-    m, d = perms.shape
-    return (perms + d * np.arange(m)[:, None]).reshape(-1)
-
-
 def arrival_rows(perms: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """The (2, m, d) rows, in a table of coalition values, of the
-    coalitions just before and just after feature j joins order i of the
-    (m, d) orders ``perms``, placed by :func:`arrival_slots`; ``rows``
-    (m, d + 1) holds the table rows of the coalitions along each order."""
-    slots = arrival_slots(perms)
-    arrived = np.empty((2, *perms.shape), dtype=np.intp)
+    coalitions just before ([0, i, j]) and just after ([1, i, j]) feature j
+    joins order i of the (m, d) orders ``perms``; ``rows`` (m, d + 1) holds
+    the table rows of the coalitions along each order."""
+    m, d = perms.shape
+    # the k-th arrival of order i goes to flat index i * d + perms[i, k]
+    slots = (perms + d * np.arange(m)[:, None]).reshape(-1)
+    arrived = np.empty((2, m, d), dtype=np.intp)
     arrived[0].reshape(-1)[slots] = rows[:, :-1].reshape(-1)
     arrived[1].reshape(-1)[slots] = rows[:, 1:].reshape(-1)
     return arrived
+
+
+@functools.lru_cache(maxsize=1)
+def _draw(d: int, m: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted distinct nonempty coalitions along the m orders of
+    :func:`permutation_masks` keyed by ``seed``, and the :func:`arrival_rows`
+    of those orders in a table of the empty set and those coalitions. A
+    loop of single games draws the same orders for every game, so the last
+    draw is kept; its arrays are read-only, since every caller shares them."""
+    perms, orders = permutation_masks(d, m, seed)
+    distinct, inverse = distinct_masks(orders)
+    arrived = arrival_rows(perms, inverse.reshape(orders.shape))
+    distinct.flags.writeable = arrived.flags.writeable = False
+    # every order starts at the empty set, the smallest mask
+    return distinct[1:], arrived
+
+
+def _mask_choice(d: int, engine: str, permutations: int, seed: int):
+    """The sorted nonempty masks at which a game, or a sweep of games, is
+    read under ``engine``, and the draw that contracts their values: None
+    and None for "exact", which reads every set; for "mc" the masks of
+    :func:`_draw`, and (arrived, block), its arrival rows and the games a
+    block of increments holds, about MASK_BLOCK_BYTES of them."""
+    if engine == "exact":
+        _check_exact_cap(d)
+        return None, None
+    if engine != "mc":
+        raise ValueError(f"unknown engine {engine!r}")
+    masks, arrived = _draw(d, permutations, seed)
+    # numpy sums one column (d = 1) pairwise and several in order, so a
+    # one-feature block holds one game, whose estimate then does not depend
+    # on the games beside it
+    block = max(1, MASK_BLOCK_BYTES // (8 * arrived[0].size)) if d > 1 else 1
+    return masks, (arrived, block)
+
+
+def _exact_phi(tables: np.ndarray, d: int) -> np.ndarray:
+    """The (B, d) exact Shapley rows of the lattice-major (2^d, B) ``tables``
+    by one :func:`_phi_from_tables` call; ValueError where a total, a
+    table's last row, or a row is not finite."""
+    phi = _phi_from_tables(tables, d)
+    if not (np.isfinite(tables[-1]).all() and np.isfinite(phi).all()):
+        raise ValueError("game total is not finite")
+    return phi
+
+
+def _contract(chunk: np.ndarray, d: int, draw, method: str, targets) -> list[Attribution]:
+    """The attributions of the games of ``targets``, one a column of
+    ``chunk``, their values at the empty set and the masks of
+    :func:`_mask_choice`, whose ``draw`` they follow. This is the one
+    contraction: every Shapley value of the package comes from it.
+
+    Exact, the chunk is the games' tables, contracted whole by
+    :func:`_exact_phi`, and their last row holds the totals. Under mc it goes
+    a block of columns at a time to :func:`gather_increments` and then to
+    :func:`shapley_from_orders`, one estimate a block.
+    """
+    if draw is None:
+        phi = _exact_phi(chunk, d)
+        return [
+            Attribution(phi=row, total=float(total), method=method, target=t)
+            for t, row, total in zip(targets, phi, chunk[-1])
+        ]
+    arrived, block = draw
+    attributions = []
+    for b in range(0, chunk.shape[1], block):
+        # a contiguous copy of the block first: the gathers along the orders
+        # are random
+        values = np.ascontiguousarray(chunk[:, b : b + block])
+        samples, totals = gather_increments(arrived, values)
+        attributions += shapley_from_orders(samples, totals, method, targets[b : b + block])
+    return attributions
+
+
+def shapley_engine(
+    game: Game, engine: str = "exact", permutations: int = 1000, seed: int = 0
+) -> Attribution:
+    """Shapley values of ``game`` by the named engine, "exact" or "mc": the
+    game's values at the empty set and the masks of :func:`_mask_choice`,
+    each asked once, contracted by :func:`_contract` as one column, the way
+    a sweep contracts a chunk of targets. Exact reads the game's 2^d table;
+    mc reads the distinct coalitions of the draw. A game whose total or
+    Shapley values overflow raises ValueError."""
+    masks, draw = _mask_choice(game.d, engine, permutations, seed)
+    if masks is None:
+        values = game.value_table()
+    else:
+        values = game.values(np.concatenate(([0], masks)))
+    # an overflow shows as a non-finite total or phi, refused by the
+    # contraction
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _contract(values[:, None], game.d, draw, game.method, [game.target])[0]
+
+
+def shapley_exact(game: Game) -> Attribution:
+    """Every coalition evaluated once and the exact allocation formula
+    applied: :func:`shapley_engine` under "exact"."""
+    return shapley_engine(game, "exact")
+
+
+def shapley_permutation(game: Game, m: int, seed: int) -> Attribution:
+    """Monte Carlo Shapley from m sampled feature orders:
+    :func:`shapley_engine` under "mc". Order 2i is drawn and order 2i + 1
+    is its reverse (:func:`permutation_masks`), and order k depends only on
+    (seed, k), so the estimate is reproducible and the orders of a smaller
+    m are a prefix of those of a larger one."""
+    return shapley_engine(game, "mc", m, seed)
 
 
 def gather_increments(arrived: np.ndarray, values: np.ndarray):
@@ -292,32 +354,6 @@ def _squared_deviations(x: np.ndarray) -> np.ndarray:
     deviations = x - x.sum(axis=0) / len(x)
     deviations *= deviations
     return deviations.sum(axis=0)
-
-
-def shapley_engine(
-    game: Game, engine: str = "exact", permutations: int = 1000, seed: int = 0
-) -> Attribution:
-    """Shapley values of ``game`` by the named engine, "exact" or "mc"."""
-    if engine == "exact":
-        return shapley_exact(game)
-    if engine == "mc":
-        return shapley_permutation(game, permutations, seed)
-    raise ValueError(f"unknown engine {engine!r}")
-
-
-def engine_masks(
-    d: int, engine: str = "exact", permutations: int = 1000, seed: int = 0
-) -> np.ndarray:
-    """The sorted nonempty coalitions that :func:`shapley_engine` reads from a
-    d-feature game under the same arguments: every one for "exact", those
-    along the sampled orders for "mc"."""
-    if engine == "exact":
-        _check_exact_cap(d)
-        return np.arange(1, 1 << d, dtype=np.int64)
-    if engine == "mc":
-        # every order starts at the empty set, the smallest mask
-        return distinct_masks(permutation_masks(d, permutations, seed)[1])[0][1:]
-    raise ValueError(f"unknown engine {engine!r}")
 
 
 def distinct_masks(masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -6,9 +6,12 @@ library, so agreement between the two is meaningful evidence. The
 exceptions are not oracles: :func:`cohort` and :func:`dense` read one
 target's match codes (``similarity_row``) the way the tests ask about
 cohorts, :class:`ReferenceVarGame` averages the library's per-target cs2
-games, and :class:`LoggingModel` is an external model that records what
-each of its processes received. The artifact encoders at the end are the
-library's former writers, kept as references for its template writers.
+games, :func:`scatter_permutation` shares the library's draw of orders and
+its estimator but not its contraction, :func:`chosen_masks` reads the
+library's mask choice, and :class:`LoggingModel` is an external model that
+records what each of its processes received. The artifact encoders at the
+end are the library's former writers, kept as references for its template
+writers.
 """
 
 import csv
@@ -28,6 +31,12 @@ from cohortshap import (
     make_game,
 )
 from cohortshap.games import Game
+from cohortshap.shapley import (
+    Attribution,
+    _mask_choice,
+    permutation_masks,
+    shapley_from_orders,
+)
 from cohortshap.similarity import in_cohort, subset_int
 
 
@@ -220,6 +229,45 @@ def per_bit_gather_contraction(tables, d):
         np.subtract(hi, lo, out=increments.reshape(lo.shape))
         phi[:, j] = weights @ increments
     return phi
+
+
+def scatter_permutation(game, m, seed):
+    """The Monte Carlo estimate of ``game`` on m orders of the library's
+    draw, as the library computed it before single games went through the
+    sweep's contraction: every coalition along every order asked of the
+    game in one call, one subtract along each order, and one flat-index
+    assignment that scatters each increment to the feature arriving with
+    it. It shares the draw and the estimator with the library, not the
+    distinct masks, arrival rows or gathers of its contraction."""
+    perms, masks = permutation_masks(game.d, m, seed)
+    values = game.values(masks.reshape(-1)).reshape(masks.shape)
+    samples = np.empty((*perms.shape, 1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        increments = values[:, 1:] - values[:, :-1]
+        totals = values[0, -1:] - values[0, :1]
+    slots = (perms + game.d * np.arange(m)[:, None]).reshape(-1)
+    samples.reshape(-1)[slots] = increments.reshape(-1)
+    return shapley_from_orders(samples, totals, game.method, [game.target])[0]
+
+
+def reference_shapley(game, engine, m, seed):
+    """The attribution of ``game`` by code the library's contraction does not
+    share: :func:`scatter_permutation` under "mc", and under "exact"
+    :func:`per_bit_gather_contraction` of the game's value table, whose
+    total is its last value less its first."""
+    if engine == "mc":
+        return scatter_permutation(game, m, seed)
+    table = game.value_table()
+    phi = per_bit_gather_contraction(table, game.d)[0]
+    total = float(table[-1] - table[0])
+    return Attribution(phi=phi, total=total, method=game.method, target=game.target)
+
+
+def chosen_masks(d, engine, m, seed):
+    """The sorted nonempty masks a sweep reads under ``engine``: those of
+    the library's mask choice, or every nonempty set where it returns None."""
+    masks, _ = _mask_choice(d, engine, m, seed)
+    return np.arange(1, 1 << d, dtype=np.int64) if masks is None else masks
 
 
 def anova_sigma2_naive(g_values, probs):

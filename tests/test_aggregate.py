@@ -22,13 +22,12 @@ from cohortshap import (
     resolve_rules,
     shapley_engine,
     shapley_exact,
-    shapley_permutation,
     variance_shapley,
     write_panel_csv,
 )
 from cohortshap import aggregate, games, shapley, similarity
 from cohortshap.aggregate import global_attribution
-from cohortshap.shapley import _phi_from_tables, engine_masks
+from cohortshap.shapley import _phi_from_tables
 from cohortshap.similarity import (
     CHUNK_BYTES,
     MAX_CHUNK_TARGETS,
@@ -38,7 +37,7 @@ from cohortshap.similarity import (
 )
 
 from .conftest import random_dataset, t8_target
-from .helpers import ReferenceVarGame
+from .helpers import ReferenceVarGame, chosen_masks, scatter_permutation
 
 IDENT3 = [Identity()] * 3
 
@@ -130,7 +129,7 @@ def test_mc_cohort_panel_resolves_rules_once(monkeypatch, d):
     # for the dense (d = 4) and the lazy (d = 21) games alike
     ds = random_dataset(30, d, seed=23)
     rules = [RangeFraction(0.3)] * d
-    want = [shapley_engine(make_game("cs", ds, t, rules), "mc", 20, 5) for t in range(30)]
+    want = [scatter_permutation(make_game("cs", ds, t, rules), 20, 5) for t in range(30)]
     calls = []
 
     def counting(rules, ds):
@@ -162,9 +161,11 @@ def test_mc_sweep_draws_the_orders_once(monkeypatch, method, d):
     model = LinearModel(tuple(np.linspace(-1.0, 1.0, d)), 0.5)
     targets = [3, 17, 3, 29]
     want = [
-        shapley_engine(make_game(method, ds, t, rules, model), "mc", 20, 5)
+        scatter_permutation(make_game(method, ds, t, rules, model), 20, 5)
         for t in targets
     ]
+    # an earlier call may have left this draw in the memo
+    shapley._draw.cache_clear()
     draws, draw = [], shapley._permutations
 
     def counting(d, m, seed):
@@ -263,9 +264,9 @@ def _assert_blocks_equal_games(ds, method, targets, m, seed, per_block, chunk_ta
     chunks of at most ``chunk_targets``, equals each target's own game bit
     for bit; returns its attributions."""
     rules = [AbsoluteThreshold(0.8)] * ds.d
-    want = [shapley_permutation(make_game(method, ds, t, rules), m, seed) for t in targets]
+    want = [scatter_permutation(make_game(method, ds, t, rules), m, seed) for t in targets]
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(aggregate, "MASK_BLOCK_BYTES", 8 * m * ds.d * per_block)
+        mp.setattr(shapley, "MASK_BLOCK_BYTES", 8 * m * ds.d * per_block)
         mp.setattr(similarity, "MAX_CHUNK_TARGETS", chunk_targets)
         if one_target_chunks:
             mp.setattr(similarity, "CHUNK_BYTES", 8)
@@ -364,6 +365,30 @@ def test_sweep_memory_bounded_by_chunk():
     assert peak_global < full_table
 
 
+@pytest.mark.parametrize("d", [16, 17, 18])
+def test_exact_sweep_lists_no_masks(d):
+    # the exact mask choice is None, every set, so no 2^d array of masks is
+    # built: a one-subject sweep holds its chunk's own tables and the
+    # contraction's half table (4 bytes a set), well under the 8 * 2^d bytes
+    # of an int64 mask array
+    ds = random_dataset(1, d, seed=d)
+    rules = [AbsoluteThreshold(0.5)] * d
+    resolved = resolve_rules(rules, ds)
+    want = local_attributions(ds, "cs", rules=rules)  # the weights are cached
+    tracemalloc.start()
+    try:
+        for _ in cohort_table_chunks(ds, resolved, np.arange(ds.n), False):
+            pass
+        _, chunk_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        got = local_attributions(ds, "cs", rules=rules)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(got[0].phi, want[0].phi)
+    assert peak < chunk_peak + (4 << d)
+
+
 def _two_pass(ds, rules, engine):
     """The direct and disaggregated routes as two separate passes over the
     squared cohort tables, summed and contracted in the sweep's chunks."""
@@ -419,7 +444,7 @@ def test_one_sweep_matches_two_passes_bit_for_bit(monkeypatch, engine, n):
         assert none is None and np.array_equal(lone.phi, want.phi)
         # the var game's values: the whole mean table, or under mc the rows
         # of the draw's coalitions, whether the sweep read every set or them
-        draw = np.concatenate(([0], engine_masks(ds.d, engine, 300, 7)))
+        draw = np.concatenate(([0], chosen_masks(ds.d, engine, 300, 7)))
         assert len(var_columns) == 3
         for column in var_columns:
             assert np.array_equal(column, table[draw])
@@ -432,7 +457,7 @@ def test_mc_var_game_does_not_depend_on_per_subject():
     # gathered from the mean table
     ds = random_dataset(50, 10, seed=41)
     rules = [AbsoluteThreshold(0.6)] * 10
-    assert len(engine_masks(10, "mc", 7, 2)) < 100
+    assert len(chosen_masks(10, "mc", 7, 2)) < 100
     lone, none = global_attribution(ds, rules, "mc", 7, 2)
     direct, rows = global_attribution(ds, rules, "mc", 7, 2, per_subject=True)
     assert none is None

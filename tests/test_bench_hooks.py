@@ -60,6 +60,8 @@ def test_mc_hooks_keep_their_call_shapes():
 
 
 def test_tracer_finds_every_hook_and_counts_mc_work():
+    # an earlier call may have left this draw in the memo
+    shapley._draw.cache_clear()
     tracer = _tracing().Tracer()
     tracer.install()
     try:
@@ -74,7 +76,8 @@ def test_tracer_finds_every_hook_and_counts_mc_work():
     assert stats["shapley._permutations.perms"] == 37
     assert stats["shapley._permutations.calls"] == 1
     assert stats["games.values.calls"] == 1
-    assert stats["games.coalitions_requested"] == 37 * (ds.d + 1)
+    # the empty set and the draw's 7 distinct coalitions, each asked once
+    assert stats["games.coalitions_requested"] == 8
     # every nonempty subset of 3 features, each evaluated once
     assert stats["games.coalitions_evaluated"] == 7
     assert stats["games._evaluate_many.calls"] == 1
@@ -175,6 +178,8 @@ def test_mc_local_draws_its_orders_once(tmp_path, d):
     # shapley._permutations.perms: m per command, not targets x m
     ds = random_dataset(40, d, seed=22)
     config = _config(tmp_path, ds)
+    # an earlier call may have left this draw in the memo
+    shapley._draw.cache_clear()
     code, _, stats = _traced_main([
         "local", "--config", str(config), "--engine", "mc", "--permutations", "30",
         "--seed", "4", "--targets", "1,7,7,30",

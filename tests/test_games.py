@@ -32,16 +32,18 @@ from cohortshap import (
     variance_shapley,
 )
 from cohortshap.games import COHORT_METHODS, MODEL_METHODS, TableGame, _LazyCohortGame
-from cohortshap.shapley import engine_masks, permutation_masks
+from cohortshap.shapley import permutation_masks
 from cohortshap.similarity import cohort_value_tables, cohort_values, match_codes
 
 from .conftest import random_dataset, t8_target
 from .helpers import (
     LoggingModel,
     ReferenceVarGame,
+    chosen_masks,
     naive_baseline_value,
     naive_realism_split,
     points_csv,
+    reference_shapley,
 )
 
 LINEAR = LinearModel((2.0, 1.0, 0.0), 0.0)
@@ -404,10 +406,10 @@ def test_baseline_sweep_equals_per_target_games(monkeypatch, method, engine):
     ds = _grid_dataset(16, 4, seed=21)
     model = LinearModel(SWEEP_COEF, 0.25)
     k = ds.n if method.startswith("abs") else 1
-    masks = engine_masks(ds.d, engine, PERMS, SEED)
+    masks = chosen_masks(ds.d, engine, PERMS, SEED)
     for targets in TARGET_SETS:
         want = [
-            shapley_engine(make_game(method, ds, t, model=model), engine, PERMS, SEED)
+            reference_shapley(make_game(method, ds, t, model=model), engine, PERMS, SEED)
             for t in targets
         ]
         stream = _sweep_points(ds, method, targets, masks)
@@ -437,7 +439,7 @@ def test_baseline_sweep_with_an_external_model(tmp_path, monkeypatch, method, en
     logged = LoggingModel(tmp_path, SWEEP_COEF)
     targets = [2, 2, 7]
     k = ds.n if method.startswith("abs") else 1
-    masks = engine_masks(ds.d, engine, PERMS, SEED)
+    masks = chosen_masks(ds.d, engine, PERMS, SEED)
     chunk = k * (len(masks) // 2 + 1) + k // 2
     stream = _sweep_points(ds, method, targets, masks)
     with monkeypatch.context() as patch:
@@ -450,7 +452,7 @@ def test_baseline_sweep_with_an_external_model(tmp_path, monkeypatch, method, en
     assert "".join(logged.received()) == points_csv(stream)
     assert logged.spawns == math.ceil(stream.size / (chunk * ds.d))
     want = [
-        shapley_engine(make_game(method, ds, t, model=logged.model), engine, PERMS, SEED)
+        reference_shapley(make_game(method, ds, t, model=logged.model), engine, PERMS, SEED)
         for t in targets
     ]
     _assert_same(got, want)

@@ -1,6 +1,7 @@
 """The package's import graph: module-level imports between its modules form
-no cycle, so no module needs an import inside a function to break one. And
-every package name the benchmark and the demos use still exists."""
+no cycle, so no module needs an import inside a function to break one.
+Every package name the benchmark and the demos use still exists. And the
+kernels of a Shapley value are called from the one contraction alone."""
 
 import ast
 import graphlib
@@ -130,3 +131,43 @@ def test_bench_and_demo_names_resolve():
         if not _resolves(module, name)
     )
     assert not missing, "names the package lacks: " + ", ".join(missing)
+
+
+# The one contraction: each kernel of a Shapley value is called from one
+# function of shapley.py, so no second engine can grow beside it.
+CONTRACTION = {
+    "_phi_from_tables": {("shapley", "_exact_phi")},
+    "gather_increments": {("shapley", "_contract")},
+    "shapley_from_orders": {("shapley", "_contract")},
+}
+
+
+class _Callers(ast.NodeVisitor):
+    """(module, innermost enclosing function) of every call, by name or
+    attribute, of a name in CONTRACTION."""
+
+    def __init__(self, module: str, found: dict):
+        self.module, self.found = module, found
+        self._function: list[str] = []
+
+    def visit_FunctionDef(self, node):
+        self._function.append(node.name)
+        self.generic_visit(node)
+        self._function.pop()
+
+    visit_AsyncFunctionDef = visit_FunctionDef
+
+    def visit_Call(self, node):
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        if name in CONTRACTION:
+            where = self._function[-1] if self._function else "<module>"
+            self.found.setdefault(name, set()).add((self.module, where))
+        self.generic_visit(node)
+
+
+def test_one_contraction_calls_the_shapley_kernels():
+    found = {}
+    for name, path in MODULES.items():
+        _Callers(name, found).visit(ast.parse(path.read_text(encoding="utf-8")))
+    assert found == CONTRACTION

@@ -22,13 +22,18 @@ from cohortshap import (
     shapley_permutation,
     shapley_weight_table,
 )
+from cohortshap import shapley
 from cohortshap.bits import halves, subset_sizes
 from cohortshap.games import TableGame
 from cohortshap.shapley import EXACT_CAP, _permutations, _phi_from_tables
 from cohortshap.similarity import cohort_table_chunks, cohort_value_tables, match_codes
 
 from .conftest import random_dataset, t8_target, titanic_shaped_surrogate
-from .helpers import per_bit_gather_contraction, shapley_all_permutations
+from .helpers import (
+    per_bit_gather_contraction,
+    scatter_permutation,
+    shapley_all_permutations,
+)
 
 
 def random_game(d: int, seed: int) -> TableGame:
@@ -150,6 +155,37 @@ def test_mc_determinism():
 def test_mc_needs_two_permutations():
     with pytest.raises(ValueError):
         shapley_permutation(random_game(3, 0), 1, seed=0)
+
+
+def test_a_loop_of_games_draws_its_orders_once(monkeypatch):
+    # single games at one (d, m, seed), as in an explain loop, share the
+    # last draw; each estimate is still that of its own game
+    shapley._draw.cache_clear()
+    draws, draw = [], shapley._permutations
+
+    def counting(d, m, seed):
+        draws.append((d, m, seed))
+        return draw(d, m, seed)
+
+    monkeypatch.setattr(shapley, "_permutations", counting)
+    games = [random_game(6, 1), random_game(6, 2)]
+    got = [shapley_permutation(game, 40, seed=3) for game in games]
+    assert draws == [(6, 40, 3)]
+    monkeypatch.undo()
+    for game, a in zip(games, got):
+        b = scatter_permutation(game, 40, 3)
+        assert np.array_equal(a.phi, b.phi) and np.array_equal(a.stderr, b.stderr)
+        assert a.total == b.total
+    assert not np.array_equal(got[0].phi, got[1].phi)
+
+
+def test_a_kept_draw_is_read_only():
+    # every caller shares the kept draw's arrays, so none may write into them
+    masks, (arrived, _) = shapley._mask_choice(6, "mc", 40, 3)
+    assert shapley._mask_choice(6, "mc", 40, 3)[0] is masks
+    for array in (masks, arrived):
+        with pytest.raises(ValueError, match="read-only"):
+            array[...] = 0
 
 
 def test_mc_efficiency_and_convergence(t8):

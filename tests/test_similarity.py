@@ -21,7 +21,6 @@ from cohortshap import (
 )
 from cohortshap import games, similarity
 from cohortshap.aggregate import global_attribution
-from cohortshap.shapley import engine_masks
 from cohortshap.similarity import (
     cohort_value_tables,
     code_dtype,
@@ -34,6 +33,7 @@ from cohortshap.similarity import (
 
 from .conftest import random_dataset, t8_target
 from .helpers import (
+    chosen_masks,
     cohort,
     dense,
     int64_count_tables,
@@ -404,7 +404,7 @@ def test_lazy_var_game_chunks_follow_the_budget(monkeypatch):
     rules = [AbsoluteThreshold(0.8)] * 22
     want, _ = global_attribution(ds, rules, "mc", 50, 3)
     # a target is charged its values at the draw's masks, so three a chunk
-    masks = engine_masks(ds.d, "mc", 50, 3)
+    masks = chosen_masks(ds.d, "mc", 50, 3)
     monkeypatch.setattr(similarity, "CHUNK_BYTES", 8 * len(masks) * 3)  # 14 chunks
     chunks = []
     sweep = similarity.match_code_chunks
