@@ -3,8 +3,10 @@
 Local attributions (cohort, baseline, all-baseline Shapley and their squared
 versions), the global variance Shapley they aggregate into, binary-cube
 decomposition machinery, and a realism audit of synthetic-point methods.
-:func:`make_game` builds the game of every per-target method, and
-:func:`local_attributions` with :func:`make_panel` builds every panel.
+:func:`make_game` builds the game of every per-target method, a
+:class:`Game` holding either a 2^d value table or a function of nonempty
+masks, and :func:`local_attributions` with :func:`make_panel` builds every
+panel.
 """
 
 from .aggregate import (

@@ -1,6 +1,10 @@
 """Coalition value functions, built by one per-target factory
 (:func:`make_game`), and the sweeps over many targets.
 
+A game maps a feature-subset bitmask in [0, 2^d) to a real value with
+value(empty) = 0. It is either a 2^d value table or a function of nonempty
+masks, called on the masks each request holds; nothing is cached.
+
 A cohort game (cs, cs2) holds the cohort values of one target, squared for
 cs2, built from observed predictions by the kernels of :mod:`similarity`: a
 2^d table up to EXACT_CAP features, else scored per requested subset.
@@ -16,9 +20,7 @@ function of its arguments alone, is the one builder of hybrid points: it
 packs the points of many targets into shared model calls, so a command
 starts one model process per call, not one per target. Each sweep leads
 with the baseline rows, the hybrids of the empty set, so a game evaluated
-in two calls sends them twice. Every game maps a feature-subset bitmask in
-[0, 2^d) to a real value with value(empty) = 0 and caches what it has
-evaluated.
+in two calls sends them twice.
 """
 
 from __future__ import annotations
@@ -46,22 +48,22 @@ MODEL_METHODS = ("bs", "bs2", "abs", "abs2")
 
 
 class Game:
-    """A coalition value function over subsets of 1..d features."""
+    """A coalition value function over subsets of 1..d features: the 2^d
+    value ``table`` indexed by bitmask, or ``evaluate``, which maps an array
+    of nonempty masks to their values. Exactly one of the two is given."""
 
-    def __init__(self, d: int, method: str, target: int | None = None):
+    def __init__(
+        self, d: int, method: str, target: int | None = None, *, table=None, evaluate=None
+    ):
         if d < 1:
             raise ValueError("games need at least one feature")
+        if (table is None) == (evaluate is None):
+            raise ValueError("a game needs exactly one of table and evaluate")
         self.d = d
         self.method = method
         self.target = target
-        # memo of evaluated subsets: sorted masks and their values
-        self._keys = np.zeros(1, dtype=np.int64)
-        self._vals = np.zeros(1)
-        self._table: np.ndarray | None = None
-
-    # subclasses implement batch evaluation of integer subset masks
-    def _evaluate_many(self, masks: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
+        self._table = table
+        self._evaluate = evaluate
 
     @property
     def full_mask(self) -> int:
@@ -81,55 +83,34 @@ class Game:
             subset_int(int(masks[masks >> self.d != 0][0]), self.d)
         if self._table is not None:
             return self._table[masks]
-        wanted, inverse = np.unique(masks, return_inverse=True)
-        at = np.searchsorted(self._keys, wanted)
-        known = self._keys[np.minimum(at, len(self._keys) - 1)] == wanted
-        if not known.all():
-            missing, slots = wanted[~known], at[~known]
-            self._vals = np.insert(self._vals, slots, self._evaluate_many(missing))
-            self._keys = np.insert(self._keys, slots, missing)
-            at = np.searchsorted(self._keys, wanted)
-        return self._vals[at][inverse].reshape(masks.shape)
+        out = np.zeros(masks.shape)
+        nonempty = masks != 0
+        if nonempty.any():  # a request of empty sets alone calls no model
+            out[nonempty] = self._evaluate(masks[nonempty])
+        return out
 
     def value_table(self) -> np.ndarray:
         """Values of every subset, indexed by bitmask. Requires d <= EXACT_CAP."""
-        if self._table is None:
-            if self.d > EXACT_CAP:
-                raise ValueError(
-                    f"d={self.d} is too large for a full 2^d value table"
-                )
-            self._table = self.values(np.arange(1 << self.d))
-        return self._table
+        if self._table is not None:
+            return self._table
+        if self.d > EXACT_CAP:
+            raise ValueError(f"d={self.d} is too large for a full 2^d value table")
+        return self.values(np.arange(1 << self.d))
 
     @property
     def total(self) -> float:
         return self.value(self.full_mask)
 
 
-class TableGame(Game):
-    """Game backed by an explicit 2^d value array (entry 0 must be 0)."""
-
-    def __init__(self, table: np.ndarray, method: str, target: int | None = None):
-        table = np.array(table, dtype=float)
-        d = int(table.size).bit_length() - 1
-        if 1 << d != table.size:
-            raise ValueError(f"table size {table.size} is not a power of two")
-        super().__init__(d, method, target)
-        table[0] = 0.0
-        self._table = table
-
-
-class _LazyCohortGame(Game):
-    """A cohort game above EXACT_CAP: each requested subset is scored
-    against the match codes of the game's target."""
-
-    def __init__(self, ds: Dataset, method: str, target, codes):
-        super().__init__(ds.d, method, target)
-        self._y = ds.y
-        self._codes = codes[None]
-
-    def _evaluate_many(self, masks: np.ndarray) -> np.ndarray:
-        return cohort_values(self._codes, self._y, masks, self.method != "cs")[0]
+def TableGame(table, method: str, target: int | None = None) -> Game:
+    """The game of an explicit 2^d value array, d >= 1, copied as floats;
+    its entry 0 is set to 0."""
+    table = np.array(table, dtype=float)
+    d = int(table.size).bit_length() - 1
+    if 1 << d != table.size:
+        raise ValueError(f"table size {table.size} is not a power of two")
+    table[0] = 0.0
+    return Game(d, method, target, table=table)
 
 
 def cohort_value_chunks(ds: Dataset, resolved, targets, masks, squared: bool):
@@ -160,12 +141,19 @@ def cohort_value_chunks(ds: Dataset, resolved, targets, masks, squared: bool):
 
 def _cohort_game(ds: Dataset, method: str, target: int, codes: np.ndarray) -> Game:
     """The cohort game of ``method`` for the one target whose match ``codes``
-    are given: its cohort values, squared for cs2."""
+    are given: its cohort values, squared for cs2, as the 2^d table up to
+    EXACT_CAP features, else scored per request."""
     if ds.predictions is None:
         raise DatasetError(f"the {method} game needs predictions attached")
-    if ds.d > EXACT_CAP:
-        return _LazyCohortGame(ds, method, target, codes)
-    return TableGame(cohort_value_tables(codes, ds.y, ds.d, method != "cs"), method, target)
+    squared, y = method != "cs", ds.y
+    if ds.d <= EXACT_CAP:
+        table = cohort_value_tables(codes, y, ds.d, squared)
+        return Game(ds.d, method, target, table=table)
+
+    def evaluate(masks):
+        return cohort_values(codes[None], y, masks, squared)[0]
+
+    return Game(ds.d, method, target, evaluate=evaluate)
 
 
 def make_cs_game(ds: Dataset, codes: np.ndarray, t: int) -> Game:
@@ -202,22 +190,6 @@ def _checked_targets(ds: Dataset, targets) -> list[int]:
         if not 0 <= t < ds.n:
             raise DatasetError(f"target {t} outside 0..{ds.n - 1}")
     return targets
-
-
-class _BaselineGame(Game):
-    """The model at the hybrid taking the target on u and a baseline row
-    elsewhere, minus the model at that row (squared for bs2 and abs2),
-    averaged over the k rows of ``baselines``."""
-
-    def __init__(self, ds: Dataset, method: str, t: int, baselines, model):
-        super().__init__(ds.d, method, t)
-        self.model = model
-        self.x_t = ds.X[t].copy()
-        self.baselines = baselines
-
-    def _evaluate_many(self, masks: np.ndarray) -> np.ndarray:
-        x = self.x_t[None]
-        return next(baseline_sweep(self.model, self.baselines, self.method, x, masks))
 
 
 def _hybrid_block(X, masks, baselines: np.ndarray, start: int, stop: int):
@@ -299,14 +271,21 @@ def make_game(
 ) -> Game:
     """The game of a per-target method for target t.
 
-    Cohort methods (cs, cs2) need similarity ``rules``; baseline-style
-    methods (bs, bs2, abs, abs2) need a ``model``, and bs/bs2 a ``baseline``
-    ("mean" or d numbers).
+    Cohort methods (cs, cs2) need similarity ``rules``: up to EXACT_CAP
+    features the game is the target's 2^d cohort value table, above it the
+    cohorts of each call's masks are scored. Baseline-style methods (bs,
+    bs2, abs, abs2) need a ``model``, and bs/bs2 a ``baseline`` ("mean" or d
+    numbers); their game calls :func:`baseline_sweep` on each request's
+    nonempty masks, one model call or more per request.
     """
     (t,) = _checked_targets(ds, [t])
     if method in COHORT_METHODS:
         if rules is None:
             raise DatasetError("cohort methods need similarity rules")
         return _cohort_game(ds, method, t, similarity_row(rules, ds, t))
-    baselines = baseline_rows(method, ds, model, baseline)
-    return _BaselineGame(ds, method, t, baselines, model)
+    baselines, x_t = baseline_rows(method, ds, model, baseline), ds.X[t].copy()
+
+    def evaluate(masks):
+        return next(baseline_sweep(model, baselines, method, x_t[None], masks))
+
+    return Game(ds.d, method, t, evaluate=evaluate)

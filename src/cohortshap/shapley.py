@@ -102,7 +102,8 @@ def _phi_from_tables(tables: np.ndarray, d: int) -> np.ndarray:
 def _check_exact_cap(d: int) -> None:
     if d > EXACT_CAP:
         raise ValueError(
-            f"d={d} exceeds the exact cap {EXACT_CAP}; use shapley_permutation instead"
+            f'd={d} exceeds the exact cap {EXACT_CAP}; use engine="mc" '
+            "(shapley_permutation for one game)"
         )
 
 

@@ -5,13 +5,14 @@ enumeration and per-row python loops. None of it shares code with the
 library, so agreement between the two is meaningful evidence. The
 exceptions are not oracles: :func:`cohort` and :func:`dense` read one
 target's match codes (``similarity_row``) the way the tests ask about
-cohorts, :class:`ReferenceVarGame` averages the library's per-target cs2
-games, :func:`scatter_permutation` shares the library's draw of orders and
-its estimator but not its contraction, :func:`chosen_masks` reads the
-library's mask choice, and :class:`LoggingModel` is an external model that
-records what each of its processes received. The artifact encoders at the
-end are the library's former writers, kept as references for its template
-writers.
+cohorts, :func:`ReferenceVarGame` averages the library's per-target cs2
+games, :func:`lazy_cohort_game` scores a target's cohorts by the library's
+lazy kernel at any d, :func:`scatter_permutation` shares the library's draw
+of orders and its estimator but not its contraction, :func:`chosen_masks`
+reads the library's mask choice, and :class:`LoggingModel` is an external
+model that records what each of its processes received. The artifact
+encoders at the end are the library's former writers, kept as references
+for its template writers.
 """
 
 import csv
@@ -37,7 +38,7 @@ from cohortshap.shapley import (
     permutation_masks,
     shapley_from_orders,
 )
-from cohortshap.similarity import in_cohort, subset_int
+from cohortshap.similarity import cohort_values, in_cohort, subset_int
 
 
 def cohort(codes, u, d):
@@ -51,17 +52,27 @@ def dense(codes, d):
     return (codes[:, None] >> np.arange(d) & 1).astype(bool)
 
 
-class ReferenceVarGame(Game):
+def ReferenceVarGame(ds, rules):
     """The var game by its definition: at each mask, the mean over subjects
     of their cs2 games' values (:func:`make_game`). It shares no sweep with
     the library, only the per-target games."""
+    cs2 = [make_game("cs2", ds, t, rules) for t in range(ds.n)]
 
-    def __init__(self, ds, rules):
-        super().__init__(ds.d, "var")
-        self.games = [make_game("cs2", ds, t, rules) for t in range(ds.n)]
+    def evaluate(masks):
+        return np.mean([game.values(masks) for game in cs2], axis=0)
 
-    def _evaluate_many(self, masks):
-        return np.mean([game.values(masks) for game in self.games], axis=0)
+    return Game(ds.d, "var", evaluate=evaluate)
+
+
+def lazy_cohort_game(ds, method, t, codes):
+    """The cohort game of ``method`` for target t from its match ``codes``,
+    scored per call by the lazy kernel (:func:`similarity.cohort_values`) at
+    any d, so it can be set against the dense table up to the cap."""
+
+    def evaluate(masks):
+        return cohort_values(codes[None], ds.y, masks, method != "cs")[0]
+
+    return Game(ds.d, method, t, evaluate=evaluate)
 
 
 def shapley_all_permutations(value, d):

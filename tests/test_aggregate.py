@@ -489,6 +489,17 @@ def test_global_refuses_a_bad_engine_before_any_chunk(monkeypatch, d):
                 global_attribution(ds, rules, engine, 20, per_subject=True)
 
 
+def test_sweeps_above_the_cap_name_the_mc_engine():
+    # the sweeps take an engine name, so the cap's error names the one to use
+    ds = random_dataset(30, 22, seed=32, n_binary=22)
+    rules = [Identity()] * 22
+    cap = 'd=22 exceeds the exact cap 20; use engine="mc"'
+    with pytest.raises(ValueError, match=cap):
+        local_attributions(ds, "cs", [0], rules, engine="exact")
+    with pytest.raises(ValueError, match=cap):
+        global_attribution(ds, rules, "exact")
+
+
 def test_disaggregation_identity_random():
     for seed in (1, 2, 3):
         ds = random_dataset(120, 5, seed=seed, n_binary=2)

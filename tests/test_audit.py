@@ -350,15 +350,15 @@ def test_hybrid_flags_match_point_scan(method, baseline):
     model = LinearModel((1.0, -2.0, 0.5, 0.0, 3.0), 0.0)
     if isinstance(baseline, int):
         baseline = ds.X[baseline]
-    game = make_game(method, ds, 7, model=model, baseline=baseline)
+    baselines, x_t = games.baseline_rows(method, ds, model, baseline), ds.X[7]
     resolved = resolve_rules(rules, ds)
-    code_b = match_codes(ds.X, resolved, game.baselines)
-    flags = _hybrid_flags(ds.X, resolved, game.x_t, code_b)
-    assert flags.shape == (1 << ds.d, len(game.baselines))
-    for b, x_b in enumerate(game.baselines):
+    code_b = match_codes(ds.X, resolved, baselines)
+    flags = _hybrid_flags(ds.X, resolved, x_t, code_b)
+    assert flags.shape == (1 << ds.d, len(baselines))
+    for b, x_b in enumerate(baselines):
         for u in range(1 << ds.d):
             take = (u >> np.arange(ds.d) & 1).astype(bool)
-            point = np.where(take, game.x_t, x_b)
+            point = np.where(take, x_t, x_b)
             assert flags[u, b] == is_realistic(point, ds, rules)
     assert flags.any() and not flags.all()
 

@@ -31,7 +31,7 @@ from cohortshap import (
     similarity_row,
     variance_shapley,
 )
-from cohortshap.games import COHORT_METHODS, MODEL_METHODS, TableGame, _LazyCohortGame
+from cohortshap.games import COHORT_METHODS, MODEL_METHODS, TableGame
 from cohortshap.shapley import permutation_masks
 from cohortshap.similarity import cohort_value_tables, cohort_values, match_codes
 
@@ -40,6 +40,7 @@ from .helpers import (
     LoggingModel,
     ReferenceVarGame,
     chosen_masks,
+    lazy_cohort_game,
     naive_baseline_value,
     naive_realism_split,
     points_csv,
@@ -155,31 +156,28 @@ def test_purity(t8_games):
         assert first == again  # bit-identical on repeat
 
 
-def test_memo_evaluates_each_mask_once():
+def test_game_evaluates_the_requested_nonempty_masks():
     ds = random_dataset(30, 6, seed=12)
     codes = match_codes(ds.X, resolve_rules([AbsoluteThreshold(0.5)] * 6, ds), ds.X)
-    game = _LazyCohortGame(ds, "cs", 4, codes[4])
+    lazy = lazy_cohort_game(ds, "cs", 4, codes[4])
     seen = []
-    evaluate = game._evaluate_many
 
     def recording(masks):
         seen.append(masks.copy())
-        return evaluate(masks)
+        return lazy.values(masks)
 
-    game._evaluate_many = recording
+    game = games.Game(ds.d, "cs", 4, evaluate=recording)
     oracle = cohort_values(codes[4:5], ds.y, np.arange(64), False)[0]
     oracle[0] = 0.0
     rng = np.random.default_rng(3)
-    requested = set()
     for shape in ((40,), (5, 7), (3, 2, 4)):
         masks = rng.integers(0, 64, size=shape)
         got = game.values(masks)
         assert got.shape == shape
         assert np.array_equal(got, oracle[masks])
-        requested.update(masks.ravel().tolist())
-    evaluated = np.concatenate(seen)
-    assert len(np.unique(evaluated)) == len(evaluated)  # none twice, across calls
-    assert set(evaluated.tolist()) == requested - {0}
+        # every nonempty mask of the call, repeats included, and nothing else
+        assert np.array_equal(seen[-1], masks[masks != 0])
+    assert len(seen) == 3
     assert game.values([]).shape == (0,)
 
 
@@ -219,6 +217,28 @@ def test_values_reject_masks_outside_the_lattice(t8_games, monkeypatch):
         with pytest.raises(SimilarityError, match="mask 1.5 is not an integer"):
             game.value(1.5)
         assert game.values([]).shape == (0,)
+
+
+def test_empty_set_scores_zero_without_reaching_a_model(monkeypatch):
+    # at d >= 8 BLAS row grouping moves the last bits of a model's
+    # predictions, so the empty set's exact 0 must not come from one
+    ds = random_dataset(40, 10, seed=81)
+    model = LinearModel(tuple(np.linspace(-1.0, 1.0, 10)), 0.25)
+    sweep, sent = games.baseline_sweep, []
+
+    def recording(model, baselines, method, X, masks, *args):
+        sent.append(np.array(masks))
+        return sweep(model, baselines, method, X, masks, *args)
+
+    monkeypatch.setattr(games, "baseline_sweep", recording)
+    masks = [0, 5, 0, 1023]
+    for method in ("bs", "abs"):
+        values = make_game(method, ds, 3, model=model).values(masks)
+        assert values[0] == 0.0 and values[2] == 0.0
+    assert len(sent) == 2 and all(np.array_equal(m, [5, 1023]) for m in sent)
+    lazy = random_dataset(30, 22, seed=82, n_binary=22)
+    values = make_game("cs", lazy, 4, [Identity()] * 22).values(masks)
+    assert values[0] == 0.0 and values[2] == 0.0
 
 
 def test_local_attributions_reject_methods_without_a_game(t8):
@@ -341,7 +361,7 @@ def test_dense_and_lazy_cohort_games_agree(d, n, seed, rule_pool):
     for method in COHORT_METHODS:
         t = int(rng.integers(n))
         dense = make_game(method, ds, t, rules)
-        lazy = _LazyCohortGame(ds, method, t, codes[t])
+        lazy = lazy_cohort_game(ds, method, t, codes[t])
         assert lazy.values(masks) == pytest.approx(dense.value_table(), abs=1e-12)
     # the var game's subject mean, by the sweep's dense tables and, with the
     # table cap lowered below d, by its lazy kernel

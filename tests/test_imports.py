@@ -1,7 +1,8 @@
 """The package's import graph: module-level imports between its modules form
 no cycle, so no module needs an import inside a function to break one.
-Every package name the benchmark and the demos use still exists. And the
-kernels of a Shapley value are called from the one contraction alone."""
+Every package name the benchmark and the demos use still exists. The
+kernels of a Shapley value are called from the one contraction alone, and
+every game is one class."""
 
 import ast
 import graphlib
@@ -171,3 +172,22 @@ def test_one_contraction_calls_the_shapley_kernels():
     for name, path in MODULES.items():
         _Callers(name, found).visit(ast.parse(path.read_text(encoding="utf-8")))
     assert found == CONTRACTION
+
+
+def test_one_game_class():
+    # a game is a value table or a function of nonempty masks, never a
+    # subclass with its own evaluation
+    classes = [
+        node.name
+        for node in ast.walk(ast.parse(MODULES["games"].read_text(encoding="utf-8")))
+        if isinstance(node, ast.ClassDef)
+    ]
+    assert classes == ["Game"]
+    sources = [*MODULES.values(), *REPO.glob("tests/*.py")]
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ClassDef):
+                bases = {getattr(base, "id", getattr(base, "attr", None)) for base in node.bases}
+                assert "Game" not in bases, f"{path.name}: {node.name} subclasses Game"
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                assert node.name != "_evaluate_many", f"{path.name} defines _evaluate_many"

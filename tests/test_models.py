@@ -214,19 +214,18 @@ def test_baseline_game_table_spawns_once(tmp_path, method):
     np.testing.assert_allclose(table, expected, rtol=0, atol=1e-12)
 
 
-def test_mc_baseline_game_spawns_once_per_new_masks(tmp_path):
+def test_mc_baseline_game_spawns_once_per_values_call(tmp_path):
     ds = random_dataset(12, 6, seed=5)
     logged = LoggingModel(tmp_path, COEF)
     game = make_game("bs", ds, 2, model=logged.model)
     game.values([3, 5, 63])
     assert logged.spawns == 1
     game.values([5, 0, 3])
-    assert logged.spawns == 1
-    game.values([5, 7, 9])
     assert logged.spawns == 2
-    # each call leads with the baseline row, then the masks it lacks
-    assert len(logged.received()[0].splitlines()) == 4
-    assert len(logged.received()[1].splitlines()) == 3
+    game.values([5, 7, 9])
+    assert logged.spawns == 3
+    # each call leads with the baseline row, then its nonempty masks
+    assert [len(text.splitlines()) for text in logged.received()] == [4, 3, 4]
 
 
 def test_external_rows_sent_in_order(tmp_path):
