@@ -343,7 +343,9 @@ def realism_splits(
     points; it counts as realistic only when both endpoints have a witness.
     The two parts use the same increments, so they sum to the method's full
     attribution by construction. The per-baseline differences of every
-    target come from one :func:`games.baseline_sweep`.
+    target come from one :func:`games.baseline_sweep`. A target whose
+    parts or their sum are not finite (an overflowing difference, say)
+    raises ValueError, as a non-finite attribution does.
     """
     if ds.d > EXACT_CAP:
         raise ValueError(f"d={ds.d} exceeds the exact cap {EXACT_CAP}")
@@ -359,20 +361,27 @@ def realism_splits(
     sweep = baseline_sweep(
         model, baselines, method, ds.X[targets], masks, per_baseline=True
     )
-    for t, swept in zip(targets, sweep):
-        # per-baseline differences and realism of every hybrid, (2^d, k); the
-        # empty set's hybrids are the baseline rows, so its differences are 0
-        diffs = np.concatenate([np.zeros((1, k)), swept])
+    for t in targets:
+        # realism and per-baseline differences of every hybrid, (2^d, k); the
+        # empty set's hybrids are the baseline rows, so their differences are
+        # 0. An overflow shows as a non-finite sum, refused below; the error
+        # state is not held across the yield.
         flags = _hybrid_flags(ds.X, resolved, ds.X[t], code_b)
-        phi_r = np.zeros(d)
-        phi_u = np.zeros(d)
-        for j in range(d):
-            lo, hi = halves(diffs, d, j)
-            ok_lo, ok_hi = halves(flags, d, j)
-            terms = weights.reshape(lo.shape[:2])[..., None] * (hi - lo) / k
-            pair_ok = ok_hi & ok_lo
-            phi_r[j] = terms[pair_ok].sum()
-            phi_u[j] = terms[~pair_ok].sum()
+        with np.errstate(over="ignore", invalid="ignore"):
+            diffs = np.concatenate([np.zeros((1, k)), next(sweep)])
+            phi_r = np.zeros(d)
+            phi_u = np.zeros(d)
+            for j in range(d):
+                lo, hi = halves(diffs, d, j)
+                ok_lo, ok_hi = halves(flags, d, j)
+                terms = weights.reshape(lo.shape[:2])[..., None] * (hi - lo) / k
+                pair_ok = ok_hi & ok_lo
+                phi_r[j] = terms[pair_ok].sum()
+                phi_u[j] = terms[~pair_ok].sum()
+            # non-finite whenever either part is
+            finite = np.isfinite(phi_r + phi_u).all()
+        if not finite:
+            raise ValueError(f"realism split of target {t} is not finite")
         yield SplitAttribution(
             phi_realistic=phi_r, phi_unrealistic=phi_u, method=method, target=t
         )

@@ -10,13 +10,11 @@ JSON artifacts, the panel and the per-subject CSV are written from one
 %-template per record, with a %r for each number: the template holds the
 layout and the escaped names, and a record is one ``%`` of Python floats
 and ints from ``ndarray.tolist()``. The bytes are those of
-``json.dump(indent=2)`` and of a ``csv.writer`` of ``repr`` cells; a
-non-finite float is written in JSON as json writes it (``NaN``,
-``Infinity``, ``-Infinity``) and in CSV by ``repr``. A panel's phi floats
-are formatted once, by ``repr``, and that text goes through a %s into
-both the attribution list and the panel CSV. Only a finite float can be
-shared so, since json and CSV spell the others differently, and
-``local_attributions`` refuses a non-finite phi.
+``json.dump(indent=2)`` and of a ``csv.writer`` of ``repr`` cells. Every
+JSON number is finite: each command refuses a non-finite result before
+it writes anything, and the JSON writer refuses one too. A panel's phi
+floats are formatted once, by ``repr``, and that text goes through a %s
+into both the attribution list and the panel CSV.
 """
 
 from __future__ import annotations
@@ -24,8 +22,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
-import json
-import math
 import os
 import sys
 import time
@@ -63,17 +59,6 @@ def _phase(name: str):
     print(f"[timing] {name}: {time.perf_counter() - start:.3f}s", file=sys.stderr)
 
 
-class _Token(str):
-    """Text that %r writes as it is."""
-
-    def __repr__(self) -> str:
-        return str.__str__(self)
-
-
-# json's spellings of the floats that %r writes as nan, inf and -inf
-_NON_FINITE = {repr(v): _Token(json.dumps(v)) for v in (math.nan, math.inf, -math.inf)}
-
-
 def _text(text: str) -> str:
     """``text`` as a JSON string in a %-template: escaped as ``json.dumps``
     escapes it (``ensure_ascii``), with each % doubled."""
@@ -103,20 +88,6 @@ def _layout(value, level: int, columns: list) -> str:
     return f"{brackets[0]}{pad}{(',' + pad).join(items)}\n{'  ' * level}{brackets[1]}"
 
 
-def _json_number(value):
-    """``value``, or json's token for a non-finite float."""
-    return value if math.isfinite(value) else _NON_FINITE[repr(value)]
-
-
-def _json_values(column: np.ndarray) -> list:
-    """``column`` as Python numbers, with json's tokens for non-finite
-    floats, or a column of text as it is."""
-    values = column.tolist()
-    if column.dtype != object and not all(map(math.isfinite, values)):
-        values = list(map(_json_number, values))
-    return values
-
-
 def _write_json(path, payload, many: bool = False) -> None:
     """Write one record, or with ``many`` a list of records, as
     ``json.dump(..., indent=2)`` and a newline would.
@@ -125,11 +96,15 @@ def _write_json(path, payload, many: bool = False) -> None:
     column: one value, or with ``many`` one value per record. A column of
     text, an object array of the numbers' ``repr``, is written as it is
     through a %s. Every record fills the one template from :func:`_layout`,
-    so no encoder runs per value.
+    so no encoder runs per value. A non-finite number, which strict JSON
+    cannot hold, raises ValueError before the file is opened.
     """
     columns: list = []
     template = _layout(payload, int(many), columns)
-    rows = zip(*map(_json_values, columns), strict=True)
+    numbers = [column for column in columns if column.dtype != object]
+    if numbers and not np.isfinite(np.concatenate(numbers)).all():
+        raise ValueError(f"{path}: a number is not finite")
+    rows = zip(*(column.tolist() for column in columns), strict=True)
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:
         if many:
@@ -408,22 +383,12 @@ COMMANDS = {
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    overrides = {
-        key: getattr(args, key)
-        for key in (
-            "data",
-            "method",
-            "engine",
-            "permutations",
-            "seed",
-            "out",
-            "targets",
-        )
-    }
+    # every parsed flag but the command and the config path overrides its key
+    overrides = vars(build_parser().parse_args(argv))
+    command, path = overrides.pop("command"), overrides.pop("config")
     try:
-        cfg = RunConfig.load(args.config, overrides)
-        return COMMANDS[args.command](cfg)
+        cfg = RunConfig.load(path, overrides)
+        return COMMANDS[command](cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

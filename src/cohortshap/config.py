@@ -59,37 +59,67 @@ def _target_index(t) -> int:
     return operator.index(t)  # rejects 1.5 instead of truncating it
 
 
+# The keys each kind of similarity and model spec takes, and the keys of the
+# audit block.
+RULE_KEYS = {
+    "identity": {"kind"},
+    "abs": {"kind", "delta"},
+    "range_fraction": {"kind", "frac", "lo_q", "hi_q"},
+    "relative": {"kind", "delta"},
+}
+MODEL_KEYS = {
+    "predictions": {"kind", "path"},
+    "linear": {"kind", "coefficients", "intercept"},
+    "logistic": {"kind", "coefficients", "intercept"},
+    "external": {"kind", "command"},
+}
+AUDIT_KEYS = {"similarity", "scales", "fractions", "runs", "marginal_samples",
+              "marginal_reference", "per_subject", "cube_probs"}
+
+
+def _check_keys(what: str, obj: dict, known) -> None:
+    unknown = obj.keys() - known
+    if unknown:
+        raise ConfigError(f"unknown {what} keys: {sorted(unknown)}")
+
+
+def _spec_kind(what: str, obj: dict, keys: dict) -> str:
+    """The kind of the ``what`` spec ``obj``, which takes only its kind's keys."""
+    kind = obj.get("kind")
+    if not isinstance(kind, str) or kind not in keys:
+        raise ConfigError(f"unknown {what} kind {kind!r}")
+    _check_keys(f"{kind} {what} spec", obj, keys[kind])
+    return kind
+
+
 def rule_from_json(obj):
     if obj is None:
         return Identity()
     if not isinstance(obj, dict):
         raise ConfigError(f"similarity spec {obj!r} is not an object")
-    kind = obj.get("kind")
+    kind = _spec_kind("similarity", obj, RULE_KEYS)
+    if kind == "identity":
+        return Identity()
     try:
-        if kind == "identity":
-            return Identity()
+        threshold = float(obj["frac" if kind == "range_fraction" else "delta"])
+        if not math.isfinite(threshold):
+            raise ValueError(f"the threshold must be finite, got {threshold!r}")
         if kind == "abs":
-            return AbsoluteThreshold(float(obj["delta"]))
-        if kind == "range_fraction":
-            return RangeFraction(
-                float(obj["frac"]),
-                float(obj.get("lo_q", 0.0)),
-                float(obj.get("hi_q", 1.0)),
-            )
+            return AbsoluteThreshold(threshold)
         if kind == "relative":
-            return RelativeThreshold(float(obj["delta"]))
+            return RelativeThreshold(threshold)
+        return RangeFraction(
+            threshold, float(obj.get("lo_q", 0.0)), float(obj.get("hi_q", 1.0))
+        )
     except (KeyError, TypeError, ValueError) as exc:
         raise _spec_error("similarity", obj, exc) from None
-    raise ConfigError(f"unknown similarity kind {kind!r}")
 
 
 def rules_from_json(spec, schema, what: str) -> list:
     """One rule per column: its own spec, else "default", else identity."""
     if not isinstance(spec, dict):
         raise ConfigError(f"{what} must be an object of per-column specs")
-    unknown = set(spec) - {"default", *(col.name for col in schema)}
-    if unknown:
-        raise ConfigError(f"{what} keys name no column: {sorted(unknown)}")
+    _check_keys(what, spec, ["default", *(col.name for col in schema)])
     default = spec.get("default")
     return [rule_from_json(spec.get(col.name, default)) for col in schema]
 
@@ -98,28 +128,24 @@ def model_from_json(obj):
     """Builtin model specs; returns None for the predictions-file spec."""
     if not isinstance(obj, dict):
         raise ConfigError(f"model spec {obj!r} is not an object")
-    kind = obj.get("kind")
+    kind = _spec_kind("model", obj, MODEL_KEYS)
     if kind == "predictions":
         if not isinstance(obj.get("path"), str):
             raise ConfigError("predictions model needs a file path")
         return None
-    if kind == "external" and not (
-        isinstance(obj.get("command"), list) and obj["command"]
-    ):
-        raise ConfigError("external command must be a non-empty argv list")
+    if kind == "external":
+        if not (isinstance(obj.get("command"), list) and obj["command"]):
+            raise ConfigError("external command must be a non-empty argv list")
+        return ExternalCommand(tuple(str(a) for a in obj["command"]))
     try:
-        if kind in ("linear", "logistic"):
-            coefficients = tuple(float(c) for c in obj["coefficients"])
-            intercept = float(obj.get("intercept", 0.0))
-            if not all(map(math.isfinite, (*coefficients, intercept))):
-                raise ValueError("coefficients and intercept must be finite")
-            model = LinearModel if kind == "linear" else LogisticModel
-            return model(coefficients, intercept)
-        if kind == "external":
-            return ExternalCommand(tuple(str(a) for a in obj["command"]))
+        coefficients = tuple(float(c) for c in obj["coefficients"])
+        intercept = float(obj.get("intercept", 0.0))
+        if not all(map(math.isfinite, (*coefficients, intercept))):
+            raise ValueError("coefficients and intercept must be finite")
     except (KeyError, TypeError, ValueError) as exc:
         raise _spec_error("model", obj, exc) from None
-    raise ConfigError(f"unknown model kind {kind!r}")
+    model = LinearModel if kind == "linear" else LogisticModel
+    return model(coefficients, intercept)
 
 
 @dataclass
@@ -150,9 +176,9 @@ class RunConfig:
                     raw = json.load(fh)
                 except json.JSONDecodeError as exc:
                     raise ConfigError(f"config {path!r} is not valid JSON: {exc}")
-        unknown = set(raw) - set(cls.__dataclass_fields__)
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        if not isinstance(raw, dict):
+            raise ConfigError(f"config {path!r} is not a JSON object")
+        _check_keys("config", raw, cls.__dataclass_fields__)
         raw.update({k: v for k, v in overrides.items() if v is not None})
         return cls(**raw)
 
@@ -236,6 +262,7 @@ class RunConfig:
             raise ConfigError(f"out must be a directory path, got {self.out!r}")
         if not isinstance(self.audit, dict):
             raise ConfigError(f"audit must be an object, got {self.audit!r}")
+        _check_keys("audit", self.audit, AUDIT_KEYS)
         if not isinstance(self.audit.get("similarity", {}), dict):
             raise ConfigError("audit similarity must be an object of per-column specs")
         for key in ("scales", "fractions"):

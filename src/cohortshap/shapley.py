@@ -159,7 +159,7 @@ def _draw(d: int, m: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     loop of single games draws the same orders for every game, so the last
     draw is kept; its arrays are read-only, since every caller shares them."""
     perms, orders = permutation_masks(d, m, seed)
-    distinct, inverse = distinct_masks(orders)
+    distinct, inverse = np.unique(orders.reshape(-1), return_inverse=True)
     arrived = arrival_rows(perms, inverse.reshape(orders.shape))
     distinct.flags.writeable = arrived.flags.writeable = False
     # every order starts at the empty set, the smallest mask
@@ -355,13 +355,3 @@ def _squared_deviations(x: np.ndarray) -> np.ndarray:
     deviations = x - x.sum(axis=0) / len(x)
     deviations *= deviations
     return deviations.sum(axis=0)
-
-
-def distinct_masks(masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The sorted distinct entries of ``masks`` and, for each entry in ravel
-    order, its index among them. A plain np.unique would import numpy.ma,
-    which no command needs otherwise."""
-    flat = masks.reshape(-1)
-    ordered = np.sort(flat)
-    distinct = ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
-    return distinct, np.searchsorted(distinct, flat)

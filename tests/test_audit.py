@@ -390,6 +390,15 @@ def test_splits_check_every_target_before_a_model_call(t8, tmp_path):
     assert logged.spawns == 0
 
 
+def test_overflowing_split_is_refused(t8):
+    # bs2 squares differences near 1e200: they overflow, and the split is
+    # refused, without numpy's raw warnings, instead of yielding NaN
+    huge = LinearModel((1e200, 1e200, 0.0), 0.0)
+    splits = realism_splits(t8, [7], "mean", huge, [Identity()] * 3, method="bs2")
+    with pytest.raises(ValueError, match="realism split of target 7 is not finite"):
+        next(splits)
+
+
 def test_split_rejects_cohort_methods(t8):
     with pytest.raises(ValueError, match="baseline-style"):
         next(realism_splits(t8, [0], "mean", LINEAR, [Identity()] * 3, method="cs"))

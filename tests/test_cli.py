@@ -464,6 +464,16 @@ def _wide_config(workdir, d=64, **extra):
                                              "coefficients": [1.0, 1.0, 1.0],
                                              "intercept": INF}}),
         ("audit", {"model": LINEAR_SPEC, "baseline": [NAN, 0.5, 0.5]}),
+        ("local", {"audit": {"runz": 5}}),
+        ("audit", {"audit": {"runz": 5}}),
+        ("local", {"method": "bs", "model": {**LINEAR_SPEC, "intercep": 3}}),
+        ("local", {"d": 4, "similarity": {"default": {"kind": "abs", "delta": 1.0,
+                                                      "dleta": 2}}}),
+        ("local", {"d": 4, "similarity": {"default": {"kind": "abs", "delta": NAN}}}),
+        ("local", {"d": 4, "similarity": {"default": {"kind": "range_fraction",
+                                                      "frac": NAN}}}),
+        ("local", {"d": 4, "similarity": {"default": {"kind": "relative",
+                                                      "delta": INF}}}),
     ],
     ids=["abs-no-delta", "linear-no-coefficients", "similarity-list",
          "delta-not-a-number", "local-d64-mc", "global-d64-mc", "audit-list-audit",
@@ -483,7 +493,9 @@ def _wide_config(workdir, d=64, **extra):
          "cube-values-three", "cube-values-one", "cube-values-empty",
          "cube-values-strings", "cube-values-bool", "cube-values-number",
          "baseline-nan", "baseline-inf", "linear-coef-nan", "logistic-intercept-inf",
-         "audit-baseline-nan"],
+         "audit-baseline-nan", "local-audit-key-typo", "audit-audit-key-typo",
+         "linear-model-key-typo", "abs-key-typo", "abs-delta-nan",
+         "range-fraction-frac-nan", "relative-delta-inf"],
 )
 def test_config_holes_exit_2(workdir, capsys, command, extra):
     wide = "d" in extra
@@ -669,6 +681,27 @@ def test_audit_target_out_of_range_rejected(workdir, capsys, target):
     assert not list(workdir.glob("out/split_*"))
 
 
+def test_overflowing_audit_split_exits_1(workdir, capsys):
+    # bs2 differences of a model near 1e200 overflow when squared: the audit
+    # fails as local does, instead of writing NaN into a split artifact
+    model = {"kind": "linear", "coefficients": [1e200, 1e200, 0.0]}
+    cfg = t8_config(workdir, method="bs2", model=model, audit=SMALL_AUDIT)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli(["audit", "--config", cfg, "--targets", "7"]) == 1
+    err = capsys.readouterr().err
+    assert "error: realism split of target 7 is not finite" in err
+    assert "Traceback" not in err and "RuntimeWarning" not in err
+    assert not (workdir / "out").exists()
+
+
+def test_config_that_is_not_an_object_exits_2(workdir, capsys):
+    cfg = workdir / "config.json"
+    cfg.write_text(json.dumps([{"data": "t8.csv"}]), encoding="utf-8")
+    assert run_cli(["local", "--config", cfg]) == 2
+    assert "is not a JSON object" in capsys.readouterr().err
+
+
 def test_timings_on_stderr(workdir, capsys):
     cfg = t8_config(workdir)
     run_cli(["local", "--config", cfg])
@@ -693,6 +726,9 @@ def test_byte_identical_outputs(workdir):
     assert workdir / "out_mc" / "panel_cs2.csv" in first
     assert workdir / "out_abs2" / "panel_abs2.csv" in first
     assert workdir / "out_audit" / "split_bs_t3.json" in first
+    for path in first:
+        if path.suffix == ".json":
+            strict_json(path)
     assert first == outputs()
 
 

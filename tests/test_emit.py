@@ -3,11 +3,12 @@
 ``cli._write_json``, ``aggregate.write_panel_csv`` and the per-subject CSV
 fill one %-template per record. Their bytes must equal those of
 ``json.dump(indent=2)`` and of the per-cell ``csv.writer`` loop, kept in
-``tests/helpers.py`` as references, for every value json and ``repr`` can
-write and for names that need escaping or quoting. A panel's phi floats are
-formatted once and shared as text by its attribution list and its CSV; the
-panels of a lazy (d = 21) Monte Carlo run and of a titanic-shaped exact run
-are checked against the references too.
+``tests/helpers.py`` as references, for every finite value json and
+``repr`` can write (and in CSV for NaN and the infinities, which no JSON
+artifact holds) and for names that need escaping or quoting. A panel's phi
+floats are formatted once and shared as text by its attribution list and
+its CSV; the panels of a lazy (d = 21) Monte Carlo run and of a
+titanic-shaped exact run are checked against the references too.
 """
 
 import contextlib
@@ -56,14 +57,16 @@ EDGE_FLOATS = [
     -1 / 3, 1.7976931348623157e308, 123456789.0, 0.1,
 ]
 FLOATS = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats())
+FINITE_FLOATS = st.one_of(st.sampled_from([f for f in EDGE_FLOATS if math.isfinite(f)]),
+                          st.floats(allow_nan=False, allow_infinity=False))
 EDGE_NAMES = ['q"uote', "back\\slash", "com,ma", "new\nline", "café ☃", " ", "50%",
               "%r%d", "\x00ctl\t", "x1"]
 NAMES = st.lists(st.one_of(st.sampled_from(EDGE_NAMES), st.text(min_size=1, max_size=5)),
                  min_size=1, max_size=6, unique=True)
 
 
-def _floats(draw, *shape):
-    return np.array(draw(st.lists(FLOATS, min_size=math.prod(shape),
+def _floats(draw, *shape, floats=FLOATS):
+    return np.array(draw(st.lists(floats, min_size=math.prod(shape),
                                   max_size=math.prod(shape)))).reshape(shape)
 
 
@@ -76,8 +79,9 @@ def attribution_lists(draw):
     d, records = len(names), draw(st.integers(1, 5))
     method = draw(st.sampled_from(["cs", "cs2", "bs", "var", 'odd"%s']))
     mc, targeted = draw(st.booleans()), draw(st.booleans())
-    phi, totals, stderr = (_floats(draw, records, d), _floats(draw, records),
-                           _floats(draw, records, d))
+    phi, totals, stderr = (_floats(draw, records, d, floats=FINITE_FLOATS),
+                           _floats(draw, records, floats=FINITE_FLOATS),
+                           _floats(draw, records, d, floats=FINITE_FLOATS))
     targets = draw(st.lists(st.integers(0, 10**6), min_size=records, max_size=records))
     perms = draw(st.integers(2, 10**9))
     atts = [
@@ -98,7 +102,7 @@ def _same_bytes(tmp_path_factory, write, write_reference) -> None:
 
 
 @settings(max_examples=150, deadline=None)
-@given(attribution_lists(), FLOATS)
+@given(attribution_lists(), FINITE_FLOATS)
 def test_attribution_payloads_equal_json_dump(tmp_path_factory, case, residual):
     names, atts = case
     # the list form, as local --targets all writes it
@@ -124,14 +128,33 @@ def test_attribution_payloads_equal_json_dump(tmp_path_factory, case, residual):
 def test_split_payloads_equal_json_dump(tmp_path_factory, data):
     names = data.draw(NAMES)
     d = len(names)
-    split = SplitAttribution(_floats(data.draw, d), _floats(data.draw, d),
+    split = SplitAttribution(_floats(data.draw, d, floats=FINITE_FLOATS),
+                             _floats(data.draw, d, floats=FINITE_FLOATS),
                              data.draw(st.sampled_from(["bs", "abs2"])),
                              data.draw(st.integers(0, 10**6)))
-    # the parts' sum, split.phi, may overflow to inf
-    with np.errstate(over="ignore", invalid="ignore"):
-        _same_bytes(tmp_path_factory,
-                    lambda p: cli._write_json(p, cli._split_payload(split, names)),
+    # the parts' sum, split.phi, may overflow to inf, which no artifact holds
+    with np.errstate(over="ignore"):
+        payload = cli._split_payload(split, names)
+        finite = np.isfinite(split.phi).all()
+    if finite:
+        _same_bytes(tmp_path_factory, lambda p: cli._write_json(p, payload),
                     lambda p: reference_json(p, reference_split_payload(split, names)))
+    else:
+        path = tmp_path_factory.mktemp("emit") / "split.json"
+        with pytest.raises(ValueError, match="not finite"):
+            cli._write_json(path, payload)
+        assert not path.exists()
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("many", [False, True])
+def test_write_json_refuses_non_finite_numbers(tmp_path, bad, many):
+    att = Attribution(np.array([1.0, bad]), 0.5, "cs", 3)
+    payload = cli._attribution_payload([att, att] if many else [att], ["a", "b"])
+    path = tmp_path / "out" / "a.json"
+    with pytest.raises(ValueError, match="not finite"):
+        cli._write_json(path, payload, many=many)
+    assert not (tmp_path / "out").exists()
 
 
 @settings(max_examples=100, deadline=None)
