@@ -188,22 +188,27 @@ def make_panel(ds: Dataset, method: str, attributions) -> Panel:
 def write_rows(fh, columns, newline: str) -> None:
     """Write one CSV line per entry of the equal-length 1-D ``columns``,
     each line one template of cells: a %r for a column of numbers, a %s for
-    a column of text (an object array of their ``repr``). The ``repr`` of
-    an int or a float holds no comma, quote or newline, so no cell needs
-    the quoting of :mod:`csv`."""
+    a column of text (an object array of strings, such as numbers' ``repr``).
+    No cell may need the quoting of :mod:`csv`: the ``repr`` of an int or a
+    float holds no comma, quote or newline."""
     template = ",".join(["%s" if c.dtype == object else "%r" for c in columns]) + newline
     rows = zip(*(c.tolist() for c in columns), strict=True)
     fh.writelines(map(template.__mod__, rows))
 
 
+def write_table(path, header, columns, newline: str = "\r\n") -> None:
+    """Write a CSV file: the ``header`` names through :func:`csv.writer`,
+    which quotes a name that needs it, then one line per entry of
+    ``columns`` by :func:`write_rows`; every line ends in ``newline``."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh, lineterminator=newline).writerow(header)
+        write_rows(fh, columns, newline)
+
+
 def write_panel_csv(panel: Panel, path) -> None:
     """The panel as CSV, one line per subject in prediction order: rank,
     subject, its bars and its overlay. Bars already formatted, as an object
-    array of their ``repr``, are written as they are. The header goes
-    through :func:`csv.writer`, which quotes names that need it."""
+    array of their ``repr``, are written as they are."""
     order = panel.ordering
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["rank", "subject", *panel.feature_names, "overlay"])
-        columns = [np.arange(len(order)), order, *panel.bars[order].T, panel.overlay[order]]
-        write_rows(fh, columns, writer.dialect.lineterminator)
+    columns = [np.arange(len(order)), order, *panel.bars[order].T, panel.overlay[order]]
+    write_table(path, ["rank", "subject", *panel.feature_names, "overlay"], columns)

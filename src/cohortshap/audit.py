@@ -2,21 +2,23 @@
 
 A point is realistic when at least one subject is similar to it on every
 predictor, under the same predicate (``match_codes``) that builds cohorts.
-Marginal-product sampling is compared against held-out rows. One witness
-scan per run computes, per point, the smallest threshold scale at which a
-witness appears; it screens the point at every scale at once. A column
-whose radius is 0 at every point must match exactly at any scale, so the
-scan groups rows and points into exact-match buckets on those columns and
-pairs a point only with the rows of its bucket. The columns that share one
-radius at every point (an absolute or resolved range threshold) are scaled
-together: the largest gap over them is multiplied once by the reciprocal,
-which is exact because rounding a product by a positive number is monotone.
-The scan runs in point blocks whose three reused buffers share about
-``MASK_BLOCK_BYTES``, so a block stays in a core's L2 cache. A point whose
-scale lies within ``SCALE_ULPS`` ulps of a configured scale is decided by
-the predicate itself, so every rate is the share of points
-:func:`is_realistic` accepts, and sharing the draws across scales keeps the
-rates monotone in the threshold.
+Marginal-product sampling is compared against held-out rows. Each run is
+scored in one pass, and a ``train`` marginal reference reuses its split at
+the first fraction. One witness scan per point set computes, per point, the
+smallest threshold scale at which a witness appears; it screens the point
+at every scale at once. A column whose radius is 0 at every point must
+match exactly at any scale, so the scan groups rows and points into
+exact-match buckets on those columns and pairs a point only with the rows
+of its bucket. The columns that share one radius at every point (an
+absolute or resolved range threshold) are scaled together: the largest gap
+over them is multiplied once by the reciprocal, which is exact because
+rounding a product by a positive number is monotone. The scan runs in point
+blocks whose three reused buffers share about ``MASK_BLOCK_BYTES``, so a
+block stays in a core's L2 cache. A point whose scale lies within
+``SCALE_ULPS`` ulps of a configured scale is decided by the predicate
+itself, so every rate is the share of points :func:`is_realistic` accepts,
+and sharing the draws across scales keeps the rates monotone in the
+threshold.
 The realism split of a baseline-style attribution reads the witnesses of
 every hybrid from the match codes of the target and of the baseline rows,
 coded once per run of splits, and the splits of many targets take their
@@ -25,11 +27,11 @@ differences from one baseline sweep, so they share its model calls.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
+from .aggregate import write_table
 from .bits import halves
 from .dataset import Dataset, split_holdout
 from .games import (
@@ -259,12 +261,14 @@ def realism_curve(
 
     ``base_rules`` carry thresholds at scale 1.0; each entry of ``scales``
     multiplies them. Draws and splits are shared across scales (one witness
-    scan per run), and each rate is the share of points that
+    scan per point set), and each rate is the share of points that
     :func:`is_realistic` accepts at that scale, so rates are non-decreasing
     in the threshold. Thresholds are resolved against the full dataset;
-    holdout witnesses come from the train split only. Witnesses for the marginal
-    curve come from the full dataset, or from a per-run train split (at the
-    first holdout fraction) when marginal_reference="train".
+    holdout witnesses come from the train split only. Each run is scored in
+    one pass: it makes its split at each fraction once and adds its rates to
+    one (scales, 1 + fractions) table, marginal first. Marginal witnesses
+    come from the full dataset, or with marginal_reference="train" from the
+    run's train split at the first fraction, which is reused.
     """
     if runs < 1:
         raise ValueError("need at least one run")
@@ -278,30 +282,22 @@ def realism_curve(
     resolved = resolve_rules(base_rules, ds)
     scale_arr = np.asarray(scales)
 
-    marginal = np.zeros(len(scales))
+    rates = np.zeros((len(scales), 1 + len(fractions)))
     for r in range(runs):
-        source = ds
-        witness_X = ds.X
-        if marginal_reference == "train":
-            source, _ = split_holdout(ds, fractions[0], _derive_seed(seed, 2, 0, r))
-            witness_X = source.X
+        splits = [split_holdout(ds, frac, _derive_seed(seed, 2, fi, r))
+                  for fi, frac in enumerate(fractions)]
+        source = splits[0][0] if marginal_reference == "train" else ds
         pts = sample_marginal_product(source, m, _derive_seed(seed, 1, r))
-        marginal += _realistic_at(pts, witness_X, resolved, scale_arr).mean(axis=1)
-    marginal /= runs
-
-    holdout = np.zeros((len(scales), len(fractions)))
-    for fi, frac in enumerate(fractions):
-        for r in range(runs):
-            train, test = split_holdout(ds, frac, _derive_seed(seed, 2, fi, r))
-            flags = _realistic_at(test.X, train.X, resolved, scale_arr)
-            holdout[:, fi] += flags.mean(axis=1)
-    holdout /= runs
+        scored = [(pts, source.X), *((test.X, train.X) for train, test in splits)]
+        for col, (points, ref) in enumerate(scored):
+            rates[:, col] += _realistic_at(points, ref, resolved, scale_arr).mean(axis=1)
+    rates /= runs
 
     return RealismReport(
         thresholds=scales,
         fractions=fractions,
-        marginal_rates=marginal,
-        holdout_rates=holdout,
+        marginal_rates=rates[:, 0],
+        holdout_rates=rates[:, 1:],
         runs=runs,
         seed=seed,
         marginal_samples=m,
@@ -309,22 +305,13 @@ def realism_curve(
 
 
 def write_realism_csv(report: RealismReport, path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["threshold", "source", "fraction", "rate"])
-        for si, scale in enumerate(report.thresholds):
-            writer.writerow(
-                [repr(float(scale)), "marginal", "", repr(float(report.marginal_rates[si]))]
-            )
-            for fi, frac in enumerate(report.fractions):
-                writer.writerow(
-                    [
-                        repr(float(scale)),
-                        "holdout",
-                        repr(float(frac)),
-                        repr(float(report.holdout_rates[si, fi])),
-                    ]
-                )
+    """The curve as CSV, one line per scale and source: at each scale the
+    marginal rate, then the holdout rate at each fraction."""
+    cells = [("marginal", ""), *(("holdout", repr(f)) for f in report.fractions)]
+    source, fraction = np.tile(np.array(cells, dtype=object).T, len(report.thresholds))
+    rates = np.column_stack((report.marginal_rates, report.holdout_rates))
+    columns = [np.repeat(report.thresholds, len(cells)), source, fraction, rates.ravel()]
+    write_table(path, ["threshold", "source", "fraction", "rate"], columns)
 
 
 def realism_splits(
@@ -357,9 +344,8 @@ def realism_splits(
     resolved = resolve_rules(rules, ds)
     code_b = match_codes(ds.X, resolved, baselines)
     weights = _halves_weights(d)
-    masks = np.arange(1, 1 << d, dtype=np.int64)
     sweep = baseline_sweep(
-        model, baselines, method, ds.X[targets], masks, per_baseline=True
+        model, baselines, method, ds.X[targets], None, per_baseline=True
     )
     for t in targets:
         # realism and per-baseline differences of every hybrid, (2^d, k); the

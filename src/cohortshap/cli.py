@@ -6,15 +6,16 @@ round-trip decimals so identical runs produce byte-identical files.
 Every artifact is written in the ``emit`` phase, and phase timings go to
 standard error.
 
-JSON artifacts, the panel and the per-subject CSV are written from one
-%-template per record, with a %r for each number: the template holds the
-layout and the escaped names, and a record is one ``%`` of Python floats
-and ints from ``ndarray.tolist()``. The bytes are those of
-``json.dump(indent=2)`` and of a ``csv.writer`` of ``repr`` cells. Every
-JSON number is finite: each command refuses a non-finite result before
-it writes anything, and the JSON writer refuses one too. A panel's phi
-floats are formatted once, by ``repr``, and that text goes through a %s
-into both the attribution list and the panel CSV.
+Every artifact is written from one %-template per record, a %r for each
+number: the template holds the layout and the escaped names, and a record
+is one ``%`` of Python floats and ints from ``ndarray.tolist()``. Every
+CSV is a header quoted by ``csv.writer`` and then those lines
+(``aggregate.write_table``). The bytes are those of ``json.dump(indent=2)``
+and of a ``csv.writer`` of ``repr`` cells. Every JSON number is finite:
+each command refuses a non-finite result before it writes anything, and
+the JSON writer refuses one too. A panel's phi floats are formatted once,
+by ``repr``, and that text goes through a %s into both the attribution
+list and the panel CSV.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .aggregate import (
     local_attributions,
     make_panel,
     write_panel_csv,
-    write_rows,
+    write_table,
 )
 from .audit import realism_curve, realism_splits, write_realism_csv
 from .config import ConfigError, RunConfig
@@ -157,11 +158,9 @@ def _split_payload(split, names) -> dict:
 
 def _write_per_subject_csv(path, names, rows) -> None:
     """The (n, d) per-subject squared cohort rows, one line a subject after
-    a header of plain names."""
+    a header of the subject and the names."""
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(["subject", *names]) + "\n")
-        write_rows(fh, [np.arange(len(rows)), *rows.T], "\n")
+    write_table(path, ["subject", *names], [np.arange(len(rows)), *rows.T], "\n")
 
 
 def _load_dataset(cfg: RunConfig):

@@ -12,7 +12,7 @@ import operator
 import os
 from dataclasses import dataclass, field
 
-from .dataset import schema_from_json
+from .dataset import DatasetError, schema_from_json
 from .games import EXACT_CAP, MODEL_METHODS
 from .models import ExternalCommand, LinearModel, LogisticModel
 from .similarity import (
@@ -46,9 +46,10 @@ def _check_int(name: str, value, minimum: int) -> None:
 
 def _check_numbers(name: str, value) -> None:
     if not isinstance(value, list) or not all(
-        isinstance(v, (int, float)) and not isinstance(v, bool) for v in value
+        isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) < math.inf
+        for v in value
     ):
-        raise ConfigError(f"{name} must be a list of numbers, got {value!r}")
+        raise ConfigError(f"{name} must be a list of finite numbers, got {value!r}")
 
 
 def _target_index(t) -> int:
@@ -186,9 +187,13 @@ class RunConfig:
         if self.schema is None:
             raise ConfigError("no schema configured")
         try:
-            return schema_from_json(self.schema)
-        except (KeyError, TypeError, AttributeError) as exc:
+            schema = schema_from_json(self.schema)
+        except (KeyError, TypeError, AttributeError, DatasetError) as exc:
             raise _spec_error("schema", self.schema, exc) from None
+        names = [col.name for col in schema]
+        if not names or len(set(names)) < len(names):
+            raise ConfigError(f"schema must name distinct columns, at least one: {names}")
+        return schema
 
     def parsed_targets(self) -> object:
         if self.targets == "all":
@@ -271,8 +276,8 @@ class RunConfig:
                 if not self.audit[key]:
                     raise ConfigError(f"audit {key} must not be empty")
         scales = self.audit.get("scales", [])
-        if not all(math.isfinite(s) and s >= 0 for s in scales):
-            raise ConfigError(f"audit scales must be finite and >= 0, got {scales!r}")
+        if not all(s >= 0 for s in scales):
+            raise ConfigError(f"audit scales must be >= 0, got {scales!r}")
         fractions = self.audit.get("fractions", [])
         if not all(0 < f < 1 for f in fractions):
             raise ConfigError(f"audit fractions must lie in (0, 1), got {fractions!r}")
@@ -302,8 +307,9 @@ class RunConfig:
             raise ConfigError("no data file configured")
         if not isinstance(self.data, str):
             raise ConfigError(f"data must be a CSV file path, got {self.data!r}")
-        if self.schema is None:
-            raise ConfigError("no schema configured")
+        column = self.prediction_column
+        if column is not None and not isinstance(column, str):
+            raise ConfigError(f"prediction_column must be a column name, got {column!r}")
         schema = self.parsed_schema()
         d = len(schema)
         if d > MAX_COLUMNS:
@@ -321,9 +327,10 @@ class RunConfig:
             _check_numbers("a baseline other than 'mean'", self.baseline)
             if len(self.baseline) != d:
                 raise ConfigError(f"baseline needs {d} numbers, got {self.baseline!r}")
-            if not all(map(math.isfinite, self.baseline)):
-                raise ConfigError(f"baseline must be finite, got {self.baseline!r}")
         model = self.parsed_model()  # raises early on a malformed spec
+        coefficients = getattr(model, "coefficients", None)
+        if coefficients is not None and len(coefficients) != d:
+            raise ConfigError(f"model coefficients: need {d}, got {len(coefficients)}")
         if self.method in MODEL_METHODS and model is None:
             raise ConfigError(f"method {self.method!r} needs a predicting model")
         if command == "audit" and model is not None and d > EXACT_CAP:

@@ -89,8 +89,8 @@ class AbsoluteThreshold(_Rule):
     kinds: ClassVar[tuple[str, ...]] = ("numeric", "binary")
 
     def __post_init__(self):
-        if self.delta < 0:
-            raise SimilarityError(f"negative threshold {self.delta}")
+        if not self.delta >= 0:
+            raise SimilarityError(f"threshold must be >= 0, got {self.delta}")
 
     def scaled(self, factor: float) -> "AbsoluteThreshold":
         return AbsoluteThreshold(self.delta * factor)
@@ -116,8 +116,8 @@ class RangeFraction(_Rule):
     kinds: ClassVar[tuple[str, ...]] = ("numeric",)
 
     def __post_init__(self):
-        if self.frac < 0:
-            raise SimilarityError(f"negative range fraction {self.frac}")
+        if not self.frac >= 0:
+            raise SimilarityError(f"range fraction must be >= 0, got {self.frac}")
         if not 0.0 <= self.lo_q < self.hi_q <= 1.0:
             raise SimilarityError(f"bad quantile pair ({self.lo_q}, {self.hi_q})")
 
@@ -142,8 +142,8 @@ class RelativeThreshold(_Rule):
     kinds: ClassVar[tuple[str, ...]] = ("numeric",)
 
     def __post_init__(self):
-        if self.delta < 0:
-            raise SimilarityError(f"negative threshold {self.delta}")
+        if not self.delta >= 0:
+            raise SimilarityError(f"threshold must be >= 0, got {self.delta}")
 
     def scaled(self, factor: float) -> "RelativeThreshold":
         return RelativeThreshold(self.delta * factor)

@@ -515,9 +515,31 @@ def reference_rows(columns, newline, path) -> None:
 
 
 def reference_per_subject_csv(names, rows, path) -> None:
-    """The per-subject squared cohort rows, one ``repr`` join a subject."""
+    """The per-subject squared cohort rows, one ``repr`` join a subject,
+    under a header of :mod:`csv` cells."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(["subject", *names]) + "\n")
+        csv.writer(fh, lineterminator="\n").writerow(["subject", *names])
         for t in range(len(rows)):
             row = ",".join(repr(float(v)) for v in rows[t])
             fh.write(f"{t},{row}\n")
+
+
+def reference_realism_csv(report, path) -> None:
+    """The realism curve encoder, one :mod:`csv` row of ``repr`` cells a scale
+    and source."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["threshold", "source", "fraction", "rate"])
+        for si, scale in enumerate(report.thresholds):
+            writer.writerow(
+                [repr(float(scale)), "marginal", "", repr(float(report.marginal_rates[si]))]
+            )
+            for fi, frac in enumerate(report.fractions):
+                writer.writerow(
+                    [
+                        repr(float(scale)),
+                        "holdout",
+                        repr(float(frac)),
+                        repr(float(report.holdout_rates[si, fi])),
+                    ]
+                )

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import os
@@ -202,6 +203,21 @@ def test_mc_rejects_non_finite_games(workdir, capsys):
     assert not list(workdir.glob("out_*/*"))
 
 
+def test_per_subject_header_quotes_names(workdir):
+    # a column name that needs CSV quoting is quoted in the per-subject
+    # header as in the data CSV, so the header has d + 1 fields like each row
+    text = (workdir / "t8.csv").read_text(encoding="utf-8").replace("x1,", '"a,b",', 1)
+    (workdir / "named.csv").write_text(text, encoding="utf-8")
+    cfg = t8_config(workdir, data="named.csv", method="var",
+                    schema={"a,b": "binary", "x2": "binary", "x3": "binary"},
+                    audit={"per_subject": True})
+    assert run_cli(["global", "--config", cfg]) == 0
+    with open(workdir / "out" / "per_subject_cs2.csv", newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["subject", "a,b", "x2", "x3"]
+    assert len(rows) == 9 and all(len(row) == 4 for row in rows)
+
+
 # Full factorials of t8's x1, x2, x3 whose exact totals are finite but
 # whose cohort values overflow: with +-1.7e308 predictions of opposite sign
 # on x1 = 0 and x1 = 1 the grand mean is 0, yet the four subjects of a cohort
@@ -327,13 +343,13 @@ def test_cube_command_random_d8(workdir):
 
 @pytest.mark.parametrize(
     "values",
-    [[1.0, 1e308, -1e308, 5.0], [0.0, -1e308, -1e308, 1e308], [0.0, float("inf")],
-     "corners.txt"],
-    ids=["anova-overflow", "anchored-overflow", "infinite-corner", "nan-in-file"],
+    [[1.0, 1e308, -1e308, 5.0], [0.0, -1e308, -1e308, 1e308], "corners.txt"],
+    ids=["anova-overflow", "anchored-overflow", "nan-in-file"],
 )
 def test_cube_non_finite_exit_1(workdir, capsys, values):
-    # a non-finite corner value or decomposition is a runtime error, and no
-    # cube.json with Infinity or NaN in it is written
+    # a non-finite corner value read from a file or a decomposition that
+    # overflows is a runtime error, and no cube.json with Infinity or NaN in
+    # it is written; inline corner values must be finite in the config
     (workdir / "corners.txt").write_text("0.0\n1.0\nnan\n2.0\n", encoding="utf-8")
     cfg_path = workdir / "cube.json"
     cfg_path.write_text(json.dumps({"cube_values": values, "out": "out"}),
@@ -474,6 +490,15 @@ def _wide_config(workdir, d=64, **extra):
                                                       "frac": NAN}}}),
         ("local", {"d": 4, "similarity": {"default": {"kind": "relative",
                                                       "delta": INF}}}),
+        ("local", {"schema": {"x1": "weird", "x2": "binary", "x3": "binary"}}),
+        ("local", {"schema": [{"name": "x1", "kind": "binary"},
+                              {"name": "x1", "kind": "binary"},
+                              {"name": "x2", "kind": "binary"}]}),
+        ("local", {"schema": {}}),
+        ("local", {"method": "bs", "model": {"kind": "linear", "coefficients": [2.0, 1.0]}}),
+        ("local", {"prediction_column": 5}),
+        ("cube", {"cube_values": [0.0, INF]}),
+        ("cube", {"cube_values": [0.0, NAN, 1.0, 2.0]}),
     ],
     ids=["abs-no-delta", "linear-no-coefficients", "similarity-list",
          "delta-not-a-number", "local-d64-mc", "global-d64-mc", "audit-list-audit",
@@ -495,7 +520,9 @@ def _wide_config(workdir, d=64, **extra):
          "baseline-nan", "baseline-inf", "linear-coef-nan", "logistic-intercept-inf",
          "audit-baseline-nan", "local-audit-key-typo", "audit-audit-key-typo",
          "linear-model-key-typo", "abs-key-typo", "abs-delta-nan",
-         "range-fraction-frac-nan", "relative-delta-inf"],
+         "range-fraction-frac-nan", "relative-delta-inf", "schema-kind-unknown",
+         "schema-name-twice", "schema-empty", "linear-coef-short",
+         "prediction-column-int", "infinite-corner", "cube-values-nan"],
 )
 def test_config_holes_exit_2(workdir, capsys, command, extra):
     wide = "d" in extra

@@ -1,7 +1,8 @@
 """The artifact writers against the encoders they replace.
 
-``cli._write_json``, ``aggregate.write_panel_csv`` and the per-subject CSV
-fill one %-template per record. Their bytes must equal those of
+``cli._write_json`` and the CSV writers (the panel, the per-subject rows
+and the realism curve, all through ``aggregate.write_table``) fill one
+%-template per record. Their bytes must equal those of
 ``json.dump(indent=2)`` and of the per-cell ``csv.writer`` loop, kept in
 ``tests/helpers.py`` as references, for every finite value json and
 ``repr`` can write (and in CSV for NaN and the infinities, which no JSON
@@ -24,6 +25,7 @@ from cohortshap import (
     Attribution,
     CubeFunction,
     Panel,
+    RealismReport,
     SplitAttribution,
     TableGame,
     anchored_cube,
@@ -31,11 +33,13 @@ from cohortshap import (
     cli,
     local_attributions,
     make_panel,
+    realism_curve,
     realism_splits,
     shapley_effects_independent,
     shapley_exact,
     shapley_from_anchored,
     write_panel_csv,
+    write_realism_csv,
 )
 from cohortshap.aggregate import global_attribution, write_rows
 from cohortshap.config import RunConfig
@@ -46,6 +50,7 @@ from .helpers import (
     reference_named,
     reference_panel_csv,
     reference_per_subject_csv,
+    reference_realism_csv,
     reference_rows,
     reference_split_payload,
 )
@@ -173,6 +178,19 @@ def test_panel_and_per_subject_csv_equal_csv_writer(tmp_path_factory, data):
 
 @settings(max_examples=100, deadline=None)
 @given(st.data())
+def test_realism_csv_equals_csv_writer(tmp_path_factory, data):
+    scales = data.draw(st.lists(FLOATS, min_size=1, max_size=5))
+    fractions = data.draw(st.lists(FLOATS, min_size=0, max_size=3))
+    rates = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+    table = _floats(data.draw, len(scales), 1 + len(fractions), floats=rates)
+    report = RealismReport(tuple(scales), tuple(fractions), table[:, 0], table[:, 1:],
+                           runs=1, seed=0, marginal_samples=1)
+    _same_bytes(tmp_path_factory, lambda p: write_realism_csv(report, p),
+                lambda p: reference_realism_csv(report, p))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
 def test_rows_of_text_and_numbers_equal_csv_writer(tmp_path_factory, data):
     # a column of text, such as a panel's preformatted phi, is written as it
     # is beside columns of ints and floats
@@ -262,14 +280,15 @@ def test_cli_artifacts_equal_reference_encoders(workdir):
         "per_subject_cs2.csv": (lambda p, r: reference_per_subject_csv(names, r, p), rows),
     })
 
-    # audit with two split targets (realism.csv keeps its csv.writer loop)
+    # audit with two split targets
     assert run_cli(["audit", "--config", cfg_path, "--targets", "3,7", "--out", "audit"]) == 0
-    written = _written(workdir / "audit")
-    assert written.pop("realism.csv")
+    report = realism_curve(ds, cfg.audit_rules_for(ds.schema), SMALL_AUDIT["scales"],
+                           SMALL_AUDIT["fractions"], SMALL_AUDIT["runs"], cfg.seed)
     splits = realism_splits(ds, [3, 7], "mean", model, rules, "bs")
-    assert written == _reference_files(workdir, {
-        f"split_bs_t{s.target}.json": (reference_json, reference_split_payload(s, names))
-        for s in splits
+    assert _written(workdir / "audit") == _reference_files(workdir, {
+        "realism.csv": (lambda p, r: reference_realism_csv(r, p), report),
+        **{f"split_bs_t{s.target}.json": (reference_json, reference_split_payload(s, names))
+           for s in splits},
     })
 
     # cube

@@ -55,6 +55,13 @@ def test_rule_validation():
     ]
 
 
+@pytest.mark.parametrize("rule", [AbsoluteThreshold, RelativeThreshold, RangeFraction])
+def test_nan_threshold_refused_when_built(rule):
+    # nan < 0 is False, so a sign test alone would let a NaN threshold through
+    with pytest.raises(SimilarityError, match="nan"):
+        rule(float("nan"))
+
+
 def test_resolve_range_fraction():
     ds = Dataset(
         schema=(ColumnSchema("v", "numeric"),),
