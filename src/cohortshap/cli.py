@@ -6,6 +6,13 @@ round-trip decimals so identical runs produce byte-identical files.
 Every artifact is written in the ``emit`` phase, and phase timings go to
 standard error.
 
+The config file is validated whole, whichever command runs, so one file
+can serve every command. Besides ``--config`` and ``--out`` a command takes
+only the flags it reads (:data:`COMMANDS`): ``local`` takes ``--data
+--method --engine --permutations --seed --targets``, ``global`` ``--data
+--engine --permutations --seed``, ``audit`` ``--data --method --seed
+--targets`` and ``cube`` none; any other flag is a usage error.
+
 Every artifact is written from one %-template per record, a %r for each
 number: the template holds the layout and the escaped names, and a record
 is one ``%`` of Python floats and ints from ``ndarray.tolist()``. Every
@@ -38,7 +45,7 @@ from .aggregate import (
     write_table,
 )
 from .audit import realism_curve, realism_splits, write_realism_csv
-from .config import ConfigError, RunConfig
+from .config import METHODS, ConfigError, RunConfig
 from .cube import (
     CubeFunction,
     anchored_cube,
@@ -47,9 +54,9 @@ from .cube import (
     shapley_from_anchored,
 )
 from .dataset import DatasetError, attach_predictions, load_csv
-from .games import MODEL_METHODS, TableGame
+from .games import MODEL_METHODS
 from .models import ModelError, predict
-from .shapley import shapley_exact
+from .shapley import _exact_phi
 from .similarity import SimilarityError
 
 
@@ -184,9 +191,6 @@ def _check_targets(targets, n: int) -> None:
 
 
 def cmd_local(cfg: RunConfig) -> int:
-    cfg.validate("local")
-    if cfg.method == "var":
-        raise ConfigError("method 'var' is global; use the global command")
     with _phase("load"):
         ds, model = _load_dataset(cfg)
         rules = cfg.rules_for(ds.schema)
@@ -231,13 +235,12 @@ def cmd_local(cfg: RunConfig) -> int:
 
 
 def cmd_global(cfg: RunConfig) -> int:
-    cfg.validate("global")
     with _phase("load"):
         ds, _ = _load_dataset(cfg)
         rules = cfg.rules_for(ds.schema)
     # the exact direct route is checked against the disaggregated one; an MC
     # estimate reports its standard errors instead
-    per_subject = cfg.audit.get("per_subject", False)
+    per_subject = cfg.audit_settings()["per_subject"]
     rows = cfg.engine == "exact" or per_subject
     with _phase("cohort sweep: variance shapley and per-subject rows"
                 if rows else "variance shapley"):
@@ -262,33 +265,22 @@ def cmd_global(cfg: RunConfig) -> int:
 
 
 def cmd_audit(cfg: RunConfig) -> int:
-    cfg.validate("audit")
     with _phase("load"):
         ds, model = _load_dataset(cfg)
     targets = cfg.parsed_targets()
     targets = [0] if targets == "all" else targets
     _check_targets(targets, ds.n)
-    audit_cfg = cfg.audit
-    schema = cfg.parsed_schema()
-    base_rules = cfg.audit_rules_for(schema)
-    scales = audit_cfg.get("scales", [round(0.05 * k, 10) for k in range(1, 21)])
-    fractions = audit_cfg.get("fractions", [0.1, 0.2, 0.3])
-    runs = int(audit_cfg.get("runs", 100))
-    with _phase(f"realism curve ({len(scales)} scales x {runs} runs)"):
+    audit = cfg.audit_settings()
+    with _phase(f"realism curve ({len(audit['scales'])} scales x {audit['runs']} runs)"):
         report = realism_curve(
-            ds,
-            base_rules,
-            scales,
-            fractions,
-            runs=runs,
-            seed=cfg.seed,
-            marginal_samples=audit_cfg.get("marginal_samples"),
-            marginal_reference=audit_cfg.get("marginal_reference", "full"),
+            ds, cfg.audit_rules_for(ds.schema), audit["scales"], audit["fractions"],
+            runs=audit["runs"], seed=cfg.seed, marginal_samples=audit["marginal_samples"],
+            marginal_reference=audit["marginal_reference"],
         )
     splits = []
     if model is not None:
         method = cfg.method if cfg.method in MODEL_METHODS else "bs"
-        rules = cfg.rules_for(schema)
+        rules = cfg.rules_for(ds.schema)
         with _phase(f"realism split x{len(targets)}"):
             # every split runs before any artifact is written, so a failed
             # split leaves no partial output
@@ -305,7 +297,6 @@ def cmd_audit(cfg: RunConfig) -> int:
 
 
 def cmd_cube(cfg: RunConfig) -> int:
-    cfg.validate("cube")
     values = cfg.cube_values
     if isinstance(values, str):
         with open(values, encoding="utf-8") as fh:
@@ -315,13 +306,12 @@ def cmd_cube(cfg: RunConfig) -> int:
     with _phase("decompositions"), np.errstate(over="ignore", invalid="ignore"):
         dec = anchored_cube(g)
         via_anchored = shapley_from_anchored(dec)
-        direct = shapley_exact(TableGame(g.values - g.values[0], "cube"))
-        probs = cfg.audit.get("cube_probs", [0.5] * g.d)
-        anova = anova_cube(g, np.asarray(probs, dtype=float))
+        direct = _exact_phi(g.values - g.values[0], g.d)[0]
+        anova = anova_cube(g, cfg.audit_settings()["cube_probs"])
         effects = shapley_effects_independent(anova)
-        discrepancy = float(np.max(np.abs(via_anchored.phi - direct.phi)))
+        discrepancy = float(np.max(np.abs(via_anchored.phi - direct)))
     outputs = (dec.components, anova.sigma2, anova.mean, via_anchored.phi,
-               direct.phi, effects.phi, discrepancy)
+               direct, effects.phi, discrepancy)
     if not all(np.isfinite(v).all() for v in outputs):
         raise ValueError("cube decompositions overflow: an output is not finite")
     print(f"two-route max discrepancy: {discrepancy!r}")
@@ -335,12 +325,37 @@ def cmd_cube(cfg: RunConfig) -> int:
                 "anova_sigma2": list(anova.sigma2),
                 "anova_mean": float(anova.mean),
                 "phi_anchored": _named(names, via_anchored.phi),
-                "phi_exact": _named(names, direct.phi),
+                "phi_exact": _named(names, direct),
                 "phi_variance": _named(names, effects.phi),
                 "max_discrepancy": discrepancy,
             },
         )
     return 0
+
+
+# Each flag a command may take, by the RunConfig key it overrides.
+FLAGS = {
+    "data": {"help": "dataset CSV path"},
+    "method": {"help": "|".join(METHODS)},
+    "engine": {"help": "exact|mc"},
+    "permutations": {"type": int, "help": "mc order count; orders come in pairs, "
+                                          "each drawn order followed by its reverse"},
+    "seed": {"type": int, "help": "mc / audit seed"},
+    "targets": {"help": "'all' or comma-separated row indices"},
+}
+
+# Each command: its function, its help text and the keys of the flags it
+# reads. Every command also takes --config and --out.
+COMMANDS = {
+    "local": (cmd_local, "per-target attributions (and a panel for --targets all)",
+              ("data", "method", "engine", "permutations", "seed", "targets")),
+    "global": (cmd_global, "variance Shapley and its per-subject disaggregation from "
+                           "one sweep of the squared cohort tables",
+               ("data", "engine", "permutations", "seed")),
+    "audit": (cmd_audit, "realism calibration and realistic/unrealistic splits",
+              ("data", "method", "seed", "targets")),
+    "cube": (cmd_cube, "decompositions of an explicit 2^d value table", ()),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -349,36 +364,13 @@ def build_parser() -> argparse.ArgumentParser:
         description="Variable importance for black-box predictors on observed data",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("local", "per-target attributions (and a panel for --targets all)"),
-        ("global", "variance Shapley and its per-subject disaggregation from one "
-                   "sweep of the squared cohort tables"),
-        ("audit", "realism calibration and realistic/unrealistic splits"),
-        ("cube", "decompositions of an explicit 2^d value table"),
-    ):
+    for name, (_, help_text, keys) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="JSON config file")
-        p.add_argument("--data", help="dataset CSV path")
-        p.add_argument("--method", help="cs|cs2|bs|bs2|abs|abs2|var")
-        p.add_argument("--engine", help="exact|mc")
-        p.add_argument(
-            "--permutations",
-            type=int,
-            help="mc order count; orders come in pairs, each drawn order "
-                 "followed by its reverse",
-        )
-        p.add_argument("--seed", type=int, help="mc / audit seed")
+        for key in keys:
+            p.add_argument(f"--{key}", **FLAGS[key])
         p.add_argument("--out", help="output directory")
-        p.add_argument("--targets", help="'all' or comma-separated row indices")
     return parser
-
-
-COMMANDS = {
-    "local": cmd_local,
-    "global": cmd_global,
-    "audit": cmd_audit,
-    "cube": cmd_cube,
-}
 
 
 def main(argv=None) -> int:
@@ -387,7 +379,8 @@ def main(argv=None) -> int:
     command, path = overrides.pop("command"), overrides.pop("config")
     try:
         cfg = RunConfig.load(path, overrides)
-        return COMMANDS[command](cfg)
+        cfg.validate(command)
+        return COMMANDS[command][0](cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -1,7 +1,11 @@
 """Run configuration: one JSON file, flag overrides win.
 
 Validation happens before any data is loaded or any model process is
-spawned, so a bad config never reaches computation.
+spawned, so a bad config never reaches computation. An integer past the
+float range is refused as the file is read. The audit block's keys and
+defaults are one table, :data:`AUDIT_DEFAULTS`. Inline cube values and the
+cube probabilities are checked by the cube's own code, :class:`CubeFunction`
+and :func:`coordinate_probs`.
 """
 
 from __future__ import annotations
@@ -10,10 +14,12 @@ import json
 import math
 import operator
 import os
+import sys
 from dataclasses import dataclass, field
 
+from .cube import CubeFunction, coordinate_probs
 from .dataset import DatasetError, schema_from_json
-from .games import EXACT_CAP, MODEL_METHODS
+from .games import COHORT_METHODS, EXACT_CAP, MODEL_METHODS
 from .models import ExternalCommand, LinearModel, LogisticModel
 from .similarity import (
     AbsoluteThreshold,
@@ -24,7 +30,7 @@ from .similarity import (
     check_rules,
 )
 
-METHODS = ("cs", "cs2", "bs", "bs2", "abs", "abs2", "var")
+METHODS = (*COHORT_METHODS, *MODEL_METHODS, "var")
 
 # Coalitions are int64 bitmasks, one bit per column.
 MAX_COLUMNS = 63
@@ -52,6 +58,18 @@ def _check_numbers(name: str, value) -> None:
         raise ConfigError(f"{name} must be a list of finite numbers, got {value!r}")
 
 
+def _parse_int(literal: str) -> int:
+    """A JSON integer literal; ConfigError past the float range, since every
+    config number is used as a float, or past ``int``'s digit limit."""
+    try:
+        value = int(literal)
+    except ValueError:
+        value = math.inf
+    if abs(value) > sys.float_info.max:
+        raise ConfigError(f"integer {literal[:20]}... lies past the float range")
+    return value
+
+
 def _target_index(t) -> int:
     if isinstance(t, str):
         return int(t)
@@ -60,8 +78,7 @@ def _target_index(t) -> int:
     return operator.index(t)  # rejects 1.5 instead of truncating it
 
 
-# The keys each kind of similarity and model spec takes, and the keys of the
-# audit block.
+# The keys each kind of similarity and model spec takes.
 RULE_KEYS = {
     "identity": {"kind"},
     "abs": {"kind", "delta"},
@@ -74,8 +91,18 @@ MODEL_KEYS = {
     "logistic": {"kind", "coefficients", "intercept"},
     "external": {"kind", "command"},
 }
-AUDIT_KEYS = {"similarity", "scales", "fractions", "runs", "marginal_samples",
-              "marginal_reference", "per_subject", "cube_probs"}
+# The audit block's keys and their defaults, shared by every run and not to
+# be mutated. A cube_probs of None is d fair coins.
+AUDIT_DEFAULTS = {
+    "similarity": {},
+    "scales": [round(0.05 * k, 10) for k in range(1, 21)],
+    "fractions": [0.1, 0.2, 0.3],
+    "runs": 100,
+    "marginal_samples": None,
+    "marginal_reference": "full",
+    "per_subject": False,
+    "cube_probs": None,
+}
 
 
 def _check_keys(what: str, obj: dict, known) -> None:
@@ -174,7 +201,7 @@ class RunConfig:
                 raise ConfigError(f"config file {path!r} does not exist")
             with open(path, encoding="utf-8") as fh:
                 try:
-                    raw = json.load(fh)
+                    raw = json.load(fh, parse_int=_parse_int)
                 except json.JSONDecodeError as exc:
                     raise ConfigError(f"config {path!r} is not valid JSON: {exc}")
         if not isinstance(raw, dict):
@@ -191,6 +218,8 @@ class RunConfig:
         except (KeyError, TypeError, AttributeError, DatasetError) as exc:
             raise _spec_error("schema", self.schema, exc) from None
         names = [col.name for col in schema]
+        if not all(isinstance(name, str) for name in names):
+            raise ConfigError(f"schema column names must be strings, got {names}")
         if not names or len(set(names)) < len(names):
             raise ConfigError(f"schema must name distinct columns, at least one: {names}")
         return schema
@@ -214,7 +243,7 @@ class RunConfig:
 
     def audit_rules_for(self, schema) -> list:
         """The realism curve's rules: audit similarity specs over the run's."""
-        spec = {**self.similarity, **self.audit.get("similarity", {})}
+        spec = {**self.similarity, **self.audit_settings()["similarity"]}
         return rules_from_json(spec, schema, "audit similarity")
 
     def parsed_model(self):
@@ -227,38 +256,9 @@ class RunConfig:
             return self.model["path"]
         return None
 
-    def _check_cube_values(self) -> None:
-        """cube_values: a file path, or an inline list of 2^d numbers, d >= 1."""
-        values = self.cube_values
-        if values is None:
-            raise ConfigError("cube command needs cube_values")
-        if isinstance(values, str):
-            return
-        size = len(values) if isinstance(values, list) else 0
-        if size < 2 or size & (size - 1):
-            raise ConfigError(
-                f"cube_values must be a file path or a list of 2^d numbers with "
-                f"d >= 1, got {values!r}"
-            )
-        _check_numbers("cube_values", values)
-
-    def _check_cube_probs(self) -> None:
-        """cube_probs: per-coordinate probabilities, or corner probabilities
-        of a product measure; the length is checked when the values are
-        inline."""
-        if "cube_probs" not in self.audit:
-            return
-        probs = self.audit["cube_probs"]
-        _check_numbers("audit cube_probs", probs)
-        if not all(0 <= p <= 1 for p in probs):
-            raise ConfigError(f"audit cube_probs must lie in [0, 1], got {probs!r}")
-        if isinstance(self.cube_values, list):
-            d = len(self.cube_values).bit_length() - 1
-            if len(probs) not in (d, 1 << d):
-                raise ConfigError(
-                    f"audit cube_probs needs {d} coordinate probabilities "
-                    f"for {len(self.cube_values)} cube values, got {len(probs)}"
-                )
+    def audit_settings(self) -> dict:
+        """The audit block laid over :data:`AUDIT_DEFAULTS`."""
+        return {**AUDIT_DEFAULTS, **self.audit}
 
     def validate(self, command: str) -> None:
         _check_int("permutations", self.permutations, 0)
@@ -267,41 +267,49 @@ class RunConfig:
             raise ConfigError(f"out must be a directory path, got {self.out!r}")
         if not isinstance(self.audit, dict):
             raise ConfigError(f"audit must be an object, got {self.audit!r}")
-        _check_keys("audit", self.audit, AUDIT_KEYS)
-        if not isinstance(self.audit.get("similarity", {}), dict):
+        _check_keys("audit", self.audit, AUDIT_DEFAULTS)
+        audit = self.audit_settings()
+        if not isinstance(audit["similarity"], dict):
             raise ConfigError("audit similarity must be an object of per-column specs")
         for key in ("scales", "fractions"):
-            if key in self.audit:
-                _check_numbers(f"audit {key}", self.audit[key])
-                if not self.audit[key]:
-                    raise ConfigError(f"audit {key} must not be empty")
-        scales = self.audit.get("scales", [])
-        if not all(s >= 0 for s in scales):
-            raise ConfigError(f"audit scales must be >= 0, got {scales!r}")
-        fractions = self.audit.get("fractions", [])
-        if not all(0 < f < 1 for f in fractions):
-            raise ConfigError(f"audit fractions must lie in (0, 1), got {fractions!r}")
-        reference = self.audit.get("marginal_reference", "full")
-        if reference not in ("full", "train"):
-            raise ConfigError(f"unknown audit marginal_reference {reference!r}")
-        if "runs" in self.audit:
-            _check_int("audit runs", self.audit["runs"], 1)
-        per_subject = self.audit.get("per_subject", False)
-        if not isinstance(per_subject, bool):
+            _check_numbers(f"audit {key}", audit[key])
+            if not audit[key]:
+                raise ConfigError(f"audit {key} must not be empty")
+        if not all(s >= 0 for s in audit["scales"]):
+            raise ConfigError(f"audit scales must be >= 0, got {audit['scales']!r}")
+        if not all(0 < f < 1 for f in audit["fractions"]):
+            raise ConfigError(f"audit fractions must lie in (0, 1), got {audit['fractions']!r}")
+        if audit["marginal_reference"] not in ("full", "train"):
+            raise ConfigError(f"unknown audit marginal_reference {audit['marginal_reference']!r}")
+        _check_int("audit runs", audit["runs"], 1)
+        if not isinstance(audit["per_subject"], bool):
             raise ConfigError(
-                f"audit per_subject must be true or false, got {per_subject!r}"
+                f"audit per_subject must be true or false, got {audit['per_subject']!r}"
             )
-        if self.audit.get("marginal_samples") is not None:
-            _check_int("audit marginal_samples", self.audit["marginal_samples"], 1)
+        if audit["marginal_samples"] is not None:
+            _check_int("audit marginal_samples", audit["marginal_samples"], 1)
+        probs = audit["cube_probs"]
+        if probs is not None:
+            _check_numbers("audit cube_probs", probs)
+            if not all(0 <= p <= 1 for p in probs):
+                raise ConfigError(f"audit cube_probs must lie in [0, 1], got {probs!r}")
         if self.method not in METHODS:
             raise ConfigError(f"unknown method {self.method!r}; one of {METHODS}")
+        if command == "local" and self.method == "var":
+            raise ConfigError("method 'var' is global; use the global command")
         if self.engine not in ("exact", "mc"):
             raise ConfigError(f"unknown engine {self.engine!r}; exact or mc")
         if self.engine == "mc" and self.permutations < 2:
             raise ConfigError("mc engine needs at least 2 permutations")
         if command == "cube":
-            self._check_cube_values()
-            self._check_cube_probs()
+            if self.cube_values is None:
+                raise ConfigError("cube command needs cube_values")
+            if not isinstance(self.cube_values, str):  # a file's d is not yet known
+                _check_numbers("cube_values", self.cube_values)
+                try:
+                    coordinate_probs(probs, CubeFunction(self.cube_values).d)
+                except ValueError as exc:
+                    raise ConfigError(f"bad cube_values or audit cube_probs: {exc}") from None
             return
         if self.data is None:
             raise ConfigError("no data file configured")
@@ -318,7 +326,7 @@ class RunConfig:
             raise ConfigError(
                 f"exact engine capped at d={EXACT_CAP}, got d={d}; use engine=mc"
             )
-        if command == "global" and per_subject and d > EXACT_CAP:
+        if command == "global" and audit["per_subject"] and d > EXACT_CAP:
             raise ConfigError(
                 f"audit per_subject needs the dense cohort tables, capped at "
                 f"d={EXACT_CAP}; got d={d}"
@@ -338,11 +346,8 @@ class RunConfig:
                 f"d={d} exceeds the exact cap {EXACT_CAP}: the realistic/unrealistic "
                 f"split of an audit with a model needs d <= {EXACT_CAP}"
             )
-        has_predictions = (
-            self.prediction_column is not None
-            or self.model is not None
-        )
-        if self.method in ("cs", "cs2", "var") and not has_predictions:
+        has_predictions = self.prediction_column is not None or self.model is not None
+        if self.method not in MODEL_METHODS and not has_predictions:
             raise ConfigError(
                 f"method {self.method!r} needs predictions: a prediction_column, "
                 "a predictions file, or a model to evaluate"

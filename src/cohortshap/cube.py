@@ -98,10 +98,22 @@ class AnovaDecomposition:
         return float(self.sigma2[1:].sum())
 
 
-def _corner_probs_to_marginals(weights: np.ndarray, d: int) -> np.ndarray:
-    """Validate a 2^d corner distribution as a product measure; return the
-    per-coordinate success probabilities."""
+def coordinate_probs(weights, d: int) -> np.ndarray:
+    """The d coordinate probabilities of ``weights``: either d of them, each
+    in [0, 1], or a product distribution over the 2^d corners, whose
+    marginals they are (a distribution that does not factor is rejected);
+    None is d fair coins."""
+    if weights is None:
+        return np.full(d, 0.5)
     weights = np.ascontiguousarray(weights, dtype=float)
+    if weights.shape == (d,):
+        if not 0 <= weights.min() <= weights.max() <= 1:  # NaN fails too
+            raise ValueError("coordinate probabilities must lie in [0, 1]")
+        return weights
+    if weights.shape != (1 << d,):
+        raise ValueError(
+            f"weights must have length d={d} or 2^d={1 << d}, got {weights.shape}"
+        )
     if weights.min() < 0 or not np.isclose(weights.sum(), 1.0, atol=1e-12):
         raise ValueError("corner weights must be a probability vector")
     probs = np.array([halves(weights, d, j)[1].sum() for j in range(d)])
@@ -131,25 +143,13 @@ def _tensor_coefficients(values: np.ndarray, probs: np.ndarray) -> np.ndarray:
 def anova_cube(g: CubeFunction, weights) -> AnovaDecomposition:
     """ANOVA of g under independent Bernoulli coordinates.
 
-    ``weights`` is either d per-coordinate probabilities or a full product
-    distribution over the 2^d corners (anything non-product is rejected).
+    ``weights`` are the coordinate probabilities of :func:`coordinate_probs`.
     The corner table is re-expressed in the tensor basis of centered
     coordinates; the coefficient of each basis term gives its effect, and
     its variance is the squared coefficient times the coordinate variances.
     """
     d = g.d
-    weights = np.asarray(weights, dtype=float)
-    if weights.shape == (d,):
-        probs = weights
-        if probs.min() < 0 or probs.max() > 1:
-            raise ValueError("coordinate probabilities must lie in [0, 1]")
-    elif weights.shape == (1 << d,):
-        probs = _corner_probs_to_marginals(weights, d)
-    else:
-        raise ValueError(
-            f"weights must have length d={d} or 2^d={1 << d}, got {weights.shape}"
-        )
-
+    probs = coordinate_probs(weights, d)
     coeffs = _tensor_coefficients(g.values, probs)
     var_factor = np.ones(1 << d)
     for j in range(d):

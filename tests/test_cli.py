@@ -1,4 +1,6 @@
+import argparse
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -70,6 +72,10 @@ def t8_config(workdir, **extra):
 
 
 NAN, INF = float("nan"), float("inf")
+# An integer past the float range, and a stand-in for one of 5001 digits,
+# which json.dumps cannot write (int's digit limit) and the test writes in.
+HUGE = 10**400
+DIGITS_5001 = "<5001 digits>"
 LINEAR_SPEC = {"kind": "linear", "coefficients": [2.0, 1.0, 0.0], "intercept": 0.0}
 SMALL_AUDIT = {"scales": [0.5, 1.0], "fractions": [0.25], "runs": 2}
 
@@ -245,7 +251,7 @@ def test_exact_rejects_non_finite_phi(workdir, capsys, method):
     # warning (the test configuration turns a RuntimeWarning into an error)
     cfg = t8_config(workdir, data=_huge_t8(workdir, method), method=method)
     for argv in (["local", "--targets", "all"], ["local", "--targets", "2,7"],
-                 ["global", "--method", "var"]):
+                 ["global"]):
         assert run_cli([*argv, "--config", cfg]) == 1
         err = capsys.readouterr().err
         assert "error: game total is not finite" in err and "Traceback" not in err
@@ -499,6 +505,25 @@ def _wide_config(workdir, d=64, **extra):
         ("local", {"prediction_column": 5}),
         ("cube", {"cube_values": [0.0, INF]}),
         ("cube", {"cube_values": [0.0, NAN, 1.0, 2.0]}),
+        ("local", {"method": "var"}),
+        ("cube", {"cube_values": [0, HUGE]}),
+        ("local", {"d": 4, "similarity": {"default": {"kind": "abs", "delta": HUGE}}}),
+        ("local", {"method": "bs", "model": {"kind": "linear",
+                                             "coefficients": [HUGE, 1, 1]}}),
+        ("local", {"method": "bs", "model": {**LINEAR_SPEC, "intercept": HUGE}}),
+        ("local", {"d": 4, "similarity": {"default": {"kind": "range_fraction",
+                                                      "frac": 0.1, "lo_q": HUGE}}}),
+        ("audit", {"audit": {"scales": [HUGE]}}),
+        ("local", {"method": "bs", "model": LINEAR_SPEC, "baseline": [0, 0, HUGE]}),
+        ("cube", {"cube_values": [0, DIGITS_5001]}),
+        ("local", {"schema": [{"name": 5, "kind": "binary"},
+                              {"name": "x2", "kind": "binary"},
+                              {"name": "x3", "kind": "binary"}]}),
+        ("local", {"schema": [{"name": ["x1"], "kind": "binary"},
+                              {"name": "x2", "kind": "binary"},
+                              {"name": "x3", "kind": "binary"}]}),
+        ("cube", {"cube_values": [0, 1, 2, 4], "audit": {"cube_probs": [0.5, 0, 0, 0.5]}}),
+        ("cube", {"cube_values": [0, 1, 2, 4], "audit": {"cube_probs": [0.3] * 4}}),
     ],
     ids=["abs-no-delta", "linear-no-coefficients", "similarity-list",
          "delta-not-a-number", "local-d64-mc", "global-d64-mc", "audit-list-audit",
@@ -522,16 +547,77 @@ def _wide_config(workdir, d=64, **extra):
          "linear-model-key-typo", "abs-key-typo", "abs-delta-nan",
          "range-fraction-frac-nan", "relative-delta-inf", "schema-kind-unknown",
          "schema-name-twice", "schema-empty", "linear-coef-short",
-         "prediction-column-int", "infinite-corner", "cube-values-nan"],
+         "prediction-column-int", "infinite-corner", "cube-values-nan",
+         "local-method-var", "cube-values-huge-int", "abs-delta-huge-int",
+         "linear-coef-huge-int", "linear-intercept-huge-int",
+         "range-fraction-lo-q-huge-int", "audit-scales-huge-int",
+         "baseline-huge-int", "cube-values-5001-digits", "schema-name-int",
+         "schema-name-list", "cube-probs-not-product", "cube-probs-not-probability"],
 )
 def test_config_holes_exit_2(workdir, capsys, command, extra):
     wide = "d" in extra
     cfg = _wide_config(workdir, **extra) if wide else t8_config(workdir, **extra)
+    cfg.write_text(cfg.read_text().replace(f'"{DIGITS_5001}"', "9" * 5001))
     assert run_cli([command, "--config", cfg]) == 2
     err = capsys.readouterr().err
     assert "config error" in err
     assert "Traceback" not in err
     assert not (workdir / "out").exists()
+
+
+# A flag and a value for a command that does not read that flag: a usage
+# error, never an override the command would drop.
+UNREAD_FLAGS = [
+    ("global", "--method", "var"),
+    ("global", "--targets", "99"),
+    ("audit", "--engine", "mc"),
+    ("audit", "--permutations", "1"),
+    ("cube", "--data", "t8.csv"),
+    ("cube", "--method", "cs"),
+    ("cube", "--engine", "mc"),
+    ("cube", "--permutations", "4"),
+    ("cube", "--seed", "3"),
+    ("cube", "--targets", "0"),
+]
+
+
+@pytest.mark.parametrize("command,flag,value", UNREAD_FLAGS,
+                         ids=[f"{c}{f}" for c, f, _ in UNREAD_FLAGS])
+def test_unread_flag_is_a_usage_error(workdir, capsys, command, flag, value):
+    cfg = t8_config(workdir)
+    with pytest.raises(SystemExit) as exc:
+        run_cli([command, "--config", cfg, flag, value])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"unrecognized arguments: {flag} {value}" in err
+    assert "Traceback" not in err
+    assert not (workdir / "out").exists()
+
+
+# The flags each command takes besides --config and --out.
+COMMAND_FLAGS = {
+    "local": {"data", "method", "engine", "permutations", "seed", "targets"},
+    "global": {"data", "engine", "permutations", "seed"},
+    "audit": {"data", "method", "seed", "targets"},
+    "cube": set(),
+}
+
+
+def test_each_command_parses_exactly_its_table_flags():
+    (subparsers,) = [action for action in cli.build_parser()._actions
+                     if isinstance(action, argparse._SubParsersAction)]
+    assert subparsers.choices.keys() == cli.COMMANDS.keys() == COMMAND_FLAGS.keys()
+    fields = {f.name for f in dataclasses.fields(RunConfig)}
+    for name, (run, _, keys) in cli.COMMANDS.items():
+        assert run is getattr(cli, f"cmd_{name}")
+        assert set(keys) == COMMAND_FLAGS[name]
+        # a flag overrides the config key it names, so none is parsed and
+        # then dropped
+        assert {*keys, "out"} <= fields
+        options = {option for action in subparsers.choices[name]._actions
+                   for option in action.option_strings} - {"-h", "--help"}
+        assert options == {"--config", "--out", *(f"--{key}" for key in keys)}
+    assert sum(len(keys) + 2 for keys in COMMAND_FLAGS.values()) == 22
 
 
 def test_overflowing_baseline_exits_1(workdir, capsys):

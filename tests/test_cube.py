@@ -160,6 +160,12 @@ def test_anova_rejects_non_product_weights():
         anova_cube(CubeFunction(np.arange(4.0)), w)
 
 
+@pytest.mark.parametrize("probs", [[1.5, 0.5], [-0.1, 0.5], [float("nan"), 0.5]])
+def test_anova_rejects_coordinate_probs_outside_0_1(probs):
+    with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
+        anova_cube(CubeFunction(np.arange(4.0)), probs)
+
+
 def test_anova_accepts_valid_corner_weights():
     probs = np.array([0.25, 0.6])
     idx = np.arange(4)

@@ -270,7 +270,7 @@ def test_cli_artifacts_equal_reference_encoders(workdir):
     })
 
     # global with per-subject rows
-    assert run_cli(["global", "--config", cfg_path, "--method", "var", "--out", "var"]) == 0
+    assert run_cli(["global", "--config", cfg_path, "--out", "var"]) == 0
     direct, rows = global_attribution(ds, rules, "exact", cfg.permutations, cfg.seed,
                                       per_subject=True)
     payload = reference_attribution_payload(direct, names)
@@ -369,7 +369,7 @@ def test_panel_artifacts_equal_reference_encoders(workdir, case):
 @pytest.mark.parametrize("argv", [
     ["local", "--targets", "all"],
     ["local", "--targets", "0,3"],
-    ["global", "--method", "var"],
+    ["global"],
     ["audit", "--targets", "3,7"],
     ["cube"],
 ])

@@ -10,6 +10,7 @@ import importlib
 from pathlib import Path
 
 import cohortshap
+from cohortshap.config import AUDIT_DEFAULTS
 
 PACKAGE = Path(cohortshap.__file__).resolve().parent
 MODULES = {path.stem: path for path in PACKAGE.glob("*.py")}
@@ -191,3 +192,26 @@ def test_one_game_class():
                 assert "Game" not in bases, f"{path.name}: {node.name} subclasses Game"
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 assert node.name != "_evaluate_many", f"{path.name} defines _evaluate_many"
+
+
+def test_cli_reads_the_audit_block_and_the_contraction_once():
+    # the audit block's defaults are config.AUDIT_DEFAULTS, never a second
+    # .get(key, default) in cli.py, and the cube's direct route is the one
+    # exact contraction, not the single-game API
+    tree = ast.parse(MODULES["cli"].read_text(encoding="utf-8"))
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+        elif (
+            isinstance(node, ast.Call)
+            and getattr(node.func, "attr", None) == "get"
+            and node.args
+            and isinstance(node.args[0], ast.Constant)
+        ):
+            assert node.args[0].value not in AUDIT_DEFAULTS, ast.unparse(node)
+    assert not names & {"TableGame", "shapley_exact"}
