@@ -5,17 +5,17 @@ Every result is an :class:`Attribution`, and every one comes from one loop
 over value chunks, a chunk of targets at a time. :func:`local_attributions`
 is the one per-target builder: local runs and panels of every method and
 engine go through it, and :func:`make_panel` orders its rows into a panel.
-Its chunks come from the cohort tables or kernel or from the baseline
-sweep's model calls. :func:`global_attribution` reads the squared cohort
-values of every subject the same way: it sums each chunk into the subject
-mean, the var game, whose attribution is the variance Shapley, and with
-``per_subject`` contracts each chunk into the squared cohort rows whose
-mean is the disaggregated route. Both read their masks from
-``shapley._mask_choice`` and contract their chunks by ``shapley._contract``,
-the one contraction the single-game API uses too: an exact chunk is
-contracted whole into its targets' rows, and under Monte Carlo one draw of
-orders serves every target, with one estimate for each block of a chunk's
-targets.
+Its chunks come from ``similarity.cohort_table_chunks``, the one source of
+cohort value chunks, or from the baseline sweep's model calls.
+:func:`global_attribution` reads the squared cohort values of every subject
+from the same source: it sums each chunk into the subject mean, the var
+game, whose attribution is the variance Shapley, and with ``per_subject``
+contracts each chunk into the squared cohort rows whose mean is the
+disaggregated route. Both read their masks from ``shapley._mask_choice``
+and contract by ``shapley._contract``, the one contraction the single-game
+API uses too: an exact chunk is contracted whole into its targets' rows,
+and under Monte Carlo one draw of orders serves every target, with one
+estimate for each block of a chunk's targets.
 """
 
 from __future__ import annotations
@@ -27,15 +27,9 @@ import numpy as np
 
 from .bits import EXACT_CAP
 from .dataset import Dataset, DatasetError
-from .games import (
-    COHORT_METHODS,
-    _checked_targets,
-    baseline_rows,
-    baseline_sweep,
-    cohort_value_chunks,
-)
+from .games import COHORT_METHODS, _checked_targets, baseline_rows, baseline_sweep
 from .shapley import Attribution, _contract, _exact_phi, _mask_choice
-from .similarity import resolve_rules
+from .similarity import cohort_table_chunks, resolve_rules
 
 
 @dataclass(frozen=True)
@@ -87,14 +81,14 @@ def global_attribution(
 
     The masks and the contraction are those of :mod:`shapley`, as in
     :func:`local_attributions`. Each chunk of
-    :func:`games.cohort_value_chunks` is summed along its subjects into one
-    mean column, chunk after chunk in subject order, which is divided by n
-    and contracted by ``engine`` as the var game, with ``target`` None. With ``per_subject`` the sweep reads every set (masks
-    None), and each chunk is also contracted into its subjects' exact rows,
-    whose mean is :func:`aggregate_squared_cs` bit for bit; under mc the
-    draw's rows are then gathered from the mean column. Without
-    ``per_subject`` the rows are None. Memory stays bounded by the chunk,
-    not by n x 2^d.
+    :func:`similarity.cohort_table_chunks` is summed along its subjects into
+    one mean column, chunk after chunk in subject order, which is divided by
+    n and contracted by ``engine`` as the var game, with ``target`` None.
+    With ``per_subject`` the sweep reads every set (masks None), and each
+    chunk is also contracted into its subjects' exact rows, whose mean is
+    :func:`aggregate_squared_cs` bit for bit; under mc the draw's rows are
+    then gathered from the mean column. Without ``per_subject`` the rows are
+    None. Memory stays bounded by the chunk, not by n x 2^d.
     """
     if per_subject and ds.d > EXACT_CAP:
         raise DatasetError(
@@ -106,7 +100,7 @@ def global_attribution(
     swept = None if per_subject else masks
     rows = np.empty((ds.n, ds.d)) if per_subject else None
     mean = np.zeros(1 << ds.d if swept is None else 1 + len(swept))
-    chunks = cohort_value_chunks(ds, resolve_rules(rules, ds), range(ds.n), swept, True)
+    chunks = cohort_table_chunks(ds, resolve_rules(rules, ds), range(ds.n), swept, True)
     # an overflow shows as a non-finite total or phi, refused by the
     # contraction
     with np.errstate(over="ignore", invalid="ignore"):
@@ -114,10 +108,10 @@ def global_attribution(
             mean += chunk.sum(axis=1)
             if per_subject:
                 rows[s : s + chunk.shape[1]] = _exact_phi(chunk, ds.d)
-        mean /= ds.n
-        if swept is not masks:
-            mean = mean[np.concatenate(([0], masks))]
-        (direct,) = _contract(mean[:, None], ds.d, draw, "var", [None])
+    mean /= ds.n
+    if swept is not masks:
+        mean = mean[np.concatenate(([0], masks))]
+    (direct,) = _contract([(0, mean[:, None])], ds.d, draw, "var", [None])
     return direct, rows
 
 
@@ -141,11 +135,11 @@ def local_attributions(
     or the distinct coalitions of one draw of orders (mc), chosen once per
     call by :func:`shapley._mask_choice`. A chunk holds the values of its
     targets at the empty set and the masks, one column per target, from
-    :func:`games.cohort_value_chunks` for cs and cs2, or one target wide
-    from :func:`games.baseline_sweep`, whose model calls the targets share,
-    for bs, bs2, abs and abs2. :func:`shapley._contract` turns each chunk
-    into its targets' attributions, and a chunk whose exact totals or values
-    overflow raises ValueError.
+    :func:`similarity.cohort_table_chunks` for cs and cs2, or one target
+    wide from :func:`games.baseline_sweep`, whose model calls the targets
+    share, for bs, bs2, abs and abs2. :func:`shapley._contract` reads the
+    chunks and turns each into its targets' attributions, and a chunk whose
+    exact totals or values overflow raises ValueError.
     """
     targets = range(ds.n) if targets is None else _checked_targets(ds, targets)
     masks, draw = _mask_choice(ds.d, engine, permutations, seed)
@@ -153,20 +147,12 @@ def local_attributions(
         if rules is None:
             raise DatasetError("cohort methods need similarity rules")
         resolved = resolve_rules(rules, ds)
-        chunks = cohort_value_chunks(ds, resolved, targets, masks, method == "cs2")
+        chunks = cohort_table_chunks(ds, resolved, targets, masks, method == "cs2")
     else:
         baselines = baseline_rows(method, ds, model, baseline)
         sweep = baseline_sweep(model, baselines, method, ds.X[targets], masks)
         chunks = ((s, np.concatenate(([0.0], v))[:, None]) for s, v in enumerate(sweep))
-    attributions = []
-    # an overflow shows as a non-finite total or phi, refused by the
-    # contraction
-    with np.errstate(over="ignore", invalid="ignore"):
-        for s, chunk in chunks:
-            attributions += _contract(
-                chunk, ds.d, draw, method, targets[s : s + chunk.shape[1]]
-            )
-    return attributions
+    return _contract(chunks, ds.d, draw, method, targets)
 
 
 def make_panel(ds: Dataset, method: str, attributions) -> Panel:

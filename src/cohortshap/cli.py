@@ -53,7 +53,7 @@ from .cube import (
     shapley_effects_independent,
     shapley_from_anchored,
 )
-from .dataset import DatasetError, attach_predictions, load_csv
+from .dataset import DatasetError, _read_numbers, attach_predictions, load_csv
 from .games import MODEL_METHODS
 from .models import ModelError, predict
 from .shapley import _exact_phi
@@ -176,9 +176,7 @@ def _load_dataset(cfg: RunConfig):
     model = cfg.parsed_model()
     pred_path = cfg.predictions_path()
     if ds.predictions is None and pred_path is not None:
-        with open(pred_path, encoding="utf-8") as fh:
-            y = np.array([float(line) for line in fh if line.strip()])
-        ds = attach_predictions(ds, y)
+        ds = attach_predictions(ds, _read_numbers(pred_path))
     if ds.predictions is None and model is not None:
         ds = attach_predictions(ds, predict(model, ds.X))
     return ds, model
@@ -299,8 +297,7 @@ def cmd_audit(cfg: RunConfig) -> int:
 def cmd_cube(cfg: RunConfig) -> int:
     values = cfg.cube_values
     if isinstance(values, str):
-        with open(values, encoding="utf-8") as fh:
-            values = [float(line) for line in fh if line.strip()]
+        values = _read_numbers(values)
     g = CubeFunction(np.asarray(values, dtype=float))
     # an overflow shows as a non-finite output, refused below
     with _phase("decompositions"), np.errstate(over="ignore", invalid="ignore"):

@@ -263,7 +263,7 @@ class RunConfig:
     def validate(self, command: str) -> None:
         _check_int("permutations", self.permutations, 0)
         _check_int("seed", self.seed, 0)
-        if not isinstance(self.out, str):
+        if not isinstance(self.out, str) or not self.out:
             raise ConfigError(f"out must be a directory path, got {self.out!r}")
         if not isinstance(self.audit, dict):
             raise ConfigError(f"audit must be an object, got {self.audit!r}")

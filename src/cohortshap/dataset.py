@@ -99,30 +99,41 @@ def attach_predictions(ds: Dataset, y, name: str = "prediction") -> Dataset:
     return replace(ds, predictions=y, prediction_name=name)
 
 
-def _parse_numeric(text: str, row: int, col: str) -> float:
+def _parse_numeric(text: str, where: str) -> float:
     try:
         v = float(text)
     except ValueError:
-        raise DatasetError(
-            f"unparseable numeric cell {text!r} at row {row}, column {col!r}"
-        ) from None
+        raise DatasetError(f"unparseable numeric cell {text!r} at {where}") from None
     if not np.isfinite(v):
-        raise DatasetError(f"non-finite value {text!r} at row {row}, column {col!r}")
+        raise DatasetError(f"non-finite value {text!r} at {where}")
     return v
 
 
-def _parse_floats(cells: list[str], col: str) -> np.ndarray:
-    """The floats of a numeric column: one ``float`` pass, checked for
-    finiteness once. A column that fails is parsed again cell by cell, so
-    the error names its first bad cell and that cell's row."""
+def _parse_floats(cells: list[str], where) -> np.ndarray:
+    """The floats of the texts ``cells``: one ``float`` pass, checked for
+    finiteness once. Texts that fail are parsed again one by one, so the
+    error names the first bad text and ``where(i)``, the place of cells[i]."""
     try:
         values = np.array([float(t) for t in cells])
     except ValueError:
         values = None
     if values is None or not np.isfinite(values).all():
-        rows = enumerate(cells, start=1)
-        values = np.array([_parse_numeric(t, r, col) for r, t in rows])
+        values = np.array([_parse_numeric(t, where(i)) for i, t in enumerate(cells)])
     return values
+
+
+def _in_column(col: str):
+    """The place of cell i of column ``col``: its row, counted from 1."""
+    return lambda i: f"row {i + 1}, column {col!r}"
+
+
+def _read_numbers(path) -> np.ndarray:
+    """The finite numbers of a text file of one number a line, blank lines
+    skipped; an error names the first bad line and the file."""
+    with open(path, encoding="utf-8") as fh:
+        kept = [(n, t.strip()) for n, t in enumerate(fh, start=1) if t.strip()]
+    texts = [t for _, t in kept]
+    return _parse_floats(texts, lambda i: f"line {kept[i][0]} of {path}")
 
 
 def _check_present(cells: list[str], col: str) -> None:
@@ -140,7 +151,7 @@ def _parse_column(cells: list[str], col: ColumnSchema):
     """
     if col.kind == "numeric":
         try:
-            return _parse_floats(cells, col.name), None
+            return _parse_floats(cells, _in_column(col.name)), None
         except DatasetError:
             _check_present(cells, col.name)
             raise
@@ -206,7 +217,8 @@ def load_csv(path, schema, prediction_column: str | None = None) -> Dataset:
         if prediction_column not in header:
             raise DatasetError(f"{path}: missing column {prediction_column!r}")
         p = header.index(prediction_column)
-        preds = _parse_floats([rec[p] for rec in records], prediction_column)
+        cells = [rec[p] for rec in records]
+        preds = _parse_floats(cells, _in_column(prediction_column))
         ds = attach_predictions(ds, preds, name=prediction_column)
     return ds
 

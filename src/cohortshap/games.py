@@ -1,5 +1,5 @@
 """Coalition value functions, built by one per-target factory
-(:func:`make_game`), and the sweeps over many targets.
+(:func:`make_game`), and the baseline sweep over many targets.
 
 A game maps a feature-subset bitmask in [0, 2^d) to a real value with
 value(empty) = 0. It is either a 2^d value table or a function of nonempty
@@ -8,11 +8,6 @@ masks, called on the masks each request holds; nothing is cached.
 A cohort game (cs, cs2) holds the cohort values of one target, squared for
 cs2, built from observed predictions by the kernels of :mod:`similarity`: a
 2^d table up to EXACT_CAP features, else scored per requested subset.
-:func:`cohort_value_chunks` gives the values of many targets at one set of
-subsets, a chunk of targets at a time, by the same two kernels: the sweeps
-of ``aggregate.local_attributions`` and ``aggregate.global_attribution``
-read them without building a game per target, and the var game of
-``global`` is their subject mean.
 
 A baseline game (bs, bs2, abs, abs2) queries a model at the hybrids of its
 target with the k rows of :func:`baseline_rows`. :func:`baseline_sweep`, a
@@ -30,14 +25,7 @@ import numpy as np
 from .bits import EXACT_CAP
 from .dataset import Dataset, DatasetError
 from .models import predict
-from .similarity import (
-    cohort_table_chunks,
-    cohort_value_tables,
-    cohort_values,
-    match_code_chunks,
-    similarity_row,
-    subset_int,
-)
+from .similarity import cohort_value_tables, cohort_values, similarity_row, subset_int
 
 # Values (points x d) one model call may carry: a call sends at most
 # POINT_CHUNK // d hybrid points.
@@ -111,32 +99,6 @@ def TableGame(table, method: str, target: int | None = None) -> Game:
         raise ValueError(f"table size {table.size} is not a power of two")
     table[0] = 0.0
     return Game(d, method, target, table=table)
-
-
-def cohort_value_chunks(ds: Dataset, resolved, targets, masks, squared: bool):
-    """The cohort values (squared with ``squared``) of ``targets`` at the
-    empty set and the sorted nonempty ``masks``, every one when None, under
-    ``resolved`` rules, a chunk of targets at a time.
-
-    Yields (chunk_offset, values): column b of the (1 + len(masks), B)
-    ``values`` belongs to target targets[chunk_offset + b], and its row 0 is
-    the empty set's 0, row 1 + i the value at masks[i] (at mask i + 1 for
-    None). Up to EXACT_CAP features the values come from the tables of
-    :func:`similarity.cohort_table_chunks`: when ``masks`` are every
-    nonempty set they are those lattice-major tables, else rows gathered
-    from them. Above it :func:`similarity.cohort_values` scores the masks on
-    the chunks of :func:`similarity.match_code_chunks`, sized for the
-    values.
-    """
-    if ds.d <= EXACT_CAP:
-        every = masks is None or len(masks) == (1 << ds.d) - 1
-        rows = None if every else np.concatenate(([0], masks))
-        for s, tables in cohort_table_chunks(ds, resolved, targets, squared):
-            yield s, tables if rows is None else tables[rows]
-        return
-    for s, codes in match_code_chunks(ds, resolved, targets, 8 * len(masks)):
-        values = cohort_values(codes, ds.y, masks, squared)
-        yield s, np.concatenate((np.zeros((len(codes), 1)), values), axis=1).T
 
 
 def _cohort_game(ds: Dataset, method: str, target: int, codes: np.ndarray) -> Game:

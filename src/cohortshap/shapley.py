@@ -1,7 +1,8 @@
 """Shapley engines, exact and permutation Monte Carlo, with one choice of
 masks (:func:`_mask_choice`) and one contraction (:func:`_contract`). The
-single-game API hands the contraction one game's values as one column, and
-the sweeps of :mod:`aggregate` a chunk of targets' columns at a time.
+contraction reads a stream of value chunks under one overflow guard: the
+single-game API hands it one game's values as one column, and the sweeps
+of :mod:`aggregate` a chunk of targets' columns at a time.
 
 The exact engine contracts all 2^d coalition values against combinatorial
 weights (:func:`_phi_from_tables`). The Monte Carlo engine averages marginal
@@ -195,31 +196,40 @@ def _exact_phi(tables: np.ndarray, d: int) -> np.ndarray:
     return phi
 
 
-def _contract(chunk: np.ndarray, d: int, draw, method: str, targets) -> list[Attribution]:
-    """The attributions of the games of ``targets``, one a column of
-    ``chunk``, their values at the empty set and the masks of
+def _contract(chunks, d: int, draw, method: str, targets) -> list[Attribution]:
+    """The attributions of the games of ``targets`` from the stream
+    ``chunks`` of (offset, values): column b of ``values`` holds the values
+    of the game of targets[offset + b] at the empty set and the masks of
     :func:`_mask_choice`, whose ``draw`` they follow. This is the one
     contraction: every Shapley value of the package comes from it.
 
-    Exact, the chunk is the games' tables, contracted whole by
+    Exact, a chunk is the games' tables, contracted whole by
     :func:`_exact_phi`, and their last row holds the totals. Under mc it goes
     a block of columns at a time to :func:`gather_increments` and then to
-    :func:`shapley_from_orders`, one estimate a block.
+    :func:`shapley_from_orders`, one estimate a block. The chunks are read
+    under the overflow guard, since they may be built as they are read.
     """
-    if draw is None:
-        phi = _exact_phi(chunk, d)
-        return [
-            Attribution(phi=row, total=float(total), method=method, target=t)
-            for t, row, total in zip(targets, phi, chunk[-1])
-        ]
-    arrived, block = draw
     attributions = []
-    for b in range(0, chunk.shape[1], block):
-        # a contiguous copy of the block first: the gathers along the orders
-        # are random
-        values = np.ascontiguousarray(chunk[:, b : b + block])
-        samples, totals = gather_increments(arrived, values)
-        attributions += shapley_from_orders(samples, totals, method, targets[b : b + block])
+    # an overflow shows as a non-finite total or phi, refused below
+    with np.errstate(over="ignore", invalid="ignore"):
+        for s, chunk in chunks:
+            owners = targets[s : s + chunk.shape[1]]
+            if draw is None:
+                phi = _exact_phi(chunk, d)
+                attributions += [
+                    Attribution(phi=row, total=float(total), method=method, target=t)
+                    for t, row, total in zip(owners, phi, chunk[-1])
+                ]
+            else:
+                arrived, block = draw
+                for b in range(0, chunk.shape[1], block):
+                    # a contiguous copy of the block first: the gathers along
+                    # the orders are random
+                    values = np.ascontiguousarray(chunk[:, b : b + block])
+                    samples, totals = gather_increments(arrived, values)
+                    attributions += shapley_from_orders(
+                        samples, totals, method, owners[b : b + block]
+                    )
     return attributions
 
 
@@ -237,10 +247,8 @@ def shapley_engine(
         values = game.value_table()
     else:
         values = game.values(np.concatenate(([0], masks)))
-    # an overflow shows as a non-finite total or phi, refused by the
-    # contraction
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _contract(values[:, None], game.d, draw, game.method, [game.target])[0]
+    (att,) = _contract([(0, values[:, None])], game.d, draw, game.method, [game.target])
+    return att
 
 
 def shapley_exact(game: Game) -> Attribution:

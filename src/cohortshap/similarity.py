@@ -11,10 +11,10 @@ plus a superset-sum transform, its cohort sizes in the narrowest type that
 holds n (:func:`count_dtype`), and :func:`cohort_values` only the subsets
 asked for: it packs each target's per-feature subject sets into 64-bit
 words and builds a cohort as the AND of a few table lookups, one per slice
-of the subset's bits. :func:`match_code_chunks` and
-:func:`cohort_table_chunks` walk many targets a bounded chunk at a time;
-a table chunk is charged everything it holds while it is built and
-contracted, not its float tables alone.
+of the subset's bits. :func:`cohort_table_chunks`, the one source of
+the cohort values of many targets, walks them a bounded chunk at a time:
+the tables up to EXACT_CAP features, the kernel's values above it, each
+chunk charged everything it holds while it is built and contracted.
 Each resolved rule type owns its closeness test (``close_stack`` over a
 stack of its columns, ``close`` over one) and the largest gap it accepts
 (``radius``); no other module knows the rule types.
@@ -29,11 +29,12 @@ from typing import ClassVar
 import numpy as np
 
 from . import bits
+from .bits import EXACT_CAP
 from .dataset import Dataset, quantile
 
 
-# Cohort tables and match codes of many targets are built in chunks of at
-# most CHUNK_BYTES and MAX_CHUNK_TARGETS targets (see match_code_chunks);
+# Cohort values of many targets are built in chunks of at most CHUNK_BYTES
+# and MAX_CHUNK_TARGETS targets (see cohort_table_chunks);
 # match_codes, cohort_values and the realism scan keep their temporaries
 # within about MASK_BLOCK_BYTES per block.
 CHUNK_BYTES = 1 << 25
@@ -444,58 +445,54 @@ def _and_table(sets: np.ndarray, lo: int, width: int) -> np.ndarray:
     return table
 
 
-def match_code_chunks(ds: Dataset, resolved, targets, row_bytes: int):
-    """Match codes of many targets against every subject, a chunk at a time.
+def cohort_table_chunks(ds: Dataset, resolved, targets, masks, squared: bool):
+    """The cohort values (squared with ``squared``) of ``targets`` at the
+    empty set and the sorted nonempty ``masks``, every one when None, under
+    ``resolved`` rules, a chunk of targets at a time: the one source of
+    cohort value chunks. The benchmark's tracer hooks it by this name.
 
-    Yields (chunk_offset, codes): row b of ``codes`` holds the
-    :func:`match_codes` row of target targets[chunk_offset + b], in
-    ``code_dtype(d)``. A chunk holds at least one target, at most
-    MAX_CHUNK_TARGETS, and as many as fit CHUNK_BYTES when each is charged
-    the larger of its codes and ``row_bytes``, what the caller holds per
-    target while it works on the chunk (:func:`cohort_table_chunks`
-    charges a table's whole working set). Codes are charged 8 bytes each
-    whatever their width, the int64 they widen to in the bin index of
-    :func:`cohort_value_tables`. Every chunk is written into one narrow
-    buffer, valid until the next chunk: a multi-MB array allocated afresh
-    per chunk was served from new, page-faulting memory each time.
-    """
-    step = min(MAX_CHUNK_TARGETS, max(1, CHUNK_BYTES // max(8 * ds.n, row_bytes)))
-    targets = np.asarray(targets, dtype=np.intp)
-    codes = np.empty((min(step, len(targets)), ds.n), dtype=code_dtype(ds.d))
-    for s in range(0, len(targets), step):
-        chunk = targets[s : s + step]
-        yield s, match_codes(ds.X, resolved, ds.X[chunk], out=codes[: len(chunk)])
+    Yields (chunk_offset, values): column b of the (1 + len(masks), B)
+    ``values`` belongs to target targets[chunk_offset + b], and its row 0 is
+    the empty set's 0, row 1 + i the value at masks[i] (at mask i + 1 for
+    None). Up to EXACT_CAP features they are the lattice-major tables of
+    :func:`cohort_value_tables`, or rows gathered from them when ``masks``
+    are not every nonempty set; above it :func:`cohort_values` scores the
+    masks.
 
-
-def cohort_table_chunks(ds: Dataset, resolved, targets: np.ndarray, squared: bool):
-    """Cohort value tables for many targets, yielded a chunk at a time.
-
-    Yields (chunk_offset, tables) with lattice-major tables of shape
-    (2^d, B); column b holds the :func:`cohort_value_tables` table of target
-    targets[chunk_offset + b].
-
-    Chunks follow :func:`match_code_chunks`, and each target is charged its
-    whole working set, 16n + 24 * 2^d bytes: its int64 bin index and
-    repeated y (8n bytes each), and per cell at most 4 bytes of counts, 8
-    of float table, 8 of bincount's int64 output and 4 of the half table
-    :func:`shapley._phi_from_tables` subtracts into. So a chunk's build and
-    contraction stay within about CHUNK_BYTES, an L3 cache's size, for any
-    number of targets. The charge is capped at CHUNK_BYTES // 8, a floor of
-    8 targets a chunk wherever their float tables alone fit. Where the cap
-    binds a chunk holds more than CHUNK_BYTES, 1.5 times as much at d = 18
-    over 160 subjects. The charge never falls below a float table's
-    8 * 2^d bytes, so at d = 20 a chunk of 4 targets holds about
-    3 * CHUNK_BYTES. Narrow chunks no longer pay for short runs, since the
-    lattice passes walk those across their blocks (:func:`bits.pass_ufunc`),
-    and the cap is mostly a cost: over 160
-    subjects, uncapped chunks of 5 targets ran d = 18 about 9% slower, but
-    chunks of 1 ran d = 20 in about half the time and half the peak RSS.
-    It stays because chunk widths decide the last bits of the phi rows that
-    :func:`shapley._phi_from_tables` contracts, so dropping it would move
-    the results of every sweep where it binds, as at d >= 18 over 160
-    subjects.
+    A chunk holds at least one target, at most MAX_CHUNK_TARGETS, and as
+    many as fit CHUNK_BYTES, each charged the larger of its codes (8n bytes,
+    the int64 they widen to in the bin index) and all it holds while its
+    chunk is built and contracted, so that a chunk stays within about
+    CHUNK_BYTES, an L3 cache's size: 8 * len(masks) bytes of values above
+    the cap, and up to it a table's working set of 16n + 24 * 2^d bytes
+    (the int64 bin index and the repeated y, 8n bytes each, and per cell at
+    most 4 bytes of counts, 8 of float table, 8 of bincount's int64 output
+    and 4 of the half table :func:`shapley._phi_from_tables` subtracts
+    into), capped at CHUNK_BYTES // 8 but never below a float table's
+    8 * 2^d bytes. The cap is mostly a cost (chunks of one target ran d = 20
+    over 160 subjects in half the time and half the peak RSS); it stays
+    because chunk widths decide the last bits of the phi rows that
+    :func:`shapley._phi_from_tables` contracts. Every chunk's codes go into
+    one narrow buffer: a multi-MB array allocated afresh per chunk was
+    served from new, page-faulting memory each time.
     """
     d, n = ds.d, ds.n
-    row_bytes = max(8 << d, min(16 * n + (24 << d), CHUNK_BYTES // 8))
-    for s, codes in match_code_chunks(ds, resolved, targets, row_bytes):
-        yield s, cohort_value_tables(codes, ds.y, d, squared)
+    dense = d <= EXACT_CAP
+    if dense:
+        charge = max(8 << d, min(16 * n + (24 << d), CHUNK_BYTES // 8))
+        every = masks is None or len(masks) == (1 << d) - 1
+        rows = None if every else np.concatenate(([0], masks))
+    else:
+        charge = 8 * len(masks)
+    step = min(MAX_CHUNK_TARGETS, max(1, CHUNK_BYTES // max(8 * n, charge)))
+    targets = np.asarray(targets, dtype=np.intp)
+    buffer = np.empty((min(step, len(targets)), n), dtype=code_dtype(d))
+    for s in range(0, len(targets), step):
+        chunk = targets[s : s + step]
+        codes = match_codes(ds.X, resolved, ds.X[chunk], out=buffer[: len(chunk)])
+        if dense:
+            tables = cohort_value_tables(codes, ds.y, d, squared)
+            yield s, tables if rows is None else tables[rows]
+        else:
+            values = cohort_values(codes, ds.y, masks, squared)
+            yield s, np.concatenate((np.zeros((len(codes), 1)), values), axis=1).T

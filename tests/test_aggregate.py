@@ -54,10 +54,11 @@ def _var_columns(monkeypatch):
     seen = []
     contract = aggregate._contract
 
-    def recording(chunk, d, draw, method, targets):
+    def recording(chunks, d, draw, method, targets):
         if method == "var":
-            seen.append(chunk[:, 0].copy())
-        return contract(chunk, d, draw, method, targets)
+            chunks = list(chunks)
+            seen.extend(chunk[:, 0].copy() for _, chunk in chunks)
+        return contract(chunks, d, draw, method, targets)
 
     monkeypatch.setattr(aggregate, "_contract", recording)
     return seen
@@ -224,15 +225,14 @@ def test_chunked_mc_sweeps_equal_unchunked_ones(
     rules = [AbsoluteThreshold(0.8)] * d
     sweep = dict(rules=rules, engine="mc", permutations=20, seed=6)
     want = local_attributions(ds, "cs2", **sweep)
-    chunks, code_chunks = [], similarity.match_code_chunks
+    chunks, value_chunks = [], aggregate.cohort_table_chunks
 
     def counting(*args):
-        for chunk in code_chunks(*args):
-            chunks.append(len(chunk[1]))
+        for chunk in value_chunks(*args):
+            chunks.append(chunk[1].shape[1])
             yield chunk
 
-    for module in (games, similarity):
-        monkeypatch.setattr(module, "match_code_chunks", counting)
+    monkeypatch.setattr(aggregate, "cohort_table_chunks", counting)
     monkeypatch.setattr(similarity, "CHUNK_BYTES", chunk_bytes)
     monkeypatch.setattr(similarity, "MAX_CHUNK_TARGETS", max_targets)
     got = local_attributions(ds, "cs2", **sweep)
@@ -331,7 +331,7 @@ def test_mc_blocks_bound_memory():
     resolved = resolve_rules(rules, ds)
     tracemalloc.start()
     try:
-        for _ in games.cohort_value_chunks(ds, resolved, range(ds.n), masks, False):
+        for _ in cohort_table_chunks(ds, resolved, range(ds.n), masks, False):
             pass
         _, chunk_peak = tracemalloc.get_traced_memory()
         tracemalloc.reset_peak()
@@ -377,7 +377,7 @@ def test_exact_sweep_lists_no_masks(d):
     want = local_attributions(ds, "cs", rules=rules)  # the weights are cached
     tracemalloc.start()
     try:
-        for _ in cohort_table_chunks(ds, resolved, np.arange(ds.n), False):
+        for _ in cohort_table_chunks(ds, resolved, np.arange(ds.n), None, False):
             pass
         _, chunk_peak = tracemalloc.get_traced_memory()
         tracemalloc.reset_peak()
@@ -396,7 +396,7 @@ def _two_pass(ds, rules, engine):
     tables = cohort_value_tables(match_codes(ds.X, resolved, ds.X), ds.y, ds.d, True)
     chunks = [
         tables[:, s : s + chunk.shape[1]]
-        for s, chunk in cohort_table_chunks(ds, resolved, np.arange(ds.n), True)
+        for s, chunk in cohort_table_chunks(ds, resolved, np.arange(ds.n), None, True)
     ]
     table = np.zeros(1 << ds.d)
     for chunk in chunks:
@@ -475,8 +475,8 @@ def test_global_refuses_a_bad_engine_before_any_chunk(monkeypatch, d):
     def refuse(*args, **kwargs):
         raise AssertionError("a chunk was built")
 
-    for module, name in ((aggregate, "cohort_value_chunks"),
-                         (games, "cohort_table_chunks"), (games, "match_code_chunks")):
+    for module, name in ((aggregate, "cohort_table_chunks"),
+                         (similarity, "match_codes")):
         monkeypatch.setattr(module, name, refuse)
     with pytest.raises(ValueError, match="unknown engine 'bogus'"):
         variance_shapley(ds, rules, "bogus")

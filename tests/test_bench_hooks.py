@@ -145,7 +145,7 @@ def test_global_sweeps_the_cohort_tables_once(tmp_path):
     ds = random_dataset(600, 5, seed=21)
     config = _config(tmp_path, ds, engine="exact", audit={"per_subject": True})
     resolved = resolve_rules([AbsoluteThreshold(0.5)] * ds.d, ds)
-    one_pass = sum(1 for _ in cohort_table_chunks(ds, resolved, range(ds.n), True))
+    one_pass = sum(1 for _ in cohort_table_chunks(ds, resolved, range(ds.n), None, True))
     assert one_pass > 1
     code, stdout, stats = _traced_main(["global", "--config", str(config)])
     assert code == 0
@@ -153,6 +153,24 @@ def test_global_sweeps_the_cohort_tables_once(tmp_path):
     assert (tmp_path / "out" / "per_subject_cs2.csv").exists()
     assert stats["similarity.cohort_table_chunks.chunks"] == one_pass
     assert stats["similarity.cohort_table_chunks.cells"] == ds.n << ds.d
+
+
+def test_lazy_sweep_is_traced(tmp_path):
+    # above the table cap the cohort values come from the same chunk source,
+    # so the benchmark reads a lazy sweep's chunks and cells under its hook
+    ds = random_dataset(300, 21, seed=24)
+    config = _config(tmp_path, ds)
+    code, _, stats = _traced_main([
+        "local", "--config", str(config), "--engine", "mc", "--permutations", "30",
+        "--seed", "4", "--targets", "all",
+    ])
+    assert code == 0
+    masks, _ = shapley._mask_choice(ds.d, "mc", 30, 4)
+    resolved = resolve_rules([AbsoluteThreshold(0.5)] * ds.d, ds)
+    chunks = sum(1 for _ in cohort_table_chunks(ds, resolved, range(ds.n), masks, False))
+    assert chunks > 1
+    assert stats["similarity.cohort_table_chunks.chunks"] == chunks
+    assert stats["similarity.cohort_table_chunks.cells"] == ds.n * (1 + len(masks))
 
 
 @pytest.mark.parametrize("d, engine", [(5, "exact"), (21, "mc")])

@@ -376,6 +376,25 @@ def test_cube_values_from_file(workdir):
         "z1": 0.5, "z2": 0.5}
 
 
+@pytest.mark.parametrize("kind", ["predictions", "cube"])
+def test_bad_number_line_names_file_and_line(workdir, capsys, kind):
+    # a predictions file and a cube_values file are read by one reader, which
+    # names the file and the line (blank lines counted) of a bad number
+    (workdir / "nums.txt").write_text("0.0\n\n1.0\nabc\n2.0\n", encoding="utf-8")
+    if kind == "cube":
+        cfg = workdir / "cube.json"
+        cfg.write_text(json.dumps({"cube_values": "nums.txt", "out": "out"}),
+                       encoding="utf-8")
+    else:
+        cfg = t8_config(workdir, prediction_column=None,
+                        model={"kind": "predictions", "path": "nums.txt"})
+    assert run_cli(["cube" if kind == "cube" else "local", "--config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert "unparseable numeric cell 'abc' at line 4 of nums.txt" in err
+    assert "Traceback" not in err
+    assert not (workdir / "out").exists()
+
+
 def test_config_errors_exit_2(workdir, capsys):
     # method needs a model
     cfg = t8_config(workdir, method="bs")
@@ -524,6 +543,9 @@ def _wide_config(workdir, d=64, **extra):
                               {"name": "x3", "kind": "binary"}]}),
         ("cube", {"cube_values": [0, 1, 2, 4], "audit": {"cube_probs": [0.5, 0, 0, 0.5]}}),
         ("cube", {"cube_values": [0, 1, 2, 4], "audit": {"cube_probs": [0.3] * 4}}),
+        ("local", {"out": ""}),
+        ("global", {"out": ""}),
+        ("audit", {"out": ""}),
     ],
     ids=["abs-no-delta", "linear-no-coefficients", "similarity-list",
          "delta-not-a-number", "local-d64-mc", "global-d64-mc", "audit-list-audit",
@@ -552,17 +574,21 @@ def _wide_config(workdir, d=64, **extra):
          "linear-coef-huge-int", "linear-intercept-huge-int",
          "range-fraction-lo-q-huge-int", "audit-scales-huge-int",
          "baseline-huge-int", "cube-values-5001-digits", "schema-name-int",
-         "schema-name-list", "cube-probs-not-product", "cube-probs-not-probability"],
+         "schema-name-list", "cube-probs-not-product", "cube-probs-not-probability",
+         "local-out-empty", "global-out-empty", "audit-out-empty"],
 )
 def test_config_holes_exit_2(workdir, capsys, command, extra):
     wide = "d" in extra
     cfg = _wide_config(workdir, **extra) if wide else t8_config(workdir, **extra)
     cfg.write_text(cfg.read_text().replace(f'"{DIGITS_5001}"', "9" * 5001))
+    before = set(workdir.iterdir())
     assert run_cli([command, "--config", cfg]) == 2
     err = capsys.readouterr().err
     assert "config error" in err
     assert "Traceback" not in err
-    assert not (workdir / "out").exists()
+    if extra.get("out") == "":
+        assert "out must be a directory path, got ''" in err
+    assert set(workdir.iterdir()) == before
 
 
 # A flag and a value for a command that does not read that flag: a usage

@@ -28,12 +28,18 @@ from cohortshap import (
     shapley_engine,
     shapley_exact,
     shapley_permutation,
+    similarity,
     similarity_row,
     variance_shapley,
 )
 from cohortshap.games import COHORT_METHODS, MODEL_METHODS, TableGame
 from cohortshap.shapley import permutation_masks
-from cohortshap.similarity import cohort_value_tables, cohort_values, match_codes
+from cohortshap.similarity import (
+    cohort_table_chunks,
+    cohort_value_tables,
+    cohort_values,
+    match_codes,
+)
 
 from .conftest import random_dataset, t8_target
 from .helpers import (
@@ -367,8 +373,8 @@ def test_dense_and_lazy_cohort_games_agree(d, n, seed, rule_pool):
     # table cap lowered below d, by its lazy kernel
     dense_var = ReferenceVarGame(ds, rules).value_table()
     for cap in (games.EXACT_CAP, 0):
-        with mock.patch.object(games, "EXACT_CAP", cap):
-            chunks = games.cohort_value_chunks(ds, resolved, range(n), masks[1:], True)
+        with mock.patch.object(similarity, "EXACT_CAP", cap):
+            chunks = cohort_table_chunks(ds, resolved, range(n), masks[1:], True)
             var = sum(chunk.sum(axis=1) for _, chunk in chunks) / n
         assert var == pytest.approx(dense_var, abs=1e-12)
 

@@ -2,7 +2,7 @@
 no cycle, so no module needs an import inside a function to break one.
 Every package name the benchmark and the demos use still exists. The
 kernels of a Shapley value are called from the one contraction alone, and
-every game is one class."""
+every game is one class. One function reads the chunk budget."""
 
 import ast
 import graphlib
@@ -144,9 +144,9 @@ CONTRACTION = {
 }
 
 
-class _Callers(ast.NodeVisitor):
-    """(module, innermost enclosing function) of every call, by name or
-    attribute, of a name in CONTRACTION."""
+class _Scoped(ast.NodeVisitor):
+    """Records (module, innermost enclosing function) pairs by name in
+    ``found``."""
 
     def __init__(self, module: str, found: dict):
         self.module, self.found = module, found
@@ -159,12 +159,37 @@ class _Callers(ast.NodeVisitor):
 
     visit_AsyncFunctionDef = visit_FunctionDef
 
+    def record(self, name: str) -> None:
+        where = self._function[-1] if self._function else "<module>"
+        self.found.setdefault(name, set()).add((self.module, where))
+
+
+class _Callers(_Scoped):
+    """Every call, by name or attribute, of a name in CONTRACTION."""
+
     def visit_Call(self, node):
         func = node.func
         name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
         if name in CONTRACTION:
-            where = self._function[-1] if self._function else "<module>"
-            self.found.setdefault(name, set()).add((self.module, where))
+            self.record(name)
+        self.generic_visit(node)
+
+
+# The chunk budget: chunk widths decide the last bits of phi, so one function
+# sets them.
+BUDGET = ("CHUNK_BYTES", "MAX_CHUNK_TARGETS")
+
+
+class _BudgetReaders(_Scoped):
+    """Every read, by name or attribute, of a name in BUDGET."""
+
+    def visit_Name(self, node):
+        if node.id in BUDGET and isinstance(node.ctx, ast.Load):
+            self.record(node.id)
+
+    def visit_Attribute(self, node):
+        if node.attr in BUDGET and isinstance(node.ctx, ast.Load):
+            self.record(node.attr)
         self.generic_visit(node)
 
 
@@ -173,6 +198,13 @@ def test_one_contraction_calls_the_shapley_kernels():
     for name, path in MODULES.items():
         _Callers(name, found).visit(ast.parse(path.read_text(encoding="utf-8")))
     assert found == CONTRACTION
+
+
+def test_one_function_reads_the_chunk_budget():
+    found = {}
+    for name, path in MODULES.items():
+        _BudgetReaders(name, found).visit(ast.parse(path.read_text(encoding="utf-8")))
+    assert found == dict.fromkeys(BUDGET, {("similarity", "cohort_table_chunks")})
 
 
 def test_one_game_class():

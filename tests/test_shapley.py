@@ -359,7 +359,7 @@ def test_contraction_rows_do_not_depend_on_the_chunk(tmp_path):
     schema = tuple(ColumnSchema(f"c{j}", "numeric") for j in range(d))
     ds = attach_predictions(Dataset(schema=schema, X=X), y)
     resolved = resolve_rules([AbsoluteThreshold(0.5)] * d, ds)
-    chunks = cohort_table_chunks(ds, resolved, np.arange(n), True)
+    chunks = cohort_table_chunks(ds, resolved, np.arange(n), None, True)
     assert [tables.shape[1] for _, tables in chunks] == [84, 76]
     tables = cohort_value_tables(match_codes(X, resolved, X), y, d, True)
     # A threaded GEMV splits the targets among its threads, and which kernel

@@ -19,14 +19,13 @@ from cohortshap import (
     scale_rules,
     similarity_row,
 )
-from cohortshap import games, similarity
+from cohortshap import aggregate, similarity
 from cohortshap.aggregate import global_attribution
 from cohortshap.similarity import (
     cohort_value_tables,
     code_dtype,
     count_dtype,
     cohort_values,
-    match_code_chunks,
     match_codes,
     subset_int,
 )
@@ -316,7 +315,8 @@ def _swept(ds, rules):
 @pytest.mark.parametrize("n,d", [(200, 4), (50, 10)])
 def test_chunks_bound_codes_and_tables(monkeypatch, n, d):
     # a target's codes (8n bytes) outweigh its table (8 * 2^d bytes) at
-    # (200, 4), and the table outweighs the codes at (50, 10)
+    # (200, 4), and the table outweighs the codes at (50, 10); at these
+    # budgets the charge of a table's working set is capped below either
     ds = random_dataset(n, d, seed=n + d)
     resolved = resolve_rules([AbsoluteThreshold(0.5)] * d, ds)
     targets = np.arange(n)
@@ -325,10 +325,11 @@ def test_chunks_bound_codes_and_tables(monkeypatch, n, d):
     for budget in (3 * row + 5, row - 1):  # three targets a chunk, then one
         monkeypatch.setattr(similarity, "CHUNK_BYTES", budget)
         chunks = 0
-        for s, codes in match_code_chunks(ds, resolved, targets, 8 << d):
-            assert len(codes) == 1 or len(codes) * row <= budget
-            points = ds.X[s : s + len(codes)]
-            assert np.array_equal(codes, match_codes(ds.X, resolved, points))
+        for s, tables in similarity.cohort_table_chunks(ds, resolved, targets, None, True):
+            width = tables.shape[1]
+            assert width == 1 or width * row <= budget
+            codes = match_codes(ds.X, resolved, ds.X[s : s + width])
+            assert np.array_equal(tables, cohort_value_tables(codes, ds.y, d, True))
             chunks += 1
         assert chunks == -(-n // max(1, budget // row))
         got = _swept(ds, [AbsoluteThreshold(0.5)] * d)
@@ -346,7 +347,7 @@ def test_sweep_tables_are_each_targets_table(d, count, seed, squared):
     resolved = resolve_rules(rules, ds)
     targets = np.random.default_rng(seed).choice(ds.n, size=count, replace=False)
     seen = 0
-    for s, tables in similarity.cohort_table_chunks(ds, resolved, targets, squared):
+    for s, tables in similarity.cohort_table_chunks(ds, resolved, targets, None, squared):
         assert tables.shape[0] == 1 << d
         for b in range(tables.shape[1]):
             codes = match_codes(ds.X, resolved, ds.X[targets[s + b]])[0]
@@ -414,14 +415,14 @@ def test_lazy_var_game_chunks_follow_the_budget(monkeypatch):
     masks = chosen_masks(ds.d, "mc", 50, 3)
     monkeypatch.setattr(similarity, "CHUNK_BYTES", 8 * len(masks) * 3)  # 14 chunks
     chunks = []
-    sweep = similarity.match_code_chunks
+    sweep = aggregate.cohort_table_chunks
 
     def counting(*args):
         for chunk in sweep(*args):
-            chunks.append(len(chunk[1]))
+            chunks.append(chunk[1].shape[1])
             yield chunk
 
-    monkeypatch.setattr(games, "match_code_chunks", counting)
+    monkeypatch.setattr(aggregate, "cohort_table_chunks", counting)
     got, _ = global_attribution(ds, rules, "mc", 50, 3)
     assert len(chunks) == 14
     for a, b in ((got.phi, want.phi), (got.stderr, want.stderr), (got.total, want.total)):
