@@ -15,8 +15,7 @@ from cohortshap import (
     Dataset,
     Identity,
     attach_predictions,
-    make_game,
-    shapley_exact,
+    local_attributions,
     similarity_row,
 )
 from cohortshap.similarity import in_cohort
@@ -51,12 +50,11 @@ for u in ([], [0], [0, 1], [0, 1, 2]):
 
 # The cohort game values the set u by how far the refined cohort mean has
 # moved from the grand mean; the exact engine splits the total movement.
-game = make_game("cs", ds, target, rules)
-att = shapley_exact(game)
+(att,) = local_attributions(ds, "cs", [target], rules)
 print(f"\ncohort Shapley: phi = {att.phi}, total = {att.total}")
 
 # The squared variant values movement regardless of sign; it is the
 # subject-level share of the variance decomposition that
 # cohortshap.variance_shapley aggregates over all subjects.
-att2 = shapley_exact(make_game("cs2", ds, target, rules))
+(att2,) = local_attributions(ds, "cs2", [target], rules)
 print(f"squared cohort Shapley: phi = {att2.phi}, total = {att2.total}")

@@ -3,10 +3,10 @@
 Local attributions (cohort, baseline, all-baseline Shapley and their squared
 versions), the global variance Shapley they aggregate into, binary-cube
 decomposition machinery, and a realism audit of synthetic-point methods.
-:func:`make_game` builds the game of every per-target method, a
-:class:`Game` holding either a 2^d value table or a function of nonempty
-masks, and :func:`local_attributions` with :func:`make_panel` builds every
-panel.
+:func:`local_attributions` gives every per-target result, and with
+:func:`make_panel` every panel. The single-game API, :func:`similarity_row`,
+:func:`make_cs_game`, :func:`shapley_exact` and :func:`shapley_permutation`
+over one target's cs game, is the benchmark's explain path.
 """
 
 from .aggregate import (
@@ -46,15 +46,8 @@ from .dataset import (
     quantile,
     schema_from_json,
     split_holdout,
-    write_csv,
 )
-from .games import (
-    EXACT_CAP,
-    Game,
-    TableGame,
-    make_cs_game,
-    make_game,
-)
+from .games import EXACT_CAP, make_cs_game
 from .models import (
     ConvergenceError,
     ExternalCommand,
@@ -67,7 +60,6 @@ from .models import (
 )
 from .shapley import (
     Attribution,
-    shapley_engine,
     shapley_exact,
     shapley_permutation,
     shapley_weight_table,

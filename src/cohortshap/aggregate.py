@@ -12,10 +12,11 @@ from the same source: it sums each chunk into the subject mean, the var
 game, whose attribution is the variance Shapley, and with ``per_subject``
 contracts each chunk into the squared cohort rows whose mean is the
 disaggregated route. Both read their masks from ``shapley._mask_choice``
-and contract by ``shapley._contract``, the one contraction the single-game
-API uses too: an exact chunk is contracted whole into its targets' rows,
-and under Monte Carlo one draw of orders serves every target, with one
-estimate for each block of a chunk's targets.
+and contract by ``shapley._contract``, the one contraction, which the
+benchmark's single-game explain path reads too: an exact chunk is
+contracted whole into its targets' rows, and under Monte Carlo one draw of
+orders serves every target, with one estimate for each block of a chunk's
+targets.
 """
 
 from __future__ import annotations
@@ -26,8 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bits import EXACT_CAP
-from .dataset import Dataset, DatasetError
-from .games import COHORT_METHODS, _checked_targets, baseline_rows, baseline_sweep
+from .dataset import Dataset, DatasetError, _checked_targets
+from .games import COHORT_METHODS, baseline_rows, baseline_sweep
 from .shapley import Attribution, _contract, _exact_phi, _mask_choice
 from .similarity import cohort_table_chunks, resolve_rules
 

@@ -33,14 +33,8 @@ import numpy as np
 
 from .aggregate import write_table
 from .bits import halves
-from .dataset import Dataset, split_holdout
-from .games import (
-    EXACT_CAP,
-    MODEL_METHODS,
-    _checked_targets,
-    baseline_rows,
-    baseline_sweep,
-)
+from .dataset import Dataset, _checked_targets, split_holdout
+from .games import EXACT_CAP, MODEL_METHODS, baseline_rows, baseline_sweep
 from .shapley import _halves_weights
 from .similarity import (
     MASK_BLOCK_BYTES,

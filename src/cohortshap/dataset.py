@@ -1,13 +1,16 @@
 """Typed tabular data: loading, quantiles and holdout splits.
 
 Values are held in a dense float matrix; categorical and non-numeric binary
-columns are interned to integer codes at load time and the original labels
-are kept so a dataset can be re-serialized losslessly.
+columns are interned to integer codes at load time, and ``labels`` records
+the text each code stands for. :func:`_checked_targets` is the one check
+that a target names a row, for ``local_attributions``, the realism splits
+and the benchmark's single-game explain path (``similarity_row``) alike.
 """
 
 from __future__ import annotations
 
 import csv
+import operator
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -37,7 +40,6 @@ class Dataset:
     X: np.ndarray  # (n, d) float64; categorical cells hold integer codes
     predictions: np.ndarray | None = None
     labels: dict[int, tuple[str, ...]] = field(default_factory=dict)
-    prediction_name: str = "prediction"
 
     def __post_init__(self):
         if self.X.ndim != 2 or self.X.shape[0] < 1 or self.X.shape[1] < 1:
@@ -80,23 +82,31 @@ class Dataset:
         preds = None if self.predictions is None else self.predictions[indices]
         return replace(self, X=self.X[indices].copy(), predictions=preds)
 
-    def cell_text(self, i: int, j: int) -> str:
-        """Original textual value of a cell (labels for interned columns)."""
-        v = self.X[i, j]
-        if j in self.labels:
-            return self.labels[j][int(v)]
-        if float(v).is_integer():
-            return str(int(v))
-        return repr(float(v))
 
-
-def attach_predictions(ds: Dataset, y, name: str = "prediction") -> Dataset:
+def attach_predictions(ds: Dataset, y) -> Dataset:
     y = np.asarray(y, dtype=float)
     if y.shape != (ds.n,):
         raise DatasetError(f"predictions length {y.shape} incompatible with n={ds.n}")
     if not np.isfinite(y).all():
         raise DatasetError("non-finite prediction value")
-    return replace(ds, predictions=y, prediction_name=name)
+    return replace(ds, predictions=y)
+
+
+def _checked_targets(ds: Dataset, targets) -> list[int]:
+    """``targets`` as ints, each checked to be an integer, not a bool, a
+    float or a text, and a row of ``ds``."""
+    checked = []
+    for t in targets:
+        try:
+            if isinstance(t, bool):  # operator.index takes a bool as 0 or 1
+                raise TypeError
+            t = operator.index(t)
+        except TypeError:
+            raise DatasetError(f"target {t!r} is not an integer") from None
+        if not 0 <= t < ds.n:
+            raise DatasetError(f"target {t} outside 0..{ds.n - 1}")
+        checked.append(t)
+    return checked
 
 
 def _parse_numeric(text: str, where: str) -> float:
@@ -219,23 +229,8 @@ def load_csv(path, schema, prediction_column: str | None = None) -> Dataset:
         p = header.index(prediction_column)
         cells = [rec[p] for rec in records]
         preds = _parse_floats(cells, _in_column(prediction_column))
-        ds = attach_predictions(ds, preds, name=prediction_column)
+        ds = attach_predictions(ds, preds)
     return ds
-
-
-def write_csv(ds: Dataset, path) -> None:
-    """Serialize back to CSV; interned columns are written with their labels."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        header = ds.names
-        if ds.predictions is not None:
-            header = header + [ds.prediction_name]
-        writer.writerow(header)
-        for i in range(ds.n):
-            row = [ds.cell_text(i, j) for j in range(ds.d)]
-            if ds.predictions is not None:
-                row.append(repr(float(ds.predictions[i])))
-            writer.writerow(row)
 
 
 def quantile(ds: Dataset, column: int, p):

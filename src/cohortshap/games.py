@@ -1,21 +1,19 @@
-"""Coalition value functions, built by one per-target factory
-(:func:`make_game`), and the baseline sweep over many targets.
+"""The cs game of one target, the benchmark's explain path, and the
+baseline sweep over many targets.
 
-A game maps a feature-subset bitmask in [0, 2^d) to a real value with
-value(empty) = 0. It is either a 2^d value table or a function of nonempty
-masks, called on the masks each request holds; nothing is cached.
+A game maps a feature-subset bitmask in [0, 2^d) to a real value, 0 at the
+empty set. :func:`make_cs_game` builds the cohort game of one target from
+its match codes: a 2^d table up to EXACT_CAP features, else a function of
+nonempty masks, called on the masks each request holds; nothing is cached.
+It serves the benchmark's explain path alone: every per-target result of
+the package comes from :func:`aggregate.local_attributions`.
 
-A cohort game (cs, cs2) holds the cohort values of one target, squared for
-cs2, built from observed predictions by the kernels of :mod:`similarity`: a
-2^d table up to EXACT_CAP features, else scored per requested subset.
-
-A baseline game (bs, bs2, abs, abs2) queries a model at the hybrids of its
+A baseline method (bs, bs2, abs, abs2) queries a model at the hybrids of a
 target with the k rows of :func:`baseline_rows`. :func:`baseline_sweep`, a
 function of its arguments alone, is the one builder of hybrid points: it
 packs the points of many targets into shared model calls, so a command
 starts one model process per call, not one per target. Each sweep leads
-with the baseline rows, the hybrids of the empty set, so a game evaluated
-in two calls sends them twice.
+with the baseline rows, the hybrids of the empty set.
 """
 
 from __future__ import annotations
@@ -25,7 +23,7 @@ import numpy as np
 from .bits import EXACT_CAP
 from .dataset import Dataset, DatasetError
 from .models import predict
-from .similarity import cohort_value_tables, cohort_values, similarity_row, subset_int
+from .similarity import cohort_value_tables, cohort_values
 
 # Values (points x d) one model call may carry: a call sends at most
 # POINT_CHUNK // d hybrid points.
@@ -36,93 +34,49 @@ MODEL_METHODS = ("bs", "bs2", "abs", "abs2")
 
 
 class Game:
-    """A coalition value function over subsets of 1..d features: the 2^d
-    value ``table`` indexed by bitmask, or ``evaluate``, which maps an array
-    of nonempty masks to their values. Exactly one of the two is given."""
+    """The cs game of one target (see :func:`make_cs_game`): its 2^d value
+    ``table`` indexed by bitmask, or ``evaluate``, which maps an array of
+    nonempty masks to their values. Exactly one of the two is given."""
 
     def __init__(
         self, d: int, method: str, target: int | None = None, *, table=None, evaluate=None
     ):
-        if d < 1:
-            raise ValueError("games need at least one feature")
-        if (table is None) == (evaluate is None):
-            raise ValueError("a game needs exactly one of table and evaluate")
         self.d = d
         self.method = method
         self.target = target
         self._table = table
         self._evaluate = evaluate
 
-    @property
-    def full_mask(self) -> int:
-        return (1 << self.d) - 1
-
-    def value(self, u) -> float:
-        return float(self.values([subset_int(u, self.d)])[0])
-
-    def values(self, masks) -> np.ndarray:
-        masks = np.asarray(masks)
-        if masks.dtype.kind not in "biu":
-            for u in masks.flat:  # a float is never truncated to a mask
-                subset_int(u, self.d)
-        masks = masks.astype(np.int64, copy=False)
-        # a mask outside [0, 2^d) has a bit at d or above: subset_int rejects it
-        if np.bitwise_or.reduce(masks, axis=None) >> self.d:
-            subset_int(int(masks[masks >> self.d != 0][0]), self.d)
+    def values(self, masks: np.ndarray) -> np.ndarray:
+        """The values at the int64 ``masks``; the empty set scores 0 and is
+        not evaluated."""
         if self._table is not None:
             return self._table[masks]
         out = np.zeros(masks.shape)
         nonempty = masks != 0
-        if nonempty.any():  # a request of empty sets alone calls no model
-            out[nonempty] = self._evaluate(masks[nonempty])
+        out[nonempty] = self._evaluate(masks[nonempty])
         return out
 
-    def value_table(self) -> np.ndarray:
-        """Values of every subset, indexed by bitmask. Requires d <= EXACT_CAP."""
-        if self._table is not None:
-            return self._table
-        if self.d > EXACT_CAP:
-            raise ValueError(f"d={self.d} is too large for a full 2^d value table")
-        return self.values(np.arange(1 << self.d))
-
-    @property
-    def total(self) -> float:
-        return self.value(self.full_mask)
-
-
-def TableGame(table, method: str, target: int | None = None) -> Game:
-    """The game of an explicit 2^d value array, d >= 1, copied as floats;
-    its entry 0 is set to 0."""
-    table = np.array(table, dtype=float)
-    d = int(table.size).bit_length() - 1
-    if 1 << d != table.size:
-        raise ValueError(f"table size {table.size} is not a power of two")
-    table[0] = 0.0
-    return Game(d, method, target, table=table)
-
-
-def _cohort_game(ds: Dataset, method: str, target: int, codes: np.ndarray) -> Game:
-    """The cohort game of ``method`` for the one target whose match ``codes``
-    are given: its cohort values, squared for cs2, as the 2^d table up to
-    EXACT_CAP features, else scored per request."""
-    if ds.predictions is None:
-        raise DatasetError(f"the {method} game needs predictions attached")
-    squared, y = method != "cs", ds.y
-    if ds.d <= EXACT_CAP:
-        table = cohort_value_tables(codes, y, ds.d, squared)
-        return Game(ds.d, method, target, table=table)
-
-    def evaluate(masks):
-        return cohort_values(codes[None], y, masks, squared)[0]
-
-    return Game(ds.d, method, target, evaluate=evaluate)
+    def value_table(self) -> np.ndarray | None:
+        """The 2^d values indexed by bitmask, read in place; None above
+        EXACT_CAP features, where the game is scored per request."""
+        return self._table
 
 
 def make_cs_game(ds: Dataset, codes: np.ndarray, t: int) -> Game:
     """The cs game of target t from its match ``codes`` (see
-    :func:`similarity.similarity_row`). It stays only for the benchmark's
-    explain path; every other caller uses :func:`make_game`."""
-    return _cohort_game(ds, "cs", t, codes)
+    :func:`similarity.similarity_row`): its 2^d cohort value table up to
+    EXACT_CAP features, else its cohorts scored per request. It is the
+    benchmark's explain path; every other per-target result comes from
+    :func:`aggregate.local_attributions`."""
+    y = ds.y
+    if ds.d <= EXACT_CAP:
+        return Game(ds.d, "cs", t, table=cohort_value_tables(codes, y, ds.d, False))
+
+    def evaluate(masks):
+        return cohort_values(codes[None], y, masks, False)[0]
+
+    return Game(ds.d, "cs", t, evaluate=evaluate)
 
 
 def baseline_rows(method: str, ds: Dataset, model, baseline) -> np.ndarray:
@@ -143,15 +97,6 @@ def baseline_rows(method: str, ds: Dataset, model, baseline) -> np.ndarray:
     if arr.shape != (ds.d,):
         raise DatasetError(f"baseline has shape {arr.shape}, want ({ds.d},)")
     return arr[None, :]
-
-
-def _checked_targets(ds: Dataset, targets) -> list[int]:
-    """``targets`` as ints, each checked to be a row of ``ds``."""
-    targets = [int(t) for t in targets]
-    for t in targets:
-        if not 0 <= t < ds.n:
-            raise DatasetError(f"target {t} outside 0..{ds.n - 1}")
-    return targets
 
 
 def _hybrid_block(X, masks, baselines: np.ndarray, start: int, stop: int):
@@ -227,27 +172,3 @@ def baseline_sweep(model, baselines, method: str, X, masks, per_baseline: bool =
             done += len(diff)
         yield out
 
-
-def make_game(
-    method: str, ds: Dataset, t: int, rules=None, model=None, baseline="mean"
-) -> Game:
-    """The game of a per-target method for target t.
-
-    Cohort methods (cs, cs2) need similarity ``rules``: up to EXACT_CAP
-    features the game is the target's 2^d cohort value table, above it the
-    cohorts of each call's masks are scored. Baseline-style methods (bs,
-    bs2, abs, abs2) need a ``model``, and bs/bs2 a ``baseline`` ("mean" or d
-    numbers); their game calls :func:`baseline_sweep` on each request's
-    nonempty masks, one model call or more per request.
-    """
-    (t,) = _checked_targets(ds, [t])
-    if method in COHORT_METHODS:
-        if rules is None:
-            raise DatasetError("cohort methods need similarity rules")
-        return _cohort_game(ds, method, t, similarity_row(rules, ds, t))
-    baselines, x_t = baseline_rows(method, ds, model, baseline), ds.X[t].copy()
-
-    def evaluate(masks):
-        return next(baseline_sweep(model, baselines, method, x_t[None], masks))
-
-    return Game(ds.d, method, t, evaluate=evaluate)

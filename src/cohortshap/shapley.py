@@ -1,8 +1,9 @@
 """Shapley engines, exact and permutation Monte Carlo, with one choice of
 masks (:func:`_mask_choice`) and one contraction (:func:`_contract`). The
 contraction reads a stream of value chunks under one overflow guard: the
-single-game API hands it one game's values as one column, and the sweeps
-of :mod:`aggregate` a chunk of targets' columns at a time.
+sweeps of :mod:`aggregate` hand it a chunk of targets' columns at a time,
+and :func:`shapley_exact` and :func:`shapley_permutation`, the benchmark's
+explain path over one cs game (:func:`games.make_cs_game`), one column.
 
 The exact engine contracts all 2^d coalition values against combinatorial
 weights (:func:`_phi_from_tables`). The Monte Carlo engine averages marginal
@@ -156,9 +157,10 @@ def arrival_rows(perms: np.ndarray, rows: np.ndarray) -> np.ndarray:
 def _draw(d: int, m: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """The sorted distinct nonempty coalitions along the m orders of
     :func:`permutation_masks` keyed by ``seed``, and the :func:`arrival_rows`
-    of those orders in a table of the empty set and those coalitions. A
-    loop of single games draws the same orders for every game, so the last
-    draw is kept; its arrays are read-only, since every caller shares them."""
+    of those orders in a table of the empty set and those coalitions. The
+    benchmark's explain loop draws the same orders for every game, so the
+    last draw is kept; its arrays are read-only, since every caller shares
+    them."""
     perms, orders = permutation_masks(d, m, seed)
     distinct, inverse = np.unique(orders.reshape(-1), return_inverse=True)
     arrived = arrival_rows(perms, inverse.reshape(orders.shape))
@@ -233,15 +235,13 @@ def _contract(chunks, d: int, draw, method: str, targets) -> list[Attribution]:
     return attributions
 
 
-def shapley_engine(
-    game: Game, engine: str = "exact", permutations: int = 1000, seed: int = 0
-) -> Attribution:
-    """Shapley values of ``game`` by the named engine, "exact" or "mc": the
-    game's values at the empty set and the masks of :func:`_mask_choice`,
-    each asked once, contracted by :func:`_contract` as one column, the way
-    a sweep contracts a chunk of targets. Exact reads the game's 2^d table;
-    mc reads the distinct coalitions of the draw. A game whose total or
-    Shapley values overflow raises ValueError."""
+def _shapley(game: Game, engine: str, permutations: int, seed: int) -> Attribution:
+    """Shapley values of ``game`` under ``engine``: its values at the empty
+    set and the masks of :func:`_mask_choice`, each asked once, contracted
+    by :func:`_contract` as one column, the way a sweep contracts a chunk
+    of targets. Exact reads the game's 2^d table in place; mc reads the
+    distinct coalitions of the draw. A game whose total or Shapley values
+    overflow raises ValueError."""
     masks, draw = _mask_choice(game.d, engine, permutations, seed)
     if masks is None:
         values = game.value_table()
@@ -253,17 +253,16 @@ def shapley_engine(
 
 def shapley_exact(game: Game) -> Attribution:
     """Every coalition evaluated once and the exact allocation formula
-    applied: :func:`shapley_engine` under "exact"."""
-    return shapley_engine(game, "exact")
+    applied."""
+    return _shapley(game, "exact", 0, 0)
 
 
 def shapley_permutation(game: Game, m: int, seed: int) -> Attribution:
-    """Monte Carlo Shapley from m sampled feature orders:
-    :func:`shapley_engine` under "mc". Order 2i is drawn and order 2i + 1
-    is its reverse (:func:`permutation_masks`), and order k depends only on
-    (seed, k), so the estimate is reproducible and the orders of a smaller
-    m are a prefix of those of a larger one."""
-    return shapley_engine(game, "mc", m, seed)
+    """Monte Carlo Shapley from m sampled feature orders. Order 2i is drawn
+    and order 2i + 1 is its reverse (:func:`permutation_masks`), and order k
+    depends only on (seed, k), so the estimate is reproducible and the
+    orders of a smaller m are a prefix of those of a larger one."""
+    return _shapley(game, "mc", m, seed)
 
 
 def gather_increments(arrived: np.ndarray, values: np.ndarray):

@@ -30,7 +30,7 @@ import numpy as np
 
 from . import bits
 from .bits import EXACT_CAP
-from .dataset import Dataset, quantile
+from .dataset import Dataset, _checked_targets, quantile
 
 
 # Cohort values of many targets are built in chunks of at most CHUNK_BYTES
@@ -205,8 +205,7 @@ def resolve_rules(rules, ds: Dataset) -> list[SimilarityRule]:
 def similarity_row(rules, ds: Dataset, t: int) -> np.ndarray:
     """Read-only (n,) int64 match codes of every subject to subject t (see
     :func:`match_codes`), under ``rules`` resolved against ``ds``."""
-    if not 0 <= t < ds.n:
-        raise SimilarityError(f"target {t} outside 0..{ds.n - 1}")
+    (t,) = _checked_targets(ds, [t])
     codes = match_codes(ds.X, resolve_rules(rules, ds), ds.X[t])[0].astype(np.int64)
     if not in_cohort(codes[t], (1 << ds.d) - 1):
         raise SimilarityError("target row must be all-similar to itself")
@@ -218,23 +217,6 @@ def in_cohort(codes: np.ndarray, u) -> np.ndarray:
     """Subjects whose match pattern (a :func:`match_codes` entry) contains
     the subset integer u, i.e. the members of cohort u."""
     return (codes & u) == u
-
-
-def subset_int(u, d: int) -> int:
-    """Normalize a feature subset (int bitmask or iterable of indices)."""
-    if isinstance(u, (int, np.integer)):
-        mask = int(u)
-        if not 0 <= mask < (1 << d):
-            raise SimilarityError(f"subset mask {mask} outside the d={d} lattice")
-        return mask
-    if not np.iterable(u):
-        raise SimilarityError(f"subset mask {u} is not an integer")
-    mask = 0
-    for j in u:
-        if not 0 <= j < d:
-            raise SimilarityError(f"feature index {j} outside 0..{d - 1}")
-        mask |= 1 << j
-    return mask
 
 
 def code_dtype(d: int) -> np.dtype:

@@ -3,13 +3,18 @@
 Everything in this file is deliberately naive: exhaustive permutation
 enumeration and per-row python loops. None of it shares code with the
 library, so agreement between the two is meaningful evidence. The
-exceptions are not oracles: :func:`cohort` and :func:`dense` read one
-target's match codes (``similarity_row``) the way the tests ask about
-cohorts, :func:`ReferenceVarGame` averages the library's per-target cs2
-games, :func:`lazy_cohort_game` scores a target's cohorts by the library's
-lazy kernel at any d, :func:`scatter_permutation` shares the library's draw
-of orders and its estimator but not its contraction, :func:`chosen_masks`
-reads the library's mask choice, and :class:`LoggingModel` is an external
+exceptions are not oracles: :func:`table_game` is the one builder of a
+library ``Game`` from an explicit value table, the form the single-game API
+(the benchmark's explain path) reads; :func:`cohort` and :func:`dense` read
+one target's match codes (``similarity_row``) the way the tests ask about
+cohorts; :func:`ReferenceVarGame` averages the library's per-target cs2
+tables, each built alone; :func:`cohort_game` tabulates one target's
+cohorts by the library's dense kernel, or above the cap by its lazy kernel
+(:func:`lazy_cohort_game`, which can also be set against the dense table);
+:func:`baseline_game` tabulates one target's baseline values by a
+one-target sweep; :func:`scatter_permutation` shares the library's draw of
+orders and its estimator but not its contraction; :func:`chosen_masks`
+reads the library's mask choice; and :class:`LoggingModel` is an external
 model that records what each of its processes received. The artifact
 encoders at the end are the library's former writers, kept as references
 for its template writers.
@@ -29,22 +34,32 @@ from cohortshap import (
     Identity,
     LinearModel,
     RelativeThreshold,
-    make_game,
+    similarity_row,
 )
-from cohortshap.games import Game
+from cohortshap.games import EXACT_CAP, Game, baseline_rows, baseline_sweep
 from cohortshap.shapley import (
     Attribution,
     _mask_choice,
     permutation_masks,
     shapley_from_orders,
 )
-from cohortshap.similarity import cohort_values, in_cohort, subset_int
+from cohortshap.similarity import cohort_value_tables, cohort_values, in_cohort
 
 
-def cohort(codes, u, d):
+def table_game(table, method: str, target=None) -> Game:
+    """The game of an explicit 2^d value array, d >= 1, copied as floats;
+    its entry 0 is set to 0."""
+    table = np.array(table, dtype=float)
+    d = table.size.bit_length() - 1
+    assert d >= 1 and 1 << d == table.size, table.size
+    table[0] = 0.0
+    return Game(d, method, target, table=table)
+
+
+def cohort(codes, u):
     """Boolean membership of cohort u (a bitmask or feature indices) in one
     target's match codes: everyone for the empty set."""
-    return in_cohort(codes, subset_int(u, d))
+    return in_cohort(codes, u if isinstance(u, int) else sum(1 << j for j in u))
 
 
 def dense(codes, d):
@@ -54,25 +69,44 @@ def dense(codes, d):
 
 def ReferenceVarGame(ds, rules):
     """The var game by its definition: at each mask, the mean over subjects
-    of their cs2 games' values (:func:`make_game`). It shares no sweep with
-    the library, only the per-target games."""
-    cs2 = [make_game("cs2", ds, t, rules) for t in range(ds.n)]
+    of their cs2 values, each subject's 2^d table built alone from its
+    ``similarity_row``. It shares no sweep with the library, only the
+    one-target table kernel."""
+    total = np.zeros(1 << ds.d)
+    for t in range(ds.n):
+        total += cohort_value_tables(similarity_row(rules, ds, t), ds.y, ds.d, True)
+    return table_game(total / ds.n, "var")
 
-    def evaluate(masks):
-        return np.mean([game.values(masks) for game in cs2], axis=0)
 
-    return Game(ds.d, "var", evaluate=evaluate)
+def lazy_cohort_game(ds, method, t, codes, masks=None):
+    """The cohort game of ``method`` for target t from its match ``codes``:
+    a table of the lazy kernel's values (:func:`similarity.cohort_values`)
+    at the nonempty ``masks``, every one when None, and 0 at the rest. A
+    reader of those masks alone, such as the draw of orders they come from,
+    sees the whole game at any d, and up to the cap it can be set against
+    the dense table."""
+    masks = np.arange(1, 1 << ds.d) if masks is None else masks
+    table = np.zeros(1 << ds.d)
+    table[masks] = cohort_values(codes[None], ds.y, masks, method != "cs")[0]
+    return table_game(table, method, t)
 
 
-def lazy_cohort_game(ds, method, t, codes):
-    """The cohort game of ``method`` for target t from its match ``codes``,
-    scored per call by the lazy kernel (:func:`similarity.cohort_values`) at
-    any d, so it can be set against the dense table up to the cap."""
+def cohort_game(ds, method, t, rules, masks=None):
+    """The cohort game of ``method`` for target t, built alone from its
+    ``similarity_row``: the one-target table kernel's 2^d table up to
+    EXACT_CAP features, else :func:`lazy_cohort_game` at ``masks``."""
+    codes = similarity_row(rules, ds, t)
+    if ds.d <= EXACT_CAP:
+        return table_game(cohort_value_tables(codes, ds.y, ds.d, method != "cs"), method, t)
+    return lazy_cohort_game(ds, method, t, codes, masks)
 
-    def evaluate(masks):
-        return cohort_values(codes[None], ds.y, masks, method != "cs")[0]
 
-    return Game(ds.d, method, t, evaluate=evaluate)
+def baseline_game(ds, method, t, model, baseline="mean"):
+    """The game of baseline ``method`` for target t: its values at every
+    nonempty mask from a sweep of that one target (:func:`baseline_sweep`)."""
+    baselines = baseline_rows(method, ds, model, baseline)
+    values = next(baseline_sweep(model, baselines, method, ds.X[[t]], None))
+    return table_game(np.concatenate(([0.0], values)), method, t)
 
 
 def shapley_all_permutations(value, d):

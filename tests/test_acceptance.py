@@ -25,7 +25,7 @@ from cohortshap import (
     attach_predictions,
     fit_logistic,
     local_attributions,
-    make_game,
+    make_cs_game,
     predict,
     realism_curve,
     shapley_exact,
@@ -36,7 +36,7 @@ from cohortshap import (
 )
 from cohortshap.aggregate import global_attribution
 from cohortshap.audit import realism_splits
-from cohortshap.games import TableGame
+from cohortshap.similarity import cohort_value_tables
 
 from .conftest import (
     load_boston,
@@ -46,7 +46,7 @@ from .conftest import (
     t8_target,
     titanic_shaped_surrogate,
 )
-from .helpers import shapley_all_permutations_table
+from .helpers import shapley_all_permutations_table, table_game
 
 TITANIC_RULES = [
     Identity(),
@@ -73,7 +73,7 @@ def report(n, text):
 def random_table_game(d, seed, method="rand"):
     vals = np.random.default_rng(seed).normal(size=1 << d)
     vals[0] = 0.0
-    return TableGame(vals, method)
+    return table_game(vals, method)
 
 
 def test_criterion_1_axiom_suite():
@@ -99,15 +99,15 @@ def test_criterion_1_axiom_suite():
             low = u & ((1 << d) - 1)
             merged = (low | 1) if (u >> d) & 1 else low
             sym[u] = vals[merged]
-        phi_sym = shapley_exact(TableGame(sym, "sym")).phi
+        phi_sym = shapley_exact(table_game(sym, "sym")).phi
         assert abs(phi_sym[0] - phi_sym[d]) <= rel * max(1.0, abs(phi_sym[0]))
         # dummy: player d never changes the value
         dummy = np.concatenate([vals, vals])
-        phi_dummy = shapley_exact(TableGame(dummy, "dummy")).phi
+        phi_dummy = shapley_exact(table_game(dummy, "dummy")).phi
         assert abs(phi_dummy[d]) <= rel
         # additivity against an independent game
         other = random_table_game(d, 10_000 + seed)
-        combo = TableGame(1.5 * vals - 0.5 * other.value_table(), "combo")
+        combo = table_game(1.5 * vals - 0.5 * other.value_table(), "combo")
         lhs = shapley_exact(combo).phi
         rhs = 1.5 * att.phi - 0.5 * shapley_exact(other).phi
         assert np.max(np.abs(lhs - rhs)) <= rel * max(1.0, np.abs(rhs).max())
@@ -122,7 +122,7 @@ def test_criterion_2_anchored_equivalence():
         d = 1 + seed % 10
         g = CubeFunction(np.random.default_rng(1000 + seed).normal(size=1 << d))
         via_anchored = shapley_from_anchored(anchored_cube(g))
-        direct = shapley_exact(TableGame(g.values - g.values[0], "cube"))
+        direct = shapley_exact(table_game(g.values - g.values[0], "cube"))
         assert np.max(np.abs(via_anchored.phi - direct.phi)) <= 1e-9
     elapsed = time.perf_counter() - start
     assert elapsed < 30.0
@@ -167,27 +167,28 @@ def test_criterion_4_t8_fixture():
     t = t8_target(ds)
     rules = [Identity()] * 3
 
-    cs = shapley_exact(make_game("cs", ds, t, rules))
+    (cs,) = local_attributions(ds, "cs", [t], rules)
     assert cs.phi == pytest.approx([1.0, 0.5, 0.0], abs=1e-12)
-    cs2 = shapley_exact(make_game("cs2", ds, t, rules))
+    (cs2,) = local_attributions(ds, "cs2", [t], rules)
     assert cs2.phi == pytest.approx([1.5, 0.75, 0.0], abs=1e-12)
     var = variance_shapley(ds, rules)
     assert var.phi == pytest.approx([1.0, 0.25, 0.0], abs=1e-12)
 
     model = LinearModel((2.0, 1.0, 0.0), 0.0)
-    abs2_total = make_game("abs2", ds, t, model=model).total
-    cs2_total = make_game("cs2", ds, t, rules).total
+    abs2_total = local_attributions(ds, "abs2", [t], model=model)[0].total
+    cs2_total = cs2.total
     assert abs2_total == pytest.approx(3.5, abs=1e-12)
     assert cs2_total == pytest.approx(2.25, abs=1e-12)
     assert abs2_total >= cs2_total
 
     # the same numbers through the committed exhaustive-permutation oracle
+    codes = similarity_row(rules, ds, t)
     phi_oracle, _ = shapley_all_permutations_table(
-        make_game("cs", ds, t, rules).value_table(), 3
+        cohort_value_tables(codes, ds.y, 3, False), 3
     )
     assert phi_oracle == pytest.approx([1.0, 0.5, 0.0], abs=1e-12)
     phi_oracle2, _ = shapley_all_permutations_table(
-        make_game("cs2", ds, t, rules).value_table(), 3
+        cohort_value_tables(codes, ds.y, 3, True), 3
     )
     assert phi_oracle2 == pytest.approx([1.5, 0.75, 0.0], abs=1e-12)
     report(4, "T8 fixture values match the frozen oracle numbers")
@@ -265,14 +266,14 @@ def test_criterion_7_linear_model_properties():
     ds = attach_predictions(ds, predict(model, ds.X))
     rules = [AbsoluteThreshold(0.05)] * 5
     full = (1 << 5) - 1
-    singles = 0
-    for t in range(ds.n):
-        patterns = similarity_row(rules, ds, t)
-        if (patterns == full).sum() == 1:
-            cs_total = make_game("cs", ds, t, rules).total
-            bs_total = make_game("bs", ds, t, model=model, baseline="mean").total
-            assert bs_total == pytest.approx(cs_total, rel=1e-10, abs=1e-10)
-            singles += 1
+    singletons = [
+        t for t in range(ds.n) if (similarity_row(rules, ds, t) == full).sum() == 1
+    ]
+    cs = local_attributions(ds, "cs", singletons, rules)
+    bs = local_attributions(ds, "bs", singletons, model=model, baseline="mean")
+    for cs_t, bs_t in zip(cs, bs, strict=True):
+        assert bs_t.total == pytest.approx(cs_t.total, rel=1e-10, abs=1e-10)
+    singles = len(singletons)
     assert singles >= 50
 
     # (b) structural indirect-influence check: drop a column from the model
@@ -283,11 +284,11 @@ def test_criterion_7_linear_model_properties():
     ds2 = attach_predictions(ds2, predict(model2, ds2.X))
     rules2 = [AbsoluteThreshold(0.4)] * 4
     saw_nonzero_cs = False
-    for t in range(0, 60):
-        bs = shapley_exact(make_game("bs", ds2, t, model=model2, baseline="mean"))
-        assert bs.phi[3] == 0.0  # exactly: the increments are identically zero
-        cs = shapley_exact(make_game("cs", ds2, t, rules2))
-        if abs(cs.phi[3]) > 1e-3:
+    bs = local_attributions(ds2, "bs", range(60), model=model2, baseline="mean")
+    cs = local_attributions(ds2, "cs", range(60), rules2)
+    for bs_t, cs_t in zip(bs, cs, strict=True):
+        assert bs_t.phi[3] == 0.0  # exactly: the increments are identically zero
+        if abs(cs_t.phi[3]) > 1e-3:
             saw_nonzero_cs = True
     assert saw_nonzero_cs
     report(7, f"linear BS/CS total agreement on {singles} singleton targets; "
@@ -332,7 +333,7 @@ def test_criterion_9_performance_budget():
     assert np.isfinite(phi).all()
     # spot-check the sweep against the single-target path
     for t in (0, 512, 1044):
-        att = shapley_exact(make_game("cs", ds, t, TITANIC_RULES))
+        att = shapley_exact(make_cs_game(ds, similarity_row(TITANIC_RULES, ds, t), t))
         assert phi[t] == pytest.approx(att.phi, abs=1e-10)
     assert elapsed <= 10.0
     report(9, f"CS for all 1045 subjects ({label}) in {elapsed:.2f}s")
@@ -349,6 +350,6 @@ def test_criterion_10_split_partition():
         split = next(realism_splits(ds, [int(t)], "mean", model, rules, method="bs"))
         recombined = split.phi_realistic + split.phi_unrealistic
         assert np.array_equal(recombined, split.phi)  # bit-exact partition
-        engine = shapley_exact(make_game("bs", ds, int(t), model=model, baseline="mean"))
+        (engine,) = local_attributions(ds, "bs", [int(t)], model=model, baseline="mean")
         assert split.phi == pytest.approx(engine.phi, rel=1e-12, abs=1e-12)
     report(10, "realism split partitions 50 BS attributions bit-exactly")

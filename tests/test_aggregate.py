@@ -13,15 +13,13 @@ from cohortshap import (
     LinearModel,
     RangeFraction,
     RelativeThreshold,
-    TableGame,
     aggregate_squared_cs,
     attach_predictions,
     local_attributions,
-    make_game,
     make_panel,
     resolve_rules,
-    shapley_engine,
     shapley_exact,
+    shapley_permutation,
     variance_shapley,
     write_panel_csv,
 )
@@ -37,7 +35,14 @@ from cohortshap.similarity import (
 )
 
 from .conftest import random_dataset, t8_target
-from .helpers import ReferenceVarGame, chosen_masks, scatter_permutation
+from .helpers import (
+    ReferenceVarGame,
+    baseline_game,
+    chosen_masks,
+    cohort_game,
+    scatter_permutation,
+    table_game,
+)
 
 IDENT3 = [Identity()] * 3
 
@@ -96,10 +101,10 @@ def test_sweep_matches_per_target_games():
     phi, totals = _cs_rows(ds, rules, squared=False)
     phi2, _ = _cs_rows(ds, rules, squared=True)
     for t in (0, 7, 33, 59):
-        att = shapley_exact(make_game("cs", ds, t, rules))
+        att = shapley_exact(cohort_game(ds, "cs", t, rules))
         assert phi[t] == pytest.approx(att.phi, abs=1e-10)
         assert totals[t] == pytest.approx(att.total, abs=1e-12)
-        att2 = shapley_exact(make_game("cs2", ds, t, rules))
+        att2 = shapley_exact(cohort_game(ds, "cs2", t, rules))
         assert phi2[t] == pytest.approx(att2.phi, abs=1e-10)
 
 
@@ -130,7 +135,8 @@ def test_mc_cohort_panel_resolves_rules_once(monkeypatch, d):
     # for the dense (d = 4) and the lazy (d = 21) games alike
     ds = random_dataset(30, d, seed=23)
     rules = [RangeFraction(0.3)] * d
-    want = [scatter_permutation(make_game("cs", ds, t, rules), 20, 5) for t in range(30)]
+    masks = chosen_masks(d, "mc", 20, 5)
+    want = [scatter_permutation(cohort_game(ds, "cs", t, rules, masks), 20, 5) for t in range(30)]
     calls = []
 
     def counting(rules, ds):
@@ -161,8 +167,13 @@ def test_mc_sweep_draws_the_orders_once(monkeypatch, method, d):
     rules = [AbsoluteThreshold(0.8)] * d
     model = LinearModel(tuple(np.linspace(-1.0, 1.0, d)), 0.5)
     targets = [3, 17, 3, 29]
+    masks = chosen_masks(d, "mc", 20, 5)
     want = [
-        scatter_permutation(make_game(method, ds, t, rules, model), 20, 5)
+        scatter_permutation(
+            baseline_game(ds, method, t, model) if method == "bs"
+            else cohort_game(ds, method, t, rules, masks),
+            20, 5,
+        )
         for t in targets
     ]
     # an earlier call may have left this draw in the memo
@@ -264,7 +275,11 @@ def _assert_blocks_equal_games(ds, method, targets, m, seed, per_block, chunk_ta
     chunks of at most ``chunk_targets``, equals each target's own game bit
     for bit; returns its attributions."""
     rules = [AbsoluteThreshold(0.8)] * ds.d
-    want = [scatter_permutation(make_game(method, ds, t, rules), m, seed) for t in targets]
+    masks = chosen_masks(ds.d, "mc", m, seed)
+    want = [
+        scatter_permutation(cohort_game(ds, method, t, rules, masks), m, seed)
+        for t in targets
+    ]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(shapley, "MASK_BLOCK_BYTES", 8 * m * ds.d * per_block)
         mp.setattr(similarity, "MAX_CHUNK_TARGETS", chunk_targets)
@@ -402,7 +417,8 @@ def _two_pass(ds, rules, engine):
     for chunk in chunks:
         table += chunk.sum(axis=1)
     table /= ds.n
-    direct = shapley_engine(TableGame(table, "var"), engine, 300, 7)
+    game = table_game(table, "var")
+    direct = shapley_exact(game) if engine == "exact" else shapley_permutation(game, 300, 7)
     rows = np.concatenate([_phi_from_tables(chunk, ds.d) for chunk in chunks])
     return table, direct, rows, tables[-1]
 
@@ -516,7 +532,7 @@ def test_val_var_identity_all_subsets(t8, monkeypatch):
     variance_shapley(t8, IDENT3)
     per_target = np.zeros(8)
     for t in range(t8.n):
-        per_target += make_game("cs2", t8, t, IDENT3).value_table()
+        per_target += cohort_game(t8, "cs2", t, IDENT3).value_table()
     (table,) = var_columns
     assert table == pytest.approx(per_target / t8.n, abs=1e-12)
     assert ReferenceVarGame(t8, IDENT3).values(np.arange(8)) == pytest.approx(

@@ -14,10 +14,9 @@ from cohortshap import (
     RelativeThreshold,
     attach_predictions,
     is_realistic,
-    make_game,
+    local_attributions,
     realism_curve,
     sample_marginal_product,
-    shapley_exact,
     write_realism_csv,
 )
 from cohortshap import audit, games
@@ -256,7 +255,7 @@ def test_split_partition_exact(t8):
     rules = [Identity()] * 3
     t = t8_target(t8)
     split = next(realism_splits(t8, [t], "mean", LINEAR, rules, method="bs"))
-    full = shapley_exact(make_game("bs", t8, t, model=LINEAR, baseline="mean"))
+    (full,) = local_attributions(t8, "bs", [t], model=LINEAR, baseline="mean")
     # same increments partitioned: parts recombine to the engine's phi
     assert np.array_equal(split.phi, split.phi_realistic + split.phi_unrealistic)
     assert split.phi == pytest.approx(full.phi, rel=1e-12, abs=1e-12)
@@ -283,7 +282,7 @@ def test_split_abs_method(t8):
     rules = [Identity()] * 3
     t = t8_target(t8)
     split = next(realism_splits(t8, [t], "mean", LINEAR, rules, method="abs"))
-    full = shapley_exact(make_game("abs", t8, t, model=LINEAR))
+    (full,) = local_attributions(t8, "abs", [t], model=LINEAR)
     assert split.phi == pytest.approx(full.phi, rel=1e-12, abs=1e-12)
     # hybrids of observed rows on a full factorial are observed rows
     assert np.abs(split.phi_unrealistic).max() == 0.0
@@ -294,7 +293,7 @@ def test_split_squared_methods(t8):
     t = t8_target(t8)
     for method in ("bs2", "abs2"):
         split = next(realism_splits(t8, [t], "mean", LINEAR, rules, method=method))
-        full = shapley_exact(make_game(method, t8, t, model=LINEAR))
+        (full,) = local_attributions(t8, method, [t], model=LINEAR)
         assert split.phi == pytest.approx(full.phi, rel=1e-12, abs=1e-12)
 
 

@@ -18,7 +18,7 @@ from cohortshap import (
     AbsoluteThreshold,
     Identity,
     LinearModel,
-    make_game,
+    local_attributions,
     resolve_rules,
     shapley,
     shapley_exact,
@@ -59,51 +59,68 @@ def test_mc_hooks_keep_their_call_shapes():
     assert _params(Game.values) == ["self", "masks"]
 
 
-def test_tracer_finds_every_hook_and_counts_mc_work():
-    # an earlier call may have left this draw in the memo
-    shapley._draw.cache_clear()
+def _traced(call):
+    """The result and the tracer counters of one traced call."""
     tracer = _tracing().Tracer()
     tracer.install()
     try:
         assert set(tracer.absent) <= KNOWN_ABSENT
-        ds = t8_dataset()
-        game = make_game("bs", ds, 7, model=LinearModel((2.0, 1.0, 0.5), 0.0))
-        att = shapley_permutation(game, 37, seed=5)
+        result = call()
     finally:
         tracer.uninstall()
-    stats = tracer.snapshot()
+    return result, tracer.snapshot()
+
+
+def test_tracer_finds_every_hook_and_counts_mc_work():
+    # an earlier call may have left these draws in the memo
+    shapley._draw.cache_clear()
+    ds = t8_dataset()
+    model = LinearModel((2.0, 1.0, 0.5), 0.0)
+    (att,), stats = _traced(lambda: local_attributions(
+        ds, "bs", [7], model=model, engine="mc", permutations=37, seed=5
+    ))
     assert np.isfinite(att.phi).all()
     assert stats["shapley._permutations.perms"] == 37
     assert stats["shapley._permutations.calls"] == 1
+    # the tracer counts the coalitions asked of a game without a table: a cs
+    # game above the table cap, on the benchmark's explain path
+    lazy = random_dataset(40, 21, seed=21, n_binary=21)
+    codes = cohortshap.similarity_row([Identity()] * 21, lazy, 7)
+    game = cohortshap.make_cs_game(lazy, codes, 7)
+    att, stats = _traced(lambda: shapley_permutation(game, 9, seed=5))
+    assert np.isfinite(att.phi).all()
     assert stats["games.values.calls"] == 1
-    # the empty set and the draw's 7 distinct coalitions, each asked once
-    assert stats["games.coalitions_requested"] == 8
+    # the empty set and the draw's distinct coalitions, each asked once
+    masks, _ = shapley._mask_choice(21, "mc", 9, 5)
+    assert stats["games.coalitions_requested"] == 1 + len(masks)
 
 
 @pytest.mark.parametrize(
-    "d, n_binary, rule, explain",
+    "d, n_binary, rule, explain, engine",
     [
-        (4, 0, AbsoluteThreshold(0.5), shapley_exact),
-        (21, 21, Identity(), lambda game: shapley_permutation(game, 50, seed=3)),
+        (4, 0, AbsoluteThreshold(0.5), shapley_exact, "exact"),
+        (21, 21, Identity(), lambda game: shapley_permutation(game, 50, seed=3), "mc"),
     ],
     ids=["dense-exact", "lazy-mc"],
 )
-def test_explain_call_matches_make_game(d, n_binary, rule, explain):
-    # the benchmark's explain_ms times this exact call shape
+def test_explain_call_matches_make_game(d, n_binary, rule, explain, engine):
+    # the benchmark's explain_ms times this exact call shape, which gives
+    # the sweep's attribution of the target bit for bit
     ds = random_dataset(40, d, seed=d, n_binary=n_binary)
     rules, t = [rule] * d, 7
-    tracer = _tracing().Tracer()
-    tracer.install()
-    try:
+
+    def both():
         game = cohortshap.make_cs_game(ds, cohortshap.similarity_row(rules, ds, t), t)
-        att = explain(game)
-        want = explain(make_game("cs", ds, t, rules))
-    finally:
-        tracer.uninstall()
-    stats = tracer.snapshot()
+        sweep = local_attributions(ds, "cs", [t], rules, engine=engine,
+                                   permutations=50, seed=3)
+        return explain(game), sweep[0]
+
+    (att, want), stats = _traced(both)
     assert np.array_equal(att.phi, want.phi) and att.total == want.total
-    # one call from the explain path, one from make_game's cohort branch
-    assert stats["similarity.similarity_row.calls"] == 2
+    assert (att.stderr is None) == (want.stderr is None)
+    assert att.stderr is None or np.array_equal(att.stderr, want.stderr)
+    # one call, from the explain path: the sweep codes its chunk itself
+    assert stats["similarity.similarity_row.calls"] == 1
     codes = cohortshap.similarity_row(rules, ds, t)
     assert codes.shape == (ds.n,) and not codes.flags.writeable
 
@@ -129,14 +146,9 @@ def _config(tmp_path, ds, **settings):
 
 def _traced_main(argv):
     """Exit code, stdout and tracer counters of one traced CLI command."""
-    tracer = _tracing().Tracer()
-    tracer.install()
-    try:
-        with contextlib.redirect_stdout(io.StringIO()) as stdout:
-            code = cohortshap.cli.main(argv)
-    finally:
-        tracer.uninstall()
-    return code, stdout, tracer.snapshot()
+    with contextlib.redirect_stdout(io.StringIO()) as stdout:
+        code, stats = _traced(lambda: cohortshap.cli.main(argv))
+    return code, stdout, stats
 
 
 def test_global_sweeps_the_cohort_tables_once(tmp_path):

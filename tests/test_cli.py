@@ -17,19 +17,19 @@ from cohortshap import (
     AbsoluteThreshold,
     ColumnSchema,
     Dataset,
-    TableGame,
     aggregate_squared_cs,
     attach_predictions,
     cli,
     games,
-    make_game,
     models,
     shapley_exact,
+    similarity_row,
 )
 from cohortshap.cli import main
 from cohortshap.config import RunConfig
+from cohortshap.similarity import cohort_value_tables
 
-from .helpers import LoggingModel
+from .helpers import LoggingModel, table_game
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -266,12 +266,15 @@ def test_shapley_exact_rejects_non_finite_phi(workdir, method):
     for t in (2, 7):
         # numpy warns of the overflow in the game's cohort table
         with np.errstate(over="ignore", invalid="ignore"):
-            game = make_game(method, ds, t, rules)
+            table = cohort_value_tables(
+                similarity_row(rules, ds, t), ds.y, ds.d, method == "cs2"
+            )
+        game = table_game(table, method, t)
         assert math.isfinite(game.value_table()[-1])
         with pytest.raises(ValueError, match="game total is not finite"):
             shapley_exact(game)
     # a hand table: a finite total of 1.7e308, an increment of 3.4e308
-    game = TableGame(np.array([0.0, 0.0, -1.7e308, 1.7e308]), "cs")
+    game = table_game(np.array([0.0, 0.0, -1.7e308, 1.7e308]), "cs")
     with pytest.raises(ValueError, match="game total is not finite"):
         shapley_exact(game)
 

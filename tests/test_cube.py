@@ -22,9 +22,13 @@ from cohortshap import (
 )
 from cohortshap.aggregate import global_attribution
 from cohortshap.bits import subset_sizes
-from cohortshap.games import TableGame
 
-from .helpers import anchored_components_naive, anova_sigma2_naive, shapley_all_permutations
+from .helpers import (
+    anchored_components_naive,
+    anova_sigma2_naive,
+    shapley_all_permutations,
+    table_game,
+)
 
 
 def random_cube(d, seed):
@@ -70,7 +74,7 @@ def test_anchored_matches_naive_and_reconstructs(d, seed):
 def test_theorem_equivalence_random_cubes(d, seed):
     g = random_cube(d, seed)
     via_anchored = shapley_from_anchored(anchored_cube(g))
-    direct = shapley_exact(TableGame(g.values - g.values[0], "cube"))
+    direct = shapley_exact(table_game(g.values - g.values[0], "cube"))
     assert via_anchored.phi == pytest.approx(direct.phi, abs=1e-9)
     assert via_anchored.total == pytest.approx(direct.total, abs=1e-10)
 

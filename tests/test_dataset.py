@@ -12,7 +12,6 @@ from cohortshap import (
     quantile,
     schema_from_json,
     split_holdout,
-    write_csv,
 )
 
 SCHEMA = (
@@ -98,20 +97,6 @@ def test_quoted_fields(tmp_path):
     path = write_file(tmp_path, 'color,size,flag\n"red, deep",1.0,yes\n')
     ds = load_csv(path, SCHEMA)
     assert ds.labels[0] == ("red, deep",)
-
-
-def test_roundtrip_values(tmp_path):
-    path = write_file(
-        tmp_path,
-        "color,size,flag,score\nred,1.5,yes,0.25\nblue,-2.125,no,0.5\nred,3.0,yes,1.0\n",
-    )
-    ds = load_csv(path, SCHEMA, prediction_column="score")
-    out = tmp_path / "copy.csv"
-    write_csv(ds, out)
-    again = load_csv(out, SCHEMA, prediction_column="score")
-    assert np.array_equal(ds.X, again.X)
-    assert np.array_equal(ds.y, again.y)
-    assert ds.labels == again.labels
 
 
 def test_attach_predictions(t8):

@@ -27,7 +27,6 @@ from cohortshap import (
     Panel,
     RealismReport,
     SplitAttribution,
-    TableGame,
     anchored_cube,
     anova_cube,
     cli,
@@ -53,6 +52,7 @@ from .helpers import (
     reference_realism_csv,
     reference_rows,
     reference_split_payload,
+    table_game,
 )
 from .conftest import random_dataset, titanic_shaped_surrogate
 from .test_cli import LINEAR_SPEC, SMALL_AUDIT, run_cli, t8_config, workdir  # noqa: F401
@@ -300,7 +300,7 @@ def test_cli_artifacts_equal_reference_encoders(workdir):
     dec = anchored_cube(g)
     anova = anova_cube(g, np.full(g.d, 0.5))
     via_anchored = shapley_from_anchored(dec)
-    direct = shapley_exact(TableGame(g.values - g.values[0], "cube"))
+    direct = shapley_exact(table_game(g.values - g.values[0], "cube"))
     z = [f"z{j + 1}" for j in range(g.d)]
     assert _written(workdir / "cube") == _reference_files(workdir, {"cube.json": (
         reference_json,

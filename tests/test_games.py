@@ -1,4 +1,5 @@
 import math
+import re
 from unittest import mock
 
 import numpy as np
@@ -16,23 +17,22 @@ from cohortshap import (
     LogisticModel,
     ModelError,
     RelativeThreshold,
-    SimilarityError,
+    aggregate,
     attach_predictions,
     games,
     is_realistic,
     local_attributions,
-    make_game,
+    make_cs_game,
     predict,
     realism_splits,
     resolve_rules,
-    shapley_engine,
     shapley_exact,
     shapley_permutation,
     similarity,
     similarity_row,
     variance_shapley,
 )
-from cohortshap.games import COHORT_METHODS, MODEL_METHODS, TableGame
+from cohortshap.games import COHORT_METHODS, MODEL_METHODS
 from cohortshap.shapley import permutation_masks
 from cohortshap.similarity import (
     cohort_table_chunks,
@@ -45,12 +45,14 @@ from .conftest import random_dataset, t8_target
 from .helpers import (
     LoggingModel,
     ReferenceVarGame,
+    baseline_game,
     chosen_masks,
     lazy_cohort_game,
     naive_baseline_value,
     naive_realism_split,
     points_csv,
     reference_shapley,
+    table_game,
 )
 
 LINEAR = LinearModel((2.0, 1.0, 0.0), 0.0)
@@ -62,85 +64,96 @@ def t8_games(t8):
     return t8, t8_target(t8)
 
 
+def cohort_table(ds, method, t, rules):
+    """Target t's 2^d cohort values of ``method``, as the chunk source
+    yields them to a sweep of that one target."""
+    resolved = resolve_rules(rules, ds)
+    ((_, chunk),) = cohort_table_chunks(ds, resolved, [t], None, method == "cs2")
+    return chunk[:, 0]
+
+
+def baseline_table(ds, method, t, model, baseline="mean"):
+    """Target t's 2^d baseline values of ``method`` from a one-target sweep."""
+    return baseline_game(ds, method, t, model, baseline).value_table()
+
+
 def test_cs_values(t8_games):
     ds, t = t8_games
-    g = make_game("cs", ds, t, IDENT3)
-    assert g.value([]) == 0.0
-    assert g.value([0]) == pytest.approx(1.0)
-    assert g.value([1]) == pytest.approx(0.5)
-    assert g.value([2]) == pytest.approx(0.0)
-    assert g.value([0, 1, 2]) == pytest.approx(1.5)
+    g = cohort_table(ds, "cs", t, IDENT3)
+    assert g[0] == 0.0
+    assert g[0b001] == pytest.approx(1.0)
+    assert g[0b010] == pytest.approx(0.5)
+    assert g[0b100] == pytest.approx(0.0)
+    assert g[0b111] == pytest.approx(1.5)
     # singleton full cohort: total equals f(x_t) - grand mean
-    assert g.total == pytest.approx(ds.y[t] - ds.y.mean())
+    assert g[-1] == pytest.approx(ds.y[t] - ds.y.mean())
 
 
 def test_cs2_values(t8_games):
     ds, t = t8_games
-    g = make_game("cs2", ds, t, IDENT3)
-    assert g.value([]) == 0.0
-    assert g.value([0]) == pytest.approx(1.0)
-    assert g.value([0, 1]) == pytest.approx(2.25)
-    assert g.value([2]) == 0.0
-    table = g.value_table()
-    assert (table >= 0.0).all()
+    g = cohort_table(ds, "cs2", t, IDENT3)
+    assert g[0] == 0.0
+    assert g[0b001] == pytest.approx(1.0)
+    assert g[0b011] == pytest.approx(2.25)
+    assert g[0b100] == 0.0
+    assert (g >= 0.0).all()
 
 
 def test_bs_values(t8_games):
     ds, t = t8_games
-    g = make_game("bs", ds, t, model=LINEAR, baseline="mean")
-    assert g.value([]) == 0.0
-    assert g.value([0]) == pytest.approx(1.0)  # equals the CS value here
-    assert g.total == pytest.approx(3.0 - 1.5)
-    explicit = make_game("bs", ds, t, model=LINEAR, baseline=[0.5, 0.5, 0.5])
-    assert explicit.total == g.total
+    g = baseline_table(ds, "bs", t, LINEAR)
+    assert g[0] == 0.0
+    assert g[0b001] == pytest.approx(1.0)  # equals the CS value here
+    assert g[-1] == pytest.approx(3.0 - 1.5)
+    explicit = baseline_table(ds, "bs", t, LINEAR, baseline=[0.5, 0.5, 0.5])
+    assert explicit[-1] == g[-1]
 
 
 def test_bs2_values(t8_games):
     ds, t = t8_games
-    g = make_game("bs2", ds, t, model=LINEAR, baseline="mean")
-    assert g.value([]) == 0.0
-    assert g.total == pytest.approx(2.25)
-    bs = make_game("bs", ds, t, model=LINEAR, baseline="mean")
-    assert g.total == pytest.approx(bs.total**2)
+    g = baseline_table(ds, "bs2", t, LINEAR)
+    assert g[0] == 0.0
+    assert g[-1] == pytest.approx(2.25)
+    bs = baseline_table(ds, "bs", t, LINEAR)
+    assert g[-1] == pytest.approx(bs[-1] ** 2)
 
 
 def test_abs_values(t8_games):
     ds, t = t8_games
-    g = make_game("abs", ds, t, model=LINEAR)
-    assert g.value([]) == 0.0
-    assert g.value([0]) == pytest.approx(1.0)
+    g = baseline_table(ds, "abs", t, LINEAR)
+    assert g[0] == 0.0
+    assert g[0b001] == pytest.approx(1.0)
     # decomposes the same total as CS: f(x_t) - grand mean
-    assert g.total == pytest.approx(make_game("cs", ds, t, IDENT3).total)
+    assert g[-1] == pytest.approx(cohort_table(ds, "cs", t, IDENT3)[-1])
 
 
 def test_abs2_values(t8_games):
     ds, t = t8_games
-    g = make_game("abs2", ds, t, model=LINEAR)
-    assert g.value([]) == 0.0
-    assert g.total == pytest.approx(3.5)
-    assert g.total >= make_game("cs2", ds, t, IDENT3).total
+    g = baseline_table(ds, "abs2", t, LINEAR)
+    assert g[0] == 0.0
+    assert g[-1] == pytest.approx(3.5)
+    assert g[-1] >= cohort_table(ds, "cs2", t, IDENT3)[-1]
 
 
 def test_abs2_dominates_cs2_on_random_data():
-    from cohortshap import AbsoluteThreshold, predict
-
     ds = random_dataset(50, 3, seed=21)
     rng = np.random.default_rng(0)
     model = LinearModel(tuple(rng.normal(size=3)), 0.5)
     ds = attach_predictions(ds, predict(model, ds.X))
     rules = [AbsoluteThreshold(0.4)] * 3
-    for t in (0, 17, 42):
-        assert (
-            make_game("abs2", ds, t, model=model).total
-            >= make_game("cs2", ds, t, rules).total - 1e-12
-        )
+    targets = [0, 17, 42]
+    abs2 = local_attributions(ds, "abs2", targets, model=model)
+    cs2 = local_attributions(ds, "cs2", targets, rules)
+    for a, c in zip(abs2, cs2, strict=True):
+        assert a.total >= c.total - 1e-12
 
 
 def test_var_values(t8):
     g = ReferenceVarGame(t8, IDENT3)
-    assert g.value([]) == 0.0
-    assert g.value([0, 1, 2]) == pytest.approx(1.25)
-    assert g.value([0]) == pytest.approx(1.0)
+    table = g.value_table()
+    assert table[0] == 0.0
+    assert table[0b111] == pytest.approx(1.25)
+    assert table[0b001] == pytest.approx(1.0)
     # the library's var game is the same subject average, coalition by
     # coalition: its exact Shapley values and total are the reference's
     want = shapley_exact(g)
@@ -152,27 +165,30 @@ def test_var_values(t8):
 
 def test_purity(t8_games):
     ds, t = t8_games
-    for game in (
-        make_game("cs", ds, t, IDENT3),
-        make_game("bs", ds, t, model=LINEAR, baseline="mean"),
-        make_game("abs", ds, t, model=LINEAR),
+    for values in (
+        lambda: cohort_table(ds, "cs", t, IDENT3),
+        lambda: baseline_table(ds, "bs", t, LINEAR),
+        lambda: baseline_table(ds, "abs", t, LINEAR),
     ):
-        first = game.value([0, 2])
-        again = game.value([0, 2])
+        first = values()[0b101]
+        again = values()[0b101]
         assert first == again  # bit-identical on repeat
 
 
-def test_game_evaluates_the_requested_nonempty_masks():
+def test_game_evaluates_the_requested_nonempty_masks(monkeypatch):
+    # a game above the table cap scores the nonempty masks of each request
     ds = random_dataset(30, 6, seed=12)
     codes = match_codes(ds.X, resolve_rules([AbsoluteThreshold(0.5)] * 6, ds), ds.X)
-    lazy = lazy_cohort_game(ds, "cs", 4, codes[4])
     seen = []
 
-    def recording(masks):
+    def recording(codes, y, masks, squared):
         seen.append(masks.copy())
-        return lazy.values(masks)
+        return cohort_values(codes, y, masks, squared)
 
-    game = games.Game(ds.d, "cs", 4, evaluate=recording)
+    monkeypatch.setattr(games, "EXACT_CAP", 0)
+    monkeypatch.setattr(games, "cohort_values", recording)
+    game = make_cs_game(ds, codes[4], 4)
+    assert game.value_table() is None
     oracle = cohort_values(codes[4:5], ds.y, np.arange(64), False)[0]
     oracle[0] = 0.0
     rng = np.random.default_rng(3)
@@ -184,45 +200,29 @@ def test_game_evaluates_the_requested_nonempty_masks():
         # every nonempty mask of the call, repeats included, and nothing else
         assert np.array_equal(seen[-1], masks[masks != 0])
     assert len(seen) == 3
-    assert game.values([]).shape == (0,)
+    assert game.values(np.zeros(0, dtype=np.int64)).shape == (0,)
 
 
 def test_cs_needs_predictions(t8):
     bare = t8.__class__(schema=t8.schema, X=t8.X)
     with pytest.raises(DatasetError):
-        make_game("cs", bare, 0, IDENT3)
+        local_attributions(bare, "cs", [0], IDENT3)
 
 
-def test_table_game_guards():
-    with pytest.raises(ValueError, match="power of two"):
-        TableGame(np.zeros(3), "cube")
-    with pytest.raises(ValueError, match="at least one"):
-        TableGame(np.zeros(1), "cube")
-    g = TableGame(np.array([5.0, 1.0]), "cube")
-    assert g.value(0) == 0.0  # entry 0 forced to zero
-
-
-def test_values_reject_masks_outside_the_lattice(t8_games, monkeypatch):
-    ds, t = t8_games
-    lazy = random_dataset(30, 22, seed=79, n_binary=22)
-    monkeypatch.setattr(games, "predict", lambda *a: pytest.fail("model called"))
-    cases = [
-        (make_game("cs", ds, t, IDENT3), 3),
-        (make_game("cs", lazy, 3, [Identity()] * 22), 22),
-        (make_game("bs", ds, t, model=LINEAR), 3),
-    ]
-    for game, d in cases:
-        for masks, bad in ([-1], -1), ([3, 1 << d, 1], 1 << d), ([[1, 2], [-5, 0]], -5):
-            with pytest.raises(SimilarityError, match=f"mask {bad} outside the d={d}"):
-                game.values(masks)
-        # a float is rejected, never truncated to the mask below it
-        floats = ([1.7, 2.9], "1.7"), ([[1.0], [2.5]], "1.0"), ([np.nan], "nan")
-        for masks, bad in floats:
-            with pytest.raises(SimilarityError, match=f"mask {bad} is not an integer"):
-                game.values(masks)
-        with pytest.raises(SimilarityError, match="mask 1.5 is not an integer"):
-            game.value(1.5)
-        assert game.values([]).shape == (0,)
+@pytest.mark.parametrize("bad", [1.5, "3", True, np.float64(2.0), None])
+def test_targets_must_be_integers(t8, bad):
+    # a float, a text or a bool is refused, never truncated or cast to a row
+    for call in (
+        lambda: local_attributions(t8, "cs", [bad], IDENT3),
+        lambda: local_attributions(t8, "bs", [2, bad], model=LINEAR),
+        lambda: list(realism_splits(t8, [bad], "mean", LINEAR, IDENT3, "bs")),
+        lambda: similarity_row(IDENT3, t8, bad),
+    ):
+        with pytest.raises(DatasetError, match=re.escape(f"target {bad!r} is not")):
+            call()
+    # an integer of any integer type is a target
+    (att,) = local_attributions(t8, "cs", [np.int32(7)], IDENT3)
+    assert att.target == 7 and type(att.target) is int
 
 
 def test_empty_set_scores_zero_without_reaching_a_model(monkeypatch):
@@ -230,20 +230,30 @@ def test_empty_set_scores_zero_without_reaching_a_model(monkeypatch):
     # predictions, so the empty set's exact 0 must not come from one
     ds = random_dataset(40, 10, seed=81)
     model = LinearModel(tuple(np.linspace(-1.0, 1.0, 10)), 0.25)
-    sweep, sent = games.baseline_sweep, []
+    sweep, contract, sent, rows = games.baseline_sweep, aggregate._contract, [], []
 
     def recording(model, baselines, method, X, masks, *args):
-        sent.append(np.array(masks))
+        sent.append(masks)
         return sweep(model, baselines, method, X, masks, *args)
 
-    monkeypatch.setattr(games, "baseline_sweep", recording)
-    masks = [0, 5, 0, 1023]
+    def first_rows(chunks, *args):
+        chunks = list(chunks)
+        rows.extend(chunk[0] for _, chunk in chunks)
+        return contract(chunks, *args)
+
+    monkeypatch.setattr(aggregate, "baseline_sweep", recording)
+    monkeypatch.setattr(aggregate, "_contract", first_rows)
     for method in ("bs", "abs"):
-        values = make_game(method, ds, 3, model=model).values(masks)
-        assert values[0] == 0.0 and values[2] == 0.0
-    assert len(sent) == 2 and all(np.array_equal(m, [5, 1023]) for m in sent)
+        local_attributions(ds, method, [3, 8], model=model)
+        local_attributions(ds, method, [3], model=model, engine="mc", permutations=4)
+    # every nonempty set (None) or the draw's nonempty masks, never the empty set
+    assert len(sent) == 4 and sent[0] is None and sent[2] is None
+    assert all(0 not in masks for masks in sent[1::2])
     lazy = random_dataset(30, 22, seed=82, n_binary=22)
-    values = make_game("cs", lazy, 4, [Identity()] * 22).values(masks)
+    local_attributions(lazy, "cs", [4], [Identity()] * 22, engine="mc", permutations=4)
+    assert len(rows) == 7 and all(np.array_equal(row, np.zeros(len(row))) for row in rows)
+    game = make_cs_game(lazy, similarity_row([Identity()] * 22, lazy, 4), 4)
+    values = game.values(np.array([0, 5, 0, 1023]))
     assert values[0] == 0.0 and values[2] == 0.0
 
 
@@ -258,7 +268,7 @@ def test_lazy_cohort_game_above_table_cap():
     # values must agree with a thin replica of the definition
     ds = random_dataset(40, 21, seed=77, n_binary=21)
     rules = [Identity()] * 21
-    g = make_game("cs", ds, 5, rules)
+    g = make_cs_game(ds, similarity_row(rules, ds, 5), 5)
     assert g._table is None
     grand = ds.y.mean()
     for u in ([], [0], [3, 17], list(range(21))):
@@ -266,7 +276,8 @@ def test_lazy_cohort_game_above_table_cap():
         for j in u:
             sel &= ds.X[:, j] == ds.X[5, j]
         expected = 0.0 if not u else ds.y[sel].mean() - grand
-        assert g.value(u) == pytest.approx(expected, abs=1e-12)
+        value = g.values(np.array([sum(1 << j for j in u)]))[0]
+        assert value == pytest.approx(expected, abs=1e-12)
     att = shapley_permutation(g, 8, seed=1)
     assert att.phi.sum() == pytest.approx(att.total, abs=1e-10)
 
@@ -283,8 +294,9 @@ def test_lazy_var_game_above_table_cap():
         for j in u:
             sel &= ds.X[:, j] == ds.X[t, j]
         acc += (ds.y[sel].mean() - grand) ** 2
-    assert g.value(u) == pytest.approx(acc / ds.n, abs=1e-12)
-    assert g.value([]) == 0.0
+    table = g.value_table()
+    assert table[1 << 2 | 1 << 9] == pytest.approx(acc / ds.n, abs=1e-12)
+    assert table[0] == 0.0
     # the library's lazy var game reads the same values along the orders
     want = shapley_permutation(g, 8, seed=1)
     got = variance_shapley(ds, rules, "mc", 8, 1)
@@ -301,10 +313,11 @@ def test_lazy_constant_column_adds_exact_zero_first():
         X = ds.X.copy()
         X[:, 5] = 1.5
         ds = attach_predictions(Dataset(schema=ds.schema, X=X), ds.y)
-        game = make_game("cs", ds, 7, [AbsoluteThreshold(1.0)] * 22)
+        resolved = resolve_rules([AbsoluteThreshold(1.0)] * 22, ds)
         perms, masks = permutation_masks(22, 200, seed)
-        first = masks[perms[:, 0] == 5, 1]
-        assert len(first) and not game.values(first).any()
+        first = np.unique(masks[perms[:, 0] == 5, 1])
+        ((_, chunk),) = cohort_table_chunks(ds, resolved, [7], first, False)
+        assert len(first) and not chunk.any()
 
 
 def test_linear_mean_baseline_bs_equals_cs_total():
@@ -313,19 +326,15 @@ def test_linear_mean_baseline_bs_equals_cs_total():
     ds = random_dataset(80, 4, seed=33)
     rng = np.random.default_rng(1)
     model = LinearModel(tuple(rng.normal(size=4)), -0.3)
-    from cohortshap import AbsoluteThreshold, predict
-
     ds = attach_predictions(ds, predict(model, ds.X))
     rules = [AbsoluteThreshold(0.05)] * 4
-    checked = 0
-    for t in range(ds.n):
-        codes = similarity_row(rules, ds, t)
-        cs = make_game("cs", ds, t, rules)
-        if codes.max() == 15 and (codes == 15).sum() == 1:
-            bs = make_game("bs", ds, t, model=model, baseline="mean")
-            assert bs.total == pytest.approx(cs.total, rel=1e-10)
-            checked += 1
-    assert checked > 10
+    codes = match_codes(ds.X, resolve_rules(rules, ds), ds.X)
+    singletons = [t for t in range(ds.n) if (codes[t] == 15).sum() == 1]
+    assert len(singletons) > 10
+    cs = local_attributions(ds, "cs", singletons, rules)
+    bs = local_attributions(ds, "bs", singletons, model=model, baseline="mean")
+    for a, b in zip(bs, cs, strict=True):
+        assert a.total == pytest.approx(b.total, rel=1e-10)
 
 
 @settings(max_examples=60, deadline=None)
@@ -366,9 +375,9 @@ def test_dense_and_lazy_cohort_games_agree(d, n, seed, rule_pool):
         )
     for method in COHORT_METHODS:
         t = int(rng.integers(n))
-        dense = make_game(method, ds, t, rules)
+        dense = cohort_value_tables(similarity_row(rules, ds, t), ds.y, d, method == "cs2")
         lazy = lazy_cohort_game(ds, method, t, codes[t])
-        assert lazy.values(masks) == pytest.approx(dense.value_table(), abs=1e-12)
+        assert lazy.values(masks) == pytest.approx(dense, abs=1e-12)
     # the var game's subject mean, by the sweep's dense tables and, with the
     # table cap lowered below d, by its lazy kernel
     dense_var = ReferenceVarGame(ds, rules).value_table()
@@ -435,7 +444,7 @@ def test_baseline_sweep_equals_per_target_games(monkeypatch, method, engine):
     masks = chosen_masks(ds.d, engine, PERMS, SEED)
     for targets in TARGET_SETS:
         want = [
-            reference_shapley(make_game(method, ds, t, model=model), engine, PERMS, SEED)
+            reference_shapley(baseline_game(ds, method, t, model), engine, PERMS, SEED)
             for t in targets
         ]
         stream = _sweep_points(ds, method, targets, masks)
@@ -478,7 +487,7 @@ def test_baseline_sweep_with_an_external_model(tmp_path, monkeypatch, method, en
     assert "".join(logged.received()) == points_csv(stream)
     assert logged.spawns == math.ceil(stream.size / (chunk * ds.d))
     want = [
-        reference_shapley(make_game(method, ds, t, model=logged.model), engine, PERMS, SEED)
+        reference_shapley(baseline_game(ds, method, t, logged.model), engine, PERMS, SEED)
         for t in targets
     ]
     _assert_same(got, want)
@@ -513,9 +522,10 @@ def test_baseline_games_match_a_naive_oracle(d, method, engine):
             naive_baseline_value(f, rows[t], baselines, u, squared)
             for u in range(1 << d)
         ]
-        dense = make_game(method, ds, t, model=model).value_table()
+        dense = baseline_table(ds, method, t, model)
         np.testing.assert_allclose(dense, table, rtol=0, atol=1e-12)
-        want = shapley_engine(TableGame(table, method, t), engine, PERMS, SEED)
+        game = table_game(table, method, t)
+        want = shapley_exact(game) if engine == "exact" else shapley_permutation(game, PERMS, SEED)
         np.testing.assert_allclose(att.phi, want.phi, rtol=0, atol=1e-12)
         assert att.total == pytest.approx(want.total, rel=0, abs=1e-12)
     if engine == "mc":

@@ -2,7 +2,8 @@
 no cycle, so no module needs an import inside a function to break one.
 Every package name the benchmark and the demos use still exists. The
 kernels of a Shapley value are called from the one contraction alone, and
-every game is one class. One function reads the chunk budget."""
+every game is one class, built by the benchmark's explain path alone. One
+function reads the chunk budget."""
 
 import ast
 import graphlib
@@ -10,6 +11,7 @@ import importlib
 from pathlib import Path
 
 import cohortshap
+from cohortshap import dataset, games, shapley, similarity
 from cohortshap.config import AUDIT_DEFAULTS
 
 PACKAGE = Path(cohortshap.__file__).resolve().parent
@@ -224,6 +226,40 @@ def test_one_game_class():
                 assert "Game" not in bases, f"{path.name}: {node.name} subclasses Game"
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 assert node.name != "_evaluate_many", f"{path.name} defines _evaluate_many"
+
+
+class _GameCalls(_Scoped):
+    """Every call, by name or attribute, of ``Game``."""
+
+    def visit_Call(self, node):
+        func = node.func
+        if (func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)) == "Game":
+            self.record("Game")
+        self.generic_visit(node)
+
+
+def test_only_the_explain_path_builds_a_game():
+    # per-target results come from local_attributions; the single-game API
+    # is the benchmark's explain path, and what only tests reached is gone
+    gone = {
+        "cohortshap": (cohortshap, ["make_game", "TableGame", "shapley_engine", "write_csv"]),
+        "games": (games, ["make_game", "TableGame"]),
+        "shapley": (shapley, ["shapley_engine"]),
+        "similarity": (similarity, ["subset_int"]),
+        "dataset": (dataset, ["write_csv"]),
+        "Dataset": (dataset.Dataset, ["cell_text", "prediction_name"]),
+    }
+    left = [
+        f"{where}.{name}"
+        for where, (owner, names) in gone.items()
+        for name in names
+        if hasattr(owner, name)
+    ]
+    assert left == []
+    found = {}
+    for name, path in MODULES.items():
+        _GameCalls(name, found).visit(ast.parse(path.read_text(encoding="utf-8")))
+    assert found == {"Game": {("games", "make_cs_game")}}
 
 
 def test_cli_reads_the_audit_block_and_the_contraction_once():

@@ -16,13 +16,13 @@ from cohortshap import (
     ModelError,
     PerfectSeparationError,
     fit_logistic,
-    make_game,
     models,
     predict,
 )
+from cohortshap.games import baseline_rows, baseline_sweep
 
 from .conftest import random_dataset, t8_dataset, titanic_shaped_surrogate
-from .helpers import LoggingModel, points_csv
+from .helpers import LoggingModel, baseline_game, points_csv
 
 SUM_SCRIPT = (
     "import sys\n"
@@ -208,23 +208,20 @@ COEF = (0.75, -1.5, 2.0, 0.125, -0.5, 1.25)
 def test_baseline_game_table_spawns_once(tmp_path, method):
     ds = random_dataset(12, 6, seed=4)
     logged = LoggingModel(tmp_path, COEF)
-    table = make_game(method, ds, 3, model=logged.model).value_table()
+    table = baseline_game(ds, method, 3, logged.model).value_table()
     assert logged.spawns == 1
-    expected = make_game(method, ds, 3, model=logged.linear).value_table()
+    expected = baseline_game(ds, method, 3, logged.linear).value_table()
     np.testing.assert_allclose(table, expected, rtol=0, atol=1e-12)
 
 
 def test_mc_baseline_game_spawns_once_per_values_call(tmp_path):
     ds = random_dataset(12, 6, seed=5)
     logged = LoggingModel(tmp_path, COEF)
-    game = make_game("bs", ds, 2, model=logged.model)
-    game.values([3, 5, 63])
-    assert logged.spawns == 1
-    game.values([5, 0, 3])
-    assert logged.spawns == 2
-    game.values([5, 7, 9])
-    assert logged.spawns == 3
-    # each call leads with the baseline row, then its nonempty masks
+    baselines = baseline_rows("bs", ds, logged.model, "mean")
+    for spawns, masks in enumerate(([3, 5, 63], [5, 3], [5, 7, 9]), start=1):
+        next(baseline_sweep(logged.model, baselines, "bs", ds.X[[2]], masks))
+        assert logged.spawns == spawns
+    # each sweep leads with the baseline row, then its masks
     assert [len(text.splitlines()) for text in logged.received()] == [4, 3, 4]
 
 

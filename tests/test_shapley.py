@@ -16,15 +16,16 @@ from cohortshap import (
     Identity,
     RangeFraction,
     attach_predictions,
-    make_game,
+    local_attributions,
+    make_cs_game,
     resolve_rules,
     shapley_exact,
     shapley_permutation,
     shapley_weight_table,
+    similarity_row,
 )
 from cohortshap import shapley
 from cohortshap.bits import halves, subset_sizes
-from cohortshap.games import TableGame
 from cohortshap.shapley import EXACT_CAP, _permutations, _phi_from_tables
 from cohortshap.similarity import cohort_table_chunks, cohort_value_tables, match_codes
 
@@ -33,13 +34,14 @@ from .helpers import (
     per_bit_gather_contraction,
     scatter_permutation,
     shapley_all_permutations,
+    table_game,
 )
 
 
-def random_game(d: int, seed: int) -> TableGame:
+def random_game(d: int, seed: int):
     vals = np.random.default_rng(seed).normal(size=1 << d)
     vals[0] = 0.0
-    return TableGame(vals, "test")
+    return table_game(vals, "test")
 
 
 def test_weight_table_examples():
@@ -75,16 +77,16 @@ def test_hockey_stick_identity():
 
 def test_t8_cs_exact(t8):
     t = t8_target(t8)
-    att = shapley_exact(make_game("cs", t8, t, [Identity()] * 3))
+    (att,) = local_attributions(t8, "cs", [t], [Identity()] * 3)
     assert att.phi == pytest.approx([1.0, 0.5, 0.0], abs=1e-12)
     assert att.total == pytest.approx(1.5)
-    att2 = shapley_exact(make_game("cs2", t8, t, [Identity()] * 3))
+    (att2,) = local_attributions(t8, "cs2", [t], [Identity()] * 3)
     assert att2.phi == pytest.approx([1.5, 0.75, 0.0], abs=1e-12)
     assert att2.total == pytest.approx(2.25)
 
 
 def test_constant_game_gives_zero():
-    att = shapley_exact(TableGame(np.zeros(16), "zero"))
+    att = shapley_exact(table_game(np.zeros(16), "zero"))
     assert att.phi.tolist() == [0.0] * 4
     assert att.total == 0.0
 
@@ -94,7 +96,8 @@ def test_constant_game_gives_zero():
 def test_exact_matches_exhaustive_permutations(d, seed):
     game = random_game(d, seed)
     att = shapley_exact(game)
-    phi, total = shapley_all_permutations(lambda m: game.value(m), d)
+    table = game.value_table()
+    phi, total = shapley_all_permutations(lambda m: table[m], d)
     assert att.phi == pytest.approx(phi, abs=1e-10)
     assert att.total == pytest.approx(total, abs=1e-12)
     assert att.phi.sum() == pytest.approx(att.total, abs=1e-10 * max(1, abs(total)))
@@ -108,7 +111,7 @@ def test_symmetry_axiom():
     for u in range(1 << d):
         canon = (u & 0b1100) | (1 if u & 0b0011 else 0)
         vals[u] = 0.0 if u == 0 else np.sin(canon * 2.1) + 0.1 * canon
-    game = TableGame(vals, "sym")
+    game = table_game(vals, "sym")
     att = shapley_exact(game)
     assert att.phi[0] == pytest.approx(att.phi[1], abs=1e-12)
 
@@ -118,7 +121,7 @@ def test_dummy_axiom():
     rng = np.random.default_rng(5)
     base = rng.normal(size=4)
     vals = np.array([base[u & 0b011] - base[0] for u in range(8)])
-    att = shapley_exact(TableGame(vals, "dummy"))
+    att = shapley_exact(table_game(vals, "dummy"))
     assert att.phi[2] == 0.0
 
 
@@ -126,7 +129,7 @@ def test_additivity_axiom():
     d = 5
     a, b = random_game(d, 1), random_game(d, 2)
     alpha, beta = 0.7, -1.3
-    combo = TableGame(alpha * a.value_table() + beta * b.value_table(), "combo")
+    combo = table_game(alpha * a.value_table() + beta * b.value_table(), "combo")
     lhs = shapley_exact(combo).phi
     rhs = alpha * shapley_exact(a).phi + beta * shapley_exact(b).phi
     assert lhs == pytest.approx(rhs, abs=1e-10)
@@ -190,7 +193,7 @@ def test_a_kept_draw_is_read_only():
 
 def test_mc_efficiency_and_convergence(t8):
     t = t8_target(t8)
-    game = make_game("cs", t8, t, [Identity()] * 3)
+    game = make_cs_game(t8, similarity_row([Identity()] * 3, t8, t), t)
     att = shapley_permutation(game, 5000, seed=9)
     assert att.phi.sum() == pytest.approx(att.total, abs=1e-12)
     exact = shapley_exact(game)
@@ -242,7 +245,7 @@ def test_permutations_uniform_at_d3():
     assert chi2 < 20.52
 
 
-def pairwise_game(d: int, seed: int) -> tuple[TableGame, float]:
+def pairwise_game(d: int, seed: int):
     """A game of main effects and pairwise interactions on d features, and
     the largest magnitude in its table."""
     rng = np.random.default_rng(seed)
@@ -250,7 +253,7 @@ def pairwise_game(d: int, seed: int) -> tuple[TableGame, float]:
     pair = np.triu(rng.normal(size=(d, d)), 1)
     bits = (np.arange(1 << d)[:, None] >> np.arange(d) & 1).astype(float)
     table = bits @ main + np.einsum("ui,ij,uj->u", bits, pair, bits)
-    return TableGame(table, "pairwise"), float(np.abs(table).max())
+    return table_game(table, "pairwise"), float(np.abs(table).max())
 
 
 @settings(max_examples=60, deadline=None)
@@ -277,7 +280,7 @@ def test_stderr_is_calibrated_on_cohort_games():
     tenth = RangeFraction(0.1, 0.0, 1.0)
     rules = [Identity(), Identity(), tenth, Identity(), Identity(), tenth]
     for t in (0, 512):
-        game = make_game("cs", ds, t, rules)
+        game = make_cs_game(ds, similarity_row(rules, ds, t), t)
         exact = shapley_exact(game).phi
         runs = [shapley_permutation(game, 200, seed=seed) for seed in range(200)]
         phi = np.array([att.phi for att in runs])
@@ -292,10 +295,11 @@ def test_stderr_is_calibrated_on_cohort_games():
 
 def test_mc_total_is_full_minus_empty():
     ds = random_dataset(40, 21, seed=5, n_binary=21)
-    lazy = make_game("cs", ds, 3, [Identity()] * 21)
+    lazy = make_cs_game(ds, similarity_row([Identity()] * 21, ds, 3), 3)
     for game in (lazy, random_game(7, 9)):
         att = shapley_permutation(game, 16, seed=2)
-        assert att.total == game.value(game.full_mask) - game.value(0)
+        full, empty = game.values(np.array([(1 << game.d) - 1, 0]))
+        assert att.total == full - empty
 
 
 @pytest.mark.parametrize("columns", [1, 2, 3, 5, 8, 84])

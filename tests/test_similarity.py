@@ -27,7 +27,6 @@ from cohortshap.similarity import (
     count_dtype,
     cohort_values,
     match_codes,
-    subset_int,
 )
 
 from .conftest import random_dataset, t8_target
@@ -128,19 +127,19 @@ def test_target_row_all_ones():
 def test_t8_cohort_counts(t8):
     t = t8_target(t8)
     codes = similarity_row([Identity()] * 3, t8, t)
-    assert cohort(codes, [], 3).sum() == 8
-    assert cohort(codes, [0], 3).sum() == 4
-    assert cohort(codes, [0, 1], 3).sum() == 2
-    assert cohort(codes, [0, 1, 2], 3).sum() == 1
-    assert cohort(codes, 0b101, 3).sum() == 2
+    assert cohort(codes, []).sum() == 8
+    assert cohort(codes, [0]).sum() == 4
+    assert cohort(codes, [0, 1]).sum() == 2
+    assert cohort(codes, [0, 1, 2]).sum() == 1
+    assert cohort(codes, 0b101).sum() == 2
 
 
 def test_t8_cohort_means(t8):
     t = t8_target(t8)
     codes = similarity_row([Identity()] * 3, t8, t)
-    assert t8.y[cohort(codes, [0], 3)].mean() == pytest.approx(2.5)
-    assert t8.y[cohort(codes, [], 3)].mean() == pytest.approx(1.5)
-    assert t8.y[cohort(codes, [0, 1, 2], 3)].mean() == t8.y[t]
+    assert t8.y[cohort(codes, [0])].mean() == pytest.approx(2.5)
+    assert t8.y[cohort(codes, [])].mean() == pytest.approx(1.5)
+    assert t8.y[cohort(codes, [0, 1, 2])].mean() == t8.y[t]
 
 
 def test_refinement_associativity():
@@ -148,8 +147,8 @@ def test_refinement_associativity():
     codes = similarity_row([AbsoluteThreshold(0.5)] * 4, ds, 7)
     for u in range(1 << 4):
         for j in range(4):
-            left = cohort(codes, u, 4) & dense(codes, 4)[:, j]
-            right = cohort(codes, u | (1 << j), 4)
+            left = cohort(codes, u) & dense(codes, 4)[:, j]
+            right = cohort(codes, u | (1 << j))
             assert np.array_equal(left, right)
 
 
@@ -160,7 +159,7 @@ def test_monotonicity_and_membership(seed, u, extra):
     t = seed % 35
     codes = similarity_row([AbsoluteThreshold(0.4)] * 4, ds, t)
     v = u | extra
-    mu, mv = cohort(codes, u, 4), cohort(codes, v, 4)
+    mu, mv = cohort(codes, u), cohort(codes, v)
     assert mv.sum() <= mu.sum()
     assert np.array_equal(mv & mu, mv)  # v-cohort inside u-cohort
     assert mu[t] and mv[t]
@@ -183,7 +182,7 @@ def test_bit_level_oracle_against_row_loop(seed):
     for u in range(8):
         feats = [j for j in range(3) if u >> j & 1]
         expected = naive_cohort_members(ds.X, ds.X[t], feats, fns)
-        assert np.flatnonzero(cohort(codes, u, 3)).tolist() == expected
+        assert np.flatnonzero(cohort(codes, u)).tolist() == expected
 
 
 def test_duplicated_columns_swap_invariance():
@@ -195,7 +194,7 @@ def test_duplicated_columns_swap_invariance():
     codes = similarity_row(rules, ds, 11)
     for u in range(8):
         swapped = (u & 0b100) | ((u & 1) << 1) | ((u >> 1) & 1)
-        assert cohort(codes, u, 3).sum() == cohort(codes, swapped, 3).sum()
+        assert cohort(codes, u).sum() == cohort(codes, swapped).sum()
 
 
 # every resolved rule type, with two thresholds for each type that has one,
@@ -441,7 +440,7 @@ def test_cohort_tables_match_masks():
         lazy = cohort_values(codes, ds.y, np.arange(16), squared)[0]
         assert table[0] == lazy[0] == 0.0
         for u in range(1, 1 << 4):
-            want = ds.y[cohort(row, u, 4)].mean() - grand
+            want = ds.y[cohort(row, u)].mean() - grand
             want = want * want if squared else want
             assert table[u] == pytest.approx(want, rel=1e-12, abs=1e-14)
             assert lazy[u] == pytest.approx(want, rel=1e-12, abs=1e-14)
@@ -518,11 +517,3 @@ def test_cohort_values_peak_is_blocked():
     # members of a block each take about MASK_BLOCK_BYTES
     assert peak < got.nbytes + 6 * similarity.MASK_BLOCK_BYTES
 
-
-def test_subset_int():
-    assert subset_int([0, 2], 3) == 0b101
-    assert subset_int(0b11, 2) == 3
-    with pytest.raises(SimilarityError):
-        subset_int([3], 3)
-    with pytest.raises(SimilarityError):
-        subset_int(8, 3)
